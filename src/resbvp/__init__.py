@@ -57,6 +57,7 @@ from .nonlinear import (
     generating_F,
     iterate,
     nonlinear_recurrence_residual,
+    pointwise,
     solve_generating,
     verify_derivative,
 )

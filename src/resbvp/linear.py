@@ -124,9 +124,22 @@ def _forcing_array(system: OperatorSequence, f) -> np.ndarray:
 
 
 def particular_forced(system: OperatorSequence, f) -> np.ndarray:
-    """The unique solution of g(n+1) = A_n g(n) + f(n) with g(0) = 0."""
-    f = _forcing_array(system, f)
+    """The unique solution of g(n+1) = A_n g(n) + f(n) with g(0) = 0.
+
+    A stack of k forcings, shape (k, m, N), is swept once: (k, m+1, N).
+    """
     m, N = system.horizon, system.dim
+    if np.ndim(f) == 3:
+        f = np.asarray(f, dtype=float)
+        if f.shape[1:] != (m, N):
+            raise ValueError(f"forcing stack must have shape (k, {m}, {N}), got {f.shape}")
+        g = np.zeros((f.shape[0], m + 1, N))
+        for n in range(m):
+            g[:, n + 1] = g[:, n] @ system.matrices[n].T + f[:, n]
+        return g
+    # The single sweep keeps its own arithmetic: Newton's finite-difference
+    # Jacobian of generating_F amplifies any roundoff change about 1e6-fold.
+    f = _forcing_array(system, f)
     g = np.zeros((m + 1, N))
     for n in range(m):
         g[n + 1] = system.matrices[n] @ g[n] + f[n]
@@ -287,15 +300,17 @@ class LinearBVP:
     def classify(self, f, alpha=None, tol: float = 1e-9) -> SolvabilityReport:
         return classify(self.Q, self.h(f, alpha), tol=tol, rd=self.rd)
 
-    def green(self, f, alpha=None) -> np.ndarray:
+    def green(self, f, alpha=None, g=None) -> np.ndarray:
         """Particular solution operator: Phi(n, 0) Q^+ (alpha - l g) + g(n).
 
         Linear in (f, alpha); least-squares/minimum-norm when the boundary
-        condition cannot be met exactly.
+        condition cannot be met exactly. ``g``, when given, is the response
+        particular_forced(f) already swept by the caller.
         """
         if alpha is None:
             alpha = np.zeros(self.boundary.codim)
-        g = particular_forced(self.system, f)
+        if g is None:
+            g = particular_forced(self.system, f)
         h = np.asarray(alpha, dtype=float) - self.boundary.apply(g)
         return self.propagate(self.Q_pinv @ h) + g
 

@@ -84,38 +84,41 @@ class LotkaVolterraSpec:
                    a=np.full((p, p), a), b=np.full((p, p), b))
 
 
-def _at(table: np.ndarray, n: int, time_varying_ndim: int) -> np.ndarray:
+def _at(table: np.ndarray, n, time_varying_ndim: int) -> np.ndarray:
     return table[n] if table.ndim == time_varying_ndim else table
 
 
-def lv_nonlinearity(spec: LotkaVolterraSpec, z, n: int) -> np.ndarray:
-    """Stacked (Zx, Zy) at state z = (x_1..x_p, y_1..y_p) and time n."""
+def _split(spec: LotkaVolterraSpec, z, n):
+    """States, tables at times n and interaction sums (a y, b x), batched."""
     z = np.asarray(z, dtype=float)
     p, t = spec.pairs, spec.interactions
-    if z.shape != (2 * p,):
-        raise ValueError(f"state must have shape ({2 * p},), got {z.shape}")
-    x, y = z[:p], z[p:]
+    if z.shape[-1:] != (2 * p,):
+        raise ValueError(f"state must have shape (..., {2 * p}), got {z.shape}")
+    x, y = z[..., :p], z[..., p:]
     g1, g2 = _at(spec.g1, n, 2), _at(spec.g2, n, 2)
     a, b = _at(spec.a, n, 3), _at(spec.b, n, 3)
-    zx = g1 * x * (1.0 - a @ y[:t])
-    zy = g2 * y * (1.0 - b @ x[:t])
-    return np.concatenate([zx, zy])
+    ay = (a @ y[..., :t, None])[..., 0]
+    bx = (b @ x[..., :t, None])[..., 0]
+    return x, y, g1, g2, a, b, ay, bx
 
 
-def lv_derivative(spec: LotkaVolterraSpec, z, n: int) -> np.ndarray:
-    """Exact Jacobian of lv_nonlinearity in z, shape (2p, 2p)."""
-    z = np.asarray(z, dtype=float)
+def lv_nonlinearity(spec: LotkaVolterraSpec, z, n) -> np.ndarray:
+    """Stacked (Zx, Zy) at states z = (x_1..x_p, y_1..y_p), shape (..., 2p),
+    and integer times n broadcasting to z.shape[:-1]."""
+    x, y, g1, g2, _, _, ay, bx = _split(spec, z, n)
+    return np.concatenate([g1 * x * (1.0 - ay), g2 * y * (1.0 - bx)], axis=-1)
+
+
+def lv_derivative(spec: LotkaVolterraSpec, z, n) -> np.ndarray:
+    """Exact Jacobian of lv_nonlinearity in z, shape (..., 2p, 2p)."""
+    x, y, g1, g2, a, b, ay, bx = _split(spec, z, n)
     p, t = spec.pairs, spec.interactions
-    if z.shape != (2 * p,):
-        raise ValueError(f"state must have shape ({2 * p},), got {z.shape}")
-    x, y = z[:p], z[p:]
-    g1, g2 = _at(spec.g1, n, 2), _at(spec.g2, n, 2)
-    a, b = _at(spec.a, n, 3), _at(spec.b, n, 3)
-    J = np.zeros((2 * p, 2 * p))
-    J[:p, :p] = np.diag(g1 * (1.0 - a @ y[:t]))
-    J[:p, p:p + t] = -(g1 * x)[:, None] * a
-    J[p:, :t] = -(g2 * y)[:, None] * b
-    J[p:, p:] = np.diag(g2 * (1.0 - b @ x[:t]))
+    J = np.zeros(x.shape[:-1] + (2 * p, 2 * p))
+    i = np.arange(p)
+    J[..., i, i] = g1 * (1.0 - ay)
+    J[..., :p, p:p + t] = -(g1 * x)[..., None] * a
+    J[..., p:, :t] = -(g2 * y)[..., None] * b
+    J[..., p + i, p + i] = g2 * (1.0 - bx)
     return J
 
 

@@ -44,6 +44,7 @@ __all__ = [
     "iterate",
     "verify_derivative",
     "nonlinear_recurrence_residual",
+    "pointwise",
 ]
 
 
@@ -64,7 +65,10 @@ class NonlinearProblem:
     """Linear BVP data plus the nonlinearity and its state derivative.
 
     Z(z, n, eps) maps R^N -> R^N; Z_du(z, n, eps) is its N x N Jacobian
-    in z. eps is the perturbation size of the solve.
+    in z. eps is the perturbation size of the solve. Both are batched over
+    states z of shape (..., N) and integer times n broadcasting to
+    z.shape[:-1], returning (..., N) and (..., N, N); ``pointwise`` lifts
+    callables written for one state at a time.
     """
 
     system: OperatorSequence
@@ -115,6 +119,30 @@ class IterationTrace:
               "boundary_residual", "projected_residual")
 
 
+def pointwise(Z, Z_du):
+    """Lift callables of one state z and an integer n to the batched
+    contract of NonlinearProblem by looping over the stacked states."""
+    def lift(fn):
+        def batched(z, n, eps):
+            z = np.asarray(z, dtype=float)
+            times = np.broadcast_to(n, z.shape[:-1])
+            out = [fn(z[i], int(times[i]), eps) for i in np.ndindex(times.shape)]
+            return np.asarray(out, dtype=float).reshape(times.shape + np.shape(out[0]))
+        return batched
+    return lift(Z), lift(Z_du)
+
+
+def _along(problem: NonlinearProblem, fn, z, eps) -> np.ndarray:
+    """fn (Z or Z_du) at the first m states of a trajectory, in one call."""
+    m = problem.system.horizon
+    return np.asarray(fn(z[:m], np.arange(m), float(eps)), dtype=float)
+
+
+def _matvec(M, v):
+    """Stacked matrix-vector products M[..., i, j] v[..., j]."""
+    return (M @ v[..., None])[..., 0]
+
+
 def verify_derivative(problem: NonlinearProblem, points: int = 20,
                       tol: float = 1e-5, scale: float = 1.0, seed: int = 0) -> None:
     """Check Z_du against central finite differences of Z at random probes.
@@ -124,21 +152,22 @@ def verify_derivative(problem: NonlinearProblem, points: int = 20,
     rng = np.random.default_rng(seed)
     N, m = problem.system.dim, problem.system.horizon
     step = 1e-6 * scale
-    for _ in range(points):
-        z = scale * rng.standard_normal(N)
-        n = int(rng.integers(0, m))
-        J = np.asarray(problem.Z_du(z, n, 0.0), dtype=float)
-        fd = np.empty_like(J)
-        for j in range(N):
-            e = np.zeros(N)
-            e[j] = step
-            fd[:, j] = (np.asarray(problem.Z(z + e, n, 0.0))
-                        - np.asarray(problem.Z(z - e, n, 0.0))) / (2 * step)
-        err = np.linalg.norm(fd - J) / (1.0 + np.linalg.norm(J))
-        if err > tol:
-            raise DerivativeMismatchError(
-                f"Z_du disagrees with finite differences at n={n}: relative error {err:.3e}"
-            )
+    z, n = np.empty((points, N)), np.empty(points, dtype=int)
+    for k in range(points):
+        z[k] = scale * rng.standard_normal(N)
+        n[k] = rng.integers(0, m)
+    J = np.asarray(problem.Z_du(z, n, 0.0), dtype=float)
+    # probes[s, k, j] = z[k] + s-th sign * step * e_j
+    probes = z[None, :, None, :] + np.array([step, -step])[:, None, None, None] * np.eye(N)
+    Zp = np.asarray(problem.Z(probes, n[None, :, None], 0.0), dtype=float)
+    fd = (Zp[0] - Zp[1]).transpose(0, 2, 1) / (2 * step)
+    err = np.linalg.norm(fd - J, axis=(1, 2)) / (1.0 + np.linalg.norm(J, axis=(1, 2)))
+    bad = np.flatnonzero(err > tol)
+    if bad.size:
+        k = bad[0]
+        raise DerivativeMismatchError(
+            f"Z_du disagrees with finite differences at n={n[k]}: relative error {err[k]:.3e}"
+        )
 
 
 def _require_generating(family: SolutionFamily) -> None:
@@ -147,11 +176,6 @@ def _require_generating(family: SolutionFamily) -> None:
             "linear part is only solvable in the least-squares sense; "
             "no generating family exists"
         )
-
-
-def _boundary_of_forcing(bvp: LinearBVP, forcing: np.ndarray) -> np.ndarray:
-    """l applied to the zero-initial-state response of the given forcing."""
-    return bvp.boundary.apply(particular_forced(bvp.system, forcing))
 
 
 def generating_F(problem: NonlinearProblem, family: SolutionFamily, c,
@@ -164,11 +188,8 @@ def generating_F(problem: NonlinearProblem, family: SolutionFamily, c,
     nonlinearity at a nonzero ``at_eps`` instead.
     """
     _require_generating(family)
-    bvp = problem.linear_bvp()
-    m = problem.system.horizon
-    z0 = family.member(c)
-    fz = np.array([problem.Z(z0[n], n, float(at_eps)) for n in range(m)], dtype=float)
-    return family.cokernel_basis.T @ _boundary_of_forcing(bvp, fz)
+    fz = _along(problem, problem.Z, family.member(c), at_eps)
+    return family.cokernel_basis.T @ problem.boundary.apply(particular_forced(problem.system, fz))
 
 
 def _fd_jacobian(fun, c: np.ndarray, out_dim: int) -> np.ndarray:
@@ -204,10 +225,8 @@ def solve_generating(problem: NonlinearProblem, family: SolutionFamily, c_init=N
     F = fun(c)
     norm = float(np.linalg.norm(F))
     jac_rank = 0
-    for k in range(1, max_iter + 1):
-        if norm <= tol:
-            return GeneratingRoot(c0=c, residual_norm=norm, jacobian_rank=jac_rank,
-                                  converged=True, iterations=k - 1)
+    steps = 0
+    while norm > tol and steps < max_iter:
         J = _fd_jacobian(fun, c, d)
         rd = numerical_rank(J)
         jac_rank = rd.rank
@@ -225,8 +244,9 @@ def solve_generating(problem: NonlinearProblem, family: SolutionFamily, c_init=N
             lam *= 0.5
         if not improved:
             break  # stagnation; report best iterate
+        steps += 1
     return GeneratingRoot(c0=c, residual_norm=norm, jacobian_rank=jac_rank,
-                          converged=norm <= tol, iterations=max_iter)
+                          converged=norm <= tol, iterations=steps)
 
 
 def assemble_B0(problem: NonlinearProblem, family: SolutionFamily, c0,
@@ -238,19 +258,13 @@ def assemble_B0(problem: NonlinearProblem, family: SolutionFamily, c0,
     trajectory. By construction B0 = -dF/dc at c0.
     """
     _require_generating(family)
-    bvp = problem.linear_bvp()
     m = problem.system.horizon
     r, d = family.kernel_dim, family.cokernel_dim
-    B0 = np.zeros((d, r))
     if d == 0 or r == 0:
-        return B0
-    z0 = family.member(c0)
-    Zdu = [np.asarray(problem.Z_du(z0[n], n, float(at_eps)), dtype=float) for n in range(m)]
-    for j in range(r):
-        w = family.kernel_basis[j]
-        forcing = np.array([Zdu[n] @ w[n] for n in range(m)])
-        B0[:, j] = -family.cokernel_basis.T @ _boundary_of_forcing(bvp, forcing)
-    return B0
+        return np.zeros((d, r))
+    Zdu = _along(problem, problem.Z_du, family.member(c0), at_eps)
+    G = particular_forced(problem.system, _matvec(Zdu, family.kernel_basis[:, :m]))
+    return -family.cokernel_basis.T @ np.stack([problem.boundary.apply(g) for g in G], axis=1)
 
 
 def check_sufficient(B0, tol: float = 1e-9) -> SufficiencyCheck:
@@ -271,17 +285,20 @@ def check_sufficient(B0, tol: float = 1e-9) -> SufficiencyCheck:
                             product_norm=product_norm, null_direction=null_dir)
 
 
-def nonlinear_recurrence_residual(problem: NonlinearProblem, z, eps=None) -> float:
-    """max_n || z(n+1) - A_n z(n) - f(n) - eps Z(z(n), n, eps) ||."""
+def nonlinear_recurrence_residual(problem: NonlinearProblem, z, eps=None,
+                                  Zz=None) -> float:
+    """max_n || z(n+1) - A_n z(n) - f(n) - eps Z(z(n), n, eps) ||.
+
+    ``Zz``, when given, is Z already evaluated at z(0..m-1) and eps.
+    """
     eps = problem.epsilon if eps is None else eps
     z = np.asarray(z, dtype=float)
-    A = problem.system.matrices
-    f = np.asarray(problem.forcing, dtype=float)
-    worst = 0.0
-    for n in range(problem.system.horizon):
-        res = z[n + 1] - A[n] @ z[n] - f[n] - eps * np.asarray(problem.Z(z[n], n, eps))
-        worst = max(worst, float(np.linalg.norm(res)))
-    return worst
+    if Zz is None:
+        Zz = _along(problem, problem.Z, z, eps)
+    m = problem.system.horizon
+    f = np.asarray(problem.forcing, dtype=float)[:m]
+    res = z[1:m + 1] - _matvec(problem.system.matrices, z[:m]) - f - eps * Zz
+    return float(np.linalg.norm(res, axis=1).max())
 
 
 def iterate(problem: NonlinearProblem, family: SolutionFamily, c0,
@@ -302,7 +319,8 @@ def iterate(problem: NonlinearProblem, family: SolutionFamily, c0,
     a fixed point solves the perturbed recurrence identically.
 
     Stops on a sup-norm Cauchy increment <= tol confirmed by small
-    recurrence and boundary residuals of z0 + u.
+    recurrence and boundary residuals of z0 + u; gives up, unconverged,
+    once u is non-finite or exceeds ``blowup``.
 
     Returns (z, trace) with z = z0(., c0) + u.
     """
@@ -323,15 +341,12 @@ def iterate(problem: NonlinearProblem, family: SolutionFamily, c0,
     B0_pinv = pseudoinverse(B0) if B0.size else np.zeros((r, d))
 
     z0 = family.member(c0)
-    Z0 = np.array([problem.Z(z0[n], n, 0.0) for n in range(m)], dtype=float)
-    Zdu = [np.asarray(problem.Z_du(z0[n], n, 0.0), dtype=float) for n in range(m)]
+    Z0 = _along(problem, problem.Z, z0, 0.0)
+    Zdu = _along(problem, problem.Z_du, z0, 0.0)
+    Zz = _along(problem, problem.Z, z0, eps)  # Z(z0 + u, ., eps), reused across rounds
     D = family.cokernel_basis
-    zero_alpha = np.zeros(bvp.boundary.codim)
-
-    def kernel_member(cvec):
-        if r == 0:
-            return np.zeros((m + 1, N))
-        return np.tensordot(cvec, family.kernel_basis, axes=1)
+    l = bvp.boundary
+    zero_alpha = np.zeros(l.codim)
 
     u = np.zeros((m + 1, N))
     c = np.zeros(r)
@@ -341,30 +356,29 @@ def iterate(problem: NonlinearProblem, family: SolutionFamily, c0,
     iterations = 0
 
     for k in range(max_iter + 1):
-        R = np.array([
-            np.asarray(problem.Z(z0[n] + u[n], n, eps), dtype=float)
-            - Z0[n] - Zdu[n] @ u[n]
-            for n in range(m)
-        ])
-        phi = np.array([Z0[n] + Zdu[n] @ u[n] + R[n] for n in range(m)])
+        Zdu_u = _matvec(Zdu, u[:m])
+        R = Zz - Z0 - Zdu_u
+        phi = Z0 + Zdu_u + R
+        lin_forcing = _matvec(Zdu, ubar[:m]) + R
+        g_lin, g_phi = particular_forced(problem.system, np.stack([lin_forcing, phi]))
 
-        u_next = kernel_member(c) + ubar
-        lin_forcing = np.array([Zdu[n] @ ubar[n] + R[n] for n in range(m)])
-        c_next = B0_pinv @ (D.T @ _boundary_of_forcing(bvp, lin_forcing))
-        ubar_next = eps * bvp.green(phi, zero_alpha)
+        u_next = np.tensordot(c, family.kernel_basis, axes=1) + ubar
+        c_next = B0_pinv @ (D.T @ l.apply(g_lin))
+        ubar_next = eps * bvp.green(phi, zero_alpha, g=g_phi)
 
         z = z0 + u_next
-        rec_res = nonlinear_recurrence_residual(problem, z, eps)
-        bc_res = boundary_residual(problem.boundary, z)
-        proj_res = float(np.linalg.norm(D.T @ _boundary_of_forcing(bvp, phi)))
+        Zz = _along(problem, problem.Z, z, eps)
+        rec_res = nonlinear_recurrence_residual(problem, z, eps, Zz=Zz)
+        bc_res = boundary_residual(l, z)
+        proj_res = float(np.linalg.norm(D.T @ l.apply(g_phi)))
         records.append((k, float(np.linalg.norm(c)), float(np.abs(ubar).max()),
                         rec_res, bc_res, proj_res))
 
         delta = float(np.abs(u_next - u).max())
         u, c, ubar = u_next, c_next, ubar_next
         iterations = k
-        if np.abs(u).max() > blowup:
-            break
+        if not np.isfinite(u).all() or np.abs(u).max() > blowup:
+            break  # NaN never compares greater than blowup, hence the finiteness test
         scale = 1.0 + float(np.abs(z).max())
         if delta <= tol * scale and rec_res <= residual_tol * scale \
                 and bc_res <= residual_tol * scale:

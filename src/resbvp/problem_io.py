@@ -208,7 +208,10 @@ def _parse_nonlinearity(doc: dict | None, dim: int):
             diag = np.zeros_like(z)
             for k, ck in enumerate(coeffs[1:], start=1):
                 diag += k * ck * z ** (k - 1)
-            return np.diag(diag)
+            J = np.zeros(z.shape + z.shape[-1:])
+            i = np.arange(z.shape[-1])
+            J[..., i, i] = diag
+            return J
 
         return (Z, Z_du), kind
     raise ProblemFormatError(f"nonlinearity: unknown type '{kind}'")

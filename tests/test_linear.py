@@ -105,6 +105,22 @@ class TestParticularForced:
             assert np.allclose(g[n], expected, atol=1e-10)
 
 
+    def test_stack_matches_single_sweeps(self):
+        rng = np.random.default_rng(8)
+        A = random_system(rng, 9, 3)
+        f = rng.standard_normal((4, 9, 3))
+        G = particular_forced(A, f)
+        assert G.shape == (4, 10, 3)
+        for k in range(4):
+            g = particular_forced(A, f[k])
+            assert np.abs(G[k] - g).max() <= 1e-14 * (1 + np.abs(g).max())
+
+    def test_stack_shape_checked(self):
+        A = random_system(np.random.default_rng(9), 4, 2)
+        with pytest.raises(ValueError):
+            particular_forced(A, np.zeros((2, 5, 2)))
+
+
 class TestAssembly:
     def test_evaluation_at_zero_gives_identity(self):
         A = random_system(np.random.default_rng(6), 4, 3)

@@ -76,6 +76,23 @@ class TestLVNonlinearity:
         assert np.allclose(lv_nonlinearity(spec, z, 0), [1.0, 0.0])
         assert np.allclose(lv_nonlinearity(spec, z, 1), [2.0, 0.0])
 
+    @pytest.mark.parametrize("time_varying", [False, True])
+    def test_stack_equals_per_state_loop(self, time_varying):
+        # p = 3 pairs with t = 2 < p interaction columns
+        rng = np.random.default_rng(11)
+        m, p, t = 7, 3, 2
+        lead = (m,) if time_varying else ()
+        spec = LotkaVolterraSpec(p, rng.standard_normal(lead + (p,)),
+                                 rng.standard_normal(lead + (p,)),
+                                 rng.standard_normal(lead + (p, t)),
+                                 rng.standard_normal(lead + (p, t)))
+        z = rng.standard_normal((m, 2 * p))
+        n = np.arange(m)
+        Z_loop = np.array([lv_nonlinearity(spec, z[k], k) for k in range(m)])
+        J_loop = np.array([lv_derivative(spec, z[k], k) for k in range(m)])
+        assert np.array_equal(lv_nonlinearity(spec, z, n), Z_loop)
+        assert np.array_equal(lv_derivative(spec, z, n), J_loop)
+
     def test_callables_pass_derivative_audit(self):
         Z, Z_du = lv_callables(LotkaVolterraSpec.uniform(2))
         m = 4

@@ -5,6 +5,7 @@ from resbvp.boundary import periodic
 from resbvp.linear import (
     OperatorSequence,
     boundary_residual,
+    particular_forced,
     solve_family,
 )
 from resbvp.nonlinear import (
@@ -16,11 +17,14 @@ from resbvp.nonlinear import (
     generating_F,
     iterate,
     nonlinear_recurrence_residual,
+    pointwise,
     solve_generating,
     verify_derivative,
 )
 
-from conftest import rotation_benchmark
+from resbvp.problem_io import load_problem
+
+from conftest import PROBLEMS_DIR, rotation_benchmark
 
 
 def zero_Z(z, n, eps):
@@ -30,6 +34,9 @@ def zero_Z(z, n, eps):
 def zero_Zdu(z, n, eps):
     N = np.asarray(z).shape[0]
     return np.zeros((N, N))
+
+
+zero_Z, zero_Zdu = pointwise(zero_Z, zero_Zdu)
 
 
 def brute_force_F(problem, family, c):
@@ -80,6 +87,22 @@ class TestGeneratingF:
             expected = brute_force_F(benchmark_problem, benchmark_family, c)
             assert np.linalg.norm(got - expected) <= 1e-10 * (1 + np.linalg.norm(expected))
 
+    def test_single_sweep_arithmetic_is_kept(self):
+        # F must be bit-identical to the single-forcing sweep of a per-state
+        # evaluation: Newton's finite-difference Jacobian amplifies any
+        # roundoff in F about a millionfold.
+        prob = load_problem(str(PROBLEMS_DIR / "rotation_lv.json"))
+        p = NonlinearProblem(prob.system, prob.forcing, prob.boundary,
+                             *prob.nonlinearity, prob.epsilon)
+        _, family = p.linear_bvp().solve(p.forcing)
+        m = p.system.horizon
+        for c in (np.array([0.5, 0.5]), np.array([-0.3, 1.2])):
+            z0 = family.member(c)
+            fz = np.array([p.Z(z0[n], n, 0.0) for n in range(m)])
+            expected = family.cokernel_basis.T @ p.boundary.apply(
+                particular_forced(p.system, fz))
+            assert np.array_equal(generating_F(p, family, c), expected)
+
     def test_quasisolution_family_rejected(self):
         from resbvp.boundary import generic
         m, N = 4, 2
@@ -109,7 +132,7 @@ class TestSolveGenerating:
         def Z_du(z, n, eps):
             return np.array([[1.0, 2.0], [-1.0, 1.0]])
 
-        p = resonant_identity_problem(Z, Z_du)
+        p = resonant_identity_problem(*pointwise(Z, Z_du))
         _, family = p.linear_bvp().solve(p.forcing)
         root = solve_generating(p, family, [5.0, -3.0])
         assert root.converged
@@ -124,13 +147,26 @@ class TestSolveGenerating:
         def Z_du(z, n, eps):
             return np.diag(2 * np.asarray(z, dtype=float))
 
-        p = resonant_identity_problem(Z, Z_du, N=1)
+        p = resonant_identity_problem(*pointwise(Z, Z_du), N=1)
         _, family = p.linear_bvp().solve(p.forcing)
         root = solve_generating(p, family, [1.0])
         assert root.converged
         # kernel basis of the scalar zero matrix is +-1; the state is +-2
         state = family.member(root.c0)[0]
         assert np.allclose(np.abs(state), 2.0, atol=1e-8)
+
+    def test_stagnation_reports_steps_taken(self):
+        # constant Z: F is a nonzero constant, its Jacobian vanishes and the
+        # first line search cannot improve, so no step is taken
+        def Z(z, n, eps):
+            return np.full_like(np.asarray(z, dtype=float), 2.0)
+
+        p = resonant_identity_problem(Z, zero_Zdu)
+        _, family = p.linear_bvp().solve(p.forcing)
+        root = solve_generating(p, family, [0.1, 0.2], max_iter=50)
+        assert not root.converged
+        assert root.iterations == 0
+        assert np.allclose(root.c0, [0.1, 0.2])
 
     def test_nonresonant_short_circuits(self):
         m = 4
@@ -240,10 +276,25 @@ class TestIterate:
         def Z_du(z, n, eps):
             return np.diag(2 * np.asarray(z, dtype=float))
 
-        p = resonant_identity_problem(Z, Z_du, eps=1e-3)
+        p = resonant_identity_problem(*pointwise(Z, Z_du), eps=1e-3)
         _, family = p.linear_bvp().solve(p.forcing)
         with pytest.raises(SufficiencyError):
             iterate(p, family, np.zeros(2))
+
+
+    def test_non_finite_iterate_stops(self):
+        # Z turns NaN once a state leaves [-2, 2]; NaN never exceeds the
+        # blow-up bound, so only an explicit finiteness check stops it
+        def Z(z, n, eps):
+            z = np.asarray(z, dtype=float)
+            return np.where(np.abs(z) > 2.0, np.nan, 1.0 + z)
+
+        p = resonant_identity_problem(Z, zero_Zdu, eps=1.0, N=1)
+        _, family = p.linear_bvp().solve(p.forcing)
+        z, trace = iterate(p, family, np.zeros(1), force=True, max_iter=200)
+        assert not trace.converged
+        assert trace.iterations <= 5
+        assert not np.isfinite(z).all()
 
 
 class TestRemainder:
@@ -261,6 +312,28 @@ class TestRemainder:
                 u = scale * rng.standard_normal(2)
                 R = p.Z(z0[n] + u, n, 0.0) - Z0 - J @ u
                 assert np.linalg.norm(R) <= 10.0 * np.linalg.norm(u) ** 2
+
+
+class TestPointwise:
+    def test_round_trips_per_state_callables(self):
+        def Z(z, n, eps):
+            return np.array([z[0] * z[1] + n, eps - z[1]])
+
+        def Z_du(z, n, eps):
+            return np.array([[z[1], z[0]], [0.0, -1.0]])
+
+        bZ, bZ_du = pointwise(Z, Z_du)
+        rng = np.random.default_rng(3)
+        z = rng.standard_normal((5, 2))
+        n = np.arange(5)
+        assert np.array_equal(bZ(z, n, 0.1), np.array([Z(z[k], k, 0.1) for k in range(5)]))
+        assert np.array_equal(bZ_du(z, n, 0.1),
+                              np.array([Z_du(z[k], k, 0.1) for k in range(5)]))
+        assert np.array_equal(bZ(z[2], 2, 0.1), Z(z[2], 2, 0.1))
+        # a scalar n broadcasts over a (2, 3) stack of states
+        zz = rng.standard_normal((2, 3, 2))
+        assert bZ_du(zz, 4, 0.0).shape == (2, 3, 2, 2)
+        assert np.array_equal(bZ(zz, 4, 0.0)[1, 2], Z(zz[1, 2], 4, 0.0))
 
 
 class TestVerifyDerivative:

@@ -134,6 +134,15 @@ class TestNonlinearity:
         assert np.allclose(Z(z, 0, 0.5), [4.5, 8.5])
         assert np.allclose(Z_du(z, 0, 0.5), np.diag([4.0, -6.0]))
 
+    def test_polynomial_stack_equals_per_state(self):
+        doc = minimal_doc(nonlinearity={"type": "polynomial", "coeffs": [1.0, -2.0, 0.5, 3.0],
+                                        "eps_gradient": [1.0, -1.0]})
+        Z, Z_du = parse_problem(doc).nonlinearity
+        z = np.random.default_rng(4).standard_normal((4, 2))
+        n = np.arange(4)
+        assert np.array_equal(Z(z, n, 0.5), np.array([Z(z[k], k, 0.5) for k in range(4)]))
+        assert np.array_equal(Z_du(z, n, 0.5), np.array([Z_du(z[k], k, 0.5) for k in range(4)]))
+
 
 class TestDefaultsAndCanonical:
     def test_tolerance_and_solver_defaults(self):
