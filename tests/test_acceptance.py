@@ -5,8 +5,12 @@ it succeeds (visible with `pytest -s` or in captured output).  Tolerances
 and runtime budgets are fixed here and must not be loosened.
 """
 
+import csv
+import json
+import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,6 +318,45 @@ SHIPPED = [
 ]
 
 
+# Outputs of the SHIPPED commands, committed before the single-LinearBVP
+# refactor; floats are held to the bench/references rule, not to bytes,
+# because the kernel basis of a near-zero Q depends on BLAS roundoff.
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+GOLDEN_TOL = 1e-12
+
+
+def _golden_values(fname, data: bytes):
+    """JSON as parsed; CSV as a header row of strings and rows of numbers."""
+    text = data.decode()
+    if fname.endswith(".json"):
+        return json.loads(text)
+    header, *rows = list(csv.reader(text.splitlines()))
+    cell = lambda s: int(s) if s.lstrip("-").isdigit() else float(s)
+    return [header] + [[cell(s) for s in row] for row in rows]
+
+
+def _assert_golden(new, old, where):
+    """Same keys, strings, integers and structure; floats within GOLDEN_TOL."""
+    numbers = (int, float)
+    if isinstance(old, numbers) and isinstance(new, numbers) \
+            and not isinstance(old, bool) and not isinstance(new, bool) \
+            and float in (type(old), type(new)):
+        assert abs(new - old) <= GOLDEN_TOL or (math.isnan(new) and math.isnan(old)), \
+            f"{where}: {new!r} differs from golden {old!r}"
+        return
+    assert type(new) is type(old), f"{where}: {new!r} differs from golden {old!r}"
+    if isinstance(old, dict):
+        assert new.keys() == old.keys(), f"{where}: keys differ from golden"
+        for key in old:
+            _assert_golden(new[key], old[key], f"{where}.{key}")
+    elif isinstance(old, list):
+        assert len(new) == len(old), f"{where}: length differs from golden"
+        for i, (a, b) in enumerate(zip(new, old)):
+            _assert_golden(a, b, f"{where}[{i}]")
+    else:
+        assert new == old, f"{where}: {new!r} differs from golden {old!r}"
+
+
 def test_criterion_9_determinism(tmp_path):
     total_files = 0
     for name, cmd in SHIPPED:
@@ -328,5 +371,12 @@ def test_criterion_9_determinism(tmp_path):
         for fname in snapshots[0]:
             assert snapshots[0][fname] == snapshots[1][fname], \
                 f"{name}: {fname} differs between consecutive runs"
+        golden = {p.name: p.read_bytes()
+                  for p in sorted((GOLDEN_DIR / Path(name).stem).iterdir())}
+        assert snapshots[0].keys() == golden.keys(), f"{name}: output files differ from golden"
+        for fname in golden:
+            _assert_golden(_golden_values(fname, snapshots[0][fname]),
+                           _golden_values(fname, golden[fname]), f"{name}/{fname}")
         total_files += len(snapshots[0])
-    _report(9, f"{len(SHIPPED)} shipped examples, {total_files} files byte-identical")
+    _report(9, f"{len(SHIPPED)} shipped examples, {total_files} files byte-identical "
+               f"and equal to the golden outputs")
