@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from resbvp import (
+    LinearBVP,
     OperatorSequence,
     fib_delta,
     fib_delta_exponent_offset,
@@ -21,7 +22,6 @@ from resbvp import (
     fib_green_matrix_oracle,
     fib_periodic_particular,
     periodic,
-    solve_family,
 )
 
 
@@ -47,7 +47,7 @@ def main():
 
     system = OperatorSequence.constant(np.array([[1.0, 1.0], [1.0, 0.0]]), m)
     f = np.array([[float(a), float(b)] for a, b in f_exact])
-    report, family = solve_family(system, f, periodic(2, m))
+    report, family = LinearBVP(system, periodic(2, m)).solve(f)
     got = family.member(np.zeros(0))
     want = np.array([[float(a), float(b)] for a, b in oracle])
     print(f"\nperiodic particular solution, m = {m} "

@@ -13,9 +13,9 @@ Run:  python3 demos/linear_resonance.py
 import numpy as np
 
 from resbvp import (
+    LinearBVP,
     OperatorSequence,
     periodic,
-    solve_family,
     recurrence_residual,
     boundary_residual,
 )
@@ -23,7 +23,7 @@ from resbvp import (
 
 def show(title, system, f, l):
     print(f"\n=== {title} ===")
-    report, family = solve_family(system, f, l)
+    report, family = LinearBVP(system, l).solve(f)
     print(f"classification : {report.classification}")
     print(f"kernel dim r   : {report.kernel_dim}")
     print(f"cokernel dim d : {report.cokernel_dim}")

@@ -17,6 +17,7 @@ Run:  python3 demos/weakly_nonlinear_rotation.py
 import numpy as np
 
 from resbvp import (
+    LinearBVP,
     LotkaVolterraSpec,
     NonlinearProblem,
     OperatorSequence,
@@ -45,7 +46,8 @@ def build(eps):
 
 def main():
     problem = build(0.0)
-    report, family = problem.linear_bvp().solve(problem.forcing)
+    bvp = LinearBVP(problem.system, problem.boundary)  # shared by every eps below
+    report, family = bvp.solve(problem.forcing)
     print(f"linear part: {report.classification}, r = {family.kernel_dim}, "
           f"d = {family.cokernel_dim}")
 
@@ -60,7 +62,7 @@ def main():
     print("\n eps       iters   |z - z0|_inf   recurrence   boundary")
     for eps in (1e-2, 1e-3, 1e-4, 0.0):
         p = build(eps)
-        z, trace = iterate(p, family, root.c0)
+        z, trace = iterate(p, bvp, family, root.c0)
         gap = np.abs(z - family.member(root.c0)).max()
         print(f" {eps:8.0e}  {trace.iterations:5d}   {gap:12.4e}   "
               f"{nonlinear_recurrence_residual(p, z):10.2e}   "

@@ -20,14 +20,11 @@ from .linear import (
     SolutionFamily,
     SolvabilityReport,
     assemble_Q,
-    assemble_h,
     boundary_residual,
     classify,
     evolution,
-    green_apply,
     particular_forced,
     recurrence_residual,
-    solve_family,
     transition_stack,
 )
 from .lotka_volterra import (

@@ -24,12 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nonlinear as nl
-from .linear import (
-    QUASISOLUTION,
-    boundary_residual,
-    recurrence_residual,
-    solve_family,
-)
+from .linear import QUASISOLUTION, LinearBVP, boundary_residual, recurrence_residual
 from .lotka_volterra import (
     fib_delta,
     fib_delta_exponent_offset,
@@ -62,11 +57,17 @@ def _write_trajectory(path: Path, z: np.ndarray) -> None:
 
 
 def _read_trajectory(path: Path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][0] != "n":
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise ProblemFormatError(f"{path}: {exc}") from exc
+    if not rows or rows[0][:1] != ["n"]:
         raise ProblemFormatError(f"{path}: not a trajectory CSV (missing header)")
-    return np.array([[float(v) for v in row[1:]] for row in rows[1:]])
+    try:
+        return np.array([[float(v) for v in row[1:]] for row in rows[1:]])
+    except ValueError as exc:  # a non-numeric cell or a ragged row
+        raise ProblemFormatError(f"{path}: {exc}") from exc
 
 
 def _write_report(path: Path, report: dict) -> None:
@@ -75,24 +76,10 @@ def _write_report(path: Path, report: dict) -> None:
         fh.write("\n")
 
 
-def _json_safe(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
-
-
 def _out_dir(args) -> Path:
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _load(args) -> Problem:
-    return load_problem(args.problem)
 
 
 def _trajectory_entry(problem: Problem, z: np.ndarray, kind: str) -> dict:
@@ -101,10 +88,7 @@ def _trajectory_entry(problem: Problem, z: np.ndarray, kind: str) -> dict:
         rec = recurrence_residual(problem.system, None, z)
         bc = float(np.linalg.norm(problem.boundary.apply(z)))
     elif kind == "solution":
-        nlp = nl.NonlinearProblem(problem.system, problem.forcing, problem.boundary,
-                                  problem.nonlinearity[0], problem.nonlinearity[1],
-                                  problem.epsilon)
-        rec = nl.nonlinear_recurrence_residual(nlp, z)
+        rec = nl.nonlinear_recurrence_residual(_nonlinear_problem(problem), z)
         bc = boundary_residual(problem.boundary, z)
     else:  # particular family member of the linear problem
         rec = recurrence_residual(problem.system, problem.forcing, z)
@@ -112,8 +96,13 @@ def _trajectory_entry(problem: Problem, z: np.ndarray, kind: str) -> dict:
     return {"kind": kind, "recurrence_residual": rec, "boundary_residual": bc}
 
 
+def _linear_bvp(problem: Problem) -> LinearBVP:
+    """The one LinearBVP of a problem file, at the file's rank tolerance."""
+    return LinearBVP(problem.system, problem.boundary, rank_tol=problem.tolerances["rank"])
+
+
 def _maybe_dump_canonical(args, problem: Problem, out: Path) -> None:
-    if getattr(args, "dump_canonical", False):
+    if args.dump_canonical:
         (out / "canonical.json").write_text(canonical_json(problem))
 
 
@@ -123,14 +112,13 @@ def _maybe_dump_canonical(args, problem: Problem, out: Path) -> None:
 
 def cmd_solve_linear(args) -> int:
     started = time.perf_counter()
-    problem = _load(args)
+    problem = load_problem(args.problem)
     out = _out_dir(args)
     _maybe_dump_canonical(args, problem, out)
 
-    report, family = solve_family(
-        problem.system, problem.forcing, problem.boundary,
+    report, family = _linear_bvp(problem).solve(
+        problem.forcing,
         tol=args.tol if args.tol is not None else problem.tolerances["classification"],
-        rank_tol=problem.tolerances["rank"],
     )
 
     trajectories = {}
@@ -173,8 +161,8 @@ def _nonlinear_problem(problem: Problem, eps: float | None = None) -> nl.Nonline
                                Z, Z_du, problem.epsilon if eps is None else eps)
 
 
-def _pipeline(problem: Problem, nlp: nl.NonlinearProblem, args, c_seed=None,
-              gen_eps: float = 0.0):
+def _pipeline(problem: Problem, nlp: nl.NonlinearProblem, bvp: LinearBVP, args,
+              c_seed=None, gen_eps: float = 0.0):
     """Shared generating-root -> gate -> iteration pipeline.
 
     Returns (stage dicts, z, trace, exit code); z/trace are None when an
@@ -184,7 +172,6 @@ def _pipeline(problem: Problem, nlp: nl.NonlinearProblem, args, c_seed=None,
     tol_iter = args.tol if args.tol is not None else problem.tolerances["iteration"]
     max_iter = args.max_iter if args.max_iter is not None else problem.solver["max_iter"]
 
-    bvp = nlp.linear_bvp(problem.tolerances["rank"])
     lreport, family = bvp.solve(problem.forcing, tol=problem.tolerances["classification"])
     stages = {"solvability": lreport.as_dict()}
     if lreport.classification == QUASISOLUTION:
@@ -214,10 +201,10 @@ def _pipeline(problem: Problem, nlp: nl.NonlinearProblem, args, c_seed=None,
         "null_direction": None if suff.null_direction is None
         else suff.null_direction.tolist(),
     }
-    if not suff.holds and not getattr(args, "force", False):
+    if not suff.holds and not args.force:
         return stages, None, None, EXIT_SUFFICIENCY
 
-    z, trace = nl.iterate(nlp, family, root.c0, tol=tol_iter, max_iter=max_iter,
+    z, trace = nl.iterate(nlp, bvp, family, root.c0, tol=tol_iter, max_iter=max_iter,
                           blowup=problem.solver["blowup"], B0=B0, force=True)
     stages["iteration"] = {
         "converged": trace.converged,
@@ -230,12 +217,12 @@ def _pipeline(problem: Problem, nlp: nl.NonlinearProblem, args, c_seed=None,
 
 def cmd_solve_nonlinear(args) -> int:
     started = time.perf_counter()
-    problem = _load(args)
+    problem = load_problem(args.problem)
     out = _out_dir(args)
     _maybe_dump_canonical(args, problem, out)
 
     nlp = _nonlinear_problem(problem)
-    stages, z, trace, code = _pipeline(problem, nlp, args)
+    stages, z, trace, code = _pipeline(problem, nlp, _linear_bvp(problem), args)
 
     doc = {"command": "solve-nonlinear", "problem": problem.canonical, **stages}
     trajectories = {}
@@ -278,7 +265,7 @@ def cmd_solve_nonlinear(args) -> int:
 
 def cmd_sweep(args) -> int:
     started = time.perf_counter()
-    problem = _load(args)
+    problem = load_problem(args.problem)
     if args.count < 1:
         print("sweep: --count must be >= 1", file=sys.stderr)
         return EXIT_USAGE
@@ -286,12 +273,13 @@ def cmd_sweep(args) -> int:
     _maybe_dump_canonical(args, problem, out)
 
     grid = np.linspace(args.eps_min, args.eps_max, args.count)
+    bvp = _linear_bvp(problem)  # the linear part does not depend on eps
     rows = []
     seed = None
     r_dim = None
     for eps in grid:
         nlp = _nonlinear_problem(problem, eps=float(eps))
-        stages, z, trace, code = _pipeline(problem, nlp, args, c_seed=seed,
+        stages, z, trace, code = _pipeline(problem, nlp, bvp, args, c_seed=seed,
                                            gen_eps=float(eps))
         gen = stages.get("generating", {})
         c0 = gen.get("c0", [])
@@ -383,6 +371,10 @@ def cmd_verify(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"verify: cannot read report: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if not isinstance(doc, dict) or "problem" not in doc:
+        print(f"verify: {report_path} is not a resbvp report (no 'problem' field)",
+              file=sys.stderr)
+        return EXIT_USAGE
     entry = doc.get("trajectories", {}).get(traj_path.name)
     if entry is None:
         print(f"verify: report has no entry for '{traj_path.name}'", file=sys.stderr)
@@ -412,12 +404,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=None,
                         help="override the stage tolerance of the subcommand")
-    common.add_argument("--max-iter", type=int, default=None,
-                        help="override the iteration cap")
-    common.add_argument("--allow-quasi", action="store_true",
-                        help="accept quasisolution classifications (exit 0)")
     common.add_argument("--dump-canonical", action="store_true",
                         help="also write the canonicalized problem file")
+    iteration = argparse.ArgumentParser(add_help=False)
+    iteration.add_argument("--max-iter", type=int, default=None,
+                           help="override the iteration cap")
+    iteration.add_argument("--force", action="store_true",
+                           help="iterate even when the sufficient condition fails")
 
     parser = argparse.ArgumentParser(
         prog="resbvp",
@@ -430,24 +423,23 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="solve the linear problem and emit the solution family")
     p.add_argument("problem")
     p.add_argument("-o", "--output", required=True)
+    p.add_argument("--allow-quasi", action="store_true",
+                   help="accept quasisolution classifications (exit 0)")
     p.set_defaults(func=cmd_solve_linear)
 
-    p = sub.add_parser("solve-nonlinear", parents=[common],
+    p = sub.add_parser("solve-nonlinear", parents=[common, iteration],
                        help="generating root, sufficiency gate, and iteration")
     p.add_argument("problem")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--force", action="store_true",
-                   help="iterate even when the sufficient condition fails")
     p.set_defaults(func=cmd_solve_nonlinear)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[common, iteration],
                        help="continuation sweep over an epsilon grid")
     p.add_argument("problem")
     p.add_argument("--eps-min", type=float, required=True)
     p.add_argument("--eps-max", type=float, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("fib-check",

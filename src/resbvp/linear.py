@@ -14,7 +14,7 @@ from g(0) = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .linalg import (
     RankDecision,
     cokernel_basis,
     kernel_basis,
-    numerical_rank,
     operator_rank,
     pseudoinverse,
 )
@@ -40,10 +39,7 @@ __all__ = [
     "transition_stack",
     "particular_forced",
     "assemble_Q",
-    "assemble_h",
     "classify",
-    "solve_family",
-    "green_apply",
     "recurrence_residual",
     "boundary_residual",
 ]
@@ -165,13 +161,6 @@ def assemble_Q(system: OperatorSequence, l: BoundaryOperator) -> np.ndarray:
     return Q
 
 
-def assemble_h(system: OperatorSequence, f, l: BoundaryOperator, alpha=None) -> np.ndarray:
-    """Right-hand side h = alpha - l g of the induced equation Q z0 = h."""
-    _check_window(system, l)
-    alpha = l.target if alpha is None else np.asarray(alpha, dtype=float)
-    return alpha - l.apply(particular_forced(system, f))
-
-
 @dataclass(frozen=True)
 class SolvabilityReport:
     """Classification of the induced equation Q z0 = h."""
@@ -271,11 +260,10 @@ class LinearBVP:
 
     def __init__(self, system: OperatorSequence, l: BoundaryOperator,
                  rank_tol: float = 1e-10):
-        _check_window(system, l)
         self.system = system
         self.boundary = l
-        self.U = transition_stack(system)
         self.Q = assemble_Q(system, l)
+        self.U = transition_stack(system)
         self.rd = operator_rank(self.Q, rank_tol)
         self.Q_pinv = pseudoinverse(self.Q, self.rd)
         self.kernel_initial_basis = kernel_basis(self.Q, self.rd)
@@ -293,32 +281,34 @@ class LinearBVP:
         """Homogeneous trajectory Phi(n, 0) z0 over the window."""
         return self.U @ np.asarray(z0, dtype=float)
 
-    def h(self, f, alpha=None) -> np.ndarray:
-        alpha = self.boundary.target if alpha is None else np.asarray(alpha, dtype=float)
-        return alpha - self.boundary.apply(particular_forced(self.system, f))
+    def h(self, f, alpha=None, g=None) -> np.ndarray:
+        """Right-hand side h = alpha - l g of the induced equation Q z0 = h.
 
-    def classify(self, f, alpha=None, tol: float = 1e-9) -> SolvabilityReport:
-        return classify(self.Q, self.h(f, alpha), tol=tol, rd=self.rd)
+        alpha defaults to the boundary target. ``g``, when given, is the
+        response particular_forced(f) already swept by the caller.
+        """
+        alpha = self.boundary.target if alpha is None else np.asarray(alpha, dtype=float)
+        if g is None:
+            g = particular_forced(self.system, f)
+        return alpha - self.boundary.apply(g)
 
     def green(self, f, alpha=None, g=None) -> np.ndarray:
         """Particular solution operator: Phi(n, 0) Q^+ (alpha - l g) + g(n).
 
-        Linear in (f, alpha); least-squares/minimum-norm when the boundary
-        condition cannot be met exactly. ``g``, when given, is the response
-        particular_forced(f) already swept by the caller.
+        Linear in (f, alpha), so alpha defaults to zero, not to the boundary
+        target; least-squares/minimum-norm when the boundary condition
+        cannot be met exactly. ``g`` is as for ``h``.
         """
         if alpha is None:
             alpha = np.zeros(self.boundary.codim)
         if g is None:
             g = particular_forced(self.system, f)
-        h = np.asarray(alpha, dtype=float) - self.boundary.apply(g)
-        return self.propagate(self.Q_pinv @ h) + g
+        return self.propagate(self.Q_pinv @ self.h(f, alpha, g)) + g
 
     def solve(self, f, alpha=None, tol: float = 1e-9):
         """Classify and build the full solution family for (f, alpha)."""
         g = particular_forced(self.system, f)
-        alpha_vec = self.boundary.target if alpha is None else np.asarray(alpha, dtype=float)
-        h = alpha_vec - self.boundary.apply(g)
+        h = self.h(f, alpha, g)
         report = classify(self.Q, h, tol=tol, rd=self.rd)
         z0p = self.Q_pinv @ h
         particular = self.propagate(z0p) + g
@@ -335,18 +325,6 @@ class LinearBVP:
             classification=report.classification,
         )
         return report, family
-
-
-def solve_family(system: OperatorSequence, f, l: BoundaryOperator, alpha=None,
-                 tol: float = 1e-9, rank_tol: float = 1e-10):
-    """One-shot wrapper around LinearBVP.solve."""
-    return LinearBVP(system, l, rank_tol=rank_tol).solve(f, alpha, tol=tol)
-
-
-def green_apply(system: OperatorSequence, l: BoundaryOperator, rhs_forcing,
-                rhs_alpha=None, rank_tol: float = 1e-10) -> np.ndarray:
-    """One-shot wrapper around LinearBVP.green."""
-    return LinearBVP(system, l, rank_tol=rank_tol).green(rhs_forcing, rhs_alpha)
 
 
 def recurrence_residual(system: OperatorSequence, f, trajectory) -> float:

@@ -14,7 +14,7 @@ onto the cokernel of Q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +60,7 @@ class DerivativeMismatchError(ValueError):
     """Supplied derivative disagrees with finite differences of Z."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class NonlinearProblem:
     """Linear BVP data plus the nonlinearity and its state derivative.
 
@@ -68,7 +68,9 @@ class NonlinearProblem:
     in z. eps is the perturbation size of the solve. Both are batched over
     states z of shape (..., N) and integer times n broadcasting to
     z.shape[:-1], returning (..., N) and (..., N, N); ``pointwise`` lifts
-    callables written for one state at a time.
+    callables written for one state at a time. The assembled linear
+    operator is not part of the problem: build one LinearBVP per solve and
+    pass it to ``iterate``.
     """
 
     system: OperatorSequence
@@ -77,12 +79,6 @@ class NonlinearProblem:
     Z: callable
     Z_du: callable
     epsilon: float = 0.0
-    _bvp: LinearBVP | None = field(default=None, repr=False, compare=False)
-
-    def linear_bvp(self, rank_tol: float = 1e-10) -> LinearBVP:
-        if self._bvp is None:
-            self._bvp = LinearBVP(self.system, self.boundary, rank_tol=rank_tol)
-        return self._bvp
 
 
 @dataclass(frozen=True)
@@ -162,7 +158,7 @@ def verify_derivative(problem: NonlinearProblem, points: int = 20,
     Zp = np.asarray(problem.Z(probes, n[None, :, None], 0.0), dtype=float)
     fd = (Zp[0] - Zp[1]).transpose(0, 2, 1) / (2 * step)
     err = np.linalg.norm(fd - J, axis=(1, 2)) / (1.0 + np.linalg.norm(J, axis=(1, 2)))
-    bad = np.flatnonzero(err > tol)
+    bad = np.flatnonzero(~(err <= tol))  # a NaN error is a mismatch too
     if bad.size:
         k = bad[0]
         raise DerivativeMismatchError(
@@ -301,7 +297,7 @@ def nonlinear_recurrence_residual(problem: NonlinearProblem, z, eps=None,
     return float(np.linalg.norm(res, axis=1).max())
 
 
-def iterate(problem: NonlinearProblem, family: SolutionFamily, c0,
+def iterate(problem: NonlinearProblem, bvp: LinearBVP, family: SolutionFamily, c0,
             eps: float | None = None, tol: float = 1e-10, max_iter: int = 200,
             blowup: float = 1e6, residual_tol: float = 1e-8,
             B0: np.ndarray | None = None, force: bool = False):
@@ -322,11 +318,13 @@ def iterate(problem: NonlinearProblem, family: SolutionFamily, c0,
     recurrence and boundary residuals of z0 + u; gives up, unconverged,
     once u is non-finite or exceeds ``blowup``.
 
+    ``bvp`` is the LinearBVP of (problem.system, problem.boundary) that
+    ``family`` came from; its Green operator gives ubar.
+
     Returns (z, trace) with z = z0(., c0) + u.
     """
     _require_generating(family)
     eps = problem.epsilon if eps is None else float(eps)
-    bvp = problem.linear_bvp()
     m, N = problem.system.horizon, problem.system.dim
     r, d = family.kernel_dim, family.cokernel_dim
 

@@ -2,8 +2,9 @@
 problem (system generator, forcing, boundary condition, optional
 nonlinearity, tolerances, solver options).
 
-Parsing is strict: unknown generator/boundary/nonlinearity types and shape
-mismatches raise ProblemFormatError with the offending field named. The
+Parsing is strict: unknown generator/boundary/nonlinearity types, unknown
+tolerance or solver keys, shape mismatches and non-numeric or non-finite
+values raise ProblemFormatError with the offending field named. The
 canonical dict round-trips: parse(dump(p)) equals p field for field.
 """
 
@@ -71,15 +72,30 @@ def _need(doc: dict, key: str, where: str):
 
 
 def _as_float_array(value, shape, where: str) -> np.ndarray:
+    """Finite float array; of the given shape unless ``shape`` is None."""
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ProblemFormatError(f"{where}: not a numeric array") from exc
-    if arr.shape != shape:
+    if shape is not None and arr.shape != shape:
         raise ProblemFormatError(f"{where}: expected shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ProblemFormatError(f"{where}: entries must be finite")
     return arr
+
+
+def _scalar(value, where: str, kind=float):
+    """A finite float, or with kind=int an integral number, as ``kind``."""
+    arr = _as_float_array(value, (), where)
+    if kind is int and arr != int(arr):
+        raise ProblemFormatError(f"{where}: expected an integer, got {value!r}")
+    return kind(arr)
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ProblemFormatError(f"{where}: expected an object")
+    return dict(value)
 
 
 def _parse_system(doc: dict, dim: int, m: int) -> OperatorSequence:
@@ -93,7 +109,7 @@ def _parse_system(doc: dict, dim: int, m: int) -> OperatorSequence:
     if kind == "rotation":
         if dim != 2:
             raise ProblemFormatError("system: rotation generator requires dim = 2")
-        theta = float(_need(doc, "theta", "system"))
+        theta = _scalar(_need(doc, "theta", "system"), "system.theta")
         return OperatorSequence.constant(rotation_matrix(theta), m)
     if kind == "constant":
         A = _as_float_array(_need(doc, "matrix", "system"), (dim, dim), "system.matrix")
@@ -107,7 +123,7 @@ def _parse_system(doc: dict, dim: int, m: int) -> OperatorSequence:
         p = dim // 2
         seqs = {}
         for name in ("a", "b", "c", "d"):
-            raw = np.asarray(_need(doc, name, "system"), dtype=float)
+            raw = _as_float_array(_need(doc, name, "system"), None, f"system.{name}")
             if raw.shape == (p,):
                 raw = np.broadcast_to(raw, (m, p)).copy()
             if raw.shape != (m, p):
@@ -134,27 +150,31 @@ def _parse_boundary(doc: dict, dim: int, m: int) -> bd.BoundaryOperator:
         return bd.initial_mass(dim // 2)
     if kind == "multipoint":
         groups_doc = _need(doc, "groups", "boundary")
-        targets = _need(doc, "targets", "boundary")
+        targets = _as_float_array(_need(doc, "targets", "boundary"), None, "boundary.targets")
         groups = []
         for i, g in enumerate(groups_doc):
-            comps = _need(g, "components", f"boundary.groups[{i}]")
-            points = _need(g, "points", f"boundary.groups[{i}]")
+            where = f"boundary.groups[{i}]"
+            g = _object(g, where)
+            comps = [_scalar(x, where, int) for x in _need(g, "components", where)]
+            points = [_scalar(x, where, int) for x in _need(g, "points", where)]
             for n in points:
-                if not 0 <= int(n) <= m:
-                    raise ProblemFormatError(
-                        f"boundary.groups[{i}]: point {n} outside window [0, {m}]")
-            groups.append(([int(x) for x in comps], [int(x) for x in points]))
+                if not 0 <= n <= m:
+                    raise ProblemFormatError(f"{where}: point {n} outside window [0, {m}]")
+            groups.append((comps, points))
         try:
             return bd.multipoint(dim, groups, targets)
         except ValueError as exc:
             raise ProblemFormatError(f"boundary: {exc}") from exc
     if kind == "generic":
         samples_doc = _need(doc, "samples", "boundary")
-        target = np.asarray(_need(doc, "target", "boundary"), dtype=float)
+        target = _as_float_array(_need(doc, "target", "boundary"), None,
+                                 "boundary.target").reshape(-1)
         q = target.shape[0]
         samples = []
         for i, s in enumerate(samples_doc):
-            n = int(_need(s, "point", f"boundary.samples[{i}]"))
+            s = _object(s, f"boundary.samples[{i}]")
+            n = _scalar(_need(s, "point", f"boundary.samples[{i}]"),
+                        f"boundary.samples[{i}].point", int)
             if not 0 <= n <= m:
                 raise ProblemFormatError(
                     f"boundary.samples[{i}]: point {n} outside window [0, {m}]")
@@ -168,30 +188,26 @@ def _parse_boundary(doc: dict, dim: int, m: int) -> bd.BoundaryOperator:
     raise ProblemFormatError(f"boundary: unknown type '{kind}'")
 
 
-def _parse_nonlinearity(doc: dict | None, dim: int):
-    if doc is None or doc.get("type", "none") == "none":
+def _parse_nonlinearity(doc: dict, dim: int):
+    kind = doc.get("type", "none")
+    if kind == "none":
         return None, "none"
-    kind = doc["type"]
     if kind == "lotka_volterra":
         if dim % 2:
             raise ProblemFormatError("nonlinearity: lotka_volterra requires even dim")
         p = dim // 2
-        def table(name, default, shape):
-            raw = doc.get(name, default)
-            arr = np.asarray(raw, dtype=float)
-            if arr.ndim == 0:
-                arr = np.full(shape, float(arr))
-            return arr
-        spec = LotkaVolterraSpec(
-            pairs=p,
-            g1=table("g1", 1.0, (p,)),
-            g2=table("g2", 1.0, (p,)),
-            a=table("a", 1.0, (p, p)),
-            b=table("b", 1.0, (p, p)),
-        )
+        def table(name, shape):
+            arr = _as_float_array(doc.get(name, 1.0), None, f"nonlinearity.{name}")
+            return np.full(shape, float(arr)) if arr.ndim == 0 else arr
+        try:
+            spec = LotkaVolterraSpec(pairs=p, g1=table("g1", (p,)), g2=table("g2", (p,)),
+                                     a=table("a", (p, p)), b=table("b", (p, p)))
+        except ValueError as exc:
+            raise ProblemFormatError(f"nonlinearity: {exc}") from exc
         return lv_callables(spec), kind
     if kind == "polynomial":
-        coeffs = [float(x) for x in _need(doc, "coeffs", "nonlinearity")]
+        coeffs = _as_float_array(_need(doc, "coeffs", "nonlinearity"), None,
+                                 "nonlinearity.coeffs").reshape(-1).tolist()
         eps_grad = doc.get("eps_gradient")
         eps_grad = np.zeros(dim) if eps_grad is None else _as_float_array(
             eps_grad, (dim,), "nonlinearity.eps_gradient")
@@ -217,44 +233,58 @@ def _parse_nonlinearity(doc: dict | None, dim: int):
     raise ProblemFormatError(f"nonlinearity: unknown type '{kind}'")
 
 
-def _canonicalize(doc: dict) -> dict:
-    """Normalized copy of the document with defaults filled in."""
-    out = {
-        "dim": int(doc["dim"]),
-        "horizon": int(doc["horizon"]),
-        "system": dict(doc["system"]),
+def _merge(defaults: dict, doc, where: str) -> dict:
+    """Defaults overridden by ``doc``, each value checked against the type
+    of its default; c_init (default None) is None or a numeric array."""
+    merged = {**defaults, **_object(doc, where)}
+    for key, value in merged.items():
+        if key not in defaults:
+            raise ProblemFormatError(f"{where}: unknown field '{key}'")
+        if key == "c_init":
+            if value is not None:
+                merged[key] = _as_float_array(value, None, f"{where}.{key}").tolist()
+        else:
+            merged[key] = _scalar(value, f"{where}.{key}", type(defaults[key]))
+    return merged
+
+
+def _canonicalize(doc: dict, source: str) -> dict:
+    """Normalized copy of the document with defaults filled in and every
+    scalar checked; the one place where defaults are merged."""
+    return {
+        "dim": _scalar(_need(doc, "dim", source), "dim", int),
+        "horizon": _scalar(_need(doc, "horizon", source), "horizon", int),
+        "system": _object(_need(doc, "system", source), "system"),
         "forcing": doc.get("forcing", "zero"),
-        "boundary": dict(doc["boundary"]),
-        "nonlinearity": dict(doc.get("nonlinearity") or {"type": "none"}),
-        "epsilon": float(doc.get("epsilon", 0.0)),
-        "tolerances": {**DEFAULT_TOLERANCES, **doc.get("tolerances", {})},
-        "solver": {**DEFAULT_SOLVER, **doc.get("solver", {})},
+        "boundary": _object(_need(doc, "boundary", source), "boundary"),
+        "nonlinearity": _object(doc.get("nonlinearity") or {"type": "none"}, "nonlinearity"),
+        "epsilon": _scalar(doc.get("epsilon", 0.0), "epsilon"),
+        "tolerances": _merge(DEFAULT_TOLERANCES, doc.get("tolerances", {}), "tolerances"),
+        "solver": _merge(DEFAULT_SOLVER, doc.get("solver", {}), "solver"),
     }
-    return out
 
 
 def parse_problem(doc: dict, source: str = "<dict>") -> Problem:
     if not isinstance(doc, dict):
         raise ProblemFormatError(f"{source}: top level must be an object")
-    dim = int(_need(doc, "dim", source))
-    m = int(_need(doc, "horizon", source))
+    canonical = _canonicalize(doc, source)
+    dim, m = canonical["dim"], canonical["horizon"]
     if dim < 1 or m < 1:
         raise ProblemFormatError(f"{source}: dim and horizon must be >= 1")
-    system = _parse_system(_need(doc, "system", source), dim, m)
-    forcing_doc = doc.get("forcing", "zero")
+    system = _parse_system(canonical["system"], dim, m)
+    forcing_doc = canonical["forcing"]
     if isinstance(forcing_doc, str):
         if forcing_doc != "zero":
             raise ProblemFormatError(f"forcing: unknown named forcing '{forcing_doc}'")
         forcing = np.zeros((m, dim))
     else:
-        arr = np.asarray(forcing_doc, dtype=float)
+        arr = _as_float_array(forcing_doc, None, "forcing")
         if arr.shape not in ((m, dim), (m + 1, dim)):
             raise ProblemFormatError(
                 f"forcing: expected shape ({m}, {dim}) or ({m + 1}, {dim}), got {arr.shape}")
         forcing = arr[:m]
-    boundary = _parse_boundary(_need(doc, "boundary", source), dim, m)
-    nonlinearity, kind = _parse_nonlinearity(doc.get("nonlinearity"), dim)
-    canonical = _canonicalize(doc)
+    boundary = _parse_boundary(canonical["boundary"], dim, m)
+    nonlinearity, kind = _parse_nonlinearity(canonical["nonlinearity"], dim)
     return Problem(
         dim=dim,
         horizon=m,
@@ -263,9 +293,9 @@ def parse_problem(doc: dict, source: str = "<dict>") -> Problem:
         boundary=boundary,
         nonlinearity=nonlinearity,
         nonlinearity_kind=kind,
-        epsilon=float(doc.get("epsilon", 0.0)),
-        tolerances={**DEFAULT_TOLERANCES, **doc.get("tolerances", {})},
-        solver={**DEFAULT_SOLVER, **doc.get("solver", {})},
+        epsilon=canonical["epsilon"],
+        tolerances=canonical["tolerances"],
+        solver=canonical["solver"],
         canonical=canonical,
     )
 

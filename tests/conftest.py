@@ -34,8 +34,13 @@ def benchmark_problem():
 
 
 @pytest.fixture
-def benchmark_family(benchmark_problem):
-    report, family = benchmark_problem.linear_bvp().solve(benchmark_problem.forcing)
+def benchmark_bvp(benchmark_problem):
+    return LinearBVP(benchmark_problem.system, benchmark_problem.boundary)
+
+
+@pytest.fixture
+def benchmark_family(benchmark_problem, benchmark_bvp):
+    report, family = benchmark_bvp.solve(benchmark_problem.forcing)
     assert report.kernel_dim == 2 and report.cokernel_dim == 2
     return family
 

@@ -26,12 +26,12 @@ from resbvp.linear import (
     CLASSICAL,
     FAMILY,
     QUASISOLUTION,
+    LinearBVP,
     OperatorSequence,
     boundary_residual,
     evolution,
     particular_forced,
     recurrence_residual,
-    solve_family,
 )
 from resbvp.lotka_volterra import (
     LotkaVolterraSpec,
@@ -129,7 +129,7 @@ def test_criterion_2_linear_bvp_oracle_equivalence():
         system = OperatorSequence(A)
         f = rng.standard_normal((m, N))
         l = _random_boundary(rng, trial % 3, N, m)
-        report, family = solve_family(system, f, l)
+        report, family = LinearBVP(system, l).solve(f)
         counts[report.classification] += 1
 
         members = [family.particular]
@@ -161,7 +161,7 @@ def test_criterion_3_resonance_detection():
     for N in (1, 2, 3, 5):
         m = 4
         system = OperatorSequence.identity(N, m)
-        report, family = solve_family(system, np.zeros((m, N)), periodic(N, m))
+        report, family = LinearBVP(system, periodic(N, m)).solve(np.zeros((m, N)))
         assert report.kernel_dim == N
         assert report.cokernel_dim == N
         assert report.fredholm_index == 0
@@ -201,7 +201,7 @@ def test_criterion_4_fibonacci_oracle():
             f_exact + [(Fraction(0), Fraction(0))], m)
         system = OperatorSequence.constant(np.array([[1.0, 1.0], [1.0, 0.0]]), m)
         f = np.array([[float(a), float(b)] for a, b in f_exact])
-        report, family = solve_family(system, f, periodic(2, m))
+        report, family = LinearBVP(system, periodic(2, m)).solve(f)
         assert report.classification == CLASSICAL
         want = np.array([[float(a), float(b)] for a, b in oracle])
         got = family.member(np.zeros(0))
@@ -214,7 +214,7 @@ def test_criterion_4_fibonacci_oracle():
 
 def test_criterion_5_generating_equation():
     problem = rotation_benchmark()
-    _, family = problem.linear_bvp().solve(problem.forcing)
+    _, family = LinearBVP(problem.system, problem.boundary).solve(problem.forcing)
     assert family.kernel_dim == 2 and family.cokernel_dim == 2
 
     rng = np.random.default_rng(505)
@@ -247,9 +247,10 @@ def test_criterion_6_iteration_and_eps_scaling():
     eps_grid = [1e-2, 1e-3, 1e-4]
     for eps in eps_grid:
         problem = rotation_benchmark(eps)
-        _, family = problem.linear_bvp().solve(problem.forcing)
+        bvp = LinearBVP(problem.system, problem.boundary)
+        _, family = bvp.solve(problem.forcing)
         root = solve_generating(problem, family, [0.5, 0.5])
-        z, trace = iterate(problem, family, root.c0)
+        z, trace = iterate(problem, bvp, family, root.c0)
         assert trace.converged and trace.iterations <= 200
         assert nonlinear_recurrence_residual(problem, z) <= 1e-8
         assert boundary_residual(problem.boundary, z) <= 1e-8
@@ -258,9 +259,10 @@ def test_criterion_6_iteration_and_eps_scaling():
     assert abs(slope - 1.0) <= 0.15
 
     problem = rotation_benchmark(0.0)
-    _, family = problem.linear_bvp().solve(problem.forcing)
+    bvp = LinearBVP(problem.system, problem.boundary)
+    _, family = bvp.solve(problem.forcing)
     root = solve_generating(problem, family, [0.5, 0.5])
-    z, trace = iterate(problem, family, root.c0)
+    z, trace = iterate(problem, bvp, family, root.c0)
     exact_gap = np.abs(z - family.member(root.c0)).max()
     assert exact_gap <= np.finfo(float).eps * 8
     _report(6, f"converged at all eps, residuals <= 1e-8, slope {slope:.3f}, "
@@ -273,7 +275,7 @@ def test_criterion_7_sufficiency_gate(tmp_path):
     assert code == 4
 
     problem = rotation_benchmark(1e-3)
-    _, family = problem.linear_bvp().solve(problem.forcing)
+    _, family = LinearBVP(problem.system, problem.boundary).solve(problem.forcing)
     root = solve_generating(problem, family, [0.5, 0.5])
     B0 = assemble_B0(problem, family, root.c0)
     chk = check_sufficient(B0)

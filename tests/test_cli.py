@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from resbvp import cli
+from resbvp.linear import LinearBVP
 
 from conftest import PROBLEMS_DIR
 
@@ -106,6 +107,21 @@ class TestSweep:
                 assert pt["exit"] == 0
                 assert abs(abs(pt["c0"][0]) - np.sqrt(pt["eps"])) <= 1e-6
 
+    def test_one_linear_bvp_per_run(self, tmp_path, monkeypatch):
+        built = []
+        init = LinearBVP.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(LinearBVP, "__init__", counting_init)
+        code = run(["sweep", problem("sweep_scalar.json"), "--eps-min", "0",
+                    "--eps-max", "1e-3", "--count", "6", "-o", tmp_path])
+        assert code == 0
+        assert len(json.loads((tmp_path / "report.json").read_text())["points"]) == 6
+        assert len(built) == 1
+
     def test_bad_count_is_usage_error(self, tmp_path, capsys):
         code = run(["sweep", problem("sweep_scalar.json"), "--eps-min", "0",
                     "--eps-max", "1", "--count", "0", "-o", tmp_path])
@@ -148,6 +164,28 @@ class TestVerify:
         code = run(["verify", tmp_path / "report.json", tmp_path / "nonexistent.csv"])
         assert code == 64
 
+    def test_report_without_problem_is_usage_error(self, tmp_path, capsys):
+        run(["solve-nonlinear", problem("rotation_lv.json"), "-o", tmp_path])
+        report = tmp_path / "report.json"
+        doc = json.loads(report.read_text())
+        del doc["problem"]
+        report.write_text(json.dumps(doc))
+        code = run(["verify", report, tmp_path / "solution.csv"])
+        assert code == 64
+        assert "problem" in capsys.readouterr().err
+
+    def test_non_numeric_cell_is_usage_error(self, tmp_path, capsys):
+        run(["solve-nonlinear", problem("rotation_lv.json"), "-o", tmp_path])
+        path = tmp_path / "solution.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[1] = "abc"
+        lines[1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        code = run(["verify", tmp_path / "report.json", path])
+        assert code == 64
+        assert "solution.csv" in capsys.readouterr().err
+
 
 class TestUsage:
     def test_parse_error_exit(self, tmp_path, capsys):
@@ -162,6 +200,15 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
+
+    @pytest.mark.parametrize("cmd", [
+        ["solve-linear", "identity_resonant.json", "--max-iter", "3"],
+        ["solve-nonlinear", "rotation_lv.json", "--allow-quasi"],
+        ["sweep", "sweep_scalar.json", "--eps-min", "0", "--eps-max", "1e-3",
+         "--count", "2", "--allow-quasi"],
+    ])
+    def test_flag_of_another_subcommand_is_usage_error(self, tmp_path, capsys, cmd):
+        assert run(cmd[:1] + [problem(cmd[1])] + cmd[2:] + ["-o", tmp_path]) == 64
 
 
 class TestDeterminism:

@@ -9,14 +9,11 @@ from resbvp.linear import (
     LinearBVP,
     OperatorSequence,
     assemble_Q,
-    assemble_h,
     boundary_residual,
     classify,
     evolution,
-    green_apply,
     particular_forced,
     recurrence_residual,
-    solve_family,
     transition_stack,
 )
 
@@ -144,7 +141,7 @@ class TestAssembly:
         A = random_system(np.random.default_rng(8), 4, 2)
         alpha = np.array([3.0, -1.0])
         l = generic([(4, np.eye(2))], alpha)
-        assert np.allclose(assemble_h(A, np.zeros((4, 2)), l), alpha)
+        assert np.allclose(LinearBVP(A, l).h(np.zeros((4, 2))), alpha)
 
     def test_h_manufactured_consistency(self):
         rng = np.random.default_rng(9)
@@ -153,14 +150,14 @@ class TestAssembly:
         g = particular_forced(A, f)
         l = periodic(2, 5)
         alpha = l.apply(g)
-        assert np.allclose(assemble_h(A, f, l, alpha), 0.0, atol=1e-12)
+        assert np.allclose(LinearBVP(A, l).h(f, alpha), 0.0, atol=1e-12)
 
     def test_h_periodic_is_weighted_forcing_sum(self):
         rng = np.random.default_rng(10)
         m = 5
         A = random_system(rng, m, 2)
         f = rng.standard_normal((m, 2))
-        h = assemble_h(A, f, periodic(2, m))
+        h = LinearBVP(A, periodic(2, m)).h(f)
         expected = -sum((phi_product(A, m, i + 1) @ f[i] for i in range(m)),
                         np.zeros(2))
         assert np.allclose(h, expected, atol=1e-10)
@@ -201,17 +198,18 @@ class TestSolveFamily:
         A = OperatorSequence.constant(FIB, m)
         f = rng.standard_normal((m, 2))
         l = periodic(2, m)
-        report, family = solve_family(A, f, l)
+        bvp = LinearBVP(A, l)
+        report, family = bvp.solve(f)
         assert report.classification == CLASSICAL
         assert family.kernel_dim == 0
         Q = assemble_Q(A, l)
-        h = assemble_h(A, f, l)
+        h = bvp.h(f)
         assert np.allclose(family.initial_particular, np.linalg.solve(Q, h), atol=1e-9)
 
     def test_fully_resonant_identity_system(self):
         m, N = 5, 3
-        report, family = solve_family(OperatorSequence.identity(N, m),
-                                      np.zeros((m, N)), periodic(N, m))
+        report, family = LinearBVP(OperatorSequence.identity(N, m),
+                                   periodic(N, m)).solve(np.zeros((m, N)))
         assert report.classification == FAMILY
         assert report.kernel_dim == N and report.fredholm_index == 0
         # kernel members of the identity system are the constant trajectories
@@ -225,7 +223,7 @@ class TestSolveFamily:
         A = random_system(rng, m, N, scale=0.8)
         f = rng.standard_normal((m, N))
         l = periodic(N, m)
-        report, family = solve_family(A, f, l)
+        report, family = LinearBVP(A, l).solve(f)
         for _ in range(5):
             c = rng.standard_normal(family.kernel_dim)
             z = family.member(c)
@@ -247,7 +245,7 @@ class TestSolveFamily:
                      (m, np.array([[0.0, 0.0], [1.0, 0.0]]))],
                     np.array([0.0, 1.0]))
         f = np.zeros((m, N))
-        report, family = solve_family(A, f, l)
+        report, family = LinearBVP(A, l).solve(f)
         assert report.classification == QUASISOLUTION
         best = boundary_residual(l, family.particular)
         for _ in range(100):
@@ -259,7 +257,7 @@ class TestSolveFamily:
         m, N = 5, 3
         A = random_system(rng, m, N)
         l = periodic(N, m)
-        _, family = solve_family(A, rng.standard_normal((m, N)), l)
+        _, family = LinearBVP(A, l).solve(rng.standard_normal((m, N)))
         for j in range(family.kernel_dim):
             w = family.kernel_basis[j]
             assert recurrence_residual(A, None, w) <= 1e-10 * (1 + np.abs(w).max())
@@ -269,7 +267,7 @@ class TestSolveFamily:
 class TestGreenApply:
     def test_zero_rhs(self):
         A = random_system(np.random.default_rng(16), 4, 2)
-        z = green_apply(A, periodic(2, 4), np.zeros((4, 2)))
+        z = LinearBVP(A, periodic(2, 4)).green(np.zeros((4, 2)))
         assert np.allclose(z, 0.0, atol=1e-14)
 
     def test_additivity(self):
@@ -288,5 +286,5 @@ class TestGreenApply:
         m, N = 6, 3
         A = random_system(rng, m, N, scale=0.7)
         f = rng.standard_normal((m, N))
-        z = green_apply(A, periodic(N, m), f)
+        z = LinearBVP(A, periodic(N, m)).green(f)
         assert recurrence_residual(A, f, z) <= 1e-10 * (1 + np.abs(z).max())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from resbvp.boundary import periodic
-from resbvp.linear import OperatorSequence, solve_family
+from resbvp.linear import LinearBVP, OperatorSequence
 from resbvp.lotka_volterra import (
     LotkaVolterraSpec,
     fib,
@@ -187,7 +187,7 @@ class TestFibPeriodicSolver:
 
         system = OperatorSequence.constant(np.array([[1.0, 1.0], [1.0, 0.0]]), m)
         f = np.array([[float(a), float(b)] for a, b in f_exact])
-        report, family = solve_family(system, f, periodic(2, m))
+        report, family = LinearBVP(system, periodic(2, m)).solve(f)
         assert report.classification == "unique_classical"
         got = family.member(np.zeros(0))
         want = np.array([[float(a), float(b)] for a, b in oracle])

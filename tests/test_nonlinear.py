@@ -1,12 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from resbvp.boundary import periodic
 from resbvp.linear import (
+    LinearBVP,
     OperatorSequence,
     boundary_residual,
     particular_forced,
-    solve_family,
 )
 from resbvp.nonlinear import (
     GeneratingFamilyError,
@@ -63,10 +65,15 @@ def resonant_identity_problem(Z, Z_du, eps=0.0, m=4, N=2):
     return NonlinearProblem(system, np.zeros((m, N)), periodic(N, m), Z, Z_du, eps)
 
 
+def test_nonlinear_problem_is_frozen(benchmark_problem):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        benchmark_problem.epsilon = 1e-3
+
+
 class TestGeneratingF:
     def test_zero_nonlinearity(self, benchmark_family, benchmark_problem):
         p = resonant_identity_problem(zero_Z, zero_Zdu)
-        _, family = p.linear_bvp().solve(p.forcing)
+        _, family = LinearBVP(p.system, p.boundary).solve(p.forcing)
         for c in (np.zeros(2), np.array([1.0, -2.0])):
             assert np.allclose(generating_F(p, family, c), 0.0)
 
@@ -75,7 +82,7 @@ class TestGeneratingF:
         system = OperatorSequence.constant(np.array([[1.0, 1.0], [1.0, 0.0]]), m)
         p = NonlinearProblem(system, np.zeros((m, 2)), periodic(2, m),
                              zero_Z, zero_Zdu)
-        _, family = p.linear_bvp().solve(p.forcing)
+        _, family = LinearBVP(p.system, p.boundary).solve(p.forcing)
         assert family.cokernel_dim == 0
         assert generating_F(p, family, np.zeros(0)).shape == (0,)
 
@@ -94,7 +101,7 @@ class TestGeneratingF:
         prob = load_problem(str(PROBLEMS_DIR / "rotation_lv.json"))
         p = NonlinearProblem(prob.system, prob.forcing, prob.boundary,
                              *prob.nonlinearity, prob.epsilon)
-        _, family = p.linear_bvp().solve(p.forcing)
+        _, family = LinearBVP(p.system, p.boundary).solve(p.forcing)
         m = p.system.horizon
         for c in (np.array([0.5, 0.5]), np.array([-0.3, 1.2])):
             z0 = family.member(c)
@@ -110,7 +117,7 @@ class TestGeneratingF:
         l = generic([(0, np.array([[1.0, 0.0], [0.0, 0.0]])),
                      (m, np.array([[0.0, 0.0], [1.0, 0.0]]))],
                     np.array([0.0, 1.0]))
-        report, family = solve_family(system, np.zeros((m, N)), l)
+        report, family = LinearBVP(system, l).solve(np.zeros((m, N)))
         p = NonlinearProblem(system, np.zeros((m, N)), l, zero_Z, zero_Zdu)
         with pytest.raises(GeneratingFamilyError):
             generating_F(p, family, np.zeros(family.kernel_dim))
@@ -119,7 +126,7 @@ class TestGeneratingF:
 class TestSolveGenerating:
     def test_zero_nonlinearity_returns_seed(self):
         p = resonant_identity_problem(zero_Z, zero_Zdu)
-        _, family = p.linear_bvp().solve(p.forcing)
+        _, family = LinearBVP(p.system, p.boundary).solve(p.forcing)
         root = solve_generating(p, family, [0.3, -0.7])
         assert root.converged
         assert np.allclose(root.c0, [0.3, -0.7])
@@ -133,7 +140,7 @@ class TestSolveGenerating:
             return np.array([[1.0, 2.0], [-1.0, 1.0]])
 
         p = resonant_identity_problem(*pointwise(Z, Z_du))
-        _, family = p.linear_bvp().solve(p.forcing)
+        _, family = LinearBVP(p.system, p.boundary).solve(p.forcing)
         root = solve_generating(p, family, [5.0, -3.0])
         assert root.converged
         assert root.residual_norm <= 1e-9
@@ -148,7 +155,7 @@ class TestSolveGenerating:
             return np.diag(2 * np.asarray(z, dtype=float))
 
         p = resonant_identity_problem(*pointwise(Z, Z_du), N=1)
-        _, family = p.linear_bvp().solve(p.forcing)
+        _, family = LinearBVP(p.system, p.boundary).solve(p.forcing)
         root = solve_generating(p, family, [1.0])
         assert root.converged
         # kernel basis of the scalar zero matrix is +-1; the state is +-2
@@ -162,7 +169,7 @@ class TestSolveGenerating:
             return np.full_like(np.asarray(z, dtype=float), 2.0)
 
         p = resonant_identity_problem(Z, zero_Zdu)
-        _, family = p.linear_bvp().solve(p.forcing)
+        _, family = LinearBVP(p.system, p.boundary).solve(p.forcing)
         root = solve_generating(p, family, [0.1, 0.2], max_iter=50)
         assert not root.converged
         assert root.iterations == 0
@@ -172,7 +179,7 @@ class TestSolveGenerating:
         m = 4
         system = OperatorSequence.constant(np.array([[1.0, 1.0], [1.0, 0.0]]), m)
         p = NonlinearProblem(system, np.zeros((m, 2)), periodic(2, m), zero_Z, zero_Zdu)
-        _, family = p.linear_bvp().solve(p.forcing)
+        _, family = LinearBVP(p.system, p.boundary).solve(p.forcing)
         root = solve_generating(p, family, np.zeros(0))
         assert root.converged and root.c0.shape == (0,)
 
@@ -183,14 +190,14 @@ class TestB0:
             return np.full_like(np.asarray(z, dtype=float), 2.0)
 
         p = resonant_identity_problem(Z, zero_Zdu)
-        _, family = p.linear_bvp().solve(p.forcing)
+        _, family = LinearBVP(p.system, p.boundary).solve(p.forcing)
         assert np.allclose(assemble_B0(p, family, np.zeros(2)), 0.0)
 
     def test_degenerate_shapes(self):
         m = 4
         system = OperatorSequence.constant(np.array([[1.0, 1.0], [1.0, 0.0]]), m)
         p = NonlinearProblem(system, np.zeros((m, 2)), periodic(2, m), zero_Z, zero_Zdu)
-        _, family = p.linear_bvp().solve(p.forcing)
+        _, family = LinearBVP(p.system, p.boundary).solve(p.forcing)
         assert assemble_B0(p, family, np.zeros(0)).shape == (0, 0)
 
     def test_matches_negative_fd_jacobian(self, benchmark_problem, benchmark_family):
@@ -228,26 +235,29 @@ class TestCheckSufficient:
 
 
 class TestIterate:
-    def test_eps_zero_returns_generating_solution(self, benchmark_problem, benchmark_family):
+    def test_eps_zero_returns_generating_solution(self, benchmark_problem, benchmark_bvp,
+                                                  benchmark_family):
         root = solve_generating(benchmark_problem, benchmark_family, [0.5, 0.5])
-        z, trace = iterate(benchmark_problem, benchmark_family, root.c0, eps=0.0)
+        z, trace = iterate(benchmark_problem, benchmark_bvp, benchmark_family, root.c0, eps=0.0)
         assert trace.converged and trace.iterations == 0
         z0 = benchmark_family.member(root.c0)
         assert np.abs(z - z0).max() <= 1e-14
 
     def test_zero_nonlinearity_keeps_u_zero(self):
         p = resonant_identity_problem(zero_Z, zero_Zdu, eps=0.1)
-        _, family = p.linear_bvp().solve(p.forcing)
-        z, trace = iterate(p, family, np.zeros(2), force=True)
+        bvp = LinearBVP(p.system, p.boundary)
+        _, family = bvp.solve(p.forcing)
+        z, trace = iterate(p, bvp, family, np.zeros(2), force=True)
         assert trace.converged
         assert np.abs(z - family.member(np.zeros(2))).max() <= 1e-14
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
     def test_benchmark_converges_with_small_residuals(self, eps):
         p = rotation_benchmark(eps)
-        _, family = p.linear_bvp().solve(p.forcing)
+        bvp = LinearBVP(p.system, p.boundary)
+        _, family = bvp.solve(p.forcing)
         root = solve_generating(p, family, [0.5, 0.5])
-        z, trace = iterate(p, family, root.c0)
+        z, trace = iterate(p, bvp, family, root.c0)
         assert trace.converged and trace.iterations <= 200
         assert nonlinear_recurrence_residual(p, z) <= 1e-8
         assert boundary_residual(p.boundary, z) <= 1e-8
@@ -261,9 +271,10 @@ class TestIterate:
         eps_grid = [1e-2, 1e-3, 1e-4]
         for eps in eps_grid:
             p = rotation_benchmark(eps)
-            _, family = p.linear_bvp().solve(p.forcing)
+            bvp = LinearBVP(p.system, p.boundary)
+            _, family = bvp.solve(p.forcing)
             root = solve_generating(p, family, [0.5, 0.5])
-            z, trace = iterate(p, family, root.c0)
+            z, trace = iterate(p, bvp, family, root.c0)
             assert trace.converged
             sizes.append(np.abs(z - family.member(root.c0)).max())
         slope = np.polyfit(np.log(eps_grid), np.log(sizes), 1)[0]
@@ -277,9 +288,10 @@ class TestIterate:
             return np.diag(2 * np.asarray(z, dtype=float))
 
         p = resonant_identity_problem(*pointwise(Z, Z_du), eps=1e-3)
-        _, family = p.linear_bvp().solve(p.forcing)
+        bvp = LinearBVP(p.system, p.boundary)
+        _, family = bvp.solve(p.forcing)
         with pytest.raises(SufficiencyError):
-            iterate(p, family, np.zeros(2))
+            iterate(p, bvp, family, np.zeros(2))
 
 
     def test_non_finite_iterate_stops(self):
@@ -290,8 +302,9 @@ class TestIterate:
             return np.where(np.abs(z) > 2.0, np.nan, 1.0 + z)
 
         p = resonant_identity_problem(Z, zero_Zdu, eps=1.0, N=1)
-        _, family = p.linear_bvp().solve(p.forcing)
-        z, trace = iterate(p, family, np.zeros(1), force=True, max_iter=200)
+        bvp = LinearBVP(p.system, p.boundary)
+        _, family = bvp.solve(p.forcing)
+        z, trace = iterate(p, bvp, family, np.zeros(1), force=True, max_iter=200)
         assert not trace.converged
         assert trace.iterations <= 5
         assert not np.isfinite(z).all()
@@ -339,6 +352,19 @@ class TestPointwise:
 class TestVerifyDerivative:
     def test_accepts_consistent_pair(self, benchmark_problem):
         verify_derivative(benchmark_problem)
+
+    def test_rejects_nan_derivative(self, benchmark_problem):
+        from resbvp.nonlinear import DerivativeMismatchError
+
+        def nan_Zdu(z, n, eps):
+            z = np.asarray(z, dtype=float)
+            return np.full(z.shape + z.shape[-1:], np.nan)
+
+        bad = NonlinearProblem(benchmark_problem.system, benchmark_problem.forcing,
+                               benchmark_problem.boundary, benchmark_problem.Z,
+                               nan_Zdu, 0.0)
+        with pytest.raises(DerivativeMismatchError):
+            verify_derivative(bad)
 
     def test_rejects_wrong_derivative(self, benchmark_problem):
         from resbvp.nonlinear import DerivativeMismatchError

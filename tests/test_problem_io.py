@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from resbvp import cli
 from resbvp.problem_io import (
     DEFAULT_SOLVER,
     DEFAULT_TOLERANCES,
@@ -172,6 +173,20 @@ class TestDefaultsAndCanonical:
         bad.write_text('{"dim": 2,\n  "horizon: 4}\n')
         with pytest.raises(ProblemFormatError, match="line"):
             load_problem(str(bad))
+
+    @pytest.mark.parametrize("overrides,field", [
+        ({"horizon": "six"}, "horizon"),
+        ({"nonlinearity": {"type": "lotka_volterra", "a": [[1, 2, 3]]}}, "nonlinearity"),
+        ({"tolerances": {"rank": "x"}}, "tolerances.rank"),
+        ({"epsilon": float("nan")}, "epsilon"),
+    ])
+    def test_bad_scalar_or_table_is_format_error(self, tmp_path, overrides, field):
+        doc = minimal_doc(**overrides)
+        with pytest.raises(ProblemFormatError, match=field):
+            parse_problem(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))  # a NaN is written as the bare token NaN
+        assert cli.main(["solve-linear", str(path), "-o", str(tmp_path / "out")]) == 64
 
     def test_missing_required_field(self):
         with pytest.raises(ProblemFormatError, match="dim"):
