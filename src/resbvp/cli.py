@@ -179,6 +179,10 @@ def _pipeline(problem: Problem, nlp: nl.NonlinearProblem, bvp: LinearBVP, args,
 
     nl.verify_derivative(nlp)
     seed = c_seed if c_seed is not None else problem.solver.get("c_init")
+    if seed is not None and np.size(seed) != family.kernel_dim:
+        raise ProblemFormatError(
+            f"solver.c_init: expected {family.kernel_dim} values (the kernel "
+            f"dimension r), got {np.size(seed)}")
     root = nl.solve_generating(nlp, family, seed, tol=tol_newton,
                                max_iter=problem.solver["newton_max_iter"],
                                at_eps=gen_eps)

@@ -98,6 +98,12 @@ def _object(value, where: str) -> dict:
     return dict(value)
 
 
+def _array(value, where: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ProblemFormatError(f"{where}: expected an array")
+    return list(value)
+
+
 def _parse_system(doc: dict, dim: int, m: int) -> OperatorSequence:
     kind = _need(doc, "type", "system")
     if kind == "identity":
@@ -131,11 +137,11 @@ def _parse_system(doc: dict, dim: int, m: int) -> OperatorSequence:
                     f"system.{name}: expected shape ({p},) or ({m}, {p}), got {raw.shape}")
             seqs[name] = raw
         A = np.zeros((m, dim, dim))
-        for n in range(m):
-            A[n, :p, :p] = np.diag(seqs["a"][n])
-            A[n, :p, p:] = np.diag(seqs["b"][n])
-            A[n, p:, :p] = np.diag(seqs["c"][n])
-            A[n, p:, p:] = np.diag(seqs["d"][n])
+        idx = np.arange(p)
+        A[:, idx, idx] = seqs["a"]
+        A[:, idx, idx + p] = seqs["b"]
+        A[:, idx + p, idx] = seqs["c"]
+        A[:, idx + p, idx + p] = seqs["d"]
         return OperatorSequence(A)
     raise ProblemFormatError(f"system: unknown generator type '{kind}'")
 
@@ -149,14 +155,16 @@ def _parse_boundary(doc: dict, dim: int, m: int) -> bd.BoundaryOperator:
             raise ProblemFormatError("boundary: initial_mass requires even dim")
         return bd.initial_mass(dim // 2)
     if kind == "multipoint":
-        groups_doc = _need(doc, "groups", "boundary")
+        groups_doc = _array(_need(doc, "groups", "boundary"), "boundary.groups")
         targets = _as_float_array(_need(doc, "targets", "boundary"), None, "boundary.targets")
         groups = []
         for i, g in enumerate(groups_doc):
             where = f"boundary.groups[{i}]"
             g = _object(g, where)
-            comps = [_scalar(x, where, int) for x in _need(g, "components", where)]
-            points = [_scalar(x, where, int) for x in _need(g, "points", where)]
+            comps = [_scalar(x, where, int)
+                     for x in _array(_need(g, "components", where), f"{where}.components")]
+            points = [_scalar(x, where, int)
+                      for x in _array(_need(g, "points", where), f"{where}.points")]
             for n in points:
                 if not 0 <= n <= m:
                     raise ProblemFormatError(f"{where}: point {n} outside window [0, {m}]")
@@ -166,7 +174,7 @@ def _parse_boundary(doc: dict, dim: int, m: int) -> bd.BoundaryOperator:
         except ValueError as exc:
             raise ProblemFormatError(f"boundary: {exc}") from exc
     if kind == "generic":
-        samples_doc = _need(doc, "samples", "boundary")
+        samples_doc = _array(_need(doc, "samples", "boundary"), "boundary.samples")
         target = _as_float_array(_need(doc, "target", "boundary"), None,
                                  "boundary.target").reshape(-1)
         q = target.shape[0]

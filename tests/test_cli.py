@@ -85,6 +85,14 @@ class TestSolveNonlinear:
         doc = json.loads((tmp_path / "report.json").read_text())
         assert "iteration" in doc
 
+    def test_c_init_of_wrong_length_is_usage_error(self, tmp_path, capsys):
+        doc = json.loads(Path(problem("rotation_lv.json")).read_text())
+        doc.setdefault("solver", {})["c_init"] = [0.5]  # the kernel dimension is 2
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run(["solve-nonlinear", path, "-o", tmp_path / "out"]) == 64
+        assert "solver.c_init" in capsys.readouterr().err
+
     def test_linear_only_problem_is_usage_error(self, tmp_path, capsys):
         code = run(["solve-nonlinear", problem("identity_resonant.json"),
                     "-o", tmp_path])

@@ -112,6 +112,75 @@ class TestParticularForced:
             g = particular_forced(A, f[k])
             assert np.abs(G[k] - g).max() <= 1e-14 * (1 + np.abs(g).max())
 
+    @staticmethod
+    def sequential_sweep(A: OperatorSequence, f):
+        """Reference: the forced recurrence one step at a time."""
+        g = np.zeros((f.shape[0] + 1,) + f.shape[1:])
+        for n in range(f.shape[0]):
+            g[n + 1] = A.matrices[n] @ g[n] + f[n]
+        return g
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 16, 37])
+    @pytest.mark.parametrize("N", [1, 3])
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_scan_matches_sequential_sweep(self, m, N, k):
+        rng = np.random.default_rng(100 * m + 10 * N + k)
+        mats = rng.standard_normal((m, N, N))
+        mats[m // 2] = 0.0 if N == 1 else np.outer(mats[m // 2, 0], mats[m // 2, 1])
+        A = OperatorSequence(mats)  # A_{m//2} is singular
+        f = rng.standard_normal((k, m, N))
+        G = particular_forced(A, f)
+        assert G.shape == (k, m + 1, N)
+        for j in range(k):
+            g = self.sequential_sweep(A, f[j])
+            assert np.abs(G[j] - g).max() <= 1e-13 * (1 + np.abs(g).max())
+
+    def test_scan_fibonacci_growth(self):
+        m = 300  # F(300) ~ 2e62: only a relative tolerance is meaningful
+        A = OperatorSequence.constant(FIB, m)
+        f = np.zeros((2, m, 2))
+        f[0, 0, 0] = 1.0
+        f[1] = np.random.default_rng(12).standard_normal((m, 2))
+        G = particular_forced(A, f)
+        for j in range(2):
+            g = self.sequential_sweep(A, f[j])
+            assert np.all(np.abs(G[j] - g) <= 1e-12 * np.abs(g) + 1e-300)
+        fib = [0.0, 1.0]
+        while len(fib) < m + 2:
+            fib.append(fib[-1] + fib[-2])
+        assert np.allclose(G[0, 1:, 0], fib[1:m + 1], rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_stack_leaves_forcing_unchanged(self, k):
+        rng = np.random.default_rng(13)
+        A = random_system(rng, 9, 2)
+        f = rng.standard_normal((k, 9, 2))
+        before = f.copy()
+        particular_forced(A, f)
+        assert np.array_equal(f, before)
+
+    def test_single_sweep_and_transition_stack_stay_sequential(self):
+        rng = np.random.default_rng(14)
+        A = random_system(rng, 37, 3)
+        f = rng.standard_normal((37, 3))
+        assert np.array_equal(particular_forced(A, f), self.sequential_sweep(A, f))
+        U = np.empty((38, 3, 3))
+        U[0] = np.eye(3)
+        for n in range(37):
+            U[n + 1] = A.matrices[n] @ U[n]
+        assert np.array_equal(transition_stack(A), U)
+
+    def test_hops_are_doubling_transitions(self):
+        A = random_system(np.random.default_rng(15), 11, 2)
+        assert [hop.shape[0] for hop in A.hops] == [10, 9, 7, 3]
+        for l, hop in enumerate(A.hops):
+            s = 2 ** l
+            for j in range(s, 11):
+                expected = phi_product(A, j + 1, j + 1 - s)
+                assert np.allclose(hop[j - s], expected, rtol=1e-13, atol=1e-13)
+        with pytest.raises(ValueError):
+            A.matrices[0, 0, 0] = 1.0  # read-only, so the hops cannot go stale
+
     def test_stack_shape_checked(self):
         A = random_system(np.random.default_rng(9), 4, 2)
         with pytest.raises(ValueError):

@@ -70,6 +70,21 @@ class TestGenerators:
         p = parse_problem(doc)
         assert np.allclose(p.system.matrices[1], [[1.0, 2.0], [3.0, 4.0]])
 
+    def test_time_varying_block_equals_diag_loop(self):
+        rng = np.random.default_rng(1)
+        m, p = 5, 3
+        tables = {name: rng.standard_normal((m, p)) for name in "abcd"}
+        doc = minimal_doc(dim=2 * p, horizon=m,
+                          system={"type": "block",
+                                  **{k: v.tolist() for k, v in tables.items()}})
+        expected = np.zeros((m, 2 * p, 2 * p))
+        for n in range(m):
+            expected[n, :p, :p] = np.diag(tables["a"][n])
+            expected[n, :p, p:] = np.diag(tables["b"][n])
+            expected[n, p:, :p] = np.diag(tables["c"][n])
+            expected[n, p:, p:] = np.diag(tables["d"][n])
+        assert np.array_equal(parse_problem(doc).system.matrices, expected)
+
     def test_unknown_generator(self):
         with pytest.raises(ProblemFormatError, match="unknown generator"):
             parse_problem(minimal_doc(system={"type": "mystery"}))
@@ -186,6 +201,20 @@ class TestDefaultsAndCanonical:
             parse_problem(doc)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))  # a NaN is written as the bare token NaN
+        assert cli.main(["solve-linear", str(path), "-o", str(tmp_path / "out")]) == 64
+
+    @pytest.mark.parametrize("boundary,field", [
+        ({"type": "multipoint", "groups": 5, "targets": [0.0]}, "boundary.groups"),
+        ({"type": "multipoint", "groups": [{"components": 0, "points": [0]}],
+          "targets": [0.0]}, "components"),
+        ({"type": "generic", "samples": 5, "target": [0.0]}, "boundary.samples"),
+    ])
+    def test_non_list_boundary_field_is_format_error(self, tmp_path, boundary, field):
+        doc = minimal_doc(boundary=boundary)
+        with pytest.raises(ProblemFormatError, match=field):
+            parse_problem(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
         assert cli.main(["solve-linear", str(path), "-o", str(tmp_path / "out")]) == 64
 
     def test_missing_required_field(self):
