@@ -24,6 +24,7 @@ from .linear import (
     classify,
     evolution,
     particular_forced,
+    particular_forced_scan,
     recurrence_residual,
     transition_stack,
 )

@@ -1,7 +1,8 @@
 """Boundary operators: finite weighted sums of trajectory samples.
 
-A boundary operator acts on a trajectory ``z`` (array of shape (m+1, N))
-as ``l z = sum_k L_k z(n_k)`` and carries its own target vector alpha.
+A boundary operator acts on a trajectory ``z`` (array of shape (m+1, N), or
+a stack of them) as ``l z = sum_k L_k z(n_k)`` and carries its own target
+vector alpha.
 """
 
 from __future__ import annotations
@@ -54,13 +55,19 @@ class BoundaryOperator:
         return max((n for n, _ in self.samples), default=0)
 
     def apply(self, trajectory: np.ndarray) -> np.ndarray:
-        """Evaluate l on a trajectory of shape (m+1, N)."""
+        """Evaluate l on a trajectory of shape (m+1, N), or on a stack of
+        them, shape (..., m+1, N), giving shape (..., q).
+
+        Each sample is one (q, N) @ (N, 1) product per trajectory, so every
+        row of a stacked result equals l of that trajectory alone bit for bit.
+        """
         z = np.asarray(trajectory, dtype=float)
-        out = np.zeros(self.codim)
+        out = np.zeros(z.shape[:-2] + (self.codim,))
         for n, L in self.samples:
-            if n >= z.shape[0]:
-                raise ValueError(f"sample point {n} outside trajectory window of length {z.shape[0]}")
-            out += L @ z[n]
+            if n >= z.shape[-2]:
+                raise ValueError(
+                    f"sample point {n} outside trajectory window of length {z.shape[-2]}")
+            out += (L @ z[..., n, :, None])[..., 0]
         return out
 
 

@@ -47,13 +47,18 @@ def _fmt(x: float) -> str:
     return _FMT % float(x)
 
 
+def _write_table(path: Path, header, rows) -> None:
+    """CSV of rows (integer, float, ...) in one write, byte for byte what
+    csv.writer writes for the cells [row[0]] + [_fmt(v) for v in row[1:]]."""
+    fmt = "%d" + ("," + _FMT) * (len(header) - 1) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n" + "".join(fmt % row for row in rows))
+
+
 def _write_trajectory(path: Path, z: np.ndarray) -> None:
     z = np.asarray(z, dtype=float)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n"] + [f"z{i + 1}" for i in range(z.shape[1])])
-        for n in range(z.shape[0]):
-            writer.writerow([n] + [_fmt(v) for v in z[n]])
+    _write_table(path, ["n"] + [f"z{i + 1}" for i in range(z.shape[1])],
+                 ((n, *v) for n, v in enumerate(z.tolist())))
 
 
 def _read_trajectory(path: Path) -> np.ndarray:
@@ -161,9 +166,20 @@ def _nonlinear_problem(problem: Problem, eps: float | None = None) -> nl.Nonline
                                Z, Z_du, problem.epsilon if eps is None else eps)
 
 
-def _pipeline(problem: Problem, nlp: nl.NonlinearProblem, bvp: LinearBVP, args,
+def _linear_stage(problem: Problem, nlp: nl.NonlinearProblem, bvp: LinearBVP):
+    """(report, family) of the linear part, with Z_du audited against Z
+    unless the family is a quasisolution. Neither depends on eps, so a
+    sweep runs this once for its whole grid."""
+    lreport, family = bvp.solve(problem.forcing, tol=problem.tolerances["classification"])
+    if lreport.classification != QUASISOLUTION:
+        nl.verify_derivative(nlp)
+    return lreport, family
+
+
+def _pipeline(problem: Problem, nlp: nl.NonlinearProblem, bvp: LinearBVP, linear, args,
               c_seed=None, gen_eps: float = 0.0):
-    """Shared generating-root -> gate -> iteration pipeline.
+    """Shared generating-root -> gate -> iteration pipeline, after the
+    linear stage ``linear`` = _linear_stage(problem, nlp, bvp).
 
     Returns (stage dicts, z, trace, exit code); z/trace are None when an
     early stage fails.
@@ -172,12 +188,11 @@ def _pipeline(problem: Problem, nlp: nl.NonlinearProblem, bvp: LinearBVP, args,
     tol_iter = args.tol if args.tol is not None else problem.tolerances["iteration"]
     max_iter = args.max_iter if args.max_iter is not None else problem.solver["max_iter"]
 
-    lreport, family = bvp.solve(problem.forcing, tol=problem.tolerances["classification"])
+    lreport, family = linear
     stages = {"solvability": lreport.as_dict()}
     if lreport.classification == QUASISOLUTION:
         return stages, None, None, EXIT_QUASI
 
-    nl.verify_derivative(nlp)
     seed = c_seed if c_seed is not None else problem.solver.get("c_init")
     if seed is not None and np.size(seed) != family.kernel_dim:
         raise ProblemFormatError(
@@ -226,18 +241,16 @@ def cmd_solve_nonlinear(args) -> int:
     _maybe_dump_canonical(args, problem, out)
 
     nlp = _nonlinear_problem(problem)
-    stages, z, trace, code = _pipeline(problem, nlp, _linear_bvp(problem), args)
+    bvp = _linear_bvp(problem)
+    stages, z, trace, code = _pipeline(problem, nlp, bvp, _linear_stage(problem, nlp, bvp),
+                                       args)
 
     doc = {"command": "solve-nonlinear", "problem": problem.canonical, **stages}
     trajectories = {}
     if z is not None:
         _write_trajectory(out / "solution.csv", z)
         trajectories["solution.csv"] = _trajectory_entry(problem, z, "solution")
-        with open(out / "trace.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(nl.IterationTrace.FIELDS)
-            for row in trace.records:
-                writer.writerow([row[0]] + [_fmt(v) for v in row[1:]])
+        _write_table(out / "trace.csv", nl.IterationTrace.FIELDS, trace.records)
     doc["trajectories"] = trajectories
     doc["outputs"] = sorted(trajectories)
     _write_report(out / "report.json", doc)
@@ -278,12 +291,13 @@ def cmd_sweep(args) -> int:
 
     grid = np.linspace(args.eps_min, args.eps_max, args.count)
     bvp = _linear_bvp(problem)  # the linear part does not depend on eps
+    linear = _linear_stage(problem, _nonlinear_problem(problem), bvp)
     rows = []
     seed = None
     r_dim = None
     for eps in grid:
         nlp = _nonlinear_problem(problem, eps=float(eps))
-        stages, z, trace, code = _pipeline(problem, nlp, bvp, args, c_seed=seed,
+        stages, z, trace, code = _pipeline(problem, nlp, bvp, linear, args, c_seed=seed,
                                            gen_eps=float(eps))
         gen = stages.get("generating", {})
         c0 = gen.get("c0", [])

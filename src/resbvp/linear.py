@@ -11,11 +11,16 @@ the unique choice under which z(n) = Phi(n, i) z(i) for the homogeneous
 recurrence and g(n) = sum_{i<n} Phi(n, i+1) f(i) solves the forced one
 from g(0) = 0.
 
-A stack of forcings is swept by recursive doubling (a Hillis-Steele scan):
-each OperatorSequence holds the hops Phi(j+1, j+1-2^l), so the forced
-recurrence costs ceil(log2 m) batched matmuls instead of m Python steps.
-A single forcing and the transition stack are still swept step by step;
-see particular_forced for why.
+The forced recurrence has two sweeps, and each caller picks one.
+particular_forced steps through the window once for any stack of forcings,
+and every stacked slice equals, bit for bit, the sweep of that forcing
+alone. particular_forced_scan sweeps a stack by recursive doubling (a
+Hillis-Steele scan over the hops Phi(j+1, j+1-2^l) that each
+OperatorSequence holds), ceil(log2 m) batched matmuls instead of m Python
+steps, and agrees with the step-by-step sweep to roundoff only. The
+bifurcation function F, whose finite-difference Jacobian amplifies
+roundoff about a millionfold, uses the first; the fixed-point iteration
+and B0 use the second.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ __all__ = [
     "evolution",
     "transition_stack",
     "particular_forced",
+    "particular_forced_scan",
     "assemble_Q",
     "classify",
     "recurrence_residual",
@@ -63,8 +69,8 @@ class OperatorSequence:
     z(n+1). Trajectories over the window have m+1 states.
 
     hops[l] = Phi(j+1, j+1-2^l) for j = 2^l, ..., m-1, shape (m-2^l, N, N),
-    for l = 0, ..., ceil(log2 m)-1: the doubling steps of the stacked sweep
-    in particular_forced, built once here (about m N^2 log2 m doubles).
+    for l = 0, ..., ceil(log2 m)-1: the doubling steps of
+    particular_forced_scan, built once here (about m N^2 log2 m doubles).
     Both arrays are read-only, so the hops cannot go stale.
     """
 
@@ -118,8 +124,8 @@ def _doubling_hops(A: np.ndarray) -> tuple:
 
 def transition_stack(system: OperatorSequence) -> np.ndarray:
     """All transition matrices from time 0: U[k] = Phi(k, 0), shape (m+1, N, N)."""
-    # Step by step, not by the hops: the scan's roundoff reaches the
-    # generating root through Q's kernel basis, as in particular_forced.
+    # Step by step, not by the hops: the scan's roundoff would reach the
+    # generating root through Q's kernel basis (see particular_forced_scan).
     m, N = system.horizon, system.dim
     U = np.empty((m + 1, N, N))
     U[0] = np.eye(N)
@@ -139,49 +145,68 @@ def evolution(system: OperatorSequence, n: int, i: int) -> np.ndarray:
 
 
 def _forcing_array(system: OperatorSequence, f) -> np.ndarray:
+    """f as a float array of shape (..., m, N); a trailing (m+1)-th value,
+    irrelevant to the window, is dropped."""
     m, N = system.horizon, system.dim
     if f is None:
         return np.zeros((m, N))
     f = np.asarray(f, dtype=float)
-    if f.shape == (m + 1, N):  # trailing value is irrelevant to the window
-        f = f[:m]
-    if f.shape != (m, N):
-        raise ValueError(f"forcing must have shape ({m}, {N}), got {f.shape}")
+    if f.shape[-2:] == (m + 1, N):
+        f = f[..., :m, :]
+    if f.shape[-2:] != (m, N):
+        raise ValueError(f"forcing must have shape (..., {m}, {N}), got {f.shape}")
     return f
 
 
 def particular_forced(system: OperatorSequence, f) -> np.ndarray:
-    """The unique solution of g(n+1) = A_n g(n) + f(n) with g(0) = 0.
+    """The unique solution of g(n+1) = A_n g(n) + f(n) with g(0) = 0,
+    swept step by step.
 
-    A stack of k forcings, shape (k, m, N), is swept at once, (k, m+1, N),
-    by a Hillis-Steele scan over v[j] = g(j+1): level l adds
-    Phi(j+1, j+1-2^l) v[j-2^l] to v[j], one batched matmul with the
-    system's hops. It matches the step-by-step sweep to roundoff, not bit
-    for bit; a single forcing, shape (m, N), is swept step by step.
+    f has shape (..., m, N) and g has shape (..., m+1, N). Each step is
+    one (N, N) @ (N, 1) product per stacked forcing, so every slice of a
+    stack equals the sweep of that forcing alone bit for bit. generating_F
+    needs that (see particular_forced_scan); the linear solve uses it too.
+    """
+    f = _forcing_array(system, f)
+    # Time-major (m, ..., N, 1), stepping over views made once: each step
+    # is one matmul and one add into a contiguous block, so a single
+    # forcing costs no more per step than a plain g[n+1] = A_n g[n] + f[n].
+    # swapaxes(0, -2) is its own inverse for any number of leading axes.
+    ft = f.swapaxes(0, -2)[..., None]
+    g = np.zeros((system.horizon + 1,) + ft.shape[1:])
+    gv = list(g)
+    for A, f_n, g_n, g_next in zip(system.matrices, ft, gv, gv[1:]):
+        np.add(A @ g_n, f_n, out=g_next)
+    return g[..., 0].swapaxes(0, -2)
+
+
+def particular_forced_scan(system: OperatorSequence, f) -> np.ndarray:
+    """particular_forced of a stack of k forcings, shape (k, m, N), by a
+    Hillis-Steele scan; returns shape (k, m+1, N).
+
+    Over v[j] = g(j+1), level l adds Phi(j+1, j+1-2^l) v[j-2^l] to v[j]:
+    one batched matmul with the system's hops, ceil(log2 m) in all. It
+    matches the step-by-step sweep to roundoff, not bit for bit, so only
+    callers whose results feed no finite difference use it: iterate (one
+    sweep per round) and assemble_B0 (one sweep of the r kernel columns).
+    generating_F keeps particular_forced: Newton's finite-difference
+    Jacobian amplifies a roundoff change in F about 1e6-fold, and through
+    the scan it moves the generating root of rotation_lv.json by 2.3e-12,
+    past the 1e-12 golden tolerance.
     """
     m, N = system.horizon, system.dim
-    if np.ndim(f) == 3:
-        f = np.asarray(f, dtype=float)
-        if f.shape[1:] != (m, N):
-            raise ValueError(f"forcing stack must have shape (k, {m}, {N}), got {f.shape}")
-        # (m, N, k) puts each level in one (N, N) @ (N, k) matmul per time;
-        # copy() also keeps the in-place levels off the caller's array.
-        v = f.transpose(1, 2, 0).copy()
-        s = 1
-        for hop in system.hops:
-            v[s:] += hop @ v[:-s]
-            s *= 2
-        g = np.zeros((f.shape[0], m + 1, N))
-        g[:, 1:] = v.transpose(2, 0, 1)
-        return g
-    # The single sweep keeps its own arithmetic: Newton's finite-difference
-    # Jacobian of generating_F amplifies any roundoff change about 1e6-fold.
-    # Through the scan it moves the generating root of rotation_lv.json by
-    # 2.3e-12, past the 1e-12 golden tolerance.
-    f = _forcing_array(system, f)
-    g = np.zeros((m + 1, N))
-    for n in range(m):
-        g[n + 1] = system.matrices[n] @ g[n] + f[n]
+    f = np.asarray(f, dtype=float)
+    if f.ndim != 3 or f.shape[1:] != (m, N):
+        raise ValueError(f"forcing stack must have shape (k, {m}, {N}), got {f.shape}")
+    # (m, N, k) puts each level in one (N, N) @ (N, k) matmul per time;
+    # copy() also keeps the in-place levels off the caller's array.
+    v = f.transpose(1, 2, 0).copy()
+    s = 1
+    for hop in system.hops:
+        v[s:] += hop @ v[:-s]
+        s *= 2
+    g = np.zeros((f.shape[0], m + 1, N))
+    g[:, 1:] = v.transpose(2, 0, 1)
     return g
 
 
@@ -291,12 +316,18 @@ class SolutionFamily:
         return self.cokernel_basis.shape[1]
 
     def member(self, c) -> np.ndarray:
+        """z0(., c), shape (m+1, N); a stack of coefficient vectors, shape
+        (..., r), gives the stack of members, shape (..., m+1, N), each
+        equal bit for bit to the member of its vector alone."""
         c = np.atleast_1d(np.asarray(c, dtype=float))
-        if c.shape != (self.kernel_dim,):
-            raise ValueError(f"coefficient vector must have shape ({self.kernel_dim},)")
-        if self.kernel_dim == 0:
-            return self.particular.copy()
-        return self.particular + np.tensordot(c, self.kernel_basis, axes=1)
+        r = self.kernel_dim
+        if c.shape[-1] != r:
+            raise ValueError(f"coefficient vector must have shape (..., {r})")
+        shape = c.shape[:-1] + self.particular.shape
+        if r == 0:
+            return np.broadcast_to(self.particular, shape).copy()
+        kernel_part = c[..., None, :] @ self.kernel_basis.reshape(r, -1)
+        return self.particular + kernel_part.reshape(shape)
 
 
 class LinearBVP:

@@ -27,6 +27,7 @@ from .linear import (
     SolutionFamily,
     boundary_residual,
     particular_forced,
+    particular_forced_scan,
 )
 
 __all__ = [
@@ -129,9 +130,10 @@ def pointwise(Z, Z_du):
 
 
 def _along(problem: NonlinearProblem, fn, z, eps) -> np.ndarray:
-    """fn (Z or Z_du) at the first m states of a trajectory, in one call."""
+    """fn (Z or Z_du) at the first m states of a trajectory, or of a stack
+    of trajectories (..., m+1, N), in one call."""
     m = problem.system.horizon
-    return np.asarray(fn(z[:m], np.arange(m), float(eps)), dtype=float)
+    return np.asarray(fn(z[..., :m, :], np.arange(m), float(eps)), dtype=float)
 
 
 def _matvec(M, v):
@@ -182,22 +184,33 @@ def generating_F(problem: NonlinearProblem, family: SolutionFamily, c,
     forcing-to-boundary map, and projects onto N(Q*). The generating
     equation proper evaluates Z at eps = 0; parameter scans may probe the
     nonlinearity at a nonzero ``at_eps`` instead.
+
+    ``c`` may also be a stack of coefficient vectors, shape (k, r), giving
+    F of shape (k, d) from one stacked member, one Z call, one step-by-step
+    sweep, one boundary map and one projection. Every row equals the single
+    evaluation at its vector bit for bit, which Newton's finite-difference
+    Jacobian needs (see _fd_jacobian).
     """
     _require_generating(family)
     fz = _along(problem, problem.Z, family.member(c), at_eps)
-    return family.cokernel_basis.T @ problem.boundary.apply(particular_forced(problem.system, fz))
+    g = particular_forced(problem.system, fz)
+    return _matvec(family.cokernel_basis.T, problem.boundary.apply(g))
 
 
-def _fd_jacobian(fun, c: np.ndarray, out_dim: int) -> np.ndarray:
-    """Central finite-difference Jacobian of a vector map of c."""
+def _fd_jacobian(problem: NonlinearProblem, family: SolutionFamily, c: np.ndarray,
+                 at_eps: float) -> np.ndarray:
+    """Central finite-difference Jacobian of generating_F at c, shape (d, r).
+
+    Column j is (F(c + s_j e_j) - F(c - s_j e_j)) / (2 s_j) with step
+    s_j = 1e-6 (1 + |c_j|); all 2r points are one stacked generating_F
+    call. It amplifies roundoff in F about a millionfold, so the stacked
+    rows must equal single evaluations bit for bit, as generating_F's do.
+    """
     r = c.shape[0]
-    J = np.zeros((out_dim, r))
-    for j in range(r):
-        step = 1e-6 * (1.0 + abs(c[j]))
-        e = np.zeros(r)
-        e[j] = step
-        J[:, j] = (fun(c + e) - fun(c - e)) / (2 * step)
-    return J
+    steps = 1e-6 * (1.0 + np.abs(c))
+    E = np.diag(steps)
+    F = generating_F(problem, family, np.concatenate([c + E, c - E]), at_eps=at_eps)
+    return ((F[:r] - F[r:]) / (2 * steps)[:, None]).T
 
 
 def solve_generating(problem: NonlinearProblem, family: SolutionFamily, c_init=None,
@@ -208,6 +221,10 @@ def solve_generating(problem: NonlinearProblem, family: SolutionFamily, c_init=N
     Uses a finite-difference Jacobian and a pseudoinverse step, so
     rectangular and rank-deficient Jacobians are handled. With d = 0 the
     equation is empty and c_init is returned unchanged.
+
+    Per Newton step, the Jacobian's 2r evaluations of F are one stacked
+    generating_F call (one Z call); the centre and each line-search trial
+    are single evaluations.
     """
     _require_generating(family)
     r = family.kernel_dim
@@ -217,13 +234,12 @@ def solve_generating(problem: NonlinearProblem, family: SolutionFamily, c_init=N
         return GeneratingRoot(c0=c, residual_norm=0.0, jacobian_rank=0,
                               converged=True, iterations=0)
 
-    fun = lambda cc: generating_F(problem, family, cc, at_eps=at_eps)
-    F = fun(c)
+    F = generating_F(problem, family, c, at_eps=at_eps)
     norm = float(np.linalg.norm(F))
     jac_rank = 0
     steps = 0
     while norm > tol and steps < max_iter:
-        J = _fd_jacobian(fun, c, d)
+        J = _fd_jacobian(problem, family, c, at_eps)
         rd = numerical_rank(J)
         jac_rank = rd.rank
         step = -pseudoinverse(J, rd) @ F
@@ -231,7 +247,7 @@ def solve_generating(problem: NonlinearProblem, family: SolutionFamily, c_init=N
         improved = False
         for _ in range(30):
             trial = c + lam * step
-            Ft = fun(trial)
+            Ft = generating_F(problem, family, trial, at_eps=at_eps)
             nt = float(np.linalg.norm(Ft))
             if nt < norm:
                 c, F, norm = trial, Ft, nt
@@ -259,8 +275,8 @@ def assemble_B0(problem: NonlinearProblem, family: SolutionFamily, c0,
     if d == 0 or r == 0:
         return np.zeros((d, r))
     Zdu = _along(problem, problem.Z_du, family.member(c0), at_eps)
-    G = particular_forced(problem.system, _matvec(Zdu, family.kernel_basis[:, :m]))
-    return -family.cokernel_basis.T @ np.stack([problem.boundary.apply(g) for g in G], axis=1)
+    G = particular_forced_scan(problem.system, _matvec(Zdu, family.kernel_basis[:, :m]))
+    return -family.cokernel_basis.T @ problem.boundary.apply(G).T
 
 
 def check_sufficient(B0, tol: float = 1e-9) -> SufficiencyCheck:
@@ -358,7 +374,7 @@ def iterate(problem: NonlinearProblem, bvp: LinearBVP, family: SolutionFamily, c
         R = Zz - Z0 - Zdu_u
         phi = Z0 + Zdu_u + R
         lin_forcing = _matvec(Zdu, ubar[:m]) + R
-        g_lin, g_phi = particular_forced(problem.system, np.stack([lin_forcing, phi]))
+        g_lin, g_phi = particular_forced_scan(problem.system, np.stack([lin_forcing, phi]))
 
         u_next = np.tensordot(c, family.kernel_basis, axes=1) + ubar
         c_next = B0_pinv @ (D.T @ l.apply(g_lin))

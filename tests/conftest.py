@@ -13,17 +13,21 @@ from resbvp.problem_io import rotation_matrix
 PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
 
 
-def rotation_benchmark(epsilon=0.0):
-    """Fully resonant 2x2 rotation system over one full turn, periodic BC,
+def rotation_benchmark(epsilon=0.0, m=6, pairs=1):
+    """Fully resonant rotation system over one full turn, periodic BC,
     Lotka-Volterra nonlinearity; the forcing is corrected so the periodic
-    solvability condition holds exactly (Q = 0, r = d = 2)."""
-    m = 6
-    system = OperatorSequence.constant(rotation_matrix(2 * np.pi / m), m)
-    l = periodic(2, m)
+    solvability condition holds exactly (Q = 0, r = d = N).
+
+    The state is (x_1..x_p, y_1..y_p) for p = ``pairs``, each (x_i, y_i)
+    rotating by 2 pi / m, so N = 2p (the benchmark's block rotation)."""
+    N = 2 * pairs
+    system = OperatorSequence.constant(np.kron(rotation_matrix(2 * np.pi / m),
+                                               np.eye(pairs)), m)
+    l = periodic(N, m)
     rng = np.random.default_rng(42)
-    f = 0.3 * rng.standard_normal((m, 2))
+    f = 0.3 * rng.standard_normal((m, N))
     f[m - 1] -= particular_forced(system, f)[m]
-    Z, Z_du = lv_callables(LotkaVolterraSpec.uniform(1))
+    Z, Z_du = lv_callables(LotkaVolterraSpec.uniform(pairs))
     problem = NonlinearProblem(system, f, l, Z, Z_du, epsilon)
     return problem
 

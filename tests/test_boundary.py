@@ -93,3 +93,20 @@ class TestGeneric:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             generic([(0, np.ones((2, 2))), (1, np.ones((3, 2)))], np.zeros(2))
+
+
+class TestStackedApply:
+    def test_rows_equal_single_trajectories(self):
+        rng = np.random.default_rng(20)
+        m, N = 7, 5
+        l = generic([(0, rng.standard_normal((3, N))), (4, rng.standard_normal((3, N))),
+                     (m, rng.standard_normal((3, N)))], np.zeros(3))
+        Z = rng.standard_normal((2, 4, m + 1, N))
+        out = l.apply(Z)
+        assert out.shape == (2, 4, 3)
+        for i in np.ndindex(2, 4):
+            assert np.array_equal(out[i], l.apply(Z[i]))
+
+    def test_stack_window_checked(self):
+        with pytest.raises(ValueError):
+            periodic(2, 6).apply(np.zeros((3, 6, 2)))

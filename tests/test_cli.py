@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from resbvp import cli
+from resbvp import nonlinear as nl
 from resbvp.linear import LinearBVP
 
 from conftest import PROBLEMS_DIR
@@ -130,10 +132,58 @@ class TestSweep:
         assert len(json.loads((tmp_path / "report.json").read_text())["points"]) == 6
         assert len(built) == 1
 
+    def test_one_linear_solve_and_audit_per_run(self, tmp_path, monkeypatch):
+        solves, audits = [], []
+        solve, audit = LinearBVP.solve, nl.verify_derivative
+
+        def counting_solve(self, *args, **kwargs):
+            solves.append(1)
+            return solve(self, *args, **kwargs)
+
+        def counting_audit(*args, **kwargs):
+            audits.append(1)
+            return audit(*args, **kwargs)
+
+        monkeypatch.setattr(LinearBVP, "solve", counting_solve)
+        monkeypatch.setattr(nl, "verify_derivative", counting_audit)
+        code = run(["sweep", problem("sweep_scalar.json"), "--eps-min", "0",
+                    "--eps-max", "1e-3", "--count", "6", "-o", tmp_path])
+        assert code == 0
+        assert len(json.loads((tmp_path / "report.json").read_text())["points"]) == 6
+        assert len(solves) == 1 and len(audits) == 1
+
     def test_bad_count_is_usage_error(self, tmp_path, capsys):
         code = run(["sweep", problem("sweep_scalar.json"), "--eps-min", "0",
                     "--eps-max", "1", "--count", "0", "-o", tmp_path])
         assert code == 64
+
+
+def csv_writer_reference(path, header, rows):
+    """Reference: the csv.writer form the CSV outputs were first written in."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([row[0]] + ["%.17g" % float(v) for v in row[1:]])
+
+
+SPECIAL = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e-300, 5e-324,
+           1.7976931348623157e308, 0.1, -2.5, 1 / 3, 123456789.0]
+
+
+class TestCsvWriters:
+    def test_trajectory_bytes_match_csv_writer(self, tmp_path):
+        z = np.array(SPECIAL).reshape(4, 3)
+        cli._write_trajectory(tmp_path / "new.csv", z)
+        csv_writer_reference(tmp_path / "ref.csv", ["n", "z1", "z2", "z3"],
+                             [[n, *z[n]] for n in range(4)])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_trace_bytes_match_csv_writer(self, tmp_path):
+        records = [(k, *SPECIAL[k:k + 5]) for k in range(7)]
+        cli._write_table(tmp_path / "new.csv", nl.IterationTrace.FIELDS, records)
+        csv_writer_reference(tmp_path / "ref.csv", nl.IterationTrace.FIELDS, records)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestFibCheck:

@@ -13,9 +13,12 @@ from resbvp.linear import (
     classify,
     evolution,
     particular_forced,
+    particular_forced_scan,
     recurrence_residual,
     transition_stack,
 )
+
+from conftest import rotation_benchmark
 
 FIB = np.array([[1.0, 1.0], [1.0, 0.0]])
 
@@ -106,7 +109,7 @@ class TestParticularForced:
         rng = np.random.default_rng(8)
         A = random_system(rng, 9, 3)
         f = rng.standard_normal((4, 9, 3))
-        G = particular_forced(A, f)
+        G = particular_forced_scan(A, f)
         assert G.shape == (4, 10, 3)
         for k in range(4):
             g = particular_forced(A, f[k])
@@ -129,7 +132,7 @@ class TestParticularForced:
         mats[m // 2] = 0.0 if N == 1 else np.outer(mats[m // 2, 0], mats[m // 2, 1])
         A = OperatorSequence(mats)  # A_{m//2} is singular
         f = rng.standard_normal((k, m, N))
-        G = particular_forced(A, f)
+        G = particular_forced_scan(A, f)
         assert G.shape == (k, m + 1, N)
         for j in range(k):
             g = self.sequential_sweep(A, f[j])
@@ -141,7 +144,7 @@ class TestParticularForced:
         f = np.zeros((2, m, 2))
         f[0, 0, 0] = 1.0
         f[1] = np.random.default_rng(12).standard_normal((m, 2))
-        G = particular_forced(A, f)
+        G = particular_forced_scan(A, f)
         for j in range(2):
             g = self.sequential_sweep(A, f[j])
             assert np.all(np.abs(G[j] - g) <= 1e-12 * np.abs(g) + 1e-300)
@@ -156,8 +159,22 @@ class TestParticularForced:
         A = random_system(rng, 9, 2)
         f = rng.standard_normal((k, 9, 2))
         before = f.copy()
-        particular_forced(A, f)
+        particular_forced_scan(A, f)
         assert np.array_equal(f, before)
+
+    @pytest.mark.parametrize("stack", [(1,), (4,), (2, 3)])
+    @pytest.mark.parametrize("N", [1, 3, 32])
+    def test_stacked_sweep_rows_equal_single_sweeps(self, stack, N):
+        rng = np.random.default_rng(16)
+        A = random_system(rng, 11, N)
+        f = rng.standard_normal(stack + (11, N))
+        before = f.copy()
+        G = particular_forced(A, f)
+        assert G.shape == stack + (12, N)
+        assert np.array_equal(f, before)
+        for i in np.ndindex(stack):
+            assert np.array_equal(G[i], particular_forced(A, f[i]))
+            assert np.array_equal(G[i], self.sequential_sweep(A, f[i]))
 
     def test_single_sweep_and_transition_stack_stay_sequential(self):
         rng = np.random.default_rng(14)
@@ -184,7 +201,7 @@ class TestParticularForced:
     def test_stack_shape_checked(self):
         A = random_system(np.random.default_rng(9), 4, 2)
         with pytest.raises(ValueError):
-            particular_forced(A, np.zeros((2, 5, 2)))
+            particular_forced_scan(A, np.zeros((2, 5, 2)))
 
 
 class TestAssembly:
@@ -304,6 +321,29 @@ class TestSolveFamily:
         if report.classification != QUASISOLUTION:
             assert boundary_residual(l, family.particular) <= 1e-8 * (
                 1 + np.linalg.norm(l.target))
+
+    def test_stacked_members_equal_single_members(self):
+        rng = np.random.default_rng(19)
+        p = rotation_benchmark(m=7, pairs=2)
+        m, N = 7, 4
+        _, family = LinearBVP(p.system, p.boundary).solve(p.forcing)
+        assert family.kernel_dim == N
+        C = rng.standard_normal((2, 3, family.kernel_dim))
+        Z = family.member(C)
+        assert Z.shape == (2, 3, m + 1, N)
+        for i in np.ndindex(2, 3):
+            assert np.array_equal(Z[i], family.member(C[i]))
+        with pytest.raises(ValueError):
+            family.member(np.zeros((2, family.kernel_dim + 1)))
+
+    def test_stacked_members_of_empty_kernel(self):
+        m = 5
+        _, family = LinearBVP(OperatorSequence.constant(FIB, m),
+                              periodic(2, m)).solve(np.ones((m, 2)))
+        assert family.kernel_dim == 0
+        Z = family.member(np.zeros((3, 0)))
+        assert Z.shape == (3, m + 1, 2)
+        assert all(np.array_equal(z, family.particular) for z in Z)
 
     def test_quasisolution_least_squares_optimality(self):
         rng = np.random.default_rng(14)

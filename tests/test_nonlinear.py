@@ -22,6 +22,7 @@ from resbvp.nonlinear import (
     pointwise,
     solve_generating,
     verify_derivative,
+    _fd_jacobian,
 )
 
 from resbvp.problem_io import load_problem
@@ -121,6 +122,75 @@ class TestGeneratingF:
         p = NonlinearProblem(system, np.zeros((m, N)), l, zero_Z, zero_Zdu)
         with pytest.raises(GeneratingFamilyError):
             generating_F(p, family, np.zeros(family.kernel_dim))
+
+
+def shipped_nonlinear(name):
+    prob = load_problem(str(PROBLEMS_DIR / name))
+    return NonlinearProblem(prob.system, prob.forcing, prob.boundary,
+                            *prob.nonlinearity, prob.epsilon)
+
+
+# Problems whose F rows are compared bit for bit: three shipped files and
+# the benchmark's N = 32 block rotation, the width where the
+# finite-difference Jacobian is most exposed to roundoff.
+STACK_CASES = ["rotation_lv.json", "gate_refusal.json", "sweep_scalar.json", "block32"]
+
+
+def stack_case(name):
+    p = rotation_benchmark(1e-4, m=12, pairs=16) if name == "block32" \
+        else shipped_nonlinear(name)
+    _, family = LinearBVP(p.system, p.boundary).solve(p.forcing)
+    return p, family
+
+
+def per_column_fd_jacobian(problem, family, c, at_eps):
+    """Reference: the central-difference Jacobian one column, and two
+    single evaluations of F, at a time."""
+    r = c.shape[0]
+    J = np.zeros((family.cokernel_dim, r))
+    for j in range(r):
+        step = 1e-6 * (1.0 + abs(c[j]))
+        e = np.zeros(r)
+        e[j] = step
+        J[:, j] = (generating_F(problem, family, c + e, at_eps=at_eps)
+                   - generating_F(problem, family, c - e, at_eps=at_eps)) / (2 * step)
+    return J
+
+
+class TestStackedF:
+    @pytest.mark.parametrize("name", STACK_CASES)
+    @pytest.mark.parametrize("at_eps", [0.0, 1e-3])
+    def test_rows_equal_single_calls(self, name, at_eps):
+        p, family = stack_case(name)
+        C = 0.5 + np.random.default_rng(31).standard_normal((5, family.kernel_dim))
+        F = generating_F(p, family, C, at_eps=at_eps)
+        assert F.shape == (5, family.cokernel_dim)
+        for c, row in zip(C, F):
+            assert np.array_equal(row, generating_F(p, family, c, at_eps=at_eps))
+
+    @pytest.mark.parametrize("name", STACK_CASES)
+    @pytest.mark.parametrize("at_eps", [0.0, 1e-3])
+    def test_fd_jacobian_equals_per_column_loop(self, name, at_eps):
+        p, family = stack_case(name)
+        c = 0.5 + 0.1 * np.random.default_rng(32).standard_normal(family.kernel_dim)
+        c[0] = -0.0  # -0.0 + 0.0 is +0.0 off the diagonal, in both forms
+        assert np.array_equal(_fd_jacobian(p, family, c, at_eps),
+                              per_column_fd_jacobian(p, family, c, at_eps))
+
+    def test_one_stacked_Z_call_per_newton_step(self):
+        p, family = stack_case("block32")
+        shapes = []
+
+        def Z(z, n, eps):
+            shapes.append(np.shape(z))
+            return p.Z(z, n, eps)
+
+        counted = dataclasses.replace(p, Z=Z)
+        root = solve_generating(counted, family, np.full(family.kernel_dim, 0.5))
+        assert root.converged and root.iterations >= 1
+        m, N, r = p.system.horizon, p.system.dim, family.kernel_dim
+        assert shapes.count((2 * r, m, N)) == root.iterations
+        assert all(shape in ((m, N), (2 * r, m, N)) for shape in shapes)
 
 
 class TestSolveGenerating:
