@@ -10,12 +10,17 @@ Subcommands:
 Exit codes: 0 success, 2 quasisolution without --allow-quasi, 3 no
 generating root, 4 sufficient-condition failure, 5 iteration
 non-convergence, 64 usage or parse error.
+
+Every tolerance and iteration cap comes from the problem file's
+``tolerances`` and ``solver`` objects (defaults in problem_io); the
+command line sets none of them.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -122,9 +127,7 @@ def cmd_solve_linear(args) -> int:
     _maybe_dump_canonical(args, problem, out)
 
     report, family = _linear_bvp(problem).solve(
-        problem.forcing,
-        tol=args.tol if args.tol is not None else problem.tolerances["classification"],
-    )
+        problem.forcing, tol=problem.tolerances["classification"])
 
     trajectories = {}
     _write_trajectory(out / "particular.csv", family.particular)
@@ -176,18 +179,14 @@ def _linear_stage(problem: Problem, nlp: nl.NonlinearProblem, bvp: LinearBVP):
     return lreport, family
 
 
-def _pipeline(problem: Problem, nlp: nl.NonlinearProblem, bvp: LinearBVP, linear, args,
-              c_seed=None, gen_eps: float = 0.0):
+def _pipeline(problem: Problem, nlp: nl.NonlinearProblem, bvp: LinearBVP, linear,
+              force: bool, c_seed=None, gen_eps: float = 0.0):
     """Shared generating-root -> gate -> iteration pipeline, after the
     linear stage ``linear`` = _linear_stage(problem, nlp, bvp).
 
     Returns (stage dicts, z, trace, exit code); z/trace are None when an
     early stage fails.
     """
-    tol_newton = problem.tolerances["newton"]
-    tol_iter = args.tol if args.tol is not None else problem.tolerances["iteration"]
-    max_iter = args.max_iter if args.max_iter is not None else problem.solver["max_iter"]
-
     lreport, family = linear
     stages = {"solvability": lreport.as_dict()}
     if lreport.classification == QUASISOLUTION:
@@ -198,7 +197,7 @@ def _pipeline(problem: Problem, nlp: nl.NonlinearProblem, bvp: LinearBVP, linear
         raise ProblemFormatError(
             f"solver.c_init: expected {family.kernel_dim} values (the kernel "
             f"dimension r), got {np.size(seed)}")
-    root = nl.solve_generating(nlp, family, seed, tol=tol_newton,
+    root = nl.solve_generating(nlp, family, seed, tol=problem.tolerances["newton"],
                                max_iter=problem.solver["newton_max_iter"],
                                at_eps=gen_eps)
     stages["generating"] = {
@@ -220,11 +219,12 @@ def _pipeline(problem: Problem, nlp: nl.NonlinearProblem, bvp: LinearBVP, linear
         "null_direction": None if suff.null_direction is None
         else suff.null_direction.tolist(),
     }
-    if not suff.holds and not args.force:
+    if not suff.holds and not force:
         return stages, None, None, EXIT_SUFFICIENCY
 
-    z, trace = nl.iterate(nlp, bvp, family, root.c0, tol=tol_iter, max_iter=max_iter,
-                          blowup=problem.solver["blowup"], B0=B0, force=True)
+    z, trace = nl.iterate(nlp, bvp, family, root.c0, tol=problem.tolerances["iteration"],
+                          max_iter=problem.solver["max_iter"], blowup=problem.solver["blowup"],
+                          residual_tol=problem.tolerances["residual"], B0=B0, force=True)
     stages["iteration"] = {
         "converged": trace.converged,
         "iterations": trace.iterations,
@@ -243,7 +243,7 @@ def cmd_solve_nonlinear(args) -> int:
     nlp = _nonlinear_problem(problem)
     bvp = _linear_bvp(problem)
     stages, z, trace, code = _pipeline(problem, nlp, bvp, _linear_stage(problem, nlp, bvp),
-                                       args)
+                                       args.force)
 
     doc = {"command": "solve-nonlinear", "problem": problem.canonical, **stages}
     trajectories = {}
@@ -297,7 +297,7 @@ def cmd_sweep(args) -> int:
     r_dim = None
     for eps in grid:
         nlp = _nonlinear_problem(problem, eps=float(eps))
-        stages, z, trace, code = _pipeline(problem, nlp, bvp, linear, args, c_seed=seed,
+        stages, z, trace, code = _pipeline(problem, nlp, bvp, linear, args.force, c_seed=seed,
                                            gen_eps=float(eps))
         gen = stages.get("generating", {})
         c0 = gen.get("c0", [])
@@ -401,6 +401,10 @@ def cmd_verify(args) -> int:
     from .problem_io import parse_problem
     problem = parse_problem(doc["problem"], source=str(report_path))
     z = _read_trajectory(traj_path)
+    if z.shape != (problem.horizon + 1, problem.dim):
+        raise ProblemFormatError(
+            f"{traj_path}: trajectory has shape {z.shape}, expected "
+            f"({problem.horizon + 1}, {problem.dim}) for the report's problem")
     recomputed = _trajectory_entry(problem, z, entry["kind"])
 
     ok = True
@@ -418,15 +422,13 @@ def cmd_verify(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None,
-                        help="override the stage tolerance of the subcommand")
     common.add_argument("--dump-canonical", action="store_true",
                         help="also write the canonicalized problem file")
     iteration = argparse.ArgumentParser(add_help=False)
-    iteration.add_argument("--max-iter", type=int, default=None,
-                           help="override the iteration cap")
     iteration.add_argument("--force", action="store_true",
                            help="iterate even when the sufficient condition fails")
 

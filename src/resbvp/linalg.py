@@ -17,7 +17,6 @@ __all__ = [
     "RankDecision",
     "as_matrix",
     "numerical_rank",
-    "operator_rank",
     "pseudoinverse",
     "kernel_projector",
     "cokernel_projector",
@@ -57,40 +56,27 @@ class RankDecision:
     vt: np.ndarray = field(repr=False)
 
 
-def numerical_rank(M, tol: float | None = None, absolute: bool = False) -> RankDecision:
-    """Singular values and rank of M under the resolved cutoff.
+def numerical_rank(M, tol: float | None = None) -> RankDecision:
+    """Singular values and rank of M under one cutoff policy.
 
-    With ``tol=None`` the cutoff is the standard relative policy
-    ``max(rows, cols) * eps * sigma_max``. A given ``tol`` is interpreted
-    relative to the largest singular value unless ``absolute=True``.
+    With ``tol=None`` the cutoff is the standard ``max(rows, cols) * eps *
+    sigma_max``. A given ``tol`` sets the cutoff ``tol * (1 + sigma_max)``:
+    relative to sigma_max for large matrices, with an absolute floor for
+    matrices that may be numerically zero (the Q of a fully resonant
+    problem, where every entry is roundoff, or a vanishing B0).
     """
     A = as_matrix(M)
     try:
         u, s, vt = np.linalg.svd(A)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"SVD did not converge for shape {A.shape}") from exc
-    smax = float(s[0]) if s.size else 0.0
+    smax = float(s[0])
     if tol is None:
         cutoff = max(A.shape) * np.finfo(float).eps * smax
-    elif absolute:
-        cutoff = float(tol)
     else:
-        cutoff = float(tol) * smax
+        cutoff = float(tol) * (1.0 + smax)
     rank = int(np.count_nonzero(s > cutoff))
     return RankDecision(rank=rank, tolerance=cutoff, singular_values=s, u=u, vt=vt)
-
-
-def operator_rank(M, rank_tol: float = 1e-10) -> RankDecision:
-    """Rank decision with an absolute floor, for operators that may be
-    numerically zero (e.g. a boundary operator of a fully resonant problem,
-    where every entry is roundoff).
-
-    Cutoff: ``rank_tol * (1 + sigma_max)``.
-    """
-    A = as_matrix(M)
-    s0 = np.linalg.svd(A, compute_uv=False)
-    smax = float(s0[0]) if s0.size else 0.0
-    return numerical_rank(A, tol=rank_tol * (1.0 + smax), absolute=True)
 
 
 def _decision(M: np.ndarray, rd: RankDecision | None) -> RankDecision:

@@ -34,7 +34,7 @@ from .linalg import (
     RankDecision,
     cokernel_basis,
     kernel_basis,
-    operator_rank,
+    numerical_rank,
     pseudoinverse,
 )
 
@@ -52,6 +52,7 @@ __all__ = [
     "particular_forced_scan",
     "assemble_Q",
     "classify",
+    "recurrence_defect",
     "recurrence_residual",
     "boundary_residual",
 ]
@@ -270,7 +271,7 @@ def classify(Q, h, tol: float = 1e-9, rank_tol: float = 1e-10,
     if h.shape[0] != Q.shape[0]:
         raise ValueError(f"h has length {h.shape[0]}, expected {Q.shape[0]}")
     if rd is None:
-        rd = operator_rank(Q, rank_tol)
+        rd = numerical_rank(Q, rank_tol)
     r = Q.shape[1] - rd.rank
     d = Q.shape[0] - rd.rank
     defect = float(np.linalg.norm(cokernel_basis(Q, rd).T @ h))
@@ -342,7 +343,7 @@ class LinearBVP:
         self.boundary = l
         self.U = transition_stack(system)
         self.Q = assemble_Q(system, l, self.U)
-        self.rd = operator_rank(self.Q, rank_tol)
+        self.rd = numerical_rank(self.Q, rank_tol)
         self.Q_pinv = pseudoinverse(self.Q, self.rd)
         self.kernel_initial_basis = kernel_basis(self.Q, self.rd)
         self.cokernel_basis = cokernel_basis(self.Q, self.rd)
@@ -405,14 +406,17 @@ class LinearBVP:
         return report, family
 
 
+def recurrence_defect(system: OperatorSequence, f, trajectory) -> np.ndarray:
+    """z(n+1) - A_n z(n) - f(n) for n = 0, ..., m-1, shape (m, N), in one
+    stacked expression."""
+    z = np.asarray(trajectory, dtype=float)
+    m = system.horizon
+    return z[1:m + 1] - (system.matrices @ z[:m, :, None])[..., 0] - _forcing_array(system, f)
+
+
 def recurrence_residual(system: OperatorSequence, f, trajectory) -> float:
     """max_n || z(n+1) - A_n z(n) - f(n) ||."""
-    z = np.asarray(trajectory, dtype=float)
-    f = _forcing_array(system, f)
-    worst = 0.0
-    for n in range(system.horizon):
-        worst = max(worst, float(np.linalg.norm(z[n + 1] - system.matrices[n] @ z[n] - f[n])))
-    return worst
+    return float(np.linalg.norm(recurrence_defect(system, f, trajectory), axis=1).max())
 
 
 def boundary_residual(l: BoundaryOperator, trajectory, alpha=None) -> float:

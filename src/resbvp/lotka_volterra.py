@@ -189,14 +189,15 @@ def fib_delta(m: int) -> int:
     return (fib(m + 2) - 1) * (fib(m) - 1) - fib(m + 1) ** 2
 
 
-def fib_delta_exponent_offset(m_max: int, offsets=range(0, 7)) -> int | None:
-    """The offset s with Delta(m) == det(A^{m+s} - I) for every m <= m_max.
+def fib_delta_exponent_offset(m_max: int) -> int | None:
+    """The offset s in 0..6 with Delta(m) == det(A^{m+s} - I) for every
+    m <= m_max.
 
     Pins, by exact computation, which A-power the closed-form tables
     actually refer to. Returns None when no single offset works.
     """
     found = None
-    for s in offsets:
+    for s in range(7):
         if all(_det(_mat_sub_identity(fib_matrix_power(m + s))) == fib_delta(m)
                for m in range(1, m_max + 1)):
             if found is not None:

@@ -28,6 +28,7 @@ from .linear import (
     boundary_residual,
     particular_forced,
     particular_forced_scan,
+    recurrence_defect,
 )
 
 __all__ = [
@@ -141,18 +142,18 @@ def _matvec(M, v):
     return (M @ v[..., None])[..., 0]
 
 
-def verify_derivative(problem: NonlinearProblem, points: int = 20,
-                      tol: float = 1e-5, scale: float = 1.0, seed: int = 0) -> None:
-    """Check Z_du against central finite differences of Z at random probes.
+def verify_derivative(problem: NonlinearProblem) -> None:
+    """Check Z_du against central finite differences of Z (step 1e-6) at 20
+    probes: standard normal states at random times, drawn from seed 0.
 
-    Raises DerivativeMismatchError on disagreement beyond ``tol`` relative.
+    Raises DerivativeMismatchError on a relative disagreement beyond 1e-5.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     N, m = problem.system.dim, problem.system.horizon
-    step = 1e-6 * scale
+    points, step = 20, 1e-6
     z, n = np.empty((points, N)), np.empty(points, dtype=int)
     for k in range(points):
-        z[k] = scale * rng.standard_normal(N)
+        z[k] = rng.standard_normal(N)
         n[k] = rng.integers(0, m)
     J = np.asarray(problem.Z_du(z, n, 0.0), dtype=float)
     # probes[s, k, j] = z[k] + s-th sign * step * e_j
@@ -160,7 +161,7 @@ def verify_derivative(problem: NonlinearProblem, points: int = 20,
     Zp = np.asarray(problem.Z(probes, n[None, :, None], 0.0), dtype=float)
     fd = (Zp[0] - Zp[1]).transpose(0, 2, 1) / (2 * step)
     err = np.linalg.norm(fd - J, axis=(1, 2)) / (1.0 + np.linalg.norm(J, axis=(1, 2)))
-    bad = np.flatnonzero(~(err <= tol))  # a NaN error is a mismatch too
+    bad = np.flatnonzero(~(err <= 1e-5))  # a NaN error is a mismatch too
     if bad.size:
         k = bad[0]
         raise DerivativeMismatchError(
@@ -220,7 +221,8 @@ def solve_generating(problem: NonlinearProblem, family: SolutionFamily, c_init=N
 
     Uses a finite-difference Jacobian and a pseudoinverse step, so
     rectangular and rank-deficient Jacobians are handled. With d = 0 the
-    equation is empty and c_init is returned unchanged.
+    equation is empty and c_init is returned unchanged; with r = 0 < d
+    there is nothing to vary, so F's norm is returned after 0 steps.
 
     Per Newton step, the Jacobian's 2r evaluations of F are one stacked
     generating_F call (one Z call); the centre and each line-search trial
@@ -238,7 +240,7 @@ def solve_generating(problem: NonlinearProblem, family: SolutionFamily, c_init=N
     norm = float(np.linalg.norm(F))
     jac_rank = 0
     steps = 0
-    while norm > tol and steps < max_iter:
+    while norm > tol and steps < max_iter and r > 0:
         J = _fd_jacobian(problem, family, c, at_eps)
         rd = numerical_rank(J)
         jac_rank = rd.rank
@@ -279,45 +281,47 @@ def assemble_B0(problem: NonlinearProblem, family: SolutionFamily, c0,
     return -family.cokernel_basis.T @ problem.boundary.apply(G).T
 
 
-def check_sufficient(B0, tol: float = 1e-9) -> SufficiencyCheck:
+def check_sufficient(B0) -> SufficiencyCheck:
     """Full-row-rank gate on B0 (in cokernel coordinates the condition
-    P_{N(B0*)} P_{N(Q*)} = 0 reads: B0 has row rank d)."""
+    P_{N(B0*)} P_{N(Q*)} = 0 reads: B0 has row rank d), at the rank
+    cutoff 1e-9 (1 + ||B0||_2). A (d, 0) B0 (r = 0) has row rank 0."""
     B0 = np.asarray(B0, dtype=float)
     d = B0.shape[0]
     if d == 0:
         return SufficiencyCheck(holds=True, row_rank=0, required_rank=0,
                                 product_norm=0.0, null_direction=None)
-    smax = float(np.linalg.norm(B0, 2)) if B0.size else 0.0
-    rd = numerical_rank(B0, tol=tol * (1.0 + smax), absolute=True)
-    coker = rd.u[:, rd.rank:]
+    if B0.shape[1] == 0:
+        rank, coker = 0, np.eye(d)
+    else:
+        rd = numerical_rank(B0, 1e-9)
+        rank, coker = rd.rank, rd.u[:, rd.rank:]
     product_norm = float(np.linalg.norm(coker @ coker.T))  # = P_{N(B0*)} on R^d
-    holds = rd.rank == d
+    holds = rank == d
     null_dir = None if holds else coker[:, 0].copy()
-    return SufficiencyCheck(holds=holds, row_rank=rd.rank, required_rank=d,
+    return SufficiencyCheck(holds=holds, row_rank=rank, required_rank=d,
                             product_norm=product_norm, null_direction=null_dir)
 
 
-def nonlinear_recurrence_residual(problem: NonlinearProblem, z, eps=None,
-                                  Zz=None) -> float:
-    """max_n || z(n+1) - A_n z(n) - f(n) - eps Z(z(n), n, eps) ||.
+def nonlinear_recurrence_residual(problem: NonlinearProblem, z, Zz=None) -> float:
+    """max_n || z(n+1) - A_n z(n) - f(n) - eps Z(z(n), n, eps) || at
+    eps = problem.epsilon.
 
     ``Zz``, when given, is Z already evaluated at z(0..m-1) and eps.
     """
-    eps = problem.epsilon if eps is None else eps
+    eps = problem.epsilon
     z = np.asarray(z, dtype=float)
     if Zz is None:
         Zz = _along(problem, problem.Z, z, eps)
-    m = problem.system.horizon
-    f = np.asarray(problem.forcing, dtype=float)[:m]
-    res = z[1:m + 1] - _matvec(problem.system.matrices, z[:m]) - f - eps * Zz
+    res = recurrence_defect(problem.system, problem.forcing, z) - eps * Zz
     return float(np.linalg.norm(res, axis=1).max())
 
 
 def iterate(problem: NonlinearProblem, bvp: LinearBVP, family: SolutionFamily, c0,
-            eps: float | None = None, tol: float = 1e-10, max_iter: int = 200,
+            tol: float = 1e-10, max_iter: int = 200,
             blowup: float = 1e6, residual_tol: float = 1e-8,
             B0: np.ndarray | None = None, force: bool = False):
-    """Three-sequence fixed-point iteration continuing z0(., c0) to eps != 0.
+    """Three-sequence fixed-point iteration continuing z0(., c0) to
+    eps = problem.epsilon.
 
     Per round, from the current (u, c, ubar):
 
@@ -340,7 +344,7 @@ def iterate(problem: NonlinearProblem, bvp: LinearBVP, family: SolutionFamily, c
     Returns (z, trace) with z = z0(., c0) + u.
     """
     _require_generating(family)
-    eps = problem.epsilon if eps is None else float(eps)
+    eps = problem.epsilon
     m, N = problem.system.horizon, problem.system.dim
     r, d = family.kernel_dim, family.cokernel_dim
 
@@ -382,7 +386,7 @@ def iterate(problem: NonlinearProblem, bvp: LinearBVP, family: SolutionFamily, c
 
         z = z0 + u_next
         Zz = _along(problem, problem.Z, z, eps)
-        rec_res = nonlinear_recurrence_residual(problem, z, eps, Zz=Zz)
+        rec_res = nonlinear_recurrence_residual(problem, z, Zz=Zz)
         bc_res = boundary_residual(l, z)
         proj_res = float(np.linalg.norm(D.T @ l.apply(g_phi)))
         records.append((k, float(np.linalg.norm(c)), float(np.abs(ubar).max()),

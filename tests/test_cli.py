@@ -101,6 +101,55 @@ class TestSolveNonlinear:
         assert code == 64
         assert "no nonlinearity" in capsys.readouterr().err
 
+    def test_residual_tolerance_is_read(self, tmp_path):
+        # the file's residual tolerance gates convergence: none can meet 1e-300
+        doc = json.loads(Path(problem("rotation_lv.json")).read_text())
+        doc.setdefault("tolerances", {})["residual"] = 1e-300
+        path = tmp_path / "strict.json"
+        path.write_text(json.dumps(doc))
+        assert run(["solve-nonlinear", path, "-o", tmp_path / "out"]) == 5
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert not report["iteration"]["converged"]
+
+
+def _no_kernel_problem(tmp_path, coeffs) -> Path:
+    """N = 1 identity system with a generic boundary sampling z(0) and
+    z(m): Q = [[1], [1]] is unique_classical with r = 0 < d = 1."""
+    doc = {"dim": 1, "horizon": 3, "system": {"type": "identity"},
+           "boundary": {"type": "generic", "target": [1.0, 1.0],
+                        "samples": [{"point": 0, "weights": [[1.0], [0.0]]},
+                                    {"point": 3, "weights": [[0.0], [1.0]]}]},
+           "nonlinearity": {"type": "polynomial", "coeffs": coeffs},
+           "epsilon": 1e-3}
+    path = tmp_path / "no_kernel.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestNoKernelDirections:
+    def test_nonzero_F_has_no_root(self, tmp_path):
+        path = _no_kernel_problem(tmp_path, [1.0, 0.0, 1.0])  # Z = 1 + z^2
+        assert run(["solve-nonlinear", path, "-o", tmp_path / "out"]) == 3
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert doc["solvability"]["kernel_dim"] == 0
+        assert doc["solvability"]["cokernel_dim"] == 1
+        gen = doc["generating"]
+        assert gen["c0"] == [] and gen["residual_norm"] > 1.0 and not gen["converged"]
+
+    def test_zero_F_fails_the_gate(self, tmp_path):
+        path = _no_kernel_problem(tmp_path, [0.0])
+        assert run(["solve-nonlinear", path, "-o", tmp_path / "out"]) == 4
+        suff = json.loads((tmp_path / "out" / "report.json").read_text())["sufficiency"]
+        assert suff["row_rank"] == 0 and suff["required_rank"] == 1
+        assert suff["null_direction"] == [1.0]
+
+    def test_forced_past_the_gate(self, tmp_path):
+        path = _no_kernel_problem(tmp_path, [0.0])
+        code = run(["solve-nonlinear", path, "-o", tmp_path / "out", "--force"])
+        assert code == 0
+        assert run(["verify", tmp_path / "out" / "report.json",
+                    tmp_path / "out" / "solution.csv"]) == 0
+
 
 class TestSweep:
     def test_scalar_branch(self, tmp_path):
@@ -244,6 +293,20 @@ class TestVerify:
         assert code == 64
         assert "solution.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cut", ["rows", "columns"])
+    def test_trajectory_of_wrong_shape_is_usage_error(self, tmp_path, capsys, cut):
+        run(["solve-nonlinear", problem("rotation_lv.json"), "-o", tmp_path])
+        path = tmp_path / "solution.csv"
+        lines = path.read_text().splitlines()
+        if cut == "rows":
+            lines = lines[:-2]  # truncated
+        else:
+            lines = [line.rsplit(",", 1)[0] for line in lines]  # narrow: one column less
+        path.write_text("\n".join(lines) + "\n")
+        code = run(["verify", tmp_path / "report.json", path])
+        assert code == 64
+        assert "shape" in capsys.readouterr().err
+
 
 class TestUsage:
     def test_parse_error_exit(self, tmp_path, capsys):
@@ -260,13 +323,41 @@ class TestUsage:
         assert run(["--help"]) == 0
 
     @pytest.mark.parametrize("cmd", [
-        ["solve-linear", "identity_resonant.json", "--max-iter", "3"],
+        ["solve-linear", "identity_resonant.json", "--force"],
         ["solve-nonlinear", "rotation_lv.json", "--allow-quasi"],
         ["sweep", "sweep_scalar.json", "--eps-min", "0", "--eps-max", "1e-3",
          "--count", "2", "--allow-quasi"],
     ])
     def test_flag_of_another_subcommand_is_usage_error(self, tmp_path, capsys, cmd):
         assert run(cmd[:1] + [problem(cmd[1])] + cmd[2:] + ["-o", tmp_path]) == 64
+
+    @pytest.mark.parametrize("flag", [["--tol", "1e-3"], ["--max-iter", "3"]])
+    @pytest.mark.parametrize("cmd", [
+        ["solve-linear", "identity_resonant.json"],
+        ["solve-nonlinear", "rotation_lv.json"],
+        ["sweep", "sweep_scalar.json", "--eps-min", "0", "--eps-max", "1e-3", "--count", "2"],
+    ])
+    def test_tolerance_overrides_are_usage_errors(self, tmp_path, capsys, cmd, flag):
+        # tolerances and caps come from the problem file only
+        argv = cmd[:1] + [problem(cmd[1])] + cmd[2:] + flag + ["-o", tmp_path / "out"]
+        assert run(argv) == 64
+        assert not (tmp_path / "out").exists()
+
+    def test_parser_is_built_once(self, tmp_path, capsys):
+        cli._build_parser()
+        built = cli._build_parser.cache_info().misses
+        assert run(["fib-check", "--m-max", "3"]) == 0
+        assert run(["solve-linear", problem("identity_resonant.json"), "-o", tmp_path / "a"]) == 0
+        assert run(["solve-nonlinear", problem("identity_resonant.json"), "--tol", "1",
+                    "-o", tmp_path / "b"]) == 64
+        assert run(["solve-nonlinear", problem("rotation_lv.json"), "-o", tmp_path / "c"]) == 0
+        assert run(["verify", tmp_path / "c" / "report.json",
+                    tmp_path / "c" / "solution.csv"]) == 0
+        capsys.readouterr()
+        assert run(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert "solve-nonlinear" in out and "fib-check" in out
+        assert cli._build_parser.cache_info().misses == built
 
 
 class TestDeterminism:

@@ -33,6 +33,15 @@ class TestNumericalRank:
         assert rd.rank == 1
         assert np.all(np.diff(rd.singular_values) <= 0)
 
+    def test_given_tol_cutoff_has_absolute_floor(self):
+        # cutoff tol * (1 + sigma_max): relative for large sigma_max, but a
+        # matrix of pure roundoff has rank 0 where a relative cutoff keeps it
+        for M in (np.diag([1e6, 1e-5]), np.diag([1e-17, 1e-18]), np.zeros((2, 3))):
+            rd = numerical_rank(M, tol=1e-10)
+            assert rd.tolerance == 1e-10 * (1.0 + rd.singular_values[0])
+        assert numerical_rank(np.diag([1e6, 1e-5]), tol=1e-10).rank == 1
+        assert numerical_rank(np.diag([1e-17, 1e-18]), tol=1e-10).rank == 0
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             numerical_rank(np.array([[1.0, np.nan]]))

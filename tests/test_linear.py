@@ -397,3 +397,19 @@ class TestGreenApply:
         f = rng.standard_normal((m, N))
         z = LinearBVP(A, periodic(N, m)).green(f)
         assert recurrence_residual(A, f, z) <= 1e-10 * (1 + np.abs(z).max())
+
+
+class TestRecurrenceResidual:
+    @pytest.mark.parametrize("N", [1, 3, 32])
+    def test_matches_per_step_loop(self, N):
+        rng = np.random.default_rng(11)
+        m = 9
+        A = random_system(rng, m, N)
+        f, z = rng.standard_normal((m, N)), rng.standard_normal((m + 1, N))
+        loop = max(float(np.linalg.norm(z[n + 1] - A.matrices[n] @ z[n] - f[n]))
+                   for n in range(m))
+        stacked = recurrence_residual(A, f, z)
+        assert abs(stacked - loop) <= 64 * np.finfo(float).eps * loop
+        # a trailing (m+1)-th forcing value is outside the window
+        assert recurrence_residual(A, np.vstack([f, np.ones(N)]), z) == stacked
+        assert recurrence_residual(A, None, z) == recurrence_residual(A, np.zeros((m, N)), z)

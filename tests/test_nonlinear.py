@@ -295,6 +295,11 @@ class TestCheckSufficient:
         assert chk.row_rank == 0
         assert np.isclose(np.linalg.norm(chk.null_direction), 1.0)
 
+    def test_no_columns_has_row_rank_zero(self):
+        chk = check_sufficient(np.zeros((2, 0)))  # r = 0 < d
+        assert not chk.holds and chk.row_rank == 0 and chk.required_rank == 2
+        assert np.array_equal(chk.null_direction, [1.0, 0.0])
+
     def test_random_full_row_rank_holds(self):
         rng = np.random.default_rng(30)
         for _ in range(10):
@@ -307,8 +312,9 @@ class TestCheckSufficient:
 class TestIterate:
     def test_eps_zero_returns_generating_solution(self, benchmark_problem, benchmark_bvp,
                                                   benchmark_family):
+        assert benchmark_problem.epsilon == 0.0
         root = solve_generating(benchmark_problem, benchmark_family, [0.5, 0.5])
-        z, trace = iterate(benchmark_problem, benchmark_bvp, benchmark_family, root.c0, eps=0.0)
+        z, trace = iterate(benchmark_problem, benchmark_bvp, benchmark_family, root.c0)
         assert trace.converged and trace.iterations == 0
         z0 = benchmark_family.member(root.c0)
         assert np.abs(z - z0).max() <= 1e-14

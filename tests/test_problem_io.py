@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 
@@ -5,6 +6,8 @@ import numpy as np
 import pytest
 
 from resbvp import cli
+from resbvp.linear import LinearBVP, classify
+from resbvp.nonlinear import iterate, solve_generating
 from resbvp.problem_io import (
     DEFAULT_SOLVER,
     DEFAULT_TOLERANCES,
@@ -165,6 +168,27 @@ class TestDefaultsAndCanonical:
         p = parse_problem(minimal_doc())
         assert p.tolerances == DEFAULT_TOLERANCES
         assert p.solver == DEFAULT_SOLVER
+
+    def test_defaults_equal_library_keyword_defaults(self):
+        # the problem-file defaults and the library keywords are two copies
+        def default(fn, name):
+            return inspect.signature(fn).parameters[name].default
+
+        assert DEFAULT_TOLERANCES == {
+            "classification": default(LinearBVP.solve, "tol"),
+            "rank": default(LinearBVP, "rank_tol"),
+            "newton": default(solve_generating, "tol"),
+            "iteration": default(iterate, "tol"),
+            "residual": default(iterate, "residual_tol"),
+        }
+        assert DEFAULT_SOLVER == {
+            "c_init": default(solve_generating, "c_init"),
+            "max_iter": default(iterate, "max_iter"),
+            "newton_max_iter": default(solve_generating, "max_iter"),
+            "blowup": default(iterate, "blowup"),
+        }
+        assert (default(classify, "tol"), default(classify, "rank_tol")) == \
+            (DEFAULT_TOLERANCES["classification"], DEFAULT_TOLERANCES["rank"])
 
     def test_overrides_merge(self):
         p = parse_problem(minimal_doc(tolerances={"rank": 1e-8},
