@@ -49,7 +49,6 @@ from .nonlinear import (
     IterationTrace,
     NonlinearProblem,
     SufficiencyCheck,
-    SufficiencyError,
     assemble_B0,
     check_sufficient,
     generating_F,

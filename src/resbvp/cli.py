@@ -222,9 +222,9 @@ def _pipeline(problem: Problem, nlp: nl.NonlinearProblem, bvp: LinearBVP, linear
     if not suff.holds and not force:
         return stages, None, None, EXIT_SUFFICIENCY
 
-    z, trace = nl.iterate(nlp, bvp, family, root.c0, tol=problem.tolerances["iteration"],
+    z, trace = nl.iterate(nlp, bvp, family, root.c0, B0, tol=problem.tolerances["iteration"],
                           max_iter=problem.solver["max_iter"], blowup=problem.solver["blowup"],
-                          residual_tol=problem.tolerances["residual"], B0=B0, force=True)
+                          residual_tol=problem.tolerances["residual"])
     stages["iteration"] = {
         "converged": trace.converged,
         "iterations": trace.iterations,
@@ -283,8 +283,8 @@ def cmd_solve_nonlinear(args) -> int:
 def cmd_sweep(args) -> int:
     started = time.perf_counter()
     problem = load_problem(args.problem)
-    if args.count < 1:
-        print("sweep: --count must be >= 1", file=sys.stderr)
+    if args.count < 1 or not np.isfinite([args.eps_min, args.eps_max]).all():
+        print("sweep: --count must be >= 1 and --eps-min, --eps-max finite", file=sys.stderr)
         return EXIT_USAGE
     out = _out_dir(args)
     _maybe_dump_canonical(args, problem, out)
@@ -381,6 +381,28 @@ def cmd_fib_check(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
+_KINDS = ("particular", "kernel", "solution")
+_RESIDUALS = ("recurrence_residual", "boundary_residual")
+
+
+def _report_fault(doc, name: str) -> str | None:
+    """Why a report cannot verify the trajectory file ``name``, or None."""
+    if not isinstance(doc, dict) or "problem" not in doc:
+        return "not a resbvp report (no 'problem' field)"
+    trajectories = doc.get("trajectories", {})
+    if not isinstance(trajectories, dict):
+        return "'trajectories' is not an object"
+    entry = trajectories.get(name)
+    if not isinstance(entry, dict):
+        return f"no entry object for '{name}'"
+    if entry.get("kind") not in _KINDS:
+        return f"entry for '{name}' has no kind of {', '.join(_KINDS)}"
+    for key in _RESIDUALS:
+        if type(entry.get(key)) not in (int, float):  # a bool is no residual
+            return f"entry for '{name}' has no numeric {key}"
+    return None
+
+
 def cmd_verify(args) -> int:
     report_path = Path(args.report)
     traj_path = Path(args.trajectory)
@@ -389,14 +411,11 @@ def cmd_verify(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"verify: cannot read report: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if not isinstance(doc, dict) or "problem" not in doc:
-        print(f"verify: {report_path} is not a resbvp report (no 'problem' field)",
-              file=sys.stderr)
+    fault = _report_fault(doc, traj_path.name)
+    if fault:
+        print(f"verify: {report_path}: {fault}", file=sys.stderr)
         return EXIT_USAGE
-    entry = doc.get("trajectories", {}).get(traj_path.name)
-    if entry is None:
-        print(f"verify: report has no entry for '{traj_path.name}'", file=sys.stderr)
-        return EXIT_USAGE
+    entry = doc["trajectories"][traj_path.name]
 
     from .problem_io import parse_problem
     problem = parse_problem(doc["problem"], source=str(report_path))
@@ -407,15 +426,13 @@ def cmd_verify(args) -> int:
             f"({problem.horizon + 1}, {problem.dim}) for the report's problem")
     recomputed = _trajectory_entry(problem, z, entry["kind"])
 
-    ok = True
-    for key in ("recurrence_residual", "boundary_residual"):
+    agree = []
+    for key in _RESIDUALS:
         diff = abs(recomputed[key] - entry[key])
-        status = "ok" if diff <= 1e-12 else "MISMATCH"
-        if diff > 1e-12:
-            ok = False
+        agree.append(diff <= 1e-12)  # False for a NaN too
         print(f"{key}: reported={entry[key]:.6e} recomputed={recomputed[key]:.6e} "
-              f"|diff|={diff:.3e} {status}")
-    return EXIT_OK if ok else 1
+              f"|diff|={diff:.3e} {'ok' if agree[-1] else 'MISMATCH'}")
+    return EXIT_OK if all(agree) else 1
 
 
 # ---------------------------------------------------------------------------

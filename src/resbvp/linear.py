@@ -296,15 +296,14 @@ def classify(Q, h, tol: float = 1e-9, rank_tol: float = 1e-10,
 class SolutionFamily:
     """Solution family z0(n, c) = particular(n) + sum_j c_j kernel_basis[j](n).
 
-    Kernel members are propagated from an orthonormal basis of N(Q), so
-    every member solves the recurrence exactly and leaves the boundary
-    residual of the particular member unchanged.
+    Kernel members are propagated from an orthonormal basis of N(Q), the
+    rows of kernel_basis[:, 0], so every member solves the recurrence
+    exactly and leaves the boundary residual of the particular member
+    unchanged. particular[0] = Q^+ h.
     """
 
     particular: np.ndarray            # (m+1, N)
     kernel_basis: np.ndarray          # (r, m+1, N)
-    initial_particular: np.ndarray    # (N,) = Q^+ h
-    kernel_initial_basis: np.ndarray  # (N, r), orthonormal basis of N(Q)
     cokernel_basis: np.ndarray        # (q, d), orthonormal basis of N(Q*)
     classification: str
 
@@ -345,16 +344,7 @@ class LinearBVP:
         self.Q = assemble_Q(system, l, self.U)
         self.rd = numerical_rank(self.Q, rank_tol)
         self.Q_pinv = pseudoinverse(self.Q, self.rd)
-        self.kernel_initial_basis = kernel_basis(self.Q, self.rd)
         self.cokernel_basis = cokernel_basis(self.Q, self.rd)
-
-    @property
-    def kernel_dim(self) -> int:
-        return self.kernel_initial_basis.shape[1]
-
-    @property
-    def cokernel_dim(self) -> int:
-        return self.cokernel_basis.shape[1]
 
     def propagate(self, z0: np.ndarray) -> np.ndarray:
         """Homogeneous trajectory Phi(n, 0) z0 over the window."""
@@ -389,17 +379,13 @@ class LinearBVP:
         g = particular_forced(self.system, f)
         h = self.h(f, alpha, g)
         report = classify(self.Q, h, tol=tol, rd=self.rd)
-        z0p = self.Q_pinv @ h
-        particular = self.propagate(z0p) + g
-        r = self.kernel_dim
-        kernels = np.empty((r, self.system.horizon + 1, self.system.dim))
-        for j in range(r):
-            kernels[j] = self.propagate(self.kernel_initial_basis[:, j])
+        particular = self.propagate(self.Q_pinv @ h) + g
+        # kernels[j] = propagate(K[:, j]) bit for bit; the 2-D U @ K rounds differently
+        K = kernel_basis(self.Q, self.rd)
+        kernels = (self.U @ K.T[:, None, :, None])[..., 0]
         family = SolutionFamily(
             particular=particular,
             kernel_basis=kernels,
-            initial_particular=z0p,
-            kernel_initial_basis=self.kernel_initial_basis,
             cokernel_basis=self.cokernel_basis,
             classification=report.classification,
         )

@@ -33,7 +33,6 @@ from .linear import (
 
 __all__ = [
     "GeneratingFamilyError",
-    "SufficiencyError",
     "DerivativeMismatchError",
     "NonlinearProblem",
     "GeneratingRoot",
@@ -52,10 +51,6 @@ __all__ = [
 
 class GeneratingFamilyError(ValueError):
     """The linear part is a quasisolution; there is no generating family."""
-
-
-class SufficiencyError(RuntimeError):
-    """The full-row-rank condition on B0 fails."""
 
 
 class DerivativeMismatchError(ValueError):
@@ -316,10 +311,9 @@ def nonlinear_recurrence_residual(problem: NonlinearProblem, z, Zz=None) -> floa
     return float(np.linalg.norm(res, axis=1).max())
 
 
-def iterate(problem: NonlinearProblem, bvp: LinearBVP, family: SolutionFamily, c0,
+def iterate(problem: NonlinearProblem, bvp: LinearBVP, family: SolutionFamily, c0, B0,
             tol: float = 1e-10, max_iter: int = 200,
-            blowup: float = 1e6, residual_tol: float = 1e-8,
-            B0: np.ndarray | None = None, force: bool = False):
+            blowup: float = 1e6, residual_tol: float = 1e-8):
     """Three-sequence fixed-point iteration continuing z0(., c0) to
     eps = problem.epsilon.
 
@@ -339,7 +333,10 @@ def iterate(problem: NonlinearProblem, bvp: LinearBVP, family: SolutionFamily, c
     once u is non-finite or exceeds ``blowup``.
 
     ``bvp`` is the LinearBVP of (problem.system, problem.boundary) that
-    ``family`` came from; its Green operator gives ubar.
+    ``family`` came from; its Green operator gives ubar. ``B0`` is
+    the linearization assemble_B0 gives at c0. The sufficiency gate is not
+    made here: check_sufficient(B0) decides it, and the caller decides
+    whether to iterate when it fails.
 
     Returns (z, trace) with z = z0(., c0) + u.
     """
@@ -347,15 +344,6 @@ def iterate(problem: NonlinearProblem, bvp: LinearBVP, family: SolutionFamily, c
     eps = problem.epsilon
     m, N = problem.system.horizon, problem.system.dim
     r, d = family.kernel_dim, family.cokernel_dim
-
-    if B0 is None:
-        B0 = assemble_B0(problem, family, c0)
-    suff = check_sufficient(B0)
-    if not suff.holds and not force:
-        raise SufficiencyError(
-            f"B0 row rank {suff.row_rank} < {suff.required_rank}; "
-            "sufficient condition fails (pass force=True to override)"
-        )
     B0_pinv = pseudoinverse(B0) if B0.size else np.zeros((r, d))
 
     z0 = family.member(c0)

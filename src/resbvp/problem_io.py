@@ -196,7 +196,7 @@ def _parse_boundary(doc: dict, dim: int, m: int) -> bd.BoundaryOperator:
     raise ProblemFormatError(f"boundary: unknown type '{kind}'")
 
 
-def _parse_nonlinearity(doc: dict, dim: int):
+def _parse_nonlinearity(doc: dict, dim: int, m: int):
     kind = doc.get("type", "none")
     if kind == "none":
         return None, "none"
@@ -206,10 +206,14 @@ def _parse_nonlinearity(doc: dict, dim: int):
         p = dim // 2
         def table(name, shape):
             arr = _as_float_array(doc.get(name, 1.0), None, f"nonlinearity.{name}")
+            if arr.ndim == len(shape) + 1 and arr.shape[0] != m:
+                raise ProblemFormatError(f"nonlinearity.{name}: time-varying table has "
+                                         f"{arr.shape[0]} times, expected the horizon {m}")
             return np.full(shape, float(arr)) if arr.ndim == 0 else arr
+        g1, g2 = table("g1", (p,)), table("g2", (p,))
+        a, b = table("a", (p, p)), table("b", (p, p))
         try:
-            spec = LotkaVolterraSpec(pairs=p, g1=table("g1", (p,)), g2=table("g2", (p,)),
-                                     a=table("a", (p, p)), b=table("b", (p, p)))
+            spec = LotkaVolterraSpec(pairs=p, g1=g1, g2=g2, a=a, b=b)
         except ValueError as exc:
             raise ProblemFormatError(f"nonlinearity: {exc}") from exc
         return lv_callables(spec), kind
@@ -243,7 +247,8 @@ def _parse_nonlinearity(doc: dict, dim: int):
 
 def _merge(defaults: dict, doc, where: str) -> dict:
     """Defaults overridden by ``doc``, each value checked against the type
-    of its default; c_init (default None) is None or a numeric array."""
+    of its default, integer caps also for being >= 0; c_init (default
+    None) is None or a numeric array."""
     merged = {**defaults, **_object(doc, where)}
     for key, value in merged.items():
         if key not in defaults:
@@ -253,6 +258,8 @@ def _merge(defaults: dict, doc, where: str) -> dict:
                 merged[key] = _as_float_array(value, None, f"{where}.{key}").tolist()
         else:
             merged[key] = _scalar(value, f"{where}.{key}", type(defaults[key]))
+            if type(defaults[key]) is int and merged[key] < 0:
+                raise ProblemFormatError(f"{where}.{key}: must be >= 0, got {value!r}")
     return merged
 
 
@@ -292,7 +299,7 @@ def parse_problem(doc: dict, source: str = "<dict>") -> Problem:
                 f"forcing: expected shape ({m}, {dim}) or ({m + 1}, {dim}), got {arr.shape}")
         forcing = arr[:m]
     boundary = _parse_boundary(canonical["boundary"], dim, m)
-    nonlinearity, kind = _parse_nonlinearity(canonical["nonlinearity"], dim)
+    nonlinearity, kind = _parse_nonlinearity(canonical["nonlinearity"], dim, m)
     return Problem(
         dim=dim,
         horizon=m,

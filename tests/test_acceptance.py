@@ -250,7 +250,8 @@ def test_criterion_6_iteration_and_eps_scaling():
         bvp = LinearBVP(problem.system, problem.boundary)
         _, family = bvp.solve(problem.forcing)
         root = solve_generating(problem, family, [0.5, 0.5])
-        z, trace = iterate(problem, bvp, family, root.c0)
+        z, trace = iterate(problem, bvp, family, root.c0,
+                           assemble_B0(problem, family, root.c0))
         assert trace.converged and trace.iterations <= 200
         assert nonlinear_recurrence_residual(problem, z) <= 1e-8
         assert boundary_residual(problem.boundary, z) <= 1e-8
@@ -262,7 +263,7 @@ def test_criterion_6_iteration_and_eps_scaling():
     bvp = LinearBVP(problem.system, problem.boundary)
     _, family = bvp.solve(problem.forcing)
     root = solve_generating(problem, family, [0.5, 0.5])
-    z, trace = iterate(problem, bvp, family, root.c0)
+    z, trace = iterate(problem, bvp, family, root.c0, assemble_B0(problem, family, root.c0))
     exact_gap = np.abs(z - family.member(root.c0)).max()
     assert exact_gap <= np.finfo(float).eps * 8
     _report(6, f"converged at all eps, residuals <= 1e-8, slope {slope:.3f}, "

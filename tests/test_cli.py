@@ -57,6 +57,17 @@ class TestSolveLinear:
             assert entry["boundary_residual"] <= 1e-10
 
 
+def count_gate_calls(monkeypatch) -> dict:
+    """Count the calls of nl.assemble_B0 and nl.check_sufficient."""
+    calls = {}
+    for name in ("assemble_B0", "check_sufficient"):
+        def counting(*args, _fn=getattr(nl, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(nl, name, counting)
+    return calls
+
+
 class TestSolveNonlinear:
     def test_benchmark_exit_zero(self, tmp_path, capsys):
         code = run(["solve-nonlinear", problem("rotation_lv.json"), "-o", tmp_path])
@@ -86,6 +97,11 @@ class TestSolveNonlinear:
         assert code in (0, 5)  # gate bypassed; iteration runs either way
         doc = json.loads((tmp_path / "report.json").read_text())
         assert "iteration" in doc
+
+    def test_one_B0_and_one_gate_per_solve(self, tmp_path, monkeypatch):
+        calls = count_gate_calls(monkeypatch)
+        assert run(["solve-nonlinear", problem("rotation_lv.json"), "-o", tmp_path]) == 0
+        assert calls == {"assemble_B0": 1, "check_sufficient": 1}
 
     def test_c_init_of_wrong_length_is_usage_error(self, tmp_path, capsys):
         doc = json.loads(Path(problem("rotation_lv.json")).read_text())
@@ -201,10 +217,27 @@ class TestSweep:
         assert len(json.loads((tmp_path / "report.json").read_text())["points"]) == 6
         assert len(solves) == 1 and len(audits) == 1
 
+    def test_one_B0_and_one_gate_per_grid_point(self, tmp_path, monkeypatch):
+        calls = count_gate_calls(monkeypatch)
+        code = run(["sweep", problem("sweep_scalar.json"), "--eps-min", "0",
+                    "--eps-max", "1e-3", "--count", "6", "-o", tmp_path])
+        assert code == 0
+        points = json.loads((tmp_path / "report.json").read_text())["points"]
+        assert [pt["root_converged"] for pt in points] == [True] * 6
+        assert calls == {"assemble_B0": 6, "check_sufficient": 6}
+
     def test_bad_count_is_usage_error(self, tmp_path, capsys):
         code = run(["sweep", problem("sweep_scalar.json"), "--eps-min", "0",
                     "--eps-max", "1", "--count", "0", "-o", tmp_path])
         assert code == 64
+
+    @pytest.mark.parametrize("bound", [["--eps-min", "nan", "--eps-max", "1e-3"],
+                                       ["--eps-min", "0", "--eps-max", "inf"]])
+    def test_non_finite_eps_is_usage_error(self, tmp_path, capsys, bound):
+        code = run(["sweep", problem("sweep_scalar.json"), *bound, "--count", "3",
+                    "-o", tmp_path])
+        assert code == 64
+        assert "finite" in capsys.readouterr().err
 
 
 def csv_writer_reference(path, header, rows):
@@ -292,6 +325,32 @@ class TestVerify:
         code = run(["verify", tmp_path / "report.json", path])
         assert code == 64
         assert "solution.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc, e: e.pop("kind"),
+        lambda doc, e: e.update(kind="bogus"),
+        lambda doc, e: e.pop("recurrence_residual"),
+        lambda doc, e: e.update(boundary_residual="0"),
+        lambda doc, e: doc.update(trajectories=[e]),
+    ], ids=["no-kind", "unknown-kind", "no-residual", "string-residual", "list"])
+    def test_malformed_entry_is_usage_error(self, tmp_path, capsys, edit):
+        run(["solve-nonlinear", problem("rotation_lv.json"), "-o", tmp_path])
+        report = tmp_path / "report.json"
+        doc = json.loads(report.read_text())
+        edit(doc, doc["trajectories"]["solution.csv"])
+        report.write_text(json.dumps(doc))
+        code = run(["verify", report, tmp_path / "solution.csv"])
+        assert code == 64
+        assert "verify:" in capsys.readouterr().err
+
+    def test_nan_residual_is_a_mismatch(self, tmp_path, capsys):
+        run(["solve-nonlinear", problem("rotation_lv.json"), "-o", tmp_path])
+        report = tmp_path / "report.json"
+        doc = json.loads(report.read_text())
+        doc["trajectories"]["solution.csv"]["boundary_residual"] = float("nan")
+        report.write_text(json.dumps(doc))
+        assert run(["verify", report, tmp_path / "solution.csv"]) == 1
+        assert "MISMATCH" in capsys.readouterr().out
 
     @pytest.mark.parametrize("cut", ["rows", "columns"])
     def test_trajectory_of_wrong_shape_is_usage_error(self, tmp_path, capsys, cut):

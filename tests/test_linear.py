@@ -290,7 +290,7 @@ class TestSolveFamily:
         assert family.kernel_dim == 0
         Q = assemble_Q(A, l)
         h = bvp.h(f)
-        assert np.allclose(family.initial_particular, np.linalg.solve(Q, h), atol=1e-9)
+        assert np.allclose(family.particular[0], np.linalg.solve(Q, h), atol=1e-9)
 
     def test_fully_resonant_identity_system(self):
         m, N = 5, 3

@@ -13,7 +13,6 @@ from resbvp.linear import (
 from resbvp.nonlinear import (
     GeneratingFamilyError,
     NonlinearProblem,
-    SufficiencyError,
     assemble_B0,
     check_sufficient,
     generating_F,
@@ -314,7 +313,8 @@ class TestIterate:
                                                   benchmark_family):
         assert benchmark_problem.epsilon == 0.0
         root = solve_generating(benchmark_problem, benchmark_family, [0.5, 0.5])
-        z, trace = iterate(benchmark_problem, benchmark_bvp, benchmark_family, root.c0)
+        B0 = assemble_B0(benchmark_problem, benchmark_family, root.c0)
+        z, trace = iterate(benchmark_problem, benchmark_bvp, benchmark_family, root.c0, B0)
         assert trace.converged and trace.iterations == 0
         z0 = benchmark_family.member(root.c0)
         assert np.abs(z - z0).max() <= 1e-14
@@ -323,7 +323,7 @@ class TestIterate:
         p = resonant_identity_problem(zero_Z, zero_Zdu, eps=0.1)
         bvp = LinearBVP(p.system, p.boundary)
         _, family = bvp.solve(p.forcing)
-        z, trace = iterate(p, bvp, family, np.zeros(2), force=True)
+        z, trace = iterate(p, bvp, family, np.zeros(2), assemble_B0(p, family, np.zeros(2)))
         assert trace.converged
         assert np.abs(z - family.member(np.zeros(2))).max() <= 1e-14
 
@@ -333,7 +333,7 @@ class TestIterate:
         bvp = LinearBVP(p.system, p.boundary)
         _, family = bvp.solve(p.forcing)
         root = solve_generating(p, family, [0.5, 0.5])
-        z, trace = iterate(p, bvp, family, root.c0)
+        z, trace = iterate(p, bvp, family, root.c0, assemble_B0(p, family, root.c0))
         assert trace.converged and trace.iterations <= 200
         assert nonlinear_recurrence_residual(p, z) <= 1e-8
         assert boundary_residual(p.boundary, z) <= 1e-8
@@ -350,7 +350,7 @@ class TestIterate:
             bvp = LinearBVP(p.system, p.boundary)
             _, family = bvp.solve(p.forcing)
             root = solve_generating(p, family, [0.5, 0.5])
-            z, trace = iterate(p, bvp, family, root.c0)
+            z, trace = iterate(p, bvp, family, root.c0, assemble_B0(p, family, root.c0))
             assert trace.converged
             sizes.append(np.abs(z - family.member(root.c0)).max())
         slope = np.polyfit(np.log(eps_grid), np.log(sizes), 1)[0]
@@ -364,11 +364,8 @@ class TestIterate:
             return np.diag(2 * np.asarray(z, dtype=float))
 
         p = resonant_identity_problem(*pointwise(Z, Z_du), eps=1e-3)
-        bvp = LinearBVP(p.system, p.boundary)
-        _, family = bvp.solve(p.forcing)
-        with pytest.raises(SufficiencyError):
-            iterate(p, bvp, family, np.zeros(2))
-
+        _, family = LinearBVP(p.system, p.boundary).solve(p.forcing)
+        assert not check_sufficient(assemble_B0(p, family, np.zeros(2))).holds
 
     def test_non_finite_iterate_stops(self):
         # Z turns NaN once a state leaves [-2, 2]; NaN never exceeds the
@@ -380,7 +377,8 @@ class TestIterate:
         p = resonant_identity_problem(Z, zero_Zdu, eps=1.0, N=1)
         bvp = LinearBVP(p.system, p.boundary)
         _, family = bvp.solve(p.forcing)
-        z, trace = iterate(p, bvp, family, np.zeros(1), force=True, max_iter=200)
+        z, trace = iterate(p, bvp, family, np.zeros(1), assemble_B0(p, family, np.zeros(1)),
+                           max_iter=200)
         assert not trace.converged
         assert trace.iterations <= 5
         assert not np.isfinite(z).all()

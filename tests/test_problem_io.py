@@ -218,6 +218,14 @@ class TestDefaultsAndCanonical:
         ({"nonlinearity": {"type": "lotka_volterra", "a": [[1, 2, 3]]}}, "nonlinearity"),
         ({"tolerances": {"rank": "x"}}, "tolerances.rank"),
         ({"epsilon": float("nan")}, "epsilon"),
+        ({"solver": {"max_iter": -1}}, "solver.max_iter"),
+        ({"solver": {"newton_max_iter": -1}}, "solver.newton_max_iter"),
+        ({"horizon": 6, "nonlinearity": {"type": "lotka_volterra",
+                                         "a": np.ones((3, 1, 1)).tolist()}},
+         "nonlinearity.a"),
+        ({"horizon": 6, "nonlinearity": {"type": "lotka_volterra",
+                                         "g1": np.ones((7, 1)).tolist()}},
+         "nonlinearity.g1"),
     ])
     def test_bad_scalar_or_table_is_format_error(self, tmp_path, overrides, field):
         doc = minimal_doc(**overrides)
