@@ -62,7 +62,7 @@ def main():
     print("\n eps       iters   |z - z0|_inf   recurrence   boundary")
     for eps in (1e-2, 1e-3, 1e-4, 0.0):
         p = build(eps)
-        z, trace = iterate(p, bvp, family, root.c0, B0)
+        z, trace = iterate(p, bvp, family, root.c0, gate.B0_pinv)
         gap = np.abs(z - family.member(root.c0)).max()
         print(f" {eps:8.0e}  {trace.iterations:5d}   {gap:12.4e}   "
               f"{nonlinear_recurrence_residual(p, z):10.2e}   "

@@ -3,14 +3,7 @@ of first-order difference systems, specializing in the resonance case where
 the induced boundary operator is singular."""
 
 from .boundary import BoundaryOperator, generic, initial_mass, multipoint, periodic
-from .linalg import (
-    DecompositionError,
-    RankDecision,
-    cokernel_projector,
-    kernel_projector,
-    numerical_rank,
-    pseudoinverse,
-)
+from .linalg import DecompositionError, RankDecision, numerical_rank
 from .linear import (
     CLASSICAL,
     FAMILY,
@@ -37,7 +30,6 @@ from .lotka_volterra import (
     fib_green_matrix_oracle,
     fib_matrix_power,
     fib_periodic_particular,
-    fib_solvability,
     lv_callables,
     lv_derivative,
     lv_nonlinearity,

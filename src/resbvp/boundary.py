@@ -29,6 +29,8 @@ class BoundaryOperator:
         samples = tuple((int(n), np.asarray(L, dtype=float)) for n, L in self.samples)
         target = np.asarray(self.target, dtype=float).reshape(-1)
         q = target.shape[0]
+        if q == 0:
+            raise ValueError("boundary operator needs at least one condition (q >= 1)")
         for n, L in samples:
             if n < 0:
                 raise ValueError(f"sample point {n} is negative")

@@ -45,19 +45,13 @@ EXIT_SUFFICIENCY = 4
 EXIT_NO_CONVERGENCE = 5
 EXIT_USAGE = 64
 
-_FMT = "%.17g"
-
-
-def _fmt(x: float) -> str:
-    return _FMT % float(x)
-
-
 def _write_table(path: Path, header, rows) -> None:
-    """CSV of rows (integer, float, ...) in one write, byte for byte what
-    csv.writer writes for the cells [row[0]] + [_fmt(v) for v in row[1:]]."""
-    fmt = "%d" + ("," + _FMT) * (len(header) - 1) + "\r\n"
+    """CSV of numeric rows in one write, every cell as %.17g (an integer
+    or a bool prints as an integer, NaN as nan), byte for byte what
+    csv.writer writes for those strings."""
+    fmt = ",".join(["%.17g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n" + "".join(fmt % row for row in rows))
+        fh.write(",".join(header) + "\r\n" + "".join(fmt % tuple(row) for row in rows))
 
 
 def _write_trajectory(path: Path, z: np.ndarray) -> None:
@@ -222,7 +216,8 @@ def _pipeline(problem: Problem, nlp: nl.NonlinearProblem, bvp: LinearBVP, linear
     if not suff.holds and not force:
         return stages, None, None, EXIT_SUFFICIENCY
 
-    z, trace = nl.iterate(nlp, bvp, family, root.c0, B0, tol=problem.tolerances["iteration"],
+    z, trace = nl.iterate(nlp, bvp, family, root.c0, suff.B0_pinv,
+                          tol=problem.tolerances["iteration"],
                           max_iter=problem.solver["max_iter"], blowup=problem.solver["blowup"],
                           residual_tol=problem.tolerances["residual"])
     stages["iteration"] = {
@@ -316,16 +311,10 @@ def cmd_sweep(args) -> int:
         })
 
     r_dim = r_dim or 0
-    with open(out / "branch.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["eps", "exit", "root_converged", "F_norm",
-                         "iter_converged", "iterations"]
-                        + [f"c{j + 1}" for j in range(r_dim)])
-        for row in rows:
-            c = list(row["c0"]) + [float("nan")] * (r_dim - len(row["c0"]))
-            writer.writerow([_fmt(row["eps"]), row["exit"], int(row["root_converged"]),
-                             _fmt(row["F_norm"]), int(row["iter_converged"]),
-                             row["iterations"]] + [_fmt(v) for v in c])
+    columns = ["eps", "exit", "root_converged", "F_norm", "iter_converged", "iterations"]
+    _write_table(out / "branch.csv", columns + [f"c{j + 1}" for j in range(r_dim)],
+                 ([row[k] for k in columns] + row["c0"] + [np.nan] * (r_dim - len(row["c0"]))
+                  for row in rows))
     doc = {
         "command": "sweep",
         "problem": problem.canonical,

@@ -4,7 +4,9 @@ The system is z(n+1) = A_n z(n) + f(n) over the window {0, ..., m} with a
 sampled linear boundary condition l z = alpha. The induced operator on the
 initial state, Q = l Phi(., 0), may be singular (the resonance case); the
 solver classifies solvability and returns a solution family built through
-the Moore-Penrose pseudoinverse of Q.
+the Moore-Penrose pseudoinverse of Q. Building a LinearBVP makes Q's one
+rank decision (linalg.numerical_rank at the rank tolerance): Q^+, the
+kernel and cokernel bases and the classification all come from it.
 
 Index convention: Phi(n, n) = I and Phi(n, i) = A_{n-1} ... A_i for n > i,
 the unique choice under which z(n) = Phi(n, i) z(i) for the homogeneous
@@ -30,13 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import BoundaryOperator
-from .linalg import (
-    RankDecision,
-    cokernel_basis,
-    kernel_basis,
-    numerical_rank,
-    pseudoinverse,
-)
+from .linalg import RankDecision, numerical_rank
 
 __all__ = [
     "CLASSICAL",
@@ -258,23 +254,20 @@ class SolvabilityReport:
         }
 
 
-def classify(Q, h, tol: float = 1e-9, rank_tol: float = 1e-10,
-             rd: RankDecision | None = None) -> SolvabilityReport:
-    """Classify Q z0 = h as unique / family / quasisolution.
+def classify(rd: RankDecision, h, tol: float = 1e-9) -> SolvabilityReport:
+    """Classify Q z0 = h as unique / family / quasisolution, where rd is
+    the rank decision of Q.
 
     The defect is ||P_{N(Q*)} h||; quasisolution iff it exceeds
     tol * (1 + ||h||). In finite dimensions the range of Q is closed, so
     the non-classical branch is exactly the least-squares one.
     """
-    Q = np.asarray(Q, dtype=float)
+    D = rd.cokernel
     h = np.asarray(h, dtype=float).reshape(-1)
-    if h.shape[0] != Q.shape[0]:
-        raise ValueError(f"h has length {h.shape[0]}, expected {Q.shape[0]}")
-    if rd is None:
-        rd = numerical_rank(Q, rank_tol)
-    r = Q.shape[1] - rd.rank
-    d = Q.shape[0] - rd.rank
-    defect = float(np.linalg.norm(cokernel_basis(Q, rd).T @ h))
+    if h.shape[0] != D.shape[0]:
+        raise ValueError(f"h has length {h.shape[0]}, expected {D.shape[0]}")
+    r, d = rd.kernel.shape[1], D.shape[1]
+    defect = float(np.linalg.norm(D.T @ h))
     if defect > tol * (1.0 + np.linalg.norm(h)):
         label = QUASISOLUTION
     elif r == 0:
@@ -343,8 +336,8 @@ class LinearBVP:
         self.U = transition_stack(system)
         self.Q = assemble_Q(system, l, self.U)
         self.rd = numerical_rank(self.Q, rank_tol)
-        self.Q_pinv = pseudoinverse(self.Q, self.rd)
-        self.cokernel_basis = cokernel_basis(self.Q, self.rd)
+        self.Q_pinv = self.rd.pinv
+        self.cokernel_basis = self.rd.cokernel
 
     def propagate(self, z0: np.ndarray) -> np.ndarray:
         """Homogeneous trajectory Phi(n, 0) z0 over the window."""
@@ -378,11 +371,10 @@ class LinearBVP:
         """Classify and build the full solution family for (f, alpha)."""
         g = particular_forced(self.system, f)
         h = self.h(f, alpha, g)
-        report = classify(self.Q, h, tol=tol, rd=self.rd)
+        report = classify(self.rd, h, tol=tol)
         particular = self.propagate(self.Q_pinv @ h) + g
         # kernels[j] = propagate(K[:, j]) bit for bit; the 2-D U @ K rounds differently
-        K = kernel_basis(self.Q, self.rd)
-        kernels = (self.U @ K.T[:, None, :, None])[..., 0]
+        kernels = (self.U @ self.rd.kernel.T[:, None, :, None])[..., 0]
         family = SolutionFamily(
             particular=particular,
             kernel_basis=kernels,

@@ -34,7 +34,6 @@ __all__ = [
     "fib_delta_exponent_offset",
     "fib_green_coeffs",
     "fib_green_matrix_oracle",
-    "fib_solvability",
     "fib_periodic_particular",
 ]
 
@@ -245,22 +244,6 @@ def _as_fraction_vec(v):
                  else Fraction(x) for x in v)
 
 
-def fib_solvability(f, m: int):
-    """Left-hand side sum_{k=0}^{m} A^{m-k+1} f(k) of the closed-form
-    periodic solvability condition, in exact arithmetic.
-
-    f is a sequence of m+1 two-component vectors (ints, Fractions, or
-    floats exactly representable as rationals).
-    """
-    total = [Fraction(0), Fraction(0)]
-    for k in range(m + 1):
-        fk = _as_fraction_vec(f[k])
-        P = fib_matrix_power(m - k + 1)
-        total[0] += P[0][0] * fk[0] + P[0][1] * fk[1]
-        total[1] += P[1][0] * fk[0] + P[1][1] * fk[1]
-    return tuple(total)
-
-
 def fib_periodic_particular(f, m: int):
     """Exact particular periodic solution of z(n+1) = A z(n) + f(n),
     z(m) = z(0), as a list of m+1 Fraction pairs.
@@ -269,7 +252,7 @@ def fib_periodic_particular(f, m: int):
     Q = A^m - I and g(n) = sum_{i<n} A^{n-1-i} f(i), the minimum-defect
     initial state is z0 = -Q^{-1} g(m) and z(n) = A^n z0 + g(n). Q is
     invertible for every m >= 1 (its determinant is never zero), so this
-    is the unique periodic solution when the condition above vanishes.
+    is the unique periodic solution.
     """
     if m < 1:
         raise ValueError("m must be >= 1")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import BoundaryOperator
-from .linalg import numerical_rank, pseudoinverse
+from .linalg import numerical_rank
 from .linear import (
     QUASISOLUTION,
     LinearBVP,
@@ -91,13 +91,15 @@ class GeneratingRoot:
 
 @dataclass(frozen=True)
 class SufficiencyCheck:
-    """Outcome of the full-row-rank gate on B0."""
+    """Outcome of the full-row-rank gate on B0. B0_pinv is B0^+, shape
+    (r, d), from the gate's own rank decision; iterate takes it."""
 
     holds: bool
     row_rank: int
     required_rank: int
     product_norm: float
     null_direction: np.ndarray | None
+    B0_pinv: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -217,7 +219,8 @@ def solve_generating(problem: NonlinearProblem, family: SolutionFamily, c_init=N
     Uses a finite-difference Jacobian and a pseudoinverse step, so
     rectangular and rank-deficient Jacobians are handled. With d = 0 the
     equation is empty and c_init is returned unchanged; with r = 0 < d
-    there is nothing to vary, so F's norm is returned after 0 steps.
+    there is nothing to vary, so F's norm is returned after 0 steps. A
+    non-finite F or Jacobian (overflow) stops the search unconverged.
 
     Per Newton step, the Jacobian's 2r evaluations of F are one stacked
     generating_F call (one Z call); the centre and each line-search trial
@@ -235,11 +238,13 @@ def solve_generating(problem: NonlinearProblem, family: SolutionFamily, c_init=N
     norm = float(np.linalg.norm(F))
     jac_rank = 0
     steps = 0
-    while norm > tol and steps < max_iter and r > 0:
+    while tol < norm < np.inf and steps < max_iter and r > 0:
         J = _fd_jacobian(problem, family, c, at_eps)
+        if not np.isfinite(J).all():
+            break  # overflow; report the current iterate
         rd = numerical_rank(J)
         jac_rank = rd.rank
-        step = -pseudoinverse(J, rd) @ F
+        step = -rd.pinv @ F
         lam = 1.0
         improved = False
         for _ in range(30):
@@ -279,22 +284,23 @@ def assemble_B0(problem: NonlinearProblem, family: SolutionFamily, c0,
 def check_sufficient(B0) -> SufficiencyCheck:
     """Full-row-rank gate on B0 (in cokernel coordinates the condition
     P_{N(B0*)} P_{N(Q*)} = 0 reads: B0 has row rank d), at the rank
-    cutoff 1e-9 (1 + ||B0||_2). A (d, 0) B0 (r = 0) has row rank 0."""
+    cutoff 1e-9 (1 + ||B0||_2). A (d, 0) B0 (r = 0) has row rank 0.
+
+    The one rank decision of B0 also gives B0^+, so directions the gate
+    counts as null are never inverted; it is zero when r or d is 0."""
     B0 = np.asarray(B0, dtype=float)
-    d = B0.shape[0]
-    if d == 0:
-        return SufficiencyCheck(holds=True, row_rank=0, required_rank=0,
-                                product_norm=0.0, null_direction=None)
-    if B0.shape[1] == 0:
-        rank, coker = 0, np.eye(d)
+    d, r = B0.shape
+    if d == 0 or r == 0:
+        rank, coker, pinv = 0, np.eye(d), np.zeros((r, d))
     else:
         rd = numerical_rank(B0, 1e-9)
-        rank, coker = rd.rank, rd.u[:, rd.rank:]
+        rank, coker, pinv = rd.rank, rd.cokernel, rd.pinv
     product_norm = float(np.linalg.norm(coker @ coker.T))  # = P_{N(B0*)} on R^d
     holds = rank == d
     null_dir = None if holds else coker[:, 0].copy()
     return SufficiencyCheck(holds=holds, row_rank=rank, required_rank=d,
-                            product_norm=product_norm, null_direction=null_dir)
+                            product_norm=product_norm, null_direction=null_dir,
+                            B0_pinv=pinv)
 
 
 def nonlinear_recurrence_residual(problem: NonlinearProblem, z, Zz=None) -> float:
@@ -311,7 +317,7 @@ def nonlinear_recurrence_residual(problem: NonlinearProblem, z, Zz=None) -> floa
     return float(np.linalg.norm(res, axis=1).max())
 
 
-def iterate(problem: NonlinearProblem, bvp: LinearBVP, family: SolutionFamily, c0, B0,
+def iterate(problem: NonlinearProblem, bvp: LinearBVP, family: SolutionFamily, c0, B0_pinv,
             tol: float = 1e-10, max_iter: int = 200,
             blowup: float = 1e6, residual_tol: float = 1e-8):
     """Three-sequence fixed-point iteration continuing z0(., c0) to
@@ -333,18 +339,17 @@ def iterate(problem: NonlinearProblem, bvp: LinearBVP, family: SolutionFamily, c
     once u is non-finite or exceeds ``blowup``.
 
     ``bvp`` is the LinearBVP of (problem.system, problem.boundary) that
-    ``family`` came from; its Green operator gives ubar. ``B0`` is
-    the linearization assemble_B0 gives at c0. The sufficiency gate is not
-    made here: check_sufficient(B0) decides it, and the caller decides
-    whether to iterate when it fails.
+    ``family`` came from; its Green operator gives ubar. ``B0_pinv`` is
+    the pseudoinverse of the linearization assemble_B0 gives at c0, from
+    the gate's rank decision: check_sufficient(B0).B0_pinv. The gate is
+    not made here; the caller decides whether to iterate when it fails.
 
     Returns (z, trace) with z = z0(., c0) + u.
     """
     _require_generating(family)
     eps = problem.epsilon
     m, N = problem.system.horizon, problem.system.dim
-    r, d = family.kernel_dim, family.cokernel_dim
-    B0_pinv = pseudoinverse(B0) if B0.size else np.zeros((r, d))
+    r = family.kernel_dim
 
     z0 = family.member(c0)
     Z0 = _along(problem, problem.Z, z0, 0.0)

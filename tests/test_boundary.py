@@ -62,6 +62,10 @@ class TestGeneric:
         l = generic([], np.zeros(2))
         assert np.allclose(l.apply(np.ones((4, 3))), 0.0)
 
+    def test_rejects_no_conditions(self):
+        with pytest.raises(ValueError, match="at least one condition"):
+            generic([], np.zeros(0))
+
     def test_reproduces_periodic(self):
         m, dim = 4, 2
         eye = np.eye(dim)

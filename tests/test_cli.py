@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from resbvp import cli
+from resbvp import cli, linalg, linear
 from resbvp import nonlinear as nl
 from resbvp.linear import LinearBVP
 
@@ -68,6 +68,44 @@ def count_gate_calls(monkeypatch) -> dict:
     return calls
 
 
+def record_rank_decisions(monkeypatch) -> list:
+    """Shapes of the matrices numerical_rank decides, in call order, from
+    every module that names it."""
+    shapes = []
+    original = linalg.numerical_rank
+
+    def recording(M, *args, **kwargs):
+        shapes.append(np.shape(M))
+        return original(M, *args, **kwargs)
+
+    for module in (linalg, linear, nl):
+        monkeypatch.setattr(module, "numerical_rank", recording)
+    return shapes
+
+
+def capture_results(monkeypatch, name) -> list:
+    """(args, result) of every call of nl.<name>."""
+    seen = []
+
+    def capturing(*args, _fn=getattr(nl, name), **kwargs):
+        result = _fn(*args, **kwargs)
+        seen.append((args, result))
+        return result
+
+    monkeypatch.setattr(nl, name, capturing)
+    return seen
+
+
+def overflowing_scalar_problem(tmp_path) -> Path:
+    """sweep_scalar.json (Z = z^2) at eps = 1e-3 seeded where Z overflows."""
+    doc = json.loads(Path(problem("sweep_scalar.json")).read_text())
+    doc["epsilon"] = 1e-3
+    doc["solver"] = {"c_init": [1e160]}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 class TestSolveNonlinear:
     def test_benchmark_exit_zero(self, tmp_path, capsys):
         code = run(["solve-nonlinear", problem("rotation_lv.json"), "-o", tmp_path])
@@ -102,6 +140,34 @@ class TestSolveNonlinear:
         calls = count_gate_calls(monkeypatch)
         assert run(["solve-nonlinear", problem("rotation_lv.json"), "-o", tmp_path]) == 0
         assert calls == {"assemble_B0": 1, "check_sufficient": 1}
+
+    def test_one_rank_decision_per_matrix(self, tmp_path, monkeypatch):
+        # Q once, each Newton Jacobian once, B0 once: the gate's decision
+        # also gives the B0^+ that iterate uses
+        shapes = record_rank_decisions(monkeypatch)
+        roots = capture_results(monkeypatch, "solve_generating")
+        assert run(["solve-nonlinear", problem("rotation_lv.json"), "-o", tmp_path]) == 0
+        [(_, root)] = roots
+        assert root.converged and root.iterations >= 1
+        assert shapes == [(2, 2)] * (root.iterations + 2)
+
+    @pytest.mark.parametrize("name, flags", [("rotation_lv.json", []),
+                                             ("gate_refusal.json", ["--force"])])
+    def test_iterate_takes_the_gates_pseudoinverse(self, tmp_path, monkeypatch, name, flags):
+        gates = capture_results(monkeypatch, "check_sufficient")
+        iterations = capture_results(monkeypatch, "iterate")
+        run(["solve-nonlinear", problem(name), "-o", tmp_path, *flags])
+        [(_, gate)] = gates
+        [(args, _)] = iterations
+        assert args[4] is gate.B0_pinv
+
+    def test_overflowing_newton_has_no_root(self, tmp_path, capsys):
+        path = overflowing_scalar_problem(tmp_path)
+        assert run(["solve-nonlinear", path, "-o", tmp_path / "out"]) == 3
+        assert "no generating root" in capsys.readouterr().err
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert not doc["generating"]["converged"]
+        assert "sufficiency" not in doc
 
     def test_c_init_of_wrong_length_is_usage_error(self, tmp_path, capsys):
         doc = json.loads(Path(problem("rotation_lv.json")).read_text())
@@ -226,6 +292,14 @@ class TestSweep:
         assert [pt["root_converged"] for pt in points] == [True] * 6
         assert calls == {"assemble_B0": 6, "check_sufficient": 6}
 
+    def test_overflowing_point_has_no_root(self, tmp_path):
+        code = run(["sweep", problem("sweep_scalar.json"), "--eps-min", "1e308",
+                    "--eps-max", "1e308", "--count", "1", "-o", tmp_path])
+        assert code == 0
+        [point] = json.loads((tmp_path / "report.json").read_text())["points"]
+        assert point["exit"] == 3 and not point["root_converged"]
+        assert (tmp_path / "branch.csv").read_text().splitlines()[1].startswith("1e+308,3,0,")
+
     def test_bad_count_is_usage_error(self, tmp_path, capsys):
         code = run(["sweep", problem("sweep_scalar.json"), "--eps-min", "0",
                     "--eps-max", "1", "--count", "0", "-o", tmp_path])
@@ -265,6 +339,24 @@ class TestCsvWriters:
         records = [(k, *SPECIAL[k:k + 5]) for k in range(7)]
         cli._write_table(tmp_path / "new.csv", nl.IterationTrace.FIELDS, records)
         csv_writer_reference(tmp_path / "ref.csv", nl.IterationTrace.FIELDS, records)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_branch_bytes_match_csv_writer(self, tmp_path):
+        # branch.csv rows: eps, exit, root_converged, F_norm, iter_converged,
+        # iterations, c...; the integers and flags were written as str(int)
+        header = ["eps", "exit", "root_converged", "F_norm", "iter_converged", "iterations",
+                  "c1", "c2"]
+        rows = [[SPECIAL[k], code, flag, SPECIAL[k + 1], not flag, its, SPECIAL[k + 2],
+                 float("nan")]
+                for k, (code, flag, its) in enumerate([(0, True, 9), (3, False, -1),
+                                                       (5, True, 200), (64, False, 0)])]
+        cli._write_table(tmp_path / "new.csv", header, rows)
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for eps, code, flag, F, it_flag, its, *c in rows:
+                writer.writerow(["%.17g" % eps, code, int(flag), "%.17g" % F, int(it_flag), its]
+                                + ["%.17g" % v for v in c])
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 

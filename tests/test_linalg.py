@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from resbvp.linalg import (
-    cokernel_projector,
-    kernel_projector,
-    numerical_rank,
-    pseudoinverse,
-)
+from resbvp.linalg import numerical_rank
 
 
 def random_matrix_with_rank(rng, rows, cols, rank):
@@ -53,13 +48,13 @@ class TestNumericalRank:
 
 class TestPseudoinverse:
     def test_identity(self):
-        assert np.allclose(pseudoinverse(np.eye(3)), np.eye(3))
+        assert np.allclose(numerical_rank(np.eye(3)).pinv, np.eye(3))
 
     def test_zero(self):
-        assert np.array_equal(pseudoinverse(np.zeros((2, 3))), np.zeros((3, 2)))
+        assert np.array_equal(numerical_rank(np.zeros((2, 3))).pinv, np.zeros((3, 2)))
 
     def test_diagonal(self):
-        assert np.allclose(pseudoinverse(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]))
+        assert np.allclose(numerical_rank(np.diag([2.0, 0.0])).pinv, np.diag([0.5, 0.0]))
 
     def test_least_squares_against_normal_equations(self):
         # independent oracle: solve (M^T M) x = M^T b by dense elimination
@@ -67,27 +62,43 @@ class TestPseudoinverse:
         M = rng.standard_normal((5, 3))
         b = rng.standard_normal(5)
         x_oracle = np.linalg.solve(M.T @ M, M.T @ b)
-        assert np.allclose(pseudoinverse(M) @ b, x_oracle, atol=1e-10)
+        assert np.allclose(numerical_rank(M).pinv @ b, x_oracle, atol=1e-10)
 
 
 class TestProjectors:
+    """The orthoprojectors I - M^+ M onto N(M) and I - M M^+ onto N(M*)."""
+
     def test_invertible_has_trivial_kernel(self):
         M = np.array([[2.0, 1.0], [0.0, 3.0]])
-        assert np.allclose(kernel_projector(M), 0.0, atol=1e-12)
-        assert np.allclose(cokernel_projector(M), 0.0, atol=1e-12)
+        P = numerical_rank(M).pinv
+        assert np.allclose(np.eye(2) - P @ M, 0.0, atol=1e-12)
+        assert np.allclose(np.eye(2) - M @ P, 0.0, atol=1e-12)
 
     def test_zero_matrix_full_kernel(self):
-        assert np.allclose(kernel_projector(np.zeros((3, 3))), np.eye(3))
-        assert np.allclose(cokernel_projector(np.zeros((2, 2))), np.eye(2))
+        M = np.zeros((3, 3))
+        assert np.allclose(np.eye(3) - numerical_rank(M).pinv @ M, np.eye(3))
+        M = np.zeros((2, 2))
+        assert np.allclose(np.eye(2) - M @ numerical_rank(M).pinv, np.eye(2))
 
     def test_row_vector_kernel(self):
         # N([1, 1]) = span{(1, -1)}/sqrt(2)
-        P = kernel_projector(np.array([[1.0, 1.0]]))
-        assert np.allclose(P, [[0.5, -0.5], [-0.5, 0.5]])
+        M = np.array([[1.0, 1.0]])
+        rd = numerical_rank(M)
+        assert np.allclose(np.eye(2) - rd.pinv @ M, [[0.5, -0.5], [-0.5, 0.5]])
+        assert np.allclose(np.abs(rd.kernel[:, 0]), np.sqrt(0.5))
 
     def test_column_vector_cokernel(self):
-        P = cokernel_projector(np.array([[1.0], [1.0]]))
-        assert np.allclose(P, [[0.5, -0.5], [-0.5, 0.5]])
+        M = np.array([[1.0], [1.0]])
+        rd = numerical_rank(M)
+        assert np.allclose(np.eye(2) - M @ rd.pinv, [[0.5, -0.5], [-0.5, 0.5]])
+        assert np.allclose(np.abs(rd.cokernel[:, 0]), np.sqrt(0.5))
+
+    def test_factors_are_read_only(self):
+        # the bases are views of the decision's factors
+        rd = numerical_rank(np.zeros((2, 3)))
+        for a in (rd.u, rd.singular_values, rd.vt, rd.kernel, rd.cokernel):
+            with pytest.raises(ValueError):
+                a[...] = 1.0
 
 
 class TestPenroseProperties:
@@ -99,25 +110,31 @@ class TestPenroseProperties:
             M = random_matrix_with_rank(rng, rows, cols, rank)
             rd = numerical_rank(M)
             assert rd.rank == rank
-            P = pseudoinverse(M, rd)
+            P = rd.pinv
             assert np.linalg.norm(M @ P @ M - M) <= 1e-10 * (1 + np.linalg.norm(M))
             assert np.linalg.norm(P @ M @ P - P) <= 1e-10 * (1 + np.linalg.norm(P))
             assert np.linalg.norm((M @ P).T - M @ P) <= 1e-10
             assert np.linalg.norm((P @ M).T - P @ M) <= 1e-10
-            for proj, expected_rank in (
-                (kernel_projector(M, rd), cols - rank),
-                (cokernel_projector(M, rd), rows - rank),
+            PN = np.eye(cols) - P @ M
+            PNs = np.eye(rows) - M @ P
+            for proj, basis, expected_rank in (
+                (PN, rd.kernel, cols - rank),
+                (PNs, rd.cokernel, rows - rank),
             ):
                 assert np.linalg.norm(proj @ proj - proj) <= 1e-10
                 assert np.linalg.norm(proj.T - proj) <= 1e-10
                 assert round(np.trace(proj)) == expected_rank
-            assert np.allclose(M @ kernel_projector(M, rd), 0.0, atol=1e-10)
-            assert np.allclose(cokernel_projector(M, rd) @ M, 0.0, atol=1e-10)
+                # the decision's orthonormal basis spans the projector's range
+                assert basis.shape[1] == expected_rank
+                assert np.allclose(basis.T @ basis, np.eye(expected_rank), atol=1e-10)
+                assert np.allclose(basis @ basis.T, proj, atol=1e-10)
+            assert np.allclose(M @ PN, 0.0, atol=1e-10)
+            assert np.allclose(PNs @ M, 0.0, atol=1e-10)
 
     def test_exactly_solvable_consistency(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             M = random_matrix_with_rank(rng, 6, 4, 2)
             b = M @ rng.standard_normal(4)
-            defect = np.linalg.norm((np.eye(6) - M @ pseudoinverse(M)) @ b)
+            defect = np.linalg.norm((np.eye(6) - M @ numerical_rank(M).pinv) @ b)
             assert defect <= 1e-8 * (1 + np.linalg.norm(b))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from resbvp.boundary import generic, periodic
+from resbvp.linalg import numerical_rank
 from resbvp.linear import (
     CLASSICAL,
     FAMILY,
@@ -257,13 +258,13 @@ class TestAssembly:
 
 class TestClassify:
     def test_identity_unique(self):
-        rep = classify(np.eye(3), np.array([1.0, 2.0, 3.0]))
+        rep = classify(numerical_rank(np.eye(3), 1e-10), np.array([1.0, 2.0, 3.0]))
         assert rep.classification == CLASSICAL
         assert rep.fredholm_index == 0
 
     def test_zero_matrix_full_defect(self):
         h = np.array([1.0, -2.0])
-        rep = classify(np.zeros((2, 2)), h)
+        rep = classify(numerical_rank(np.zeros((2, 2)), 1e-10), h)
         assert rep.classification == QUASISOLUTION
         assert rep.kernel_dim == 2 and rep.cokernel_dim == 2
         assert np.isclose(rep.defect_norm, np.linalg.norm(h))
@@ -272,7 +273,7 @@ class TestClassify:
         m = 7
         A = OperatorSequence.constant(FIB, m)
         Q = assemble_Q(A, periodic(2, m))
-        rep = classify(Q, np.array([1.0, 1.0]))
+        rep = classify(numerical_rank(Q, 1e-10), np.array([1.0, 1.0]))
         assert rep.classification == CLASSICAL
         assert rep.kernel_dim == 0 and rep.cokernel_dim == 0
 

@@ -14,7 +14,6 @@ from resbvp.lotka_volterra import (
     fib_green_matrix_oracle,
     fib_matrix_power,
     fib_periodic_particular,
-    fib_solvability,
     lv_callables,
     lv_derivative,
     lv_nonlinearity,
@@ -159,13 +158,6 @@ class TestFibGreenCoefficients:
 
 
 class TestFibPeriodicSolver:
-    def test_solvability_functional(self):
-        m = 4
-        f = [(Fraction(1), Fraction(0))] + [(Fraction(0), Fraction(0))] * m
-        vals = fib_solvability(f, m)
-        direct = fib_matrix_power(m + 1)
-        assert vals[0] == direct[0][0] and vals[1] == direct[1][0]
-
     def test_exact_particular_is_periodic_and_satisfies_recurrence(self):
         m = 6
         rng = np.random.default_rng(11)

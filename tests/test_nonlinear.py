@@ -298,6 +298,24 @@ class TestCheckSufficient:
         chk = check_sufficient(np.zeros((2, 0)))  # r = 0 < d
         assert not chk.holds and chk.row_rank == 0 and chk.required_rank == 2
         assert np.array_equal(chk.null_direction, [1.0, 0.0])
+        assert np.array_equal(chk.B0_pinv, np.zeros((0, 2)))
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0), (0, 0)])
+    def test_empty_pseudoinverse_has_shape_r_by_d(self, shape):
+        assert np.array_equal(check_sufficient(np.zeros(shape)).B0_pinv, np.zeros(shape[::-1]))
+
+    def test_pseudoinverse_drops_the_directions_the_gate_calls_null(self):
+        # 1e-12 is below the gate's cutoff 1e-9 (1 + 1) but above the standard
+        # one, 2 eps: the gate fails, and B0^+ does not invert 1e-12
+        chk = check_sufficient(np.diag([1.0, 1e-12]))
+        assert not chk.holds and chk.row_rank == 1
+        assert np.array_equal(chk.B0_pinv, np.diag([1.0, 0.0]))
+
+    def test_pseudoinverse_when_the_gate_holds(self):
+        B0 = np.random.default_rng(31).standard_normal((2, 3))
+        chk = check_sufficient(B0)
+        assert chk.holds
+        assert np.allclose(B0 @ chk.B0_pinv, np.eye(2), atol=1e-12)
 
     def test_random_full_row_rank_holds(self):
         rng = np.random.default_rng(30)
@@ -314,7 +332,8 @@ class TestIterate:
         assert benchmark_problem.epsilon == 0.0
         root = solve_generating(benchmark_problem, benchmark_family, [0.5, 0.5])
         B0 = assemble_B0(benchmark_problem, benchmark_family, root.c0)
-        z, trace = iterate(benchmark_problem, benchmark_bvp, benchmark_family, root.c0, B0)
+        z, trace = iterate(benchmark_problem, benchmark_bvp, benchmark_family, root.c0,
+                           check_sufficient(B0).B0_pinv)
         assert trace.converged and trace.iterations == 0
         z0 = benchmark_family.member(root.c0)
         assert np.abs(z - z0).max() <= 1e-14
@@ -323,7 +342,8 @@ class TestIterate:
         p = resonant_identity_problem(zero_Z, zero_Zdu, eps=0.1)
         bvp = LinearBVP(p.system, p.boundary)
         _, family = bvp.solve(p.forcing)
-        z, trace = iterate(p, bvp, family, np.zeros(2), assemble_B0(p, family, np.zeros(2)))
+        z, trace = iterate(p, bvp, family, np.zeros(2),
+                           check_sufficient(assemble_B0(p, family, np.zeros(2))).B0_pinv)
         assert trace.converged
         assert np.abs(z - family.member(np.zeros(2))).max() <= 1e-14
 
@@ -333,7 +353,8 @@ class TestIterate:
         bvp = LinearBVP(p.system, p.boundary)
         _, family = bvp.solve(p.forcing)
         root = solve_generating(p, family, [0.5, 0.5])
-        z, trace = iterate(p, bvp, family, root.c0, assemble_B0(p, family, root.c0))
+        z, trace = iterate(p, bvp, family, root.c0,
+                           check_sufficient(assemble_B0(p, family, root.c0)).B0_pinv)
         assert trace.converged and trace.iterations <= 200
         assert nonlinear_recurrence_residual(p, z) <= 1e-8
         assert boundary_residual(p.boundary, z) <= 1e-8
@@ -350,7 +371,8 @@ class TestIterate:
             bvp = LinearBVP(p.system, p.boundary)
             _, family = bvp.solve(p.forcing)
             root = solve_generating(p, family, [0.5, 0.5])
-            z, trace = iterate(p, bvp, family, root.c0, assemble_B0(p, family, root.c0))
+            z, trace = iterate(p, bvp, family, root.c0,
+                               check_sufficient(assemble_B0(p, family, root.c0)).B0_pinv)
             assert trace.converged
             sizes.append(np.abs(z - family.member(root.c0)).max())
         slope = np.polyfit(np.log(eps_grid), np.log(sizes), 1)[0]
@@ -377,8 +399,8 @@ class TestIterate:
         p = resonant_identity_problem(Z, zero_Zdu, eps=1.0, N=1)
         bvp = LinearBVP(p.system, p.boundary)
         _, family = bvp.solve(p.forcing)
-        z, trace = iterate(p, bvp, family, np.zeros(1), assemble_B0(p, family, np.zeros(1)),
-                           max_iter=200)
+        B0_pinv = check_sufficient(assemble_B0(p, family, np.zeros(1))).B0_pinv
+        z, trace = iterate(p, bvp, family, np.zeros(1), B0_pinv, max_iter=200)
         assert not trace.converged
         assert trace.iterations <= 5
         assert not np.isfinite(z).all()

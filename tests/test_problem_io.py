@@ -187,8 +187,7 @@ class TestDefaultsAndCanonical:
             "newton_max_iter": default(solve_generating, "max_iter"),
             "blowup": default(iterate, "blowup"),
         }
-        assert (default(classify, "tol"), default(classify, "rank_tol")) == \
-            (DEFAULT_TOLERANCES["classification"], DEFAULT_TOLERANCES["rank"])
+        assert default(classify, "tol") == DEFAULT_TOLERANCES["classification"]
 
     def test_overrides_merge(self):
         p = parse_problem(minimal_doc(tolerances={"rank": 1e-8},
@@ -248,6 +247,17 @@ class TestDefaultsAndCanonical:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert cli.main(["solve-linear", str(path), "-o", str(tmp_path / "out")]) == 64
+
+    @pytest.mark.parametrize("command", ["solve-linear", "solve-nonlinear"])
+    def test_empty_generic_boundary_is_format_error(self, tmp_path, command):
+        # q = 0 conditions would reach the rank decision with an empty Q
+        doc = minimal_doc(boundary={"type": "generic", "samples": [], "target": []},
+                          nonlinearity={"type": "polynomial", "coeffs": [0.0, 0.0, 1.0]})
+        with pytest.raises(ProblemFormatError, match="boundary"):
+            parse_problem(doc)
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main([command, str(path), "-o", str(tmp_path / "out")]) == 64
 
     def test_missing_required_field(self):
         with pytest.raises(ProblemFormatError, match="dim"):
