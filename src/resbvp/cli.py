@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 quasisolution without --allow-quasi, 3 no
 generating root, 4 sufficient-condition failure, 5 iteration
-non-convergence, 64 usage or parse error.
+non-convergence (stderr names the stop: no contraction, blowup, non-finite
+iterate or max_iter), 64 usage or parse error.
 
 Every tolerance and iteration cap comes from the problem file's
 ``tolerances`` and ``solver`` objects (defaults in problem_io); the
@@ -22,6 +23,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -74,9 +76,22 @@ def _read_trajectory(path: Path) -> np.ndarray:
         raise ProblemFormatError(f"{path}: {exc}") from exc
 
 
+def _nulled(obj):
+    """obj with every non-finite float replaced by None (JSON null)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _nulled(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_nulled(v) for v in obj]
+    return obj
+
+
 def _write_report(path: Path, report: dict) -> None:
+    """Strict JSON: a non-finite float, which has no JSON token, is written
+    as null, and one that _nulled misses raises ValueError."""
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(_nulled(report), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -268,7 +283,24 @@ def cmd_solve_nonlinear(args) -> int:
     elif code == EXIT_SUFFICIENCY:
         print("sufficient condition fails; rerun with --force to iterate anyway",
               file=sys.stderr)
+    elif code == EXIT_NO_CONVERGENCE:
+        print(f"iteration stopped: {_stop_reason(problem, trace)}", file=sys.stderr)
     return code
+
+
+def _stop_reason(problem: Problem, trace: nl.IterationTrace) -> str:
+    """Why an unconverged iteration stopped, with the numbers it compared."""
+    k, deltas = trace.iterations, trace.increments
+    if trace.reason == "no_contraction":
+        w = nl.NO_CONTRACTION_WINDOW
+        return (f"no contraction over {w} rounds (increment {deltas[k]:.1e} at round {k}, "
+                f"{deltas[k - w]:.1e} at round {k - w})")
+    if trace.reason == "blowup":
+        return f"max |u| exceeds blowup {problem.solver['blowup']:g} at round {k}"
+    if trace.reason == "non_finite":
+        return f"non-finite iterate at round {k}"
+    return (f"max_iter {problem.solver['max_iter']} rounds reached "
+            f"(increment {deltas[k]:.1e} at round {k})")
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +419,8 @@ def _report_fault(doc, name: str) -> str | None:
     if entry.get("kind") not in _KINDS:
         return f"entry for '{name}' has no kind of {', '.join(_KINDS)}"
     for key in _RESIDUALS:
-        if type(entry.get(key)) not in (int, float):  # a bool is no residual
+        # a bool is no residual; null is a non-finite one
+        if key not in entry or type(entry[key]) not in (int, float, type(None)):
             return f"entry for '{name}' has no numeric {key}"
     return None
 
@@ -417,9 +450,10 @@ def cmd_verify(args) -> int:
 
     agree = []
     for key in _RESIDUALS:
-        diff = abs(recomputed[key] - entry[key])
+        reported = math.nan if entry[key] is None else entry[key]
+        diff = abs(recomputed[key] - reported)
         agree.append(diff <= 1e-12)  # False for a NaN too
-        print(f"{key}: reported={entry[key]:.6e} recomputed={recomputed[key]:.6e} "
+        print(f"{key}: reported={reported:.6e} recomputed={recomputed[key]:.6e} "
               f"|diff|={diff:.3e} {'ok' if agree[-1] else 'MISMATCH'}")
     return EXIT_OK if all(agree) else 1
 
@@ -488,7 +522,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        # overflow is expected on hostile inputs and turns into exit 3 or 5
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ProblemFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

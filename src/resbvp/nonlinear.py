@@ -38,6 +38,7 @@ __all__ = [
     "GeneratingRoot",
     "SufficiencyCheck",
     "IterationTrace",
+    "NO_CONTRACTION_WINDOW",
     "generating_F",
     "solve_generating",
     "assemble_B0",
@@ -102,13 +103,27 @@ class SufficiencyCheck:
     B0_pinv: np.ndarray
 
 
+# A run whose increment has not shrunk over this many rounds is not contracting.
+NO_CONTRACTION_WINDOW = 20
+
+
 @dataclass(frozen=True)
 class IterationTrace:
-    """Per-iteration diagnostics of the fixed-point process."""
+    """Per-iteration diagnostics of the fixed-point process.
+
+    ``increments[k]`` is round k's sup-norm increment max |u_{k+1} - u_k|;
+    ``iterations`` is the index k of the last round. ``reason`` says why the
+    iteration stopped: "converged", "no_contraction" (the increment did not
+    shrink over NO_CONTRACTION_WINDOW rounds), "blowup" (max |u| > blowup),
+    "non_finite" (u overflowed or went NaN) or "max_iter" (the cap was
+    reached).
+    """
 
     records: tuple          # rows: (k, c_norm, ubar_norm, rec_res, bc_res, proj_res)
     converged: bool
     iterations: int
+    reason: str
+    increments: tuple
 
     FIELDS = ("k", "c_norm", "ubar_norm", "recurrence_residual",
               "boundary_residual", "projected_residual")
@@ -334,9 +349,13 @@ def iterate(problem: NonlinearProblem, bvp: LinearBVP, family: SolutionFamily, c
     linearized forcing therefore telescopes to Z(z0+u, n, eps) exactly, so
     a fixed point solves the perturbed recurrence identically.
 
-    Stops on a sup-norm Cauchy increment <= tol confirmed by small
-    recurrence and boundary residuals of z0 + u; gives up, unconverged,
-    once u is non-finite or exceeds ``blowup``.
+    Stops on a sup-norm Cauchy increment delta_k = max |u_{k+1} - u_k|
+    <= tol confirmed by small recurrence and boundary residuals of z0 + u.
+    Gives up, unconverged, once u is non-finite or exceeds ``blowup``, or
+    once k > w and delta_k >= delta_{k-w} with w = NO_CONTRACTION_WINDOW
+    (20): a contraction shrinks every increment, so a run whose increment
+    has not shrunk over w rounds is not contracting. trace.reason names the
+    stop.
 
     ``bvp`` is the LinearBVP of (problem.system, problem.boundary) that
     ``family`` came from; its Green operator gives ubar. ``B0_pinv`` is
@@ -363,7 +382,8 @@ def iterate(problem: NonlinearProblem, bvp: LinearBVP, family: SolutionFamily, c
     c = np.zeros(r)
     ubar = np.zeros((m + 1, N))
     records = []
-    converged = False
+    deltas = []
+    reason = "max_iter"
     iterations = 0
 
     for k in range(max_iter + 1):
@@ -386,17 +406,25 @@ def iterate(problem: NonlinearProblem, bvp: LinearBVP, family: SolutionFamily, c
                         rec_res, bc_res, proj_res))
 
         delta = float(np.abs(u_next - u).max())
+        deltas.append(delta)
         u, c, ubar = u_next, c_next, ubar_next
         iterations = k
-        if not np.isfinite(u).all() or np.abs(u).max() > blowup:
-            break  # NaN never compares greater than blowup, hence the finiteness test
+        if not np.isfinite(u).all():
+            reason = "non_finite"
+            break
+        if np.abs(u).max() > blowup:
+            reason = "blowup"
+            break
         scale = 1.0 + float(np.abs(z).max())
         if delta <= tol * scale and rec_res <= residual_tol * scale \
                 and bc_res <= residual_tol * scale:
-            converged = True
+            reason = "converged"
+            break
+        if k > NO_CONTRACTION_WINDOW and delta >= deltas[k - NO_CONTRACTION_WINDOW]:
+            reason = "no_contraction"
             break
 
     z = z0 + u
-    trace = IterationTrace(records=tuple(records), converged=converged,
-                           iterations=iterations)
+    trace = IterationTrace(records=tuple(records), converged=reason == "converged",
+                           iterations=iterations, reason=reason, increments=tuple(deltas))
     return z, trace

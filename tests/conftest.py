@@ -32,6 +32,36 @@ def rotation_benchmark(epsilon=0.0, m=6, pairs=1):
     return problem
 
 
+def block_rotation_doc(m, N, eps, base_seed, seed=0):
+    """Problem-file dict of the benchmark's block rotation: N/2 copies of the
+    2x2 rotation by 2 pi / m, periodic boundary, uniform Lotka-Volterra
+    nonlinearity, c_init 0.5. The forcing is 0.3 times a standard normal
+    draw from ``base_seed`` plus a relative 1e-3 draw from (seed,
+    base_seed), corrected in its last step so that g(m) = 0 (Q = 0, r = d
+    = N). The same arithmetic as bench/workloads.py, so the same inputs bit
+    for bit."""
+    p = N // 2
+    c, s = np.cos(2 * np.pi / m), np.sin(2 * np.pi / m)
+    f = 0.3 * np.random.default_rng(base_seed).standard_normal((m, N))
+    f += 1e-3 * 0.3 * np.random.default_rng([seed, base_seed]).standard_normal((m, N))
+    A = np.zeros((N, N))
+    idx = np.arange(p)
+    A[idx, idx] = A[p + idx, p + idx] = c
+    A[idx, p + idx] = -s
+    A[p + idx, idx] = s
+    g = np.zeros(N)
+    for n in range(m):
+        g = A @ g + f[n]
+    f[m - 1] -= g
+    return {"dim": N, "horizon": m,
+            "system": {"type": "block", "a": [c] * p, "b": [-s] * p, "c": [s] * p,
+                       "d": [c] * p},
+            "forcing": f.tolist(), "boundary": {"type": "periodic"},
+            "nonlinearity": {"type": "lotka_volterra", "g1": 1.0, "g2": 1.0,
+                             "a": 1.0, "b": 1.0},
+            "epsilon": eps, "solver": {"c_init": [0.5] * N}}
+
+
 @pytest.fixture
 def benchmark_problem():
     return rotation_benchmark()

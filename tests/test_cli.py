@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from resbvp import cli, linalg, linear
 from resbvp import nonlinear as nl
 from resbvp.linear import LinearBVP
 
-from conftest import PROBLEMS_DIR
+from conftest import PROBLEMS_DIR, block_rotation_doc
 
 
 def run(argv):
@@ -192,6 +193,7 @@ class TestSolveNonlinear:
         assert run(["solve-nonlinear", path, "-o", tmp_path / "out"]) == 5
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert not report["iteration"]["converged"]
+        assert report["iteration"]["iterations"] < 200  # stopped before max_iter
 
 
 def _no_kernel_problem(tmp_path, coeffs) -> Path:
@@ -206,6 +208,91 @@ def _no_kernel_problem(tmp_path, coeffs) -> Path:
     path = tmp_path / "no_kernel.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def solve_block_rotation(tmp_path, case, **solver):
+    """(exit code, report) of solve-nonlinear on the block rotation
+    (m, N, eps, base forcing) with extra solver settings."""
+    doc = block_rotation_doc(*case)
+    doc["solver"].update(solver)
+    path = tmp_path / "rotation.json"
+    path.write_text(json.dumps(doc))
+    code = run(["solve-nonlinear", path, "-o", tmp_path / "out"])
+    return code, json.loads((tmp_path / "out" / "report.json").read_text())
+
+
+class TestNoContraction:
+    @pytest.mark.parametrize("base", [0, 3])
+    def test_stalled_inputs_stop_early(self, tmp_path, capsys, base):
+        # the two inputs that stall (f0, 200 rounds) or blow up (f3, 52 rounds)
+        # at m = 600, eps = 1e-3 without the rule
+        code, report = solve_block_rotation(tmp_path, (600, 2, 1e-3, base))
+        assert code == 5
+        assert report["iteration"]["iterations"] < 25
+        err = capsys.readouterr().err
+        assert "iteration stopped: no contraction over 20 rounds" in err
+
+    @pytest.mark.parametrize("case,rounds", [
+        ((120, 8, 1e-3, 4), 193),
+        ((60, 8, 1e-2, 0), 161),
+        ((300, 8, 1e-4, 0), 159),
+    ])
+    def test_slow_converging_runs_are_not_stopped(self, tmp_path, case, rounds):
+        code, report = solve_block_rotation(tmp_path, case)
+        assert code == 0
+        assert report["iteration"]["converged"]
+        assert report["iteration"]["iterations"] == rounds
+
+    @pytest.mark.parametrize("cap", [1, 20])
+    def test_rule_never_fires_within_the_window(self, tmp_path, capsys, cap):
+        code, report = solve_block_rotation(tmp_path, (600, 2, 1e-3, 0), max_iter=cap)
+        assert code == 5
+        assert report["iteration"]["iterations"] == cap
+        assert f"max_iter {cap} rounds reached" in capsys.readouterr().err
+
+    def test_blowup_is_named(self, tmp_path, capsys):
+        code, report = solve_block_rotation(tmp_path, (600, 2, 1e-3, 3), blowup=1.0)
+        assert code == 5
+        assert "exceeds blowup 1" in capsys.readouterr().err
+
+
+def strict_json(text: str):
+    """json.loads refusing the non-standard tokens NaN, Infinity, -Infinity."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestOverflowingInputs:
+    """Overflow ends in an exit code and strict JSON, not in numpy warnings
+    or the Infinity / NaN tokens."""
+
+    def run_quietly(self, argv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(argv)
+        assert "Warning" not in capsys.readouterr().err
+        return code
+
+    def test_solve_nonlinear(self, tmp_path, capsys):
+        path = overflowing_scalar_problem(tmp_path)
+        assert self.run_quietly(["solve-nonlinear", path, "-o", tmp_path / "out"],
+                                capsys) == 3
+        doc = strict_json((tmp_path / "out" / "report.json").read_text())
+        assert doc["generating"]["residual_norm"] is None
+
+    def test_sweep(self, tmp_path, capsys):
+        assert self.run_quietly(["sweep", problem("sweep_scalar.json"), "--eps-min", "1e308",
+                                 "--eps-max", "1e308", "--count", "1", "-o", tmp_path],
+                                capsys) == 0
+        [point] = strict_json((tmp_path / "report.json").read_text())["points"]
+        assert point["F_norm"] is None
+
+    def test_non_finite_floats_become_null(self, tmp_path):
+        cli._write_report(tmp_path / "r.json",
+                          {"a": [float("inf"), (float("nan"), 1.0)], "b": -float("inf")})
+        assert strict_json((tmp_path / "r.json").read_text()) == {
+            "a": [None, [None, 1.0]], "b": None}
 
 
 class TestNoKernelDirections:
@@ -440,6 +527,16 @@ class TestVerify:
         report = tmp_path / "report.json"
         doc = json.loads(report.read_text())
         doc["trajectories"]["solution.csv"]["boundary_residual"] = float("nan")
+        report.write_text(json.dumps(doc))
+        assert run(["verify", report, tmp_path / "solution.csv"]) == 1
+        assert "MISMATCH" in capsys.readouterr().out
+
+    def test_null_residual_is_a_mismatch(self, tmp_path, capsys):
+        # a non-finite residual is written as null
+        run(["solve-nonlinear", problem("rotation_lv.json"), "-o", tmp_path])
+        report = tmp_path / "report.json"
+        doc = json.loads(report.read_text())
+        doc["trajectories"]["solution.csv"]["recurrence_residual"] = None
         report.write_text(json.dumps(doc))
         assert run(["verify", report, tmp_path / "solution.csv"]) == 1
         assert "MISMATCH" in capsys.readouterr().out

@@ -11,6 +11,7 @@ from resbvp.linear import (
     particular_forced,
 )
 from resbvp.nonlinear import (
+    NO_CONTRACTION_WINDOW,
     GeneratingFamilyError,
     NonlinearProblem,
     assemble_B0,
@@ -24,9 +25,9 @@ from resbvp.nonlinear import (
     _fd_jacobian,
 )
 
-from resbvp.problem_io import load_problem
+from resbvp.problem_io import load_problem, parse_problem
 
-from conftest import PROBLEMS_DIR, rotation_benchmark
+from conftest import PROBLEMS_DIR, block_rotation_doc, rotation_benchmark
 
 
 def zero_Z(z, n, eps):
@@ -356,6 +357,7 @@ class TestIterate:
         z, trace = iterate(p, bvp, family, root.c0,
                            check_sufficient(assemble_B0(p, family, root.c0)).B0_pinv)
         assert trace.converged and trace.iterations <= 200
+        assert trace.reason == "converged" and len(trace.increments) == trace.iterations + 1
         assert nonlinear_recurrence_residual(p, z) <= 1e-8
         assert boundary_residual(p.boundary, z) <= 1e-8
         # necessity: the accepted root satisfies the generating equation
@@ -401,9 +403,26 @@ class TestIterate:
         _, family = bvp.solve(p.forcing)
         B0_pinv = check_sufficient(assemble_B0(p, family, np.zeros(1))).B0_pinv
         z, trace = iterate(p, bvp, family, np.zeros(1), B0_pinv, max_iter=200)
-        assert not trace.converged
+        assert not trace.converged and trace.reason == "non_finite"
         assert trace.iterations <= 5
         assert not np.isfinite(z).all()
+
+    def test_stops_once_the_increment_stops_shrinking(self):
+        # the benchmark's m = 600, eps = 1e-3 block rotation (f0): without the
+        # rule it runs all 200 rounds unconverged
+        doc = parse_problem(block_rotation_doc(600, 2, 1e-3, 0))
+        p = NonlinearProblem(doc.system, doc.forcing, doc.boundary, *doc.nonlinearity,
+                             doc.epsilon)
+        bvp = LinearBVP(p.system, p.boundary)
+        _, family = bvp.solve(p.forcing)
+        root = solve_generating(p, family, [0.5, 0.5])
+        B0_pinv = check_sufficient(assemble_B0(p, family, root.c0)).B0_pinv
+        _, trace = iterate(p, bvp, family, root.c0, B0_pinv)
+        w, k, delta = NO_CONTRACTION_WINDOW, trace.iterations, trace.increments
+        assert not trace.converged and trace.reason == "no_contraction"
+        assert len(delta) == len(trace.records) == k + 1
+        assert k > w and delta[k] >= delta[k - w]
+        assert all(delta[j] < delta[j - w] for j in range(w + 1, k))  # the first such round
 
 
 class TestRemainder:
