@@ -47,11 +47,11 @@ def main():
 
     system = OperatorSequence.constant(np.array([[1.0, 1.0], [1.0, 0.0]]), m)
     f = np.array([[float(a), float(b)] for a, b in f_exact])
-    report, family = LinearBVP(system, periodic(2, m)).solve(f)
+    family = LinearBVP(system, periodic(2, m)).solve(f)
     got = family.member(np.zeros(0))
     want = np.array([[float(a), float(b)] for a, b in oracle])
     print(f"\nperiodic particular solution, m = {m} "
-          f"({report.classification}):")
+          f"({family.report.classification}):")
     print(f"  z(0) exact = ({oracle[0][0]}, {oracle[0][1]})")
     print(f"  z(0) float = ({got[0][0]:.12g}, {got[0][1]:.12g})")
     print(f"  max abs deviation over the window: {np.abs(got - want).max():.2e}")

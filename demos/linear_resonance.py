@@ -23,7 +23,8 @@ from resbvp import (
 
 def show(title, system, f, l):
     print(f"\n=== {title} ===")
-    report, family = LinearBVP(system, l).solve(f)
+    family = LinearBVP(system, l).solve(f)
+    report = family.report
     print(f"classification : {report.classification}")
     print(f"kernel dim r   : {report.kernel_dim}")
     print(f"cokernel dim d : {report.cokernel_dim}")
@@ -34,7 +35,6 @@ def show(title, system, f, l):
     print(f"sample member  : z(0) = {z[0]},  z(m) = {z[-1]}")
     print(f"recurrence residual = {recurrence_residual(system, f, z):.2e},  "
           f"boundary residual = {boundary_residual(l, z):.2e}")
-    return report, family
 
 
 def main():

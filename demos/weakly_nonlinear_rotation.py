@@ -46,9 +46,9 @@ def build(eps):
 
 def main():
     problem = build(0.0)
-    bvp = LinearBVP(problem.system, problem.boundary)  # shared by every eps below
-    report, family = bvp.solve(problem.forcing)
-    print(f"linear part: {report.classification}, r = {family.kernel_dim}, "
+    # one LinearBVP and its family, shared by every eps below
+    family = LinearBVP(problem.system, problem.boundary).solve(problem.forcing)
+    print(f"linear part: {family.report.classification}, r = {family.kernel_dim}, "
           f"d = {family.cokernel_dim}")
 
     root = solve_generating(problem, family, [0.5, 0.5])
@@ -62,7 +62,7 @@ def main():
     print("\n eps       iters   |z - z0|_inf   recurrence   boundary")
     for eps in (1e-2, 1e-3, 1e-4, 0.0):
         p = build(eps)
-        z, trace = iterate(p, bvp, family, root.c0, gate.B0_pinv)
+        z, trace = iterate(p, family, root.c0, gate.B0_pinv)
         gap = np.abs(z - family.member(root.c0)).max()
         print(f" {eps:8.0e}  {trace.iterations:5d}   {gap:12.4e}   "
               f"{nonlinear_recurrence_residual(p, z):10.2e}   "

@@ -26,12 +26,14 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import nonlinear as nl
-from .linear import QUASISOLUTION, LinearBVP, boundary_residual, recurrence_residual
+from .linear import (QUASISOLUTION, LinearBVP, SolutionFamily, boundary_residual,
+                     recurrence_residual)
 from .lotka_volterra import (
     fib_delta,
     fib_delta_exponent_offset,
@@ -115,9 +117,11 @@ def _trajectory_entry(problem: Problem, z: np.ndarray, kind: str) -> dict:
     return {"kind": kind, "recurrence_residual": rec, "boundary_residual": bc}
 
 
-def _linear_bvp(problem: Problem) -> LinearBVP:
-    """The one LinearBVP of a problem file, at the file's rank tolerance."""
-    return LinearBVP(problem.system, problem.boundary, rank_tol=problem.tolerances["rank"])
+def _linear_family(problem: Problem) -> SolutionFamily:
+    """The solution family of a problem file's linear part, from its one
+    LinearBVP, at the file's rank and classification tolerances."""
+    bvp = LinearBVP(problem.system, problem.boundary, rank_tol=problem.tolerances["rank"])
+    return bvp.solve(problem.forcing, tol=problem.tolerances["classification"])
 
 
 def _maybe_dump_canonical(args, problem: Problem, out: Path) -> None:
@@ -135,8 +139,8 @@ def cmd_solve_linear(args) -> int:
     out = _out_dir(args)
     _maybe_dump_canonical(args, problem, out)
 
-    report, family = _linear_bvp(problem).solve(
-        problem.forcing, tol=problem.tolerances["classification"])
+    family = _linear_family(problem)
+    report = family.report
 
     trajectories = {}
     _write_trajectory(out / "particular.csv", family.particular)
@@ -149,7 +153,7 @@ def cmd_solve_linear(args) -> int:
     doc = {
         "command": "solve-linear",
         "problem": problem.canonical,
-        "solvability": report.as_dict(),
+        "solvability": asdict(report),
         "trajectories": trajectories,
         "outputs": sorted(trajectories),
     }
@@ -178,27 +182,26 @@ def _nonlinear_problem(problem: Problem, eps: float | None = None) -> nl.Nonline
                                Z, Z_du, problem.epsilon if eps is None else eps)
 
 
-def _linear_stage(problem: Problem, nlp: nl.NonlinearProblem, bvp: LinearBVP):
-    """(report, family) of the linear part, with Z_du audited against Z
-    unless the family is a quasisolution. Neither depends on eps, so a
-    sweep runs this once for its whole grid."""
-    lreport, family = bvp.solve(problem.forcing, tol=problem.tolerances["classification"])
-    if lreport.classification != QUASISOLUTION:
+def _linear_stage(problem: Problem, nlp: nl.NonlinearProblem) -> SolutionFamily:
+    """The family of the linear part, with Z_du audited against Z unless
+    the family is a quasisolution. Neither depends on eps, so a sweep runs
+    this once for its whole grid."""
+    family = _linear_family(problem)
+    if family.report.classification != QUASISOLUTION:
         nl.verify_derivative(nlp)
-    return lreport, family
+    return family
 
 
-def _pipeline(problem: Problem, nlp: nl.NonlinearProblem, bvp: LinearBVP, linear,
+def _pipeline(problem: Problem, nlp: nl.NonlinearProblem, family: SolutionFamily,
               force: bool, c_seed=None, gen_eps: float = 0.0):
     """Shared generating-root -> gate -> iteration pipeline, after the
-    linear stage ``linear`` = _linear_stage(problem, nlp, bvp).
+    linear stage ``family`` = _linear_stage(problem, nlp).
 
     Returns (stage dicts, z, trace, exit code); z/trace are None when an
     early stage fails.
     """
-    lreport, family = linear
-    stages = {"solvability": lreport.as_dict()}
-    if lreport.classification == QUASISOLUTION:
+    stages = {"solvability": asdict(family.report)}
+    if family.report.classification == QUASISOLUTION:
         return stages, None, None, EXIT_QUASI
 
     seed = c_seed if c_seed is not None else problem.solver.get("c_init")
@@ -231,7 +234,7 @@ def _pipeline(problem: Problem, nlp: nl.NonlinearProblem, bvp: LinearBVP, linear
     if not suff.holds and not force:
         return stages, None, None, EXIT_SUFFICIENCY
 
-    z, trace = nl.iterate(nlp, bvp, family, root.c0, suff.B0_pinv,
+    z, trace = nl.iterate(nlp, family, root.c0, suff.B0_pinv,
                           tol=problem.tolerances["iteration"],
                           max_iter=problem.solver["max_iter"], blowup=problem.solver["blowup"],
                           residual_tol=problem.tolerances["residual"])
@@ -251,9 +254,7 @@ def cmd_solve_nonlinear(args) -> int:
     _maybe_dump_canonical(args, problem, out)
 
     nlp = _nonlinear_problem(problem)
-    bvp = _linear_bvp(problem)
-    stages, z, trace, code = _pipeline(problem, nlp, bvp, _linear_stage(problem, nlp, bvp),
-                                       args.force)
+    stages, z, trace, code = _pipeline(problem, nlp, _linear_stage(problem, nlp), args.force)
 
     doc = {"command": "solve-nonlinear", "problem": problem.canonical, **stages}
     trajectories = {}
@@ -317,20 +318,18 @@ def cmd_sweep(args) -> int:
     _maybe_dump_canonical(args, problem, out)
 
     grid = np.linspace(args.eps_min, args.eps_max, args.count)
-    bvp = _linear_bvp(problem)  # the linear part does not depend on eps
-    linear = _linear_stage(problem, _nonlinear_problem(problem), bvp)
+    family = _linear_stage(problem, _nonlinear_problem(problem))
+    # a quasisolution has no generating stage, so no c0 columns
+    r_dim = 0 if family.report.classification == QUASISOLUTION else family.kernel_dim
     rows = []
     seed = None
-    r_dim = None
     for eps in grid:
         nlp = _nonlinear_problem(problem, eps=float(eps))
-        stages, z, trace, code = _pipeline(problem, nlp, bvp, linear, args.force, c_seed=seed,
+        stages, z, trace, code = _pipeline(problem, nlp, family, args.force, c_seed=seed,
                                            gen_eps=float(eps))
         gen = stages.get("generating", {})
         c0 = gen.get("c0", [])
-        if r_dim is None:
-            r_dim = len(c0)
-        if code in (EXIT_OK,) and gen.get("converged"):
+        if code == EXIT_OK:
             seed = c0  # continuation: warm-start the next grid point
         rows.append({
             "eps": float(eps),
@@ -342,11 +341,9 @@ def cmd_sweep(args) -> int:
             "c0": c0,
         })
 
-    r_dim = r_dim or 0
     columns = ["eps", "exit", "root_converged", "F_norm", "iter_converged", "iterations"]
     _write_table(out / "branch.csv", columns + [f"c{j + 1}" for j in range(r_dim)],
-                 ([row[k] for k in columns] + row["c0"] + [np.nan] * (r_dim - len(row["c0"]))
-                  for row in rows))
+                 ([row[k] for k in columns] + row["c0"] for row in rows))
     doc = {
         "command": "sweep",
         "problem": problem.canonical,

@@ -10,6 +10,7 @@ ever taken. The orthoprojectors are I - M^+ M and I - M M^+.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,14 +33,15 @@ class RankDecision:
     u: np.ndarray = field(repr=False)
     vt: np.ndarray = field(repr=False)
 
-    @property
+    @cached_property
     def pinv(self) -> np.ndarray:
         """Moore-Penrose pseudoinverse, inverting only the singular values
-        above the cutoff; shape (cols, rows)."""
+        above the cutoff; shape (cols, rows), all zeros at rank 0. Formed on
+        first use, then kept, read-only like the factors."""
         r = self.rank
-        if r == 0:
-            return np.zeros((self.vt.shape[0], self.u.shape[0]))
-        return self.vt[:r].T @ (self.u[:, :r] / self.singular_values[:r]).T
+        P = self.vt[:r].T @ (self.u[:, :r] / self.singular_values[:r]).T
+        P.flags.writeable = False
+        return P
 
     @property
     def kernel(self) -> np.ndarray:

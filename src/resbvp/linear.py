@@ -242,17 +242,6 @@ class SolvabilityReport:
     tolerance_used: float
     rank_tolerance: float
 
-    def as_dict(self) -> dict:
-        return {
-            "classification": self.classification,
-            "defect_norm": self.defect_norm,
-            "kernel_dim": self.kernel_dim,
-            "cokernel_dim": self.cokernel_dim,
-            "fredholm_index": self.fredholm_index,
-            "tolerance_used": self.tolerance_used,
-            "rank_tolerance": self.rank_tolerance,
-        }
-
 
 def classify(rd: RankDecision, h, tol: float = 1e-9) -> SolvabilityReport:
     """Classify Q z0 = h as unique / family / quasisolution, where rd is
@@ -287,7 +276,9 @@ def classify(rd: RankDecision, h, tol: float = 1e-9) -> SolvabilityReport:
 
 @dataclass(frozen=True)
 class SolutionFamily:
-    """Solution family z0(n, c) = particular(n) + sum_j c_j kernel_basis[j](n).
+    """Solution family z0(n, c) = particular(n) + sum_j c_j kernel_basis[j](n)
+    of one LinearBVP.solve: ``bvp`` is the LinearBVP it came from and
+    ``report`` its classification.
 
     Kernel members are propagated from an orthonormal basis of N(Q), the
     rows of kernel_basis[:, 0], so every member solves the recurrence
@@ -295,14 +286,19 @@ class SolutionFamily:
     unchanged. particular[0] = Q^+ h.
     """
 
+    bvp: LinearBVP
+    report: SolvabilityReport
     particular: np.ndarray            # (m+1, N)
     kernel_basis: np.ndarray          # (r, m+1, N)
-    cokernel_basis: np.ndarray        # (q, d), orthonormal basis of N(Q*)
-    classification: str
 
     @property
     def kernel_dim(self) -> int:
         return self.kernel_basis.shape[0]
+
+    @property
+    def cokernel_basis(self) -> np.ndarray:
+        """Orthonormal basis of N(Q*), shape (q, d), from bvp's rank decision."""
+        return self.bvp.rd.cokernel
 
     @property
     def cokernel_dim(self) -> int:
@@ -326,7 +322,8 @@ class SolutionFamily:
 class LinearBVP:
     """Assembled linear problem: transition stack, Q, and its generalized inverse.
 
-    Immutable after construction; all solve/green calls are pure.
+    Immutable after construction; all solve/green calls are pure. Q^+ is
+    rd.pinv, formed once on first use.
     """
 
     def __init__(self, system: OperatorSequence, l: BoundaryOperator,
@@ -336,52 +333,39 @@ class LinearBVP:
         self.U = transition_stack(system)
         self.Q = assemble_Q(system, l, self.U)
         self.rd = numerical_rank(self.Q, rank_tol)
-        self.Q_pinv = self.rd.pinv
-        self.cokernel_basis = self.rd.cokernel
 
     def propagate(self, z0: np.ndarray) -> np.ndarray:
         """Homogeneous trajectory Phi(n, 0) z0 over the window."""
         return self.U @ np.asarray(z0, dtype=float)
 
-    def h(self, f, alpha=None, g=None) -> np.ndarray:
-        """Right-hand side h = alpha - l g of the induced equation Q z0 = h.
-
-        alpha defaults to the boundary target. ``g``, when given, is the
-        response particular_forced(f) already swept by the caller.
+    def h(self, g, alpha=None) -> np.ndarray:
+        """Right-hand side h = alpha - l g of the induced equation Q z0 = h,
+        for the response g of a forcing f, swept by the caller with either
+        particular_forced sweep. alpha defaults to the boundary target.
         """
         alpha = self.boundary.target if alpha is None else np.asarray(alpha, dtype=float)
-        if g is None:
-            g = particular_forced(self.system, f)
         return alpha - self.boundary.apply(g)
 
-    def green(self, f, alpha=None, g=None) -> np.ndarray:
-        """Particular solution operator: Phi(n, 0) Q^+ (alpha - l g) + g(n).
+    def green(self, g, alpha=None) -> np.ndarray:
+        """Particular solution operator: Phi(n, 0) Q^+ (alpha - l g) + g(n),
+        with g as for ``h``.
 
-        Linear in (f, alpha), so alpha defaults to zero, not to the boundary
+        Linear in (g, alpha), so alpha defaults to zero, not to the boundary
         target; least-squares/minimum-norm when the boundary condition
-        cannot be met exactly. ``g`` is as for ``h``.
+        cannot be met exactly.
         """
         if alpha is None:
             alpha = np.zeros(self.boundary.codim)
-        if g is None:
-            g = particular_forced(self.system, f)
-        return self.propagate(self.Q_pinv @ self.h(f, alpha, g)) + g
+        return self.propagate(self.rd.pinv @ self.h(g, alpha)) + g
 
-    def solve(self, f, alpha=None, tol: float = 1e-9):
-        """Classify and build the full solution family for (f, alpha)."""
+    def solve(self, f, alpha=None, tol: float = 1e-9) -> SolutionFamily:
+        """Classify (f, alpha) and build its full solution family."""
         g = particular_forced(self.system, f)
-        h = self.h(f, alpha, g)
-        report = classify(self.rd, h, tol=tol)
-        particular = self.propagate(self.Q_pinv @ h) + g
+        h = self.h(g, alpha)
+        particular = self.propagate(self.rd.pinv @ h) + g
         # kernels[j] = propagate(K[:, j]) bit for bit; the 2-D U @ K rounds differently
         kernels = (self.U @ self.rd.kernel.T[:, None, :, None])[..., 0]
-        family = SolutionFamily(
-            particular=particular,
-            kernel_basis=kernels,
-            cokernel_basis=self.cokernel_basis,
-            classification=report.classification,
-        )
-        return report, family
+        return SolutionFamily(self, classify(self.rd, h, tol=tol), particular, kernels)
 
 
 def recurrence_defect(system: OperatorSequence, f, trajectory) -> np.ndarray:

@@ -22,7 +22,6 @@ from .boundary import BoundaryOperator
 from .linalg import numerical_rank
 from .linear import (
     QUASISOLUTION,
-    LinearBVP,
     OperatorSequence,
     SolutionFamily,
     boundary_residual,
@@ -67,8 +66,8 @@ class NonlinearProblem:
     states z of shape (..., N) and integer times n broadcasting to
     z.shape[:-1], returning (..., N) and (..., N, N); ``pointwise`` lifts
     callables written for one state at a time. The assembled linear
-    operator is not part of the problem: build one LinearBVP per solve and
-    pass it to ``iterate``.
+    operator is not part of the problem: build one LinearBVP per solve;
+    its solution family carries it to ``iterate``.
     """
 
     system: OperatorSequence
@@ -182,7 +181,7 @@ def verify_derivative(problem: NonlinearProblem) -> None:
 
 
 def _require_generating(family: SolutionFamily) -> None:
-    if family.classification == QUASISOLUTION:
+    if family.report.classification == QUASISOLUTION:
         raise GeneratingFamilyError(
             "linear part is only solvable in the least-squares sense; "
             "no generating family exists"
@@ -332,7 +331,7 @@ def nonlinear_recurrence_residual(problem: NonlinearProblem, z, Zz=None) -> floa
     return float(np.linalg.norm(res, axis=1).max())
 
 
-def iterate(problem: NonlinearProblem, bvp: LinearBVP, family: SolutionFamily, c0, B0_pinv,
+def iterate(problem: NonlinearProblem, family: SolutionFamily, c0, B0_pinv,
             tol: float = 1e-10, max_iter: int = 200,
             blowup: float = 1e6, residual_tol: float = 1e-8):
     """Three-sequence fixed-point iteration continuing z0(., c0) to
@@ -357,8 +356,8 @@ def iterate(problem: NonlinearProblem, bvp: LinearBVP, family: SolutionFamily, c
     has not shrunk over w rounds is not contracting. trace.reason names the
     stop.
 
-    ``bvp`` is the LinearBVP of (problem.system, problem.boundary) that
-    ``family`` came from; its Green operator gives ubar. ``B0_pinv`` is
+    The Green operator of family.bvp, the LinearBVP of (problem.system,
+    problem.boundary) that ``family`` came from, gives ubar. ``B0_pinv`` is
     the pseudoinverse of the linearization assemble_B0 gives at c0, from
     the gate's rank decision: check_sufficient(B0).B0_pinv. The gate is
     not made here; the caller decides whether to iterate when it fails.
@@ -375,8 +374,7 @@ def iterate(problem: NonlinearProblem, bvp: LinearBVP, family: SolutionFamily, c
     Zdu = _along(problem, problem.Z_du, z0, 0.0)
     Zz = _along(problem, problem.Z, z0, eps)  # Z(z0 + u, ., eps), reused across rounds
     D = family.cokernel_basis
-    l = bvp.boundary
-    zero_alpha = np.zeros(l.codim)
+    l = problem.boundary
 
     u = np.zeros((m + 1, N))
     c = np.zeros(r)
@@ -395,7 +393,7 @@ def iterate(problem: NonlinearProblem, bvp: LinearBVP, family: SolutionFamily, c
 
         u_next = np.tensordot(c, family.kernel_basis, axes=1) + ubar
         c_next = B0_pinv @ (D.T @ l.apply(g_lin))
-        ubar_next = eps * bvp.green(phi, zero_alpha, g=g_phi)
+        ubar_next = eps * family.bvp.green(g_phi)
 
         z = z0 + u_next
         Zz = _along(problem, problem.Z, z, eps)

@@ -3,9 +3,10 @@ problem (system generator, forcing, boundary condition, optional
 nonlinearity, tolerances, solver options).
 
 Parsing is strict: unknown generator/boundary/nonlinearity types, unknown
-tolerance or solver keys, shape mismatches and non-numeric or non-finite
-values raise ProblemFormatError with the offending field named. The
-canonical dict round-trips: parse(dump(p)) equals p field for field.
+keys at any level, shape mismatches, non-numeric or non-finite values and
+negative tolerances or caps raise ProblemFormatError with the offending
+field named. The canonical dict round-trips: parse(dump(p)) equals p field
+for field.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ class Problem:
     forcing: np.ndarray
     boundary: bd.BoundaryOperator
     nonlinearity: tuple | None        # (Z, Z_du) callables
-    nonlinearity_kind: str
     epsilon: float
     tolerances: dict
     solver: dict
@@ -92,6 +92,13 @@ def _scalar(value, where: str, kind=float):
     return kind(arr)
 
 
+def _known(doc: dict, where: str, *fields: str) -> None:
+    """Reject the first key of ``doc`` that is not one of ``fields``."""
+    for key in doc:
+        if key not in fields:
+            raise ProblemFormatError(f"{where}: unknown field '{key}'")
+
+
 def _object(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise ProblemFormatError(f"{where}: expected an object")
@@ -107,23 +114,29 @@ def _array(value, where: str) -> list:
 def _parse_system(doc: dict, dim: int, m: int) -> OperatorSequence:
     kind = _need(doc, "type", "system")
     if kind == "identity":
+        _known(doc, "system", "type")
         return OperatorSequence.identity(dim, m)
     if kind == "fibonacci":
+        _known(doc, "system", "type")
         if dim != 2:
             raise ProblemFormatError("system: fibonacci generator requires dim = 2")
         return OperatorSequence.constant(np.array([[1.0, 1.0], [1.0, 0.0]]), m)
     if kind == "rotation":
+        _known(doc, "system", "type", "theta")
         if dim != 2:
             raise ProblemFormatError("system: rotation generator requires dim = 2")
         theta = _scalar(_need(doc, "theta", "system"), "system.theta")
         return OperatorSequence.constant(rotation_matrix(theta), m)
     if kind == "constant":
+        _known(doc, "system", "type", "matrix")
         A = _as_float_array(_need(doc, "matrix", "system"), (dim, dim), "system.matrix")
         return OperatorSequence.constant(A, m)
     if kind == "explicit":
+        _known(doc, "system", "type", "matrices")
         A = _as_float_array(_need(doc, "matrices", "system"), (m, dim, dim), "system.matrices")
         return OperatorSequence(A)
     if kind == "block":
+        _known(doc, "system", "type", "a", "b", "c", "d")
         if dim % 2:
             raise ProblemFormatError("system: block generator requires even dim")
         p = dim // 2
@@ -149,18 +162,22 @@ def _parse_system(doc: dict, dim: int, m: int) -> OperatorSequence:
 def _parse_boundary(doc: dict, dim: int, m: int) -> bd.BoundaryOperator:
     kind = _need(doc, "type", "boundary")
     if kind == "periodic":
+        _known(doc, "boundary", "type")
         return bd.periodic(dim, m)
     if kind == "initial_mass":
+        _known(doc, "boundary", "type")
         if dim % 2:
             raise ProblemFormatError("boundary: initial_mass requires even dim")
         return bd.initial_mass(dim // 2)
     if kind == "multipoint":
+        _known(doc, "boundary", "type", "groups", "targets")
         groups_doc = _array(_need(doc, "groups", "boundary"), "boundary.groups")
         targets = _as_float_array(_need(doc, "targets", "boundary"), None, "boundary.targets")
         groups = []
         for i, g in enumerate(groups_doc):
             where = f"boundary.groups[{i}]"
             g = _object(g, where)
+            _known(g, where, "components", "points")
             comps = [_scalar(x, where, int)
                      for x in _array(_need(g, "components", where), f"{where}.components")]
             points = [_scalar(x, where, int)
@@ -174,6 +191,7 @@ def _parse_boundary(doc: dict, dim: int, m: int) -> bd.BoundaryOperator:
         except ValueError as exc:
             raise ProblemFormatError(f"boundary: {exc}") from exc
     if kind == "generic":
+        _known(doc, "boundary", "type", "samples", "target")
         samples_doc = _array(_need(doc, "samples", "boundary"), "boundary.samples")
         target = _as_float_array(_need(doc, "target", "boundary"), None,
                                  "boundary.target").reshape(-1)
@@ -181,6 +199,7 @@ def _parse_boundary(doc: dict, dim: int, m: int) -> bd.BoundaryOperator:
         samples = []
         for i, s in enumerate(samples_doc):
             s = _object(s, f"boundary.samples[{i}]")
+            _known(s, f"boundary.samples[{i}]", "point", "weights")
             n = _scalar(_need(s, "point", f"boundary.samples[{i}]"),
                         f"boundary.samples[{i}].point", int)
             if not 0 <= n <= m:
@@ -199,8 +218,10 @@ def _parse_boundary(doc: dict, dim: int, m: int) -> bd.BoundaryOperator:
 def _parse_nonlinearity(doc: dict, dim: int, m: int):
     kind = doc.get("type", "none")
     if kind == "none":
-        return None, "none"
+        _known(doc, "nonlinearity", "type")
+        return None
     if kind == "lotka_volterra":
+        _known(doc, "nonlinearity", "type", "g1", "g2", "a", "b")
         if dim % 2:
             raise ProblemFormatError("nonlinearity: lotka_volterra requires even dim")
         p = dim // 2
@@ -216,8 +237,9 @@ def _parse_nonlinearity(doc: dict, dim: int, m: int):
             spec = LotkaVolterraSpec(pairs=p, g1=g1, g2=g2, a=a, b=b)
         except ValueError as exc:
             raise ProblemFormatError(f"nonlinearity: {exc}") from exc
-        return lv_callables(spec), kind
+        return lv_callables(spec)
     if kind == "polynomial":
+        _known(doc, "nonlinearity", "type", "coeffs", "eps_gradient")
         coeffs = _as_float_array(_need(doc, "coeffs", "nonlinearity"), None,
                                  "nonlinearity.coeffs").reshape(-1).tolist()
         eps_grad = doc.get("eps_gradient")
@@ -241,24 +263,24 @@ def _parse_nonlinearity(doc: dict, dim: int, m: int):
             J[..., i, i] = diag
             return J
 
-        return (Z, Z_du), kind
+        return Z, Z_du
     raise ProblemFormatError(f"nonlinearity: unknown type '{kind}'")
 
 
 def _merge(defaults: dict, doc, where: str) -> dict:
     """Defaults overridden by ``doc``, each value checked against the type
-    of its default, integer caps also for being >= 0; c_init (default
-    None) is None or a numeric array."""
-    merged = {**defaults, **_object(doc, where)}
+    of its default and for being >= 0; c_init (default None) is None or a
+    numeric array."""
+    doc = _object(doc, where)
+    _known(doc, where, *defaults)
+    merged = {**defaults, **doc}
     for key, value in merged.items():
-        if key not in defaults:
-            raise ProblemFormatError(f"{where}: unknown field '{key}'")
         if key == "c_init":
             if value is not None:
                 merged[key] = _as_float_array(value, None, f"{where}.{key}").tolist()
         else:
             merged[key] = _scalar(value, f"{where}.{key}", type(defaults[key]))
-            if type(defaults[key]) is int and merged[key] < 0:
+            if merged[key] < 0:
                 raise ProblemFormatError(f"{where}.{key}: must be >= 0, got {value!r}")
     return merged
 
@@ -266,6 +288,8 @@ def _merge(defaults: dict, doc, where: str) -> dict:
 def _canonicalize(doc: dict, source: str) -> dict:
     """Normalized copy of the document with defaults filled in and every
     scalar checked; the one place where defaults are merged."""
+    _known(doc, source, "dim", "horizon", "system", "forcing", "boundary", "nonlinearity",
+           "epsilon", "tolerances", "solver")
     return {
         "dim": _scalar(_need(doc, "dim", source), "dim", int),
         "horizon": _scalar(_need(doc, "horizon", source), "horizon", int),
@@ -299,15 +323,13 @@ def parse_problem(doc: dict, source: str = "<dict>") -> Problem:
                 f"forcing: expected shape ({m}, {dim}) or ({m + 1}, {dim}), got {arr.shape}")
         forcing = arr[:m]
     boundary = _parse_boundary(canonical["boundary"], dim, m)
-    nonlinearity, kind = _parse_nonlinearity(canonical["nonlinearity"], dim, m)
     return Problem(
         dim=dim,
         horizon=m,
         system=system,
         forcing=forcing,
         boundary=boundary,
-        nonlinearity=nonlinearity,
-        nonlinearity_kind=kind,
+        nonlinearity=_parse_nonlinearity(canonical["nonlinearity"], dim, m),
         epsilon=canonical["epsilon"],
         tolerances=canonical["tolerances"],
         solver=canonical["solver"],

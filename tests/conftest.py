@@ -68,13 +68,10 @@ def benchmark_problem():
 
 
 @pytest.fixture
-def benchmark_bvp(benchmark_problem):
-    return LinearBVP(benchmark_problem.system, benchmark_problem.boundary)
-
-
-@pytest.fixture
-def benchmark_family(benchmark_problem, benchmark_bvp):
-    report, family = benchmark_bvp.solve(benchmark_problem.forcing)
+def benchmark_family(benchmark_problem):
+    family = LinearBVP(benchmark_problem.system,
+                       benchmark_problem.boundary).solve(benchmark_problem.forcing)
+    report = family.report
     assert report.kernel_dim == 2 and report.cokernel_dim == 2
     return family
 

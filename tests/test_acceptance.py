@@ -125,7 +125,8 @@ def test_criterion_2_linear_bvp_oracle_equivalence():
         system = OperatorSequence(A)
         f = rng.standard_normal((m, N))
         l = _random_boundary(rng, trial % 3, N, m)
-        report, family = LinearBVP(system, l).solve(f)
+        family = LinearBVP(system, l).solve(f)
+        report = family.report
         counts[report.classification] += 1
 
         members = [family.particular]
@@ -157,7 +158,8 @@ def test_criterion_3_resonance_detection():
     for N in (1, 2, 3, 5):
         m = 4
         system = OperatorSequence.identity(N, m)
-        report, family = LinearBVP(system, periodic(N, m)).solve(np.zeros((m, N)))
+        family = LinearBVP(system, periodic(N, m)).solve(np.zeros((m, N)))
+        report = family.report
         assert report.kernel_dim == N
         assert report.cokernel_dim == N
         assert report.fredholm_index == 0
@@ -197,7 +199,8 @@ def test_criterion_4_fibonacci_oracle():
             f_exact + [(Fraction(0), Fraction(0))], m)
         system = OperatorSequence.constant(np.array([[1.0, 1.0], [1.0, 0.0]]), m)
         f = np.array([[float(a), float(b)] for a, b in f_exact])
-        report, family = LinearBVP(system, periodic(2, m)).solve(f)
+        family = LinearBVP(system, periodic(2, m)).solve(f)
+        report = family.report
         assert report.classification == CLASSICAL
         want = np.array([[float(a), float(b)] for a, b in oracle])
         got = family.member(np.zeros(0))
@@ -210,7 +213,7 @@ def test_criterion_4_fibonacci_oracle():
 
 def test_criterion_5_generating_equation():
     problem = rotation_benchmark()
-    _, family = LinearBVP(problem.system, problem.boundary).solve(problem.forcing)
+    family = LinearBVP(problem.system, problem.boundary).solve(problem.forcing)
     assert family.kernel_dim == 2 and family.cokernel_dim == 2
 
     rng = np.random.default_rng(505)
@@ -243,10 +246,9 @@ def test_criterion_6_iteration_and_eps_scaling():
     eps_grid = [1e-2, 1e-3, 1e-4]
     for eps in eps_grid:
         problem = rotation_benchmark(eps)
-        bvp = LinearBVP(problem.system, problem.boundary)
-        _, family = bvp.solve(problem.forcing)
+        family = LinearBVP(problem.system, problem.boundary).solve(problem.forcing)
         root = solve_generating(problem, family, [0.5, 0.5])
-        z, trace = iterate(problem, bvp, family, root.c0,
+        z, trace = iterate(problem, family, root.c0,
                            check_sufficient(assemble_B0(problem, family, root.c0)).B0_pinv)
         assert trace.converged and trace.iterations <= 200
         assert nonlinear_recurrence_residual(problem, z) <= 1e-8
@@ -256,10 +258,9 @@ def test_criterion_6_iteration_and_eps_scaling():
     assert abs(slope - 1.0) <= 0.15
 
     problem = rotation_benchmark(0.0)
-    bvp = LinearBVP(problem.system, problem.boundary)
-    _, family = bvp.solve(problem.forcing)
+    family = LinearBVP(problem.system, problem.boundary).solve(problem.forcing)
     root = solve_generating(problem, family, [0.5, 0.5])
-    z, trace = iterate(problem, bvp, family, root.c0,
+    z, trace = iterate(problem, family, root.c0,
                        check_sufficient(assemble_B0(problem, family, root.c0)).B0_pinv)
     exact_gap = np.abs(z - family.member(root.c0)).max()
     assert exact_gap <= np.finfo(float).eps * 8
@@ -273,7 +274,7 @@ def test_criterion_7_sufficiency_gate(tmp_path):
     assert code == 4
 
     problem = rotation_benchmark(1e-3)
-    _, family = LinearBVP(problem.system, problem.boundary).solve(problem.forcing)
+    family = LinearBVP(problem.system, problem.boundary).solve(problem.forcing)
     root = solve_generating(problem, family, [0.5, 0.5])
     B0 = assemble_B0(problem, family, root.c0)
     chk = check_sufficient(B0)

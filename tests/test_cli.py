@@ -160,7 +160,7 @@ class TestSolveNonlinear:
         run(["solve-nonlinear", problem(name), "-o", tmp_path, *flags])
         [(_, gate)] = gates
         [(args, _)] = iterations
-        assert args[4] is gate.B0_pinv
+        assert args[3] is gate.B0_pinv
 
     def test_overflowing_newton_has_no_root(self, tmp_path, capsys):
         path = overflowing_scalar_problem(tmp_path)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,15 @@ class TestPseudoinverse:
         b = rng.standard_normal(5)
         x_oracle = np.linalg.solve(M.T @ M, M.T @ b)
         assert np.allclose(numerical_rank(M).pinv @ b, x_oracle, atol=1e-10)
+
+    @pytest.mark.parametrize("M", [np.diag([2.0, 0.0]), np.zeros((2, 3))])
+    def test_formed_once_and_read_only(self, M):
+        rd = numerical_rank(M)
+        assert rd.pinv is rd.pinv
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rd.pinv = np.zeros_like(rd.pinv)
+        with pytest.raises(ValueError):
+            rd.pinv[...] = 1.0
 
 
 class TestProjectors:

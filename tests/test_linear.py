@@ -228,7 +228,7 @@ class TestAssembly:
         A = random_system(np.random.default_rng(8), 4, 2)
         alpha = np.array([3.0, -1.0])
         l = generic([(4, np.eye(2))], alpha)
-        assert np.allclose(LinearBVP(A, l).h(np.zeros((4, 2))), alpha)
+        assert np.allclose(LinearBVP(A, l).h(particular_forced(A, np.zeros((4, 2)))), alpha)
 
     def test_h_manufactured_consistency(self):
         rng = np.random.default_rng(9)
@@ -237,14 +237,14 @@ class TestAssembly:
         g = particular_forced(A, f)
         l = periodic(2, 5)
         alpha = l.apply(g)
-        assert np.allclose(LinearBVP(A, l).h(f, alpha), 0.0, atol=1e-12)
+        assert np.allclose(LinearBVP(A, l).h(g, alpha), 0.0, atol=1e-12)
 
     def test_h_periodic_is_weighted_forcing_sum(self):
         rng = np.random.default_rng(10)
         m = 5
         A = random_system(rng, m, 2)
         f = rng.standard_normal((m, 2))
-        h = LinearBVP(A, periodic(2, m)).h(f)
+        h = LinearBVP(A, periodic(2, m)).h(particular_forced(A, f))
         expected = -sum((phi_product(A, m, i + 1) @ f[i] for i in range(m)),
                         np.zeros(2))
         assert np.allclose(h, expected, atol=1e-10)
@@ -285,18 +285,19 @@ class TestSolveFamily:
         A = OperatorSequence.constant(FIB, m)
         f = rng.standard_normal((m, 2))
         l = periodic(2, m)
-        bvp = LinearBVP(A, l)
-        report, family = bvp.solve(f)
+        family = LinearBVP(A, l).solve(f)
+        report = family.report
         assert report.classification == CLASSICAL
         assert family.kernel_dim == 0
         Q = assemble_Q(A, l)
-        h = bvp.h(f)
+        h = family.bvp.h(particular_forced(A, f))
         assert np.allclose(family.particular[0], np.linalg.solve(Q, h), atol=1e-9)
 
     def test_fully_resonant_identity_system(self):
         m, N = 5, 3
-        report, family = LinearBVP(OperatorSequence.identity(N, m),
-                                   periodic(N, m)).solve(np.zeros((m, N)))
+        family = LinearBVP(OperatorSequence.identity(N, m),
+                           periodic(N, m)).solve(np.zeros((m, N)))
+        report = family.report
         assert report.classification == FAMILY
         assert report.kernel_dim == N and report.fredholm_index == 0
         # kernel members of the identity system are the constant trajectories
@@ -310,7 +311,8 @@ class TestSolveFamily:
         A = random_system(rng, m, N, scale=0.8)
         f = rng.standard_normal((m, N))
         l = periodic(N, m)
-        report, family = LinearBVP(A, l).solve(f)
+        family = LinearBVP(A, l).solve(f)
+        report = family.report
         for _ in range(5):
             c = rng.standard_normal(family.kernel_dim)
             z = family.member(c)
@@ -327,7 +329,7 @@ class TestSolveFamily:
         rng = np.random.default_rng(19)
         p = rotation_benchmark(m=7, pairs=2)
         m, N = 7, 4
-        _, family = LinearBVP(p.system, p.boundary).solve(p.forcing)
+        family = LinearBVP(p.system, p.boundary).solve(p.forcing)
         assert family.kernel_dim == N
         C = rng.standard_normal((2, 3, family.kernel_dim))
         Z = family.member(C)
@@ -339,8 +341,8 @@ class TestSolveFamily:
 
     def test_stacked_members_of_empty_kernel(self):
         m = 5
-        _, family = LinearBVP(OperatorSequence.constant(FIB, m),
-                              periodic(2, m)).solve(np.ones((m, 2)))
+        family = LinearBVP(OperatorSequence.constant(FIB, m),
+                           periodic(2, m)).solve(np.ones((m, 2)))
         assert family.kernel_dim == 0
         Z = family.member(np.zeros((3, 0)))
         assert Z.shape == (3, m + 1, 2)
@@ -355,7 +357,8 @@ class TestSolveFamily:
                      (m, np.array([[0.0, 0.0], [1.0, 0.0]]))],
                     np.array([0.0, 1.0]))
         f = np.zeros((m, N))
-        report, family = LinearBVP(A, l).solve(f)
+        family = LinearBVP(A, l).solve(f)
+        report = family.report
         assert report.classification == QUASISOLUTION
         best = boundary_residual(l, family.particular)
         for _ in range(100):
@@ -367,17 +370,53 @@ class TestSolveFamily:
         m, N = 5, 3
         A = random_system(rng, m, N)
         l = periodic(N, m)
-        _, family = LinearBVP(A, l).solve(rng.standard_normal((m, N)))
+        family = LinearBVP(A, l).solve(rng.standard_normal((m, N)))
         for j in range(family.kernel_dim):
             w = family.kernel_basis[j]
             assert recurrence_residual(A, None, w) <= 1e-10 * (1 + np.abs(w).max())
             assert np.linalg.norm(l.apply(w)) <= 1e-8 * (1 + np.abs(w).max())
 
 
+class TestOneHandle:
+    """solve returns one family that carries its LinearBVP and its report;
+    Q's pseudoinverse and cokernel basis live only in the rank decision."""
+
+    @pytest.mark.parametrize("case", ["fibonacci", "rotation"])
+    def test_family_carries_bvp_and_report(self, case):
+        system, l, f = self.case(case)
+        bvp = LinearBVP(system, l)
+        family = bvp.solve(f, tol=1e-9)
+        assert family.bvp is bvp
+        assert family.report == classify(bvp.rd, bvp.h(particular_forced(system, f)), 1e-9)
+        assert np.array_equal(family.cokernel_basis, bvp.rd.cokernel)
+
+    def test_no_stored_copies_of_Q_pinv_or_cokernel(self):
+        bvp = LinearBVP(*self.case("rotation")[:2])
+        assert not hasattr(bvp, "Q_pinv") and not hasattr(bvp, "cokernel_basis")
+
+    @pytest.mark.parametrize("case", ["fibonacci", "rotation"])
+    def test_green_of_swept_response_is_unchanged(self, case):
+        # green(f), which swept f itself, was propagate(Q^+ (0 - l g)) + g
+        system, l, f = self.case(case)
+        bvp = LinearBVP(system, l)
+        g = particular_forced(system, f)
+        old = bvp.propagate(bvp.rd.pinv @ (np.zeros(l.codim) - l.apply(g))) + g
+        assert np.array_equal(bvp.green(g), old)
+
+    @staticmethod
+    def case(name):
+        rng = np.random.default_rng(20)
+        if name == "fibonacci":  # Q invertible
+            m = 6
+            return OperatorSequence.constant(FIB, m), periodic(2, m), rng.standard_normal((m, 2))
+        p = rotation_benchmark(m=7, pairs=2)  # Q = 0
+        return p.system, p.boundary, p.forcing
+
+
 class TestGreenApply:
     def test_zero_rhs(self):
         A = random_system(np.random.default_rng(16), 4, 2)
-        z = LinearBVP(A, periodic(2, 4)).green(np.zeros((4, 2)))
+        z = LinearBVP(A, periodic(2, 4)).green(particular_forced(A, np.zeros((4, 2))))
         assert np.allclose(z, 0.0, atol=1e-14)
 
     def test_additivity(self):
@@ -387,8 +426,8 @@ class TestGreenApply:
         l = periodic(N, m)
         bvp = LinearBVP(A, l)
         f1, f2 = rng.standard_normal((2, m, N))
-        lhs = bvp.green(f1 + f2)
-        rhs = bvp.green(f1) + bvp.green(f2)
+        lhs = bvp.green(particular_forced(A, f1 + f2))
+        rhs = bvp.green(particular_forced(A, f1)) + bvp.green(particular_forced(A, f2))
         assert np.linalg.norm(lhs - rhs) <= 1e-10 * (1 + np.linalg.norm(lhs))
 
     def test_green_solves_recurrence(self):
@@ -396,7 +435,7 @@ class TestGreenApply:
         m, N = 6, 3
         A = random_system(rng, m, N, scale=0.7)
         f = rng.standard_normal((m, N))
-        z = LinearBVP(A, periodic(N, m)).green(f)
+        z = LinearBVP(A, periodic(N, m)).green(particular_forced(A, f))
         assert recurrence_residual(A, f, z) <= 1e-10 * (1 + np.abs(z).max())
 
 

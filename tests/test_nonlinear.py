@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -74,7 +75,7 @@ def test_nonlinear_problem_is_frozen(benchmark_problem):
 class TestGeneratingF:
     def test_zero_nonlinearity(self, benchmark_family, benchmark_problem):
         p = resonant_identity_problem(zero_Z, zero_Zdu)
-        _, family = LinearBVP(p.system, p.boundary).solve(p.forcing)
+        family = LinearBVP(p.system, p.boundary).solve(p.forcing)
         for c in (np.zeros(2), np.array([1.0, -2.0])):
             assert np.allclose(generating_F(p, family, c), 0.0)
 
@@ -83,7 +84,7 @@ class TestGeneratingF:
         system = OperatorSequence.constant(np.array([[1.0, 1.0], [1.0, 0.0]]), m)
         p = NonlinearProblem(system, np.zeros((m, 2)), periodic(2, m),
                              zero_Z, zero_Zdu)
-        _, family = LinearBVP(p.system, p.boundary).solve(p.forcing)
+        family = LinearBVP(p.system, p.boundary).solve(p.forcing)
         assert family.cokernel_dim == 0
         assert generating_F(p, family, np.zeros(0)).shape == (0,)
 
@@ -102,7 +103,7 @@ class TestGeneratingF:
         prob = load_problem(str(PROBLEMS_DIR / "rotation_lv.json"))
         p = NonlinearProblem(prob.system, prob.forcing, prob.boundary,
                              *prob.nonlinearity, prob.epsilon)
-        _, family = LinearBVP(p.system, p.boundary).solve(p.forcing)
+        family = LinearBVP(p.system, p.boundary).solve(p.forcing)
         m = p.system.horizon
         for c in (np.array([0.5, 0.5]), np.array([-0.3, 1.2])):
             z0 = family.member(c)
@@ -118,7 +119,8 @@ class TestGeneratingF:
         l = generic([(0, np.array([[1.0, 0.0], [0.0, 0.0]])),
                      (m, np.array([[0.0, 0.0], [1.0, 0.0]]))],
                     np.array([0.0, 1.0]))
-        report, family = LinearBVP(system, l).solve(np.zeros((m, N)))
+        family = LinearBVP(system, l).solve(np.zeros((m, N)))
+        report = family.report
         p = NonlinearProblem(system, np.zeros((m, N)), l, zero_Z, zero_Zdu)
         with pytest.raises(GeneratingFamilyError):
             generating_F(p, family, np.zeros(family.kernel_dim))
@@ -139,7 +141,7 @@ STACK_CASES = ["rotation_lv.json", "gate_refusal.json", "sweep_scalar.json", "bl
 def stack_case(name):
     p = rotation_benchmark(1e-4, m=12, pairs=16) if name == "block32" \
         else shipped_nonlinear(name)
-    _, family = LinearBVP(p.system, p.boundary).solve(p.forcing)
+    family = LinearBVP(p.system, p.boundary).solve(p.forcing)
     return p, family
 
 
@@ -196,7 +198,7 @@ class TestStackedF:
 class TestSolveGenerating:
     def test_zero_nonlinearity_returns_seed(self):
         p = resonant_identity_problem(zero_Z, zero_Zdu)
-        _, family = LinearBVP(p.system, p.boundary).solve(p.forcing)
+        family = LinearBVP(p.system, p.boundary).solve(p.forcing)
         root = solve_generating(p, family, [0.3, -0.7])
         assert root.converged
         assert np.allclose(root.c0, [0.3, -0.7])
@@ -210,7 +212,7 @@ class TestSolveGenerating:
             return np.array([[1.0, 2.0], [-1.0, 1.0]])
 
         p = resonant_identity_problem(*pointwise(Z, Z_du))
-        _, family = LinearBVP(p.system, p.boundary).solve(p.forcing)
+        family = LinearBVP(p.system, p.boundary).solve(p.forcing)
         root = solve_generating(p, family, [5.0, -3.0])
         assert root.converged
         assert root.residual_norm <= 1e-9
@@ -225,7 +227,7 @@ class TestSolveGenerating:
             return np.diag(2 * np.asarray(z, dtype=float))
 
         p = resonant_identity_problem(*pointwise(Z, Z_du), N=1)
-        _, family = LinearBVP(p.system, p.boundary).solve(p.forcing)
+        family = LinearBVP(p.system, p.boundary).solve(p.forcing)
         root = solve_generating(p, family, [1.0])
         assert root.converged
         # kernel basis of the scalar zero matrix is +-1; the state is +-2
@@ -239,7 +241,7 @@ class TestSolveGenerating:
             return np.full_like(np.asarray(z, dtype=float), 2.0)
 
         p = resonant_identity_problem(Z, zero_Zdu)
-        _, family = LinearBVP(p.system, p.boundary).solve(p.forcing)
+        family = LinearBVP(p.system, p.boundary).solve(p.forcing)
         root = solve_generating(p, family, [0.1, 0.2], max_iter=50)
         assert not root.converged
         assert root.iterations == 0
@@ -249,7 +251,7 @@ class TestSolveGenerating:
         m = 4
         system = OperatorSequence.constant(np.array([[1.0, 1.0], [1.0, 0.0]]), m)
         p = NonlinearProblem(system, np.zeros((m, 2)), periodic(2, m), zero_Z, zero_Zdu)
-        _, family = LinearBVP(p.system, p.boundary).solve(p.forcing)
+        family = LinearBVP(p.system, p.boundary).solve(p.forcing)
         root = solve_generating(p, family, np.zeros(0))
         assert root.converged and root.c0.shape == (0,)
 
@@ -260,14 +262,14 @@ class TestB0:
             return np.full_like(np.asarray(z, dtype=float), 2.0)
 
         p = resonant_identity_problem(Z, zero_Zdu)
-        _, family = LinearBVP(p.system, p.boundary).solve(p.forcing)
+        family = LinearBVP(p.system, p.boundary).solve(p.forcing)
         assert np.allclose(assemble_B0(p, family, np.zeros(2)), 0.0)
 
     def test_degenerate_shapes(self):
         m = 4
         system = OperatorSequence.constant(np.array([[1.0, 1.0], [1.0, 0.0]]), m)
         p = NonlinearProblem(system, np.zeros((m, 2)), periodic(2, m), zero_Z, zero_Zdu)
-        _, family = LinearBVP(p.system, p.boundary).solve(p.forcing)
+        family = LinearBVP(p.system, p.boundary).solve(p.forcing)
         assert assemble_B0(p, family, np.zeros(0)).shape == (0, 0)
 
     def test_matches_negative_fd_jacobian(self, benchmark_problem, benchmark_family):
@@ -328,12 +330,16 @@ class TestCheckSufficient:
 
 
 class TestIterate:
-    def test_eps_zero_returns_generating_solution(self, benchmark_problem, benchmark_bvp,
-                                                  benchmark_family):
+    def test_takes_the_green_operator_from_the_family(self):
+        assert list(inspect.signature(iterate).parameters)[:4] == [
+            "problem", "family", "c0", "B0_pinv"]
+        assert "bvp" not in inspect.signature(iterate).parameters
+
+    def test_eps_zero_returns_generating_solution(self, benchmark_problem, benchmark_family):
         assert benchmark_problem.epsilon == 0.0
         root = solve_generating(benchmark_problem, benchmark_family, [0.5, 0.5])
         B0 = assemble_B0(benchmark_problem, benchmark_family, root.c0)
-        z, trace = iterate(benchmark_problem, benchmark_bvp, benchmark_family, root.c0,
+        z, trace = iterate(benchmark_problem, benchmark_family, root.c0,
                            check_sufficient(B0).B0_pinv)
         assert trace.converged and trace.iterations == 0
         z0 = benchmark_family.member(root.c0)
@@ -341,9 +347,8 @@ class TestIterate:
 
     def test_zero_nonlinearity_keeps_u_zero(self):
         p = resonant_identity_problem(zero_Z, zero_Zdu, eps=0.1)
-        bvp = LinearBVP(p.system, p.boundary)
-        _, family = bvp.solve(p.forcing)
-        z, trace = iterate(p, bvp, family, np.zeros(2),
+        family = LinearBVP(p.system, p.boundary).solve(p.forcing)
+        z, trace = iterate(p, family, np.zeros(2),
                            check_sufficient(assemble_B0(p, family, np.zeros(2))).B0_pinv)
         assert trace.converged
         assert np.abs(z - family.member(np.zeros(2))).max() <= 1e-14
@@ -351,10 +356,9 @@ class TestIterate:
     @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
     def test_benchmark_converges_with_small_residuals(self, eps):
         p = rotation_benchmark(eps)
-        bvp = LinearBVP(p.system, p.boundary)
-        _, family = bvp.solve(p.forcing)
+        family = LinearBVP(p.system, p.boundary).solve(p.forcing)
         root = solve_generating(p, family, [0.5, 0.5])
-        z, trace = iterate(p, bvp, family, root.c0,
+        z, trace = iterate(p, family, root.c0,
                            check_sufficient(assemble_B0(p, family, root.c0)).B0_pinv)
         assert trace.converged and trace.iterations <= 200
         assert trace.reason == "converged" and len(trace.increments) == trace.iterations + 1
@@ -370,10 +374,9 @@ class TestIterate:
         eps_grid = [1e-2, 1e-3, 1e-4]
         for eps in eps_grid:
             p = rotation_benchmark(eps)
-            bvp = LinearBVP(p.system, p.boundary)
-            _, family = bvp.solve(p.forcing)
+            family = LinearBVP(p.system, p.boundary).solve(p.forcing)
             root = solve_generating(p, family, [0.5, 0.5])
-            z, trace = iterate(p, bvp, family, root.c0,
+            z, trace = iterate(p, family, root.c0,
                                check_sufficient(assemble_B0(p, family, root.c0)).B0_pinv)
             assert trace.converged
             sizes.append(np.abs(z - family.member(root.c0)).max())
@@ -388,7 +391,7 @@ class TestIterate:
             return np.diag(2 * np.asarray(z, dtype=float))
 
         p = resonant_identity_problem(*pointwise(Z, Z_du), eps=1e-3)
-        _, family = LinearBVP(p.system, p.boundary).solve(p.forcing)
+        family = LinearBVP(p.system, p.boundary).solve(p.forcing)
         assert not check_sufficient(assemble_B0(p, family, np.zeros(2))).holds
 
     def test_non_finite_iterate_stops(self):
@@ -399,10 +402,9 @@ class TestIterate:
             return np.where(np.abs(z) > 2.0, np.nan, 1.0 + z)
 
         p = resonant_identity_problem(Z, zero_Zdu, eps=1.0, N=1)
-        bvp = LinearBVP(p.system, p.boundary)
-        _, family = bvp.solve(p.forcing)
+        family = LinearBVP(p.system, p.boundary).solve(p.forcing)
         B0_pinv = check_sufficient(assemble_B0(p, family, np.zeros(1))).B0_pinv
-        z, trace = iterate(p, bvp, family, np.zeros(1), B0_pinv, max_iter=200)
+        z, trace = iterate(p, family, np.zeros(1), B0_pinv, max_iter=200)
         assert not trace.converged and trace.reason == "non_finite"
         assert trace.iterations <= 5
         assert not np.isfinite(z).all()
@@ -413,11 +415,10 @@ class TestIterate:
         doc = parse_problem(block_rotation_doc(600, 2, 1e-3, 0))
         p = NonlinearProblem(doc.system, doc.forcing, doc.boundary, *doc.nonlinearity,
                              doc.epsilon)
-        bvp = LinearBVP(p.system, p.boundary)
-        _, family = bvp.solve(p.forcing)
+        family = LinearBVP(p.system, p.boundary).solve(p.forcing)
         root = solve_generating(p, family, [0.5, 0.5])
         B0_pinv = check_sufficient(assemble_B0(p, family, root.c0)).B0_pinv
-        _, trace = iterate(p, bvp, family, root.c0, B0_pinv)
+        _, trace = iterate(p, family, root.c0, B0_pinv)
         w, k, delta = NO_CONTRACTION_WINDOW, trace.iterations, trace.increments
         assert not trace.converged and trace.reason == "no_contraction"
         assert len(delta) == len(trace.records) == k + 1

@@ -137,7 +137,7 @@ class TestForcingAndBoundary:
 class TestNonlinearity:
     def test_none_by_default(self):
         p = parse_problem(minimal_doc())
-        assert p.nonlinearity is None and p.nonlinearity_kind == "none"
+        assert p.nonlinearity is None and p.canonical["nonlinearity"]["type"] == "none"
 
     def test_lotka_volterra_scalars(self):
         p = parse_problem(minimal_doc(nonlinearity={"type": "lotka_volterra"}))
@@ -258,6 +258,55 @@ class TestDefaultsAndCanonical:
         path = tmp_path / "empty.json"
         path.write_text(json.dumps(doc))
         assert cli.main([command, str(path), "-o", str(tmp_path / "out")]) == 64
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda d: d.update(eps=d.pop("epsilon")), "eps"),
+        (lambda d: d.update(tolerance={"rank": "x"}), "tolerance"),
+        (lambda d: d["nonlinearity"].update(g_1=5), "g_1"),
+        (lambda d: d["system"].update(thetaa=1.0), "thetaa"),
+    ], ids=["eps", "tolerance", "g_1", "thetaa"])
+    def test_unknown_key_is_format_error(self, tmp_path, capsys, edit, key):
+        # each typo was once dropped, and the run went on with the default
+        doc = load_problem_doc("rotation_lv.json")
+        edit(doc)
+        with pytest.raises(ProblemFormatError, match=f"unknown field '{key}'"):
+            parse_problem(doc)
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["solve-nonlinear", str(path), "-o", str(tmp_path / "out")]) == 64
+        assert f"'{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, where", [
+        ({"boundary": {"type": "periodic", "targets": [0.0, 0.0]}}, "boundary"),
+        ({"boundary": {"type": "multipoint", "targets": [0.0],
+                       "groups": [{"components": [0], "points": [0], "weights": [1.0]}]}}, r"boundary.groups\[0\]"),
+        ({"boundary": {"type": "generic", "target": [0.0],
+                       "samples": [{"point": 0, "weights": [[1.0, 0.0]], "points": [0]}]}},
+         r"boundary.samples\[0\]"),
+        ({"system": {"type": "block", "a": [1.0], "b": [0.0], "c": [0.0], "d": [1.0],
+                     "e": [0.0]}}, "system"),
+        ({"nonlinearity": {"type": "polynomial", "coeffs": [0.0], "eps_grad": [0.0, 0.0]}},
+         "nonlinearity"),
+        ({"nonlinearity": {"coeffs": [0.0]}}, "nonlinearity"),
+    ], ids=["periodic", "group", "sample", "block", "polynomial", "none"])
+    def test_unknown_key_of_each_object_is_format_error(self, overrides, where):
+        with pytest.raises(ProblemFormatError, match=f"{where}: unknown field"):
+            parse_problem(minimal_doc(**overrides))
+
+    @pytest.mark.parametrize("section, key", [
+        ("tolerances", "classification"), ("tolerances", "rank"), ("tolerances", "newton"),
+        ("tolerances", "iteration"), ("tolerances", "residual"), ("solver", "blowup"),
+    ])
+    def test_negative_setting_is_format_error(self, tmp_path, capsys, section, key):
+        # a rank tolerance of -1 once classified the resonant Q = 0 as unique
+        doc = load_problem_doc("identity_resonant.json")
+        doc[section] = {key: -1}
+        with pytest.raises(ProblemFormatError, match=f"{section}.{key}: must be >= 0"):
+            parse_problem(doc)
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["solve-linear", str(path), "-o", str(tmp_path / "out")]) == 64
+        assert f"{section}.{key}" in capsys.readouterr().err
 
     def test_missing_required_field(self):
         with pytest.raises(ProblemFormatError, match="dim"):
