@@ -13,15 +13,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from resbvp import (
-    LinearBVP,
-    OperatorSequence,
+from resbvp import LinearBVP, OperatorSequence, periodic
+from resbvp.fibonacci import (
+    FIB_MATRIX,
     fib_delta,
     fib_delta_exponent_offset,
     fib_green_coeffs,
     fib_green_matrix_oracle,
     fib_periodic_particular,
-    periodic,
 )
 
 
@@ -45,7 +44,7 @@ def main():
                for row in rng.integers(-4, 5, (m, 2))]
     oracle = fib_periodic_particular(f_exact + [(Fraction(0), Fraction(0))], m)
 
-    system = OperatorSequence.constant(np.array([[1.0, 1.0], [1.0, 0.0]]), m)
+    system = OperatorSequence.constant(FIB_MATRIX, m)
     f = np.array([[float(a), float(b)] for a, b in f_exact])
     family = LinearBVP(system, periodic(2, m)).solve(f)
     got = family.member(np.zeros(0))

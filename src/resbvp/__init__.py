@@ -3,6 +3,14 @@ of first-order difference systems, specializing in the resonance case where
 the induced boundary operator is singular."""
 
 from .boundary import BoundaryOperator, generic, initial_mass, multipoint, periodic
+from .fibonacci import (
+    fib,
+    fib_delta,
+    fib_delta_exponent_offset,
+    fib_green_coeffs,
+    fib_green_matrix_oracle,
+    fib_periodic_particular,
+)
 from .linalg import DecompositionError, RankDecision, numerical_rank
 from .linear import (
     CLASSICAL,
@@ -15,7 +23,6 @@ from .linear import (
     assemble_Q,
     boundary_residual,
     classify,
-    evolution,
     particular_forced,
     particular_forced_scan,
     recurrence_residual,
@@ -23,13 +30,6 @@ from .linear import (
 )
 from .lotka_volterra import (
     LotkaVolterraSpec,
-    fib,
-    fib_delta,
-    fib_delta_exponent_offset,
-    fib_green_coeffs,
-    fib_green_matrix_oracle,
-    fib_matrix_power,
-    fib_periodic_particular,
     lv_callables,
     lv_derivative,
     lv_nonlinearity,

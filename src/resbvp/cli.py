@@ -32,14 +32,14 @@ from pathlib import Path
 import numpy as np
 
 from . import nonlinear as nl
-from .linear import (QUASISOLUTION, LinearBVP, SolutionFamily, boundary_residual,
-                     recurrence_residual)
-from .lotka_volterra import (
+from .fibonacci import (
     fib_delta,
     fib_delta_exponent_offset,
     fib_green_coeffs,
     fib_green_matrix_oracle,
 )
+from .linear import (QUASISOLUTION, LinearBVP, SolutionFamily, boundary_residual,
+                     recurrence_residual)
 from .problem_io import Problem, ProblemFormatError, canonical_json, load_problem
 
 EXIT_OK = 0

@@ -59,7 +59,8 @@ def numerical_rank(M, tol: float | None = None) -> RankDecision:
     policy.
 
     With ``tol=None`` the cutoff is the standard ``max(rows, cols) * eps *
-    sigma_max``. A given ``tol`` sets the cutoff ``tol * (1 + sigma_max)``:
+    sigma_max``. A given ``tol``, which must be >= 0 (NaN is refused too),
+    sets the cutoff ``tol * (1 + sigma_max)``:
     relative to sigma_max for large matrices, with an absolute floor for
     matrices that may be numerically zero (the Q of a fully resonant
     problem, where every entry is roundoff, or a vanishing B0).
@@ -69,6 +70,8 @@ def numerical_rank(M, tol: float | None = None) -> RankDecision:
         raise ValueError(f"expected a nonempty 2-d matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    if tol is not None and not tol >= 0:
+        raise ValueError(f"tolerance must be >= 0, got {tol}")
     try:
         u, s, vt = np.linalg.svd(A)
     except np.linalg.LinAlgError as exc:

@@ -42,7 +42,6 @@ __all__ = [
     "SolvabilityReport",
     "SolutionFamily",
     "LinearBVP",
-    "evolution",
     "transition_stack",
     "particular_forced",
     "particular_forced_scan",

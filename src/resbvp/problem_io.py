@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import boundary as bd
+from .fibonacci import FIB_MATRIX
 from .linear import OperatorSequence
 from .lotka_volterra import LotkaVolterraSpec, lv_callables
 
@@ -120,7 +121,7 @@ def _parse_system(doc: dict, dim: int, m: int) -> OperatorSequence:
         _known(doc, "system", "type")
         if dim != 2:
             raise ProblemFormatError("system: fibonacci generator requires dim = 2")
-        return OperatorSequence.constant(np.array([[1.0, 1.0], [1.0, 0.0]]), m)
+        return OperatorSequence.constant(FIB_MATRIX, m)
     if kind == "rotation":
         _known(doc, "system", "type", "theta")
         if dim != 2:

@@ -17,6 +17,14 @@ import pytest
 
 from resbvp import cli
 from resbvp.boundary import generic, multipoint, periodic
+from resbvp.fibonacci import (
+    FIB_MATRIX,
+    fib_delta,
+    fib_delta_exponent_offset,
+    fib_green_coeffs,
+    fib_green_matrix_oracle,
+    fib_periodic_particular,
+)
 from resbvp.linalg import numerical_rank
 from resbvp.linear import (
     CLASSICAL,
@@ -29,17 +37,7 @@ from resbvp.linear import (
     particular_forced,
     recurrence_residual,
 )
-from resbvp.lotka_volterra import (
-    LotkaVolterraSpec,
-    fib_delta,
-    fib_delta_exponent_offset,
-    fib_green_coeffs,
-    fib_green_matrix_oracle,
-    fib_matrix_power,
-    fib_periodic_particular,
-    lv_derivative,
-    lv_nonlinearity,
-)
+from resbvp.lotka_volterra import LotkaVolterraSpec, lv_derivative, lv_nonlinearity
 from resbvp.nonlinear import (
     assemble_B0,
     check_sufficient,
@@ -172,7 +170,7 @@ def test_criterion_4_fibonacci_oracle():
     offset = fib_delta_exponent_offset(20)
     assert offset == 2
     for m in range(1, 21):
-        Q = fib_matrix_power(m + offset)
+        Q = np.linalg.matrix_power(FIB_MATRIX, m + offset)
         det = (Q[0][0] - 1) * (Q[1][1] - 1) - Q[0][1] * Q[1][0]
         assert fib_delta(m) == det
 

@@ -50,6 +50,17 @@ class TestSolveLinear:
                     "-o", tmp_path, "--allow-quasi"])
         assert code == 0
 
+    @pytest.mark.xfail(strict=True, raises=ValueError,
+                       reason="Phi(m, 0) overflows at horizon 1500 and the rank "
+                              "decision refuses it with a traceback (ROADMAP item 1)")
+    def test_fibonacci_long_horizon_exits_with_a_documented_code(self, tmp_path):
+        path = tmp_path / "fibonacci_1500.json"
+        path.write_text(json.dumps({"dim": 2, "horizon": 1500,
+                                    "system": {"type": "fibonacci"},
+                                    "forcing": "zero", "boundary": {"type": "periodic"}}))
+        code = run(["solve-linear", path, "-o", tmp_path / "out"])
+        assert code in (0, 2, 3, 4, 5, 64)
+
     def test_emitted_residuals_are_small(self, tmp_path):
         run(["solve-linear", problem("rotation_lv.json"), "-o", tmp_path])
         doc = json.loads((tmp_path / "report.json").read_text())

@@ -47,6 +47,16 @@ class TestNumericalRank:
         with pytest.raises(ValueError):
             numerical_rank(np.zeros((0, 3)))
 
+    @pytest.mark.parametrize("tol", [-1, -1e-300, float("nan")])
+    def test_rejects_negative_or_nan_tolerance(self, tol):
+        # a negative cutoff counts zero singular values into the rank, and
+        # the pseudoinverse then divides by them
+        with pytest.raises(ValueError, match="tolerance"):
+            numerical_rank(np.eye(2), tol)
+
+    def test_zero_tolerance_is_accepted(self):
+        assert numerical_rank(np.diag([1.0, 0.0]), 0.0).rank == 1
+
 
 class TestPseudoinverse:
     def test_identity(self):

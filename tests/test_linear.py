@@ -277,6 +277,11 @@ class TestClassify:
         assert rep.classification == CLASSICAL
         assert rep.kernel_dim == 0 and rep.cokernel_dim == 0
 
+    def test_negative_rank_tolerance_is_refused(self):
+        # library callers reach numerical_rank without problem_io's checks
+        with pytest.raises(ValueError, match="tolerance"):
+            LinearBVP(OperatorSequence.identity(2, 5), periodic(2, 5), rank_tol=-1)
+
 
 class TestSolveFamily:
     def test_invertible_Q_exact(self):

@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 from resbvp.boundary import periodic
-from resbvp.linear import LinearBVP, OperatorSequence
-from resbvp.lotka_volterra import (
-    LotkaVolterraSpec,
+from resbvp.fibonacci import (
+    FIB_MATRIX,
     fib,
     fib_delta,
     fib_delta_exponent_offset,
     fib_green_coeffs,
     fib_green_matrix_oracle,
-    fib_matrix_power,
     fib_periodic_particular,
+)
+from resbvp.linear import LinearBVP, OperatorSequence
+from resbvp.lotka_volterra import (
+    LotkaVolterraSpec,
     lv_callables,
     lv_derivative,
     lv_nonlinearity,
@@ -108,7 +110,7 @@ class TestFibSequence:
 
     def test_matrix_power_entries(self):
         for k in range(0, 15):
-            M = fib_matrix_power(k)
+            M = np.linalg.matrix_power(FIB_MATRIX, k)
             assert M[0][0] == fib(k)
             assert M[0][1] == fib(k - 1)
             assert M[1][0] == fib(k - 1)
@@ -123,7 +125,7 @@ class TestFibDeterminant:
 
     def test_equals_determinant_oracle(self):
         for m in range(1, 21):
-            A2 = fib_matrix_power(m + 2)
+            A2 = np.linalg.matrix_power(FIB_MATRIX, m + 2)
             det = (A2[0][0] - 1) * (A2[1][1] - 1) - A2[0][1] * A2[1][0]
             assert fib_delta(m) == det
 
@@ -186,3 +188,21 @@ class TestFibPeriodicSolver:
         want = np.array([[float(a), float(b)] for a, b in oracle])
         scale = 1 + np.abs(want).max()
         assert np.abs(got - want).max() <= 1e-9 * scale
+
+    @pytest.mark.parametrize("m", [12] + [
+        pytest.param(m, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="single shooting from n = 0 loses the particular solution "
+                   "of an expanding system (ROADMAP item 1)"))
+        for m in (20, 40, 60)])
+    def test_float_solver_matches_exact_oracle_to_1e_12(self, m):
+        # criterion 4's forcings: eighths in [-1, 1], seed 400 + m
+        rng = np.random.default_rng(400 + m)
+        f_exact = [tuple(Fraction(int(v), 8) for v in row)
+                   for row in rng.integers(-8, 9, (m, 2))]
+        want = np.array(fib_periodic_particular(f_exact, m), dtype=float)
+
+        system = OperatorSequence.constant(FIB_MATRIX, m)
+        family = LinearBVP(system, periodic(2, m)).solve(np.array(f_exact, dtype=float))
+        assert family.report.classification == "unique_classical"
+        assert np.abs(family.particular - want).max() <= 1e-12 * np.abs(want).max()
