@@ -20,13 +20,13 @@ from resbvp import cli
 
 def main():
     problem = Path(__file__).resolve().parent.parent / "problems" / "sweep_scalar.json"
-    out = Path(tempfile.mkdtemp(prefix="sweep_demo_"))
-    code = cli.main(["sweep", str(problem), "--eps-min=-5e-4",
-                     "--eps-max", "2e-3", "--count", "11", "-o", str(out)])
-    print(f"\nsweep exit code: {code}")
+    with tempfile.TemporaryDirectory(prefix="sweep_demo_") as out:
+        code = cli.main(["sweep", str(problem), "--eps-min=-5e-4",
+                         "--eps-max", "2e-3", "--count", "11", "-o", out])
+        print(f"\nsweep exit code: {code}")
 
-    with open(out / "branch.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        with open(Path(out) / "branch.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
     print("\n eps          exit  root   c1            sqrt(eps)")
     for row in rows:
         eps = float(row["eps"])

@@ -28,12 +28,7 @@ from .linear import (
     recurrence_residual,
     transition_stack,
 )
-from .lotka_volterra import (
-    LotkaVolterraSpec,
-    lv_callables,
-    lv_derivative,
-    lv_nonlinearity,
-)
+from .lotka_volterra import LotkaVolterraSpec, lv_callables
 from .nonlinear import (
     DerivativeMismatchError,
     GeneratingFamilyError,
@@ -46,7 +41,6 @@ from .nonlinear import (
     generating_F,
     iterate,
     nonlinear_recurrence_residual,
-    pointwise,
     solve_generating,
     verify_derivative,
 )

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "LotkaVolterraSpec",
-    "lv_nonlinearity",
-    "lv_derivative",
-    "lv_callables",
-]
+__all__ = ["LotkaVolterraSpec", "lv_callables"]
 
 
 @dataclass(frozen=True)
@@ -46,12 +41,12 @@ class LotkaVolterraSpec:
             if arr.shape[-1] != p or arr.ndim not in (1, 2):
                 raise ValueError(f"{name} must have shape (p,) or (m, p) with p={p}")
         t = self.a.shape[-1]
+        if t > p:
+            raise ValueError(f"interaction count t={t} exceeds pairs p={p}")
         for name in ("a", "b"):
             arr = getattr(self, name)
             if arr.ndim not in (2, 3) or arr.shape[-2] != p or arr.shape[-1] != t:
                 raise ValueError(f"{name} must have shape (p, t) or (m, p, t) with p={p}")
-        if t > p:
-            raise ValueError(f"interaction count t={t} exceeds pairs p={p}")
 
     @property
     def interactions(self) -> int:
@@ -82,33 +77,25 @@ def _split(spec: LotkaVolterraSpec, z, n):
     return x, y, g1, g2, a, b, ay, bx
 
 
-def lv_nonlinearity(spec: LotkaVolterraSpec, z, n) -> np.ndarray:
-    """Stacked (Zx, Zy) at states z = (x_1..x_p, y_1..y_p), shape (..., 2p),
-    and integer times n broadcasting to z.shape[:-1]."""
-    x, y, g1, g2, _, _, ay, bx = _split(spec, z, n)
-    return np.concatenate([g1 * x * (1.0 - ay), g2 * y * (1.0 - bx)], axis=-1)
-
-
-def lv_derivative(spec: LotkaVolterraSpec, z, n) -> np.ndarray:
-    """Exact Jacobian of lv_nonlinearity in z, shape (..., 2p, 2p)."""
-    x, y, g1, g2, a, b, ay, bx = _split(spec, z, n)
-    p, t = spec.pairs, spec.interactions
-    J = np.zeros(x.shape[:-1] + (2 * p, 2 * p))
-    i = np.arange(p)
-    J[..., i, i] = g1 * (1.0 - ay)
-    J[..., :p, p:p + t] = -(g1 * x)[..., None] * a
-    J[..., p:, :t] = -(g2 * y)[..., None] * b
-    J[..., p + i, p + i] = g2 * (1.0 - bx)
-    return J
-
-
 def lv_callables(spec: LotkaVolterraSpec):
     """(Z, Z_du) pair for NonlinearProblem; the nonlinearity carries no
     explicit eps dependence."""
     def Z(z, n, eps):
-        return lv_nonlinearity(spec, z, n)
+        """Stacked (Zx, Zy) at states z = (x_1..x_p, y_1..y_p), shape
+        (..., 2p), and integer times n broadcasting to z.shape[:-1]."""
+        x, y, g1, g2, _, _, ay, bx = _split(spec, z, n)
+        return np.concatenate([g1 * x * (1.0 - ay), g2 * y * (1.0 - bx)], axis=-1)
 
     def Z_du(z, n, eps):
-        return lv_derivative(spec, z, n)
+        """Exact Jacobian of Z in z, shape (..., 2p, 2p)."""
+        x, y, g1, g2, a, b, ay, bx = _split(spec, z, n)
+        p, t = spec.pairs, spec.interactions
+        J = np.zeros(x.shape[:-1] + (2 * p, 2 * p))
+        i = np.arange(p)
+        J[..., i, i] = g1 * (1.0 - ay)
+        J[..., :p, p:p + t] = -(g1 * x)[..., None] * a
+        J[..., p:, :t] = -(g2 * y)[..., None] * b
+        J[..., p + i, p + i] = g2 * (1.0 - bx)
+        return J
 
     return Z, Z_du

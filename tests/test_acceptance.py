@@ -37,7 +37,7 @@ from resbvp.linear import (
     particular_forced,
     recurrence_residual,
 )
-from resbvp.lotka_volterra import LotkaVolterraSpec, lv_derivative, lv_nonlinearity
+from resbvp.lotka_volterra import LotkaVolterraSpec, lv_callables
 from resbvp.nonlinear import (
     assemble_B0,
     check_sufficient,
@@ -292,14 +292,15 @@ def test_criterion_8_lotka_volterra_derivative():
             rng.uniform(0.1, 1.0, (pairs, pairs)),
             rng.uniform(0.1, 1.0, (pairs, pairs)),
         )
+        Z, Z_du = lv_callables(spec)
         z = rng.standard_normal(2 * pairs)
-        J = lv_derivative(spec, z, 0)
+        J = Z_du(z, 0, 0.0)
         h = 1e-6
         for j in range(2 * pairs):
             e = np.zeros(2 * pairs)
             e[j] = h
-            col = (lv_nonlinearity(spec, z + e, 0)
-                   - lv_nonlinearity(spec, z - e, 0)) / (2 * h)
+            col = (Z(z + e, 0, 0.0)
+                   - Z(z - e, 0, 0.0)) / (2 * h)
             err = np.linalg.norm(J[:, j] - col) / (1 + np.linalg.norm(col))
             worst = max(worst, err)
             assert err <= 1e-6

@@ -299,6 +299,16 @@ class TestOverflowingInputs:
         [point] = strict_json((tmp_path / "report.json").read_text())["points"]
         assert point["F_norm"] is None
 
+    def test_huge_coefficient_passes_the_derivative_audit(self, tmp_path, capsys):
+        # Z = 1e200 z^2 once failed the audit (exit 64, "relative error nan");
+        # now, like 1e150, it finds no generating root
+        doc = json.loads(Path(problem("sweep_scalar.json")).read_text())
+        doc["nonlinearity"]["coeffs"] = [0.0, 0.0, 1e200]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert self.run_quietly(["solve-nonlinear", path, "-o", tmp_path / "out"],
+                                capsys) == 3
+
     def test_non_finite_floats_become_null(self, tmp_path):
         cli._write_report(tmp_path / "r.json",
                           {"a": [float("inf"), (float("nan"), 1.0)], "b": -float("inf")})

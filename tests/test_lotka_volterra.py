@@ -14,30 +14,25 @@ from resbvp.fibonacci import (
     fib_periodic_particular,
 )
 from resbvp.linear import LinearBVP, OperatorSequence
-from resbvp.lotka_volterra import (
-    LotkaVolterraSpec,
-    lv_callables,
-    lv_derivative,
-    lv_nonlinearity,
-)
+from resbvp.lotka_volterra import LotkaVolterraSpec, lv_callables
 from resbvp.nonlinear import verify_derivative, NonlinearProblem
 
 
 class TestLVNonlinearity:
     def test_single_pair_hand_value(self):
         # x=2, y=3, unit rates/interactions: (2(1-3), 3(1-2)) = (-4, -3)
-        spec = LotkaVolterraSpec.uniform(1)
-        assert np.allclose(lv_nonlinearity(spec, np.array([2.0, 3.0]), 0), [-4.0, -3.0])
+        Z, _ = lv_callables(LotkaVolterraSpec.uniform(1))
+        assert np.allclose(Z(np.array([2.0, 3.0]), 0, 0.0), [-4.0, -3.0])
 
     def test_zero_state_is_fixed(self):
-        spec = LotkaVolterraSpec.uniform(2)
-        assert np.allclose(lv_nonlinearity(spec, np.zeros(4), 3), 0.0)
+        Z, _ = lv_callables(LotkaVolterraSpec.uniform(2))
+        assert np.allclose(Z(np.zeros(4), 3, 0.0), 0.0)
 
     def test_jacobian_at_zero_is_rates(self):
         rng = np.random.default_rng(5)
         g1, g2 = rng.uniform(0.5, 2.0, 2), rng.uniform(0.5, 2.0, 2)
-        spec = LotkaVolterraSpec(2, g1, g2, np.ones((2, 2)), np.ones((2, 2)))
-        J = lv_derivative(spec, np.zeros(4), 0)
+        _, Z_du = lv_callables(LotkaVolterraSpec(2, g1, g2, np.ones((2, 2)), np.ones((2, 2))))
+        J = Z_du(np.zeros(4), 0, 0.0)
         assert np.allclose(J, np.diag(np.concatenate([g1, g2])))
 
     def test_jacobian_matches_finite_differences(self):
@@ -49,33 +44,34 @@ class TestLVNonlinearity:
             rng.uniform(0.1, 1.0, (2, 2)),
             rng.uniform(0.1, 1.0, (2, 2)),
         )
+        Z, Z_du = lv_callables(spec)
         z = rng.standard_normal(4)
-        J = lv_derivative(spec, z, 0)
+        J = Z_du(z, 0, 0.0)
         h = 1e-6
         for j in range(4):
             e = np.zeros(4)
             e[j] = h
-            col = (lv_nonlinearity(spec, z + e, 0) - lv_nonlinearity(spec, z - e, 0)) / (2 * h)
+            col = (Z(z + e, 0, 0.0) - Z(z - e, 0, 0.0)) / (2 * h)
             assert np.linalg.norm(J[:, j] - col) <= 1e-6 * (1 + np.linalg.norm(col))
 
     def test_bilinear_interaction_identity(self):
         # Z is linear in the rates and bilinear in (x, y): scaling both
         # species by s scales the linear part by s and the quadratic by s^2
-        spec = LotkaVolterraSpec.uniform(1)
+        Z, _ = lv_callables(LotkaVolterraSpec.uniform(1))
         z = np.array([0.4, -0.7])
         s = 3.0
         lin = np.array([z[0], z[1]])  # g=1
-        quad = lv_nonlinearity(spec, z, 0) - lin
-        got = lv_nonlinearity(spec, s * z, 0)
+        quad = Z(z, 0, 0.0) - lin
+        got = Z(s * z, 0, 0.0)
         assert np.allclose(got, s * lin + s * s * quad, atol=1e-13)
 
     def test_time_varying_tables(self):
         g1 = np.array([[1.0], [2.0]])
         g2 = np.array([[1.0], [1.0]])
-        spec = LotkaVolterraSpec(1, g1, g2, np.ones((2, 1, 1)), np.ones((2, 1, 1)))
+        Z, _ = lv_callables(LotkaVolterraSpec(1, g1, g2, np.ones((2, 1, 1)), np.ones((2, 1, 1))))
         z = np.array([1.0, 0.0])
-        assert np.allclose(lv_nonlinearity(spec, z, 0), [1.0, 0.0])
-        assert np.allclose(lv_nonlinearity(spec, z, 1), [2.0, 0.0])
+        assert np.allclose(Z(z, 0, 0.0), [1.0, 0.0])
+        assert np.allclose(Z(z, 1, 0.0), [2.0, 0.0])
 
     @pytest.mark.parametrize("time_varying", [False, True])
     def test_stack_equals_per_state_loop(self, time_varying):
@@ -87,12 +83,13 @@ class TestLVNonlinearity:
                                  rng.standard_normal(lead + (p,)),
                                  rng.standard_normal(lead + (p, t)),
                                  rng.standard_normal(lead + (p, t)))
+        Z, Z_du = lv_callables(spec)
         z = rng.standard_normal((m, 2 * p))
         n = np.arange(m)
-        Z_loop = np.array([lv_nonlinearity(spec, z[k], k) for k in range(m)])
-        J_loop = np.array([lv_derivative(spec, z[k], k) for k in range(m)])
-        assert np.array_equal(lv_nonlinearity(spec, z, n), Z_loop)
-        assert np.array_equal(lv_derivative(spec, z, n), J_loop)
+        Z_loop = np.array([Z(z[k], k, 0.0) for k in range(m)])
+        J_loop = np.array([Z_du(z[k], k, 0.0) for k in range(m)])
+        assert np.array_equal(Z(z, n, 0.0), Z_loop)
+        assert np.array_equal(Z_du(z, n, 0.0), J_loop)
 
     def test_callables_pass_derivative_audit(self):
         Z, Z_du = lv_callables(LotkaVolterraSpec.uniform(2))

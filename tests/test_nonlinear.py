@@ -20,7 +20,6 @@ from resbvp.nonlinear import (
     generating_F,
     iterate,
     nonlinear_recurrence_residual,
-    pointwise,
     solve_generating,
     verify_derivative,
     _fd_jacobian,
@@ -28,7 +27,7 @@ from resbvp.nonlinear import (
 
 from resbvp.problem_io import load_problem, parse_problem
 
-from conftest import PROBLEMS_DIR, block_rotation_doc, rotation_benchmark
+from conftest import PROBLEMS_DIR, block_rotation_doc, load_problem_doc, rotation_benchmark
 
 
 def zero_Z(z, n, eps):
@@ -36,11 +35,8 @@ def zero_Z(z, n, eps):
 
 
 def zero_Zdu(z, n, eps):
-    N = np.asarray(z).shape[0]
-    return np.zeros((N, N))
-
-
-zero_Z, zero_Zdu = pointwise(zero_Z, zero_Zdu)
+    z = np.asarray(z, dtype=float)
+    return np.zeros(z.shape + z.shape[-1:])
 
 
 def brute_force_F(problem, family, c):
@@ -206,12 +202,15 @@ class TestSolveGenerating:
     def test_linear_F_one_newton_step(self):
         # Z linear in z makes F affine in c: Newton converges immediately
         def Z(z, n, eps):
-            return np.array([z[0] + 2 * z[1] + 1.0, -z[0] + z[1] - 0.5])
+            z = np.asarray(z, dtype=float)
+            return np.stack([z[..., 0] + 2 * z[..., 1] + 1.0,
+                             -z[..., 0] + z[..., 1] - 0.5], axis=-1)
 
         def Z_du(z, n, eps):
-            return np.array([[1.0, 2.0], [-1.0, 1.0]])
+            z = np.asarray(z, dtype=float)
+            return np.broadcast_to([[1.0, 2.0], [-1.0, 1.0]], z.shape + (2,))
 
-        p = resonant_identity_problem(*pointwise(Z, Z_du))
+        p = resonant_identity_problem(Z, Z_du)
         family = LinearBVP(p.system, p.boundary).solve(p.forcing)
         root = solve_generating(p, family, [5.0, -3.0])
         assert root.converged
@@ -224,9 +223,10 @@ class TestSolveGenerating:
             return np.asarray(z) ** 2 - 4.0
 
         def Z_du(z, n, eps):
-            return np.diag(2 * np.asarray(z, dtype=float))
+            z = np.asarray(z, dtype=float)
+            return 2 * z[..., None] * np.eye(z.shape[-1])
 
-        p = resonant_identity_problem(*pointwise(Z, Z_du), N=1)
+        p = resonant_identity_problem(Z, Z_du, N=1)
         family = LinearBVP(p.system, p.boundary).solve(p.forcing)
         root = solve_generating(p, family, [1.0])
         assert root.converged
@@ -388,9 +388,10 @@ class TestIterate:
             return np.asarray(z, dtype=float) ** 2
 
         def Z_du(z, n, eps):
-            return np.diag(2 * np.asarray(z, dtype=float))
+            z = np.asarray(z, dtype=float)
+            return 2 * z[..., None] * np.eye(z.shape[-1])
 
-        p = resonant_identity_problem(*pointwise(Z, Z_du), eps=1e-3)
+        p = resonant_identity_problem(Z, Z_du, eps=1e-3)
         family = LinearBVP(p.system, p.boundary).solve(p.forcing)
         assert not check_sufficient(assemble_B0(p, family, np.zeros(2))).holds
 
@@ -443,31 +444,19 @@ class TestRemainder:
                 assert np.linalg.norm(R) <= 10.0 * np.linalg.norm(u) ** 2
 
 
-class TestPointwise:
-    def test_round_trips_per_state_callables(self):
-        def Z(z, n, eps):
-            return np.array([z[0] * z[1] + n, eps - z[1]])
-
-        def Z_du(z, n, eps):
-            return np.array([[z[1], z[0]], [0.0, -1.0]])
-
-        bZ, bZ_du = pointwise(Z, Z_du)
-        rng = np.random.default_rng(3)
-        z = rng.standard_normal((5, 2))
-        n = np.arange(5)
-        assert np.array_equal(bZ(z, n, 0.1), np.array([Z(z[k], k, 0.1) for k in range(5)]))
-        assert np.array_equal(bZ_du(z, n, 0.1),
-                              np.array([Z_du(z[k], k, 0.1) for k in range(5)]))
-        assert np.array_equal(bZ(z[2], 2, 0.1), Z(z[2], 2, 0.1))
-        # a scalar n broadcasts over a (2, 3) stack of states
-        zz = rng.standard_normal((2, 3, 2))
-        assert bZ_du(zz, 4, 0.0).shape == (2, 3, 2, 2)
-        assert np.array_equal(bZ(zz, 4, 0.0)[1, 2], Z(zz[1, 2], 4, 0.0))
-
-
 class TestVerifyDerivative:
     def test_accepts_consistent_pair(self, benchmark_problem):
         verify_derivative(benchmark_problem)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    def test_accepts_correct_large_derivative(self, scale):
+        # Z = scale z^2: Frobenius norms of Z_du's entries near 1e154 and
+        # above overflow to inf / inf, and the correct pair was refused
+        doc = load_problem_doc("sweep_scalar.json")
+        doc["nonlinearity"]["coeffs"] = [0.0, 0.0, scale]
+        doc = parse_problem(doc)
+        verify_derivative(NonlinearProblem(doc.system, doc.forcing, doc.boundary,
+                                           *doc.nonlinearity, doc.epsilon))
 
     def test_rejects_nan_derivative(self, benchmark_problem):
         from resbvp.nonlinear import DerivativeMismatchError

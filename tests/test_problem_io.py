@@ -308,6 +308,17 @@ class TestDefaultsAndCanonical:
         assert cli.main(["solve-linear", str(path), "-o", str(tmp_path / "out")]) == 64
         assert f"{section}.{key}" in capsys.readouterr().err
 
+    def test_too_many_interactions_names_the_count(self, tmp_path, capsys):
+        # t = 2 interaction columns for p = 1 pair, with b at its default:
+        # the message once blamed the shape of b
+        doc = minimal_doc(nonlinearity={"type": "lotka_volterra", "a": [[1.0, 2.0]]})
+        with pytest.raises(ProblemFormatError, match="interaction count"):
+            parse_problem(doc)
+        path = tmp_path / "lv.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["solve-nonlinear", str(path), "-o", str(tmp_path / "out")]) == 64
+        assert "interaction count" in capsys.readouterr().err
+
     def test_missing_required_field(self):
         with pytest.raises(ProblemFormatError, match="dim"):
             parse_problem({"horizon": 3, "system": {"type": "identity"},
