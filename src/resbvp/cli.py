@@ -40,7 +40,7 @@ from .fibonacci import (
 )
 from .linear import (QUASISOLUTION, LinearBVP, SolutionFamily, boundary_residual,
                      recurrence_residual)
-from .problem_io import Problem, ProblemFormatError, canonical_json, load_problem
+from .problem_io import Problem, ProblemFormatError, canonical_json, json_text, load_problem
 
 EXIT_OK = 0
 EXIT_QUASI = 2
@@ -68,7 +68,7 @@ def _read_trajectory(path: Path) -> np.ndarray:
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:  # raised while csv.reader reads
         raise ProblemFormatError(f"{path}: {exc}") from exc
     if not rows or rows[0][:1] != ["n"]:
         raise ProblemFormatError(f"{path}: not a trajectory CSV (missing header)")
@@ -78,28 +78,18 @@ def _read_trajectory(path: Path) -> np.ndarray:
         raise ProblemFormatError(f"{path}: {exc}") from exc
 
 
-def _nulled(obj):
-    """obj with every non-finite float replaced by None (JSON null)."""
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _nulled(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_nulled(v) for v in obj]
-    return obj
-
-
 def _write_report(path: Path, report: dict) -> None:
-    """Strict JSON: a non-finite float, which has no JSON token, is written
-    as null, and one that _nulled misses raises ValueError."""
-    with open(path, "w") as fh:
-        json.dump(_nulled(report), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    """Strict JSON in one write: a non-finite float, which has no JSON
+    token, is written as null."""
+    path.write_text(json_text(report) + "\n")
 
 
 def _out_dir(args) -> Path:
     out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. -o names an existing file
+        raise ProblemFormatError(f"{out}: cannot make the output directory: {exc}") from exc
     return out
 
 
@@ -427,8 +417,8 @@ def cmd_verify(args) -> int:
     traj_path = Path(args.trajectory)
     try:
         doc = json.loads(report_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"verify: cannot read report: {exc}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        print(f"verify: cannot read report {report_path}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     fault = _report_fault(doc, traj_path.name)
     if fault:

@@ -125,8 +125,8 @@ def transition_stack(system: OperatorSequence) -> np.ndarray:
     m, N = system.horizon, system.dim
     U = np.empty((m + 1, N, N))
     U[0] = np.eye(N)
-    for k in range(m):
-        U[k + 1] = system.matrices[k] @ U[k]
+    for A, U_k, U_next in zip(system.matrices, U, U[1:]):
+        np.matmul(A, U_k, out=U_next)
     return U
 
 
@@ -165,14 +165,15 @@ def particular_forced(system: OperatorSequence, f) -> np.ndarray:
     """
     f = _forcing_array(system, f)
     # Time-major (m, ..., N, 1), stepping over views made once: each step
-    # is one matmul and one add into a contiguous block, so a single
-    # forcing costs no more per step than a plain g[n+1] = A_n g[n] + f[n].
+    # is one matmul into a contiguous block and one add in place, with no
+    # temporary, and rounds as a plain g[n+1] = A_n g[n] + f[n].
     # swapaxes(0, -2) is its own inverse for any number of leading axes.
     ft = f.swapaxes(0, -2)[..., None]
     g = np.zeros((system.horizon + 1,) + ft.shape[1:])
     gv = list(g)
     for A, f_n, g_n, g_next in zip(system.matrices, ft, gv, gv[1:]):
-        np.add(A @ g_n, f_n, out=g_next)
+        np.matmul(A, g_n, out=g_next)
+        g_next += f_n
     return g[..., 0].swapaxes(0, -2)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .linear import OperatorSequence
 from .lotka_volterra import LotkaVolterraSpec, lv_callables
 
 __all__ = ["ProblemFormatError", "Problem", "parse_problem", "load_problem",
-           "canonical_json", "rotation_matrix"]
+           "canonical_json", "json_text", "rotation_matrix"]
 
 DEFAULT_TOLERANCES = {
     "classification": 1e-9,
@@ -342,7 +343,7 @@ def load_problem(path: str) -> Problem:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ProblemFormatError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(
@@ -352,4 +353,44 @@ def load_problem(path: str) -> Problem:
 
 
 def canonical_json(problem: Problem) -> str:
-    return json.dumps(problem.canonical, indent=2, sort_keys=True) + "\n"
+    return json_text(problem.canonical) + "\n"
+
+
+def json_text(obj) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) byte for byte, but with null
+    for a non-finite float. Keys must be str; a type json.dumps refuses
+    raises TypeError. A list of finite floats, or of equal-length rows of
+    them, takes one %-format, not the stdlib's per-value Python calls."""
+    return _encode(obj, "\n")
+
+
+def _encode(obj, nl: str) -> str:
+    """json_text(obj) at the level whose newline plus indent is ``nl``."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "null"
+    if isinstance(obj, (str, int, float)) or obj is None or (
+            isinstance(obj, (list, tuple, dict)) and not obj):
+        return json.dumps(obj)
+    inner = nl + "  "
+    if isinstance(obj, (list, tuple)):
+        return _floats(obj, inner) or (
+            "[" + inner + ("," + inner).join(_encode(v, inner) for v in obj) + nl + "]")
+    if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
+        return "{" + inner + ("," + inner).join(json.dumps(k) + ": " + _encode(v, inner)
+                                                for k, v in sorted(obj.items())) + nl + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable "
+                    "(or has a key that is not str)")
+
+
+def _floats(obj, inner: str) -> str | None:
+    """_encode of a list of finite floats or of equal-length rows of them."""
+    rows = set(map(type, obj)) == {list} and len(set(map(len, obj))) == 1
+    cells = list(chain.from_iterable(obj)) if rows else obj
+    # a finite sum has finite terms; an overflowing one takes the slow path
+    if set(map(type, cells)) != {float} or not math.isfinite(sum(cells)):
+        return None
+    item = "%s"
+    if rows:
+        item = f"[{inner}  " + f",{inner}  ".join([item] * len(obj[0])) + f"{inner}]"
+    text = "[" + inner + ("," + inner).join([item] * len(obj)) + inner[:-2] + "]"
+    return text % tuple(map(float.__repr__, cells))

@@ -11,6 +11,7 @@ from resbvp import nonlinear as nl
 from resbvp.linear import LinearBVP
 
 from conftest import PROBLEMS_DIR, block_rotation_doc
+from test_acceptance import SHIPPED
 
 
 def run(argv):
@@ -526,6 +527,24 @@ class TestVerify:
         assert code == 64
         assert "solution.csv" in capsys.readouterr().err
 
+    def test_non_utf8_report_is_usage_error(self, tmp_path, capsys):
+        run(["solve-nonlinear", problem("rotation_lv.json"), "-o", tmp_path])
+        report = tmp_path / "report.json"
+        report.write_bytes(b"\xff\xfe")
+        assert run(["verify", report, tmp_path / "solution.csv"]) == 64
+        assert "report.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data", [
+        b"\xff\xfe",
+        b'n,z1,z2\r\n0,"' + b"1" * 200000 + b'",2\r\n',  # over csv's field size limit
+    ], ids=["non-utf8", "huge-field"])
+    def test_unreadable_trajectory_is_usage_error(self, tmp_path, capsys, data):
+        run(["solve-nonlinear", problem("rotation_lv.json"), "-o", tmp_path])
+        path = tmp_path / "solution.csv"
+        path.write_bytes(data)
+        assert run(["verify", tmp_path / "report.json", path]) == 64
+        assert "solution.csv" in capsys.readouterr().err
+
     @pytest.mark.parametrize("edit", [
         lambda doc, e: e.pop("kind"),
         lambda doc, e: e.update(kind="bogus"),
@@ -584,6 +603,23 @@ class TestUsage:
         code = run(["solve-linear", bad, "-o", tmp_path / "out"])
         assert code == 64
         assert "error:" in capsys.readouterr().err
+
+    def test_non_utf8_problem_file_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe")
+        assert run(["solve-linear", bad, "-o", tmp_path / "out"]) == 64
+        assert "bad.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", [
+        ["solve-linear", "identity_resonant.json"],
+        ["solve-nonlinear", "rotation_lv.json"],
+        ["sweep", "sweep_scalar.json", "--eps-min", "0", "--eps-max", "1e-3", "--count", "2"],
+    ])
+    def test_output_naming_a_file_is_usage_error(self, tmp_path, capsys, cmd):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run(cmd[:1] + [problem(cmd[1])] + cmd[2:] + ["-o", taken]) == 64
+        assert "taken" in capsys.readouterr().err
 
     def test_missing_subcommand(self, capsys):
         assert run([]) == 64
@@ -645,3 +681,11 @@ class TestDeterminism:
         assert outs[0].keys() == outs[1].keys()
         for k in outs[0]:
             assert outs[0][k] == outs[1][k], f"{name}: {k} differs between runs"
+
+
+@pytest.mark.parametrize("name,cmd", SHIPPED)
+def test_json_outputs_equal_their_stdlib_encoding(tmp_path, name, cmd):
+    run(cmd[:1] + [problem(name)] + cmd[1:] + ["-o", tmp_path, "--dump-canonical"])
+    for fname in ("report.json", "canonical.json"):
+        text = (tmp_path / fname).read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", fname

@@ -13,6 +13,7 @@ from resbvp.problem_io import (
     DEFAULT_TOLERANCES,
     ProblemFormatError,
     canonical_json,
+    json_text,
     load_problem,
     parse_problem,
     rotation_matrix,
@@ -206,6 +207,12 @@ class TestDefaultsAndCanonical:
         assert np.allclose(p1.forcing, p2.forcing)
         assert p1.epsilon == p2.epsilon
 
+    def test_non_utf8_file_is_format_error(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe")
+        with pytest.raises(ProblemFormatError, match="bad.json"):
+            load_problem(str(bad))
+
     def test_invalid_json_reports_location(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"dim": 2,\n  "horizon: 4}\n')
@@ -338,3 +345,41 @@ class TestShippedProblems:
         p1 = load_problem(str(PROBLEMS_DIR / name))
         p2 = parse_problem(json.loads(canonical_json(p1)))
         assert p1.canonical == p2.canonical
+
+
+def _old_nulled(obj):
+    """The report encoder's former pre-pass: every non-finite float to None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _old_nulled(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_old_nulled(v) for v in obj]
+    return obj
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestJsonText:
+    @pytest.mark.parametrize("obj", [
+        NAN, INF, -INF, -0.0, 5e-324, 1e300, 10**30, np.float64(0.1), np.float64(NAN),
+        (1.0, 2.0), [[], {}, [[]], {"a": {}}, ()],
+        [1.0], [[1.0]], [[1.0, 2.0, 3.0]] * 3, [[[1.0, 2.0]], [[3.0, 4.0]]],
+        [[1.0, 2.0], [3.0]], [[1.0, 2.0], []], [[1, 2.0], [3.0, 4.0]], [1, 2.0],
+        [[1.0, NAN], [2.0, 3.0]], [1.0, -INF], [1e308, 1e308], [[1e308], [1e308]],
+        [(1.0, 2.0), (3.0, 4.0)], [[1.0, 2.0], (3.0, 4.0)], [True, 1.0], [[True], [1.0]],
+        [[np.float64(1.5)], [2.0]], [None, "x"],
+        ["", "é", "a\u2603\n\"", {"\u00fc": "\x00"}],
+        {"b": [1.0, 2.0], "a": [[0.1, 0.2]] * 50, "c": {"z": None, "y": True, "x": False}},
+    ])
+    def test_equals_the_stdlib_encoding_of_the_nulled_object(self, obj):
+        assert json_text(obj) == json.dumps(_old_nulled(obj), indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("obj", [
+        np.int64(3), np.zeros(2), [1.0, np.int64(3)], {"a": np.bool_(True)}, {1: 2.0},
+        {"a": 1, 2: 3},
+    ])
+    def test_refuses_what_json_refuses_and_non_str_keys(self, obj):
+        with pytest.raises(TypeError):
+            json_text(obj)
