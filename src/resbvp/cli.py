@@ -49,13 +49,24 @@ EXIT_SUFFICIENCY = 4
 EXIT_NO_CONVERGENCE = 5
 EXIT_USAGE = 64
 
+def _write_new(path: Path, text: str) -> None:
+    """Write every output as a new file: an old file, hard link or symlink
+    of that name is unlinked, not written through (truncating a file that
+    holds data stalls its close on ext4). An OSError names the path."""
+    try:
+        path.unlink(missing_ok=True)
+        with open(path, "x", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:  # e.g. a directory in the way
+        raise ProblemFormatError(f"{path}: cannot write the output: {exc}") from exc
+
+
 def _write_table(path: Path, header, rows) -> None:
     """CSV of numeric rows in one write, every cell as %.17g (an integer
     or a bool prints as an integer, NaN as nan), byte for byte what
     csv.writer writes for those strings."""
     fmt = ",".join(["%.17g"] * len(header)) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n" + "".join(fmt % tuple(row) for row in rows))
+    _write_new(path, ",".join(header) + "\r\n" + "".join(fmt % tuple(row) for row in rows))
 
 
 def _write_trajectory(path: Path, z: np.ndarray) -> None:
@@ -81,7 +92,7 @@ def _read_trajectory(path: Path) -> np.ndarray:
 def _write_report(path: Path, report: dict) -> None:
     """Strict JSON in one write: a non-finite float, which has no JSON
     token, is written as null."""
-    path.write_text(json_text(report) + "\n")
+    _write_new(path, json_text(report) + "\n")
 
 
 def _out_dir(args) -> Path:
@@ -111,12 +122,15 @@ def _linear_family(problem: Problem) -> SolutionFamily:
     """The solution family of a problem file's linear part, from its one
     LinearBVP, at the file's rank and classification tolerances."""
     bvp = LinearBVP(problem.system, problem.boundary, rank_tol=problem.tolerances["rank"])
-    return bvp.solve(problem.forcing, tol=problem.tolerances["classification"])
+    try:
+        return bvp.solve(problem.forcing, tol=problem.tolerances["classification"])
+    except ValueError as exc:  # the forced response or h overflowed
+        raise ProblemFormatError(f"forcing: {exc}") from exc
 
 
 def _maybe_dump_canonical(args, problem: Problem, out: Path) -> None:
     if args.dump_canonical:
-        (out / "canonical.json").write_text(canonical_json(problem))
+        _write_new(out / "canonical.json", canonical_json(problem))
 
 
 # ---------------------------------------------------------------------------

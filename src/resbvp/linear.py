@@ -249,12 +249,15 @@ def classify(rd: RankDecision, h, tol: float = 1e-9) -> SolvabilityReport:
 
     The defect is ||P_{N(Q*)} h||; quasisolution iff it exceeds
     tol * (1 + ||h||). In finite dimensions the range of Q is closed, so
-    the non-classical branch is exactly the least-squares one.
+    the non-classical branch is exactly the least-squares one. A
+    non-finite h is refused: its defect, NaN or inf, would pass that test.
     """
     D = rd.cokernel
     h = np.asarray(h, dtype=float).reshape(-1)
     if h.shape[0] != D.shape[0]:
         raise ValueError(f"h has length {h.shape[0]}, expected {D.shape[0]}")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("the right-hand side h is not finite (it overflowed)")
     r, d = rd.kernel.shape[1], D.shape[1]
     defect = float(np.linalg.norm(D.T @ h))
     if defect > tol * (1.0 + np.linalg.norm(h)):
@@ -359,8 +362,11 @@ class LinearBVP:
         return self.propagate(self.rd.pinv @ self.h(g, alpha)) + g
 
     def solve(self, f, alpha=None, tol: float = 1e-9) -> SolutionFamily:
-        """Classify (f, alpha) and build its full solution family."""
+        """Classify (f, alpha) and build its full solution family. A forced
+        response that overflows is refused with a ValueError."""
         g = particular_forced(self.system, f)
+        if not np.all(np.isfinite(g)):
+            raise ValueError("the forced response is not finite (the sweep overflowed)")
         h = self.h(g, alpha)
         particular = self.propagate(self.rd.pinv @ h) + g
         # kernels[j] = propagate(K[:, j]) bit for bit; the 2-D U @ K rounds differently

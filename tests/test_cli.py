@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import warnings
 from pathlib import Path
 
@@ -309,6 +310,25 @@ class TestOverflowingInputs:
         path.write_text(json.dumps(doc))
         assert self.run_quietly(["solve-nonlinear", path, "-o", tmp_path / "out"],
                                 capsys) == 3
+
+    @pytest.mark.parametrize("cmd", [
+        ["solve-linear"],
+        ["solve-nonlinear"],
+        ["sweep", "--eps-min", "0", "--eps-max", "1e-3", "--count", "2"],
+    ])
+    def test_overflowing_forcing_is_usage_error(self, tmp_path, capsys, cmd):
+        # 1e308 summed over identity steps overflows the forced response;
+        # its NaN defect once passed as a family with a particular.csv of nan
+        doc = json.loads(Path(problem("sweep_scalar.json")).read_text())
+        doc["forcing"] = [[1e308]] * doc["horizon"]
+        path = tmp_path / "huge_forcing.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(cmd[:1] + [path] + cmd[1:] + ["-o", tmp_path / "out"])
+        err = capsys.readouterr().err
+        assert code == 64
+        assert "overflow" in err and "Warning" not in err
 
     def test_non_finite_floats_become_null(self, tmp_path):
         cli._write_report(tmp_path / "r.json",
@@ -621,6 +641,19 @@ class TestUsage:
         assert run(cmd[:1] + [problem(cmd[1])] + cmd[2:] + ["-o", taken]) == 64
         assert "taken" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd,name", [
+        (["solve-linear", "identity_resonant.json"], "report.json"),
+        (["solve-nonlinear", "rotation_lv.json"], "report.json"),
+        (["sweep", "sweep_scalar.json", "--eps-min", "0", "--eps-max", "1e-3", "--count", "2"],
+         "report.json"),
+        (["solve-linear", "identity_resonant.json", "--dump-canonical"], "canonical.json"),
+    ])
+    def test_directory_in_the_way_of_an_output_is_usage_error(self, tmp_path, capsys,
+                                                               cmd, name):
+        (tmp_path / name).mkdir()
+        assert run(cmd[:1] + [problem(cmd[1])] + cmd[2:] + ["-o", tmp_path]) == 64
+        assert name in capsys.readouterr().err
+
     def test_missing_subcommand(self, capsys):
         assert run([]) == 64
 
@@ -681,6 +714,40 @@ class TestDeterminism:
         assert outs[0].keys() == outs[1].keys()
         for k in outs[0]:
             assert outs[0][k] == outs[1][k], f"{name}: {k} differs between runs"
+
+
+class TestOutputsAreNewFiles:
+    """Each output replaces whatever has its name; nothing is written through."""
+
+    @pytest.mark.parametrize("name,cmd", SHIPPED)
+    def test_rerun_into_the_same_directory_is_byte_identical(self, tmp_path, name, cmd):
+        outs = []
+        for _ in range(2):
+            run(cmd[:1] + [problem(name)] + cmd[1:] + ["-o", tmp_path, "--dump-canonical"])
+            outs.append({p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())})
+        assert outs[0] == outs[1]
+
+    def test_hard_links_keep_their_bytes(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        for fname in ("report.json", "solution.csv"):
+            (tmp_path / f"{fname}.sentinel").write_text("sentinel")
+            os.link(tmp_path / f"{fname}.sentinel", out / fname)
+        assert run(["solve-nonlinear", problem("rotation_lv.json"), "-o", out]) == 0
+        for fname in ("report.json", "solution.csv"):
+            assert (tmp_path / f"{fname}.sentinel").read_text() == "sentinel"
+            assert (out / fname).stat().st_nlink == 1
+        assert run(["verify", out / "report.json", out / "solution.csv"]) == 0
+
+    def test_symlink_is_replaced_not_followed(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        target = tmp_path / "elsewhere.json"
+        target.write_text("sentinel")
+        (out / "report.json").symlink_to(target)
+        assert run(["solve-linear", problem("identity_resonant.json"), "-o", out]) == 0
+        assert not (out / "report.json").is_symlink() and (out / "report.json").is_file()
+        assert target.read_text() == "sentinel"
 
 
 @pytest.mark.parametrize("name,cmd", SHIPPED)

@@ -282,8 +282,25 @@ class TestClassify:
         with pytest.raises(ValueError, match="tolerance"):
             LinearBVP(OperatorSequence.identity(2, 5), periodic(2, 5), rank_tol=-1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_h_is_refused(self, bad):
+        # its defect is NaN or inf, which the quasisolution test lets through
+        with pytest.raises(ValueError, match="not finite"):
+            classify(numerical_rank(np.zeros((2, 2)), 1e-10), np.array([bad, 1.0]))
+
 
 class TestSolveFamily:
+    @pytest.mark.parametrize("l", [
+        periodic(2, 4),
+        generic([(0, np.eye(2))], np.zeros(2)),  # h = alpha stays finite
+    ])
+    def test_overflowing_forced_response_is_refused(self, l):
+        # 1e308 summed over identity steps overflows to inf
+        bvp = LinearBVP(OperatorSequence.identity(2, 4), l)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="forced response"):
+            bvp.solve(np.full((4, 2), 1e308))
+
     def test_invertible_Q_exact(self):
         rng = np.random.default_rng(12)
         m = 6
