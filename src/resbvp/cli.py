@@ -24,6 +24,7 @@ import csv
 import functools
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import asdict
@@ -95,6 +96,22 @@ def _write_report(path: Path, report: dict) -> None:
     _write_new(path, json_text(report) + "\n")
 
 
+# what a run may write besides report.json and canonical.json
+_OUTPUT_NAME = re.compile(r"(particular|solution|trace|branch|kernel_\d{2,})\.csv")
+
+
+def _remove_stale(out: Path, written) -> None:
+    """Remove the outputs that an earlier run left in ``out`` and this run
+    did not rewrite (it wrote ``written``), so that the directory holds what
+    its report lists. Other names and directories are left alone."""
+    for path in out.iterdir():
+        if _OUTPUT_NAME.fullmatch(path.name) and path.name not in written and not path.is_dir():
+            try:
+                path.unlink()
+            except OSError as exc:
+                raise ProblemFormatError(f"{path}: cannot remove the stale output: {exc}") from exc
+
+
 def _out_dir(args) -> Path:
     out = Path(args.output)
     try:
@@ -121,7 +138,10 @@ def _trajectory_entry(problem: Problem, z: np.ndarray, kind: str) -> dict:
 def _linear_family(problem: Problem) -> SolutionFamily:
     """The solution family of a problem file's linear part, from its one
     LinearBVP, at the file's rank and classification tolerances."""
-    bvp = LinearBVP(problem.system, problem.boundary, rank_tol=problem.tolerances["rank"])
+    try:
+        bvp = LinearBVP(problem.system, problem.boundary, rank_tol=problem.tolerances["rank"])
+    except ValueError as exc:  # the transition matrices Phi(n, 0) overflowed
+        raise ProblemFormatError(f"system: {exc}") from exc
     try:
         return bvp.solve(problem.forcing, tol=problem.tolerances["classification"])
     except ValueError as exc:  # the forced response or h overflowed
@@ -161,6 +181,7 @@ def cmd_solve_linear(args) -> int:
         "trajectories": trajectories,
         "outputs": sorted(trajectories),
     }
+    _remove_stale(out, trajectories)
     _write_report(out / "report.json", doc)
 
     print(f"classification: {report.classification}  "
@@ -262,12 +283,15 @@ def cmd_solve_nonlinear(args) -> int:
 
     doc = {"command": "solve-nonlinear", "problem": problem.canonical, **stages}
     trajectories = {}
+    written = []
     if z is not None:
         _write_trajectory(out / "solution.csv", z)
         trajectories["solution.csv"] = _trajectory_entry(problem, z, "solution")
         _write_table(out / "trace.csv", nl.IterationTrace.FIELDS, trace.records)
+        written = ["solution.csv", "trace.csv"]
     doc["trajectories"] = trajectories
     doc["outputs"] = sorted(trajectories)
+    _remove_stale(out, written)
     _write_report(out / "report.json", doc)
 
     if "generating" in stages:
@@ -355,6 +379,7 @@ def cmd_sweep(args) -> int:
         "points": rows,
         "outputs": ["branch.csv"],
     }
+    _remove_stale(out, doc["outputs"])
     _write_report(out / "report.json", doc)
     ok = sum(1 for row in rows if row["exit"] == EXIT_OK)
     print(f"sweep: {ok}/{len(rows)} grid points converged; outputs in {out} "

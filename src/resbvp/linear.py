@@ -18,8 +18,12 @@ particular_forced steps through the window once for any stack of forcings,
 and every stacked slice equals, bit for bit, the sweep of that forcing
 alone. particular_forced_scan sweeps a stack by recursive doubling (a
 Hillis-Steele scan over the hops Phi(j+1, j+1-2^l) that each
-OperatorSequence holds), ceil(log2 m) batched matmuls instead of m Python
-steps, and agrees with the step-by-step sweep to roundoff only. The
+OperatorSequence holds), ceil(log2 m) matmul levels instead of m Python
+steps, and agrees with the step-by-step sweep to roundoff only. A
+time-invariant system (every A_n equal to A_0) holds one (N, N) hop
+A_0^(2^l) per level, ceil(log2 m) N^2 doubles, and each level of its scan
+is one 2-D product; a time-varying one holds a hop per time, about
+m N^2 log2 m doubles, and makes one (N, N) product per time. The
 bifurcation function F, whose finite-difference Jacobian amplifies
 roundoff about a millionfold, uses the first; the fixed-point iteration
 and B0 use the second.
@@ -64,10 +68,13 @@ class OperatorSequence:
     matrices has shape (m, N, N); step n maps z(n) to the A_n z(n) part of
     z(n+1). Trajectories over the window have m+1 states.
 
-    hops[l] = Phi(j+1, j+1-2^l) for j = 2^l, ..., m-1, shape (m-2^l, N, N),
-    for l = 0, ..., ceil(log2 m)-1: the doubling steps of
-    particular_forced_scan, built once here (about m N^2 log2 m doubles).
-    Both arrays are read-only, so the hops cannot go stale.
+    hops[l], for l = 0, ..., ceil(log2 m)-1, holds the transitions
+    Phi(j+1, j+1-2^l) for j = 2^l, ..., m-1: the doubling steps of
+    particular_forced_scan, built once here. The system is time-invariant
+    when every A_n equals A_0 bit for bit; then these transitions are all
+    A_0^(2^l), and hops[l] is that one matrix, shape (N, N). Otherwise
+    hops[l] has shape (m-2^l, N, N), one per j, about m N^2 log2 m doubles
+    in all. Both arrays are read-only, so the hops cannot go stale.
     """
 
     matrices: np.ndarray
@@ -83,7 +90,9 @@ class OperatorSequence:
             raise ValueError("system matrices must have finite entries")
         A.flags.writeable = False
         object.__setattr__(self, "matrices", A)
-        object.__setattr__(self, "hops", _doubling_hops(A))
+        # bitwise, so that a -0.0 where A_0 has 0.0 keeps the per-time hops
+        invariant = bool((A.view(np.uint64) == A[0].view(np.uint64)).all())
+        object.__setattr__(self, "hops", _doubling_hops(A, invariant))
 
     @property
     def dim(self) -> int:
@@ -103,17 +112,27 @@ class OperatorSequence:
         return cls.constant(np.eye(dim), m)
 
 
-def _doubling_hops(A: np.ndarray) -> tuple:
-    """hops[l] = T[s:] for s = 2^l, where T[j] = Phi(j+1, j+1-s): T starts
-    as A_j = Phi(j+1, j) and each level composes T[j] with T[j-s]."""
-    T = A.copy()
+def _doubling_hops(A: np.ndarray, invariant: bool) -> tuple:
+    """hops[l] for s = 2^l < m. A time-varying system keeps T[s:], where
+    T[j] = Phi(j+1, j+1-s): T starts as A_j = Phi(j+1, j) and each level
+    composes T[j] with T[j-s]. A time-invariant one keeps T = A_0^s, squared
+    from level to level: the composition of two equal hops, so the same
+    product, bit for bit, as every kept entry of the per-time T. It is
+    stored in Fortran order, so that the scan's hop.T is C-contiguous,
+    which BLAS multiplies by faster than by a transposed view."""
+    m = A.shape[0]
+    T = A[0] if invariant else A.copy()
     hops = []
     s = 1
-    while s < A.shape[0]:
-        hop = T[s:].copy()
+    while s < m:
+        hop = np.asfortranarray(T) if invariant else T[s:].copy()
         hop.flags.writeable = False
         hops.append(hop)
-        T[s:] = T[s:] @ T[:-s]
+        if 2 * s < m:  # compose no level past the last one kept
+            if invariant:
+                T = T @ T
+            else:
+                T[s:] = T[s:] @ T[:-s]
         s *= 2
     return tuple(hops)
 
@@ -181,8 +200,10 @@ def particular_forced_scan(system: OperatorSequence, f) -> np.ndarray:
     """particular_forced of a stack of k forcings, shape (k, m, N), by a
     Hillis-Steele scan; returns shape (k, m+1, N).
 
-    Over v[j] = g(j+1), level l adds Phi(j+1, j+1-2^l) v[j-2^l] to v[j]:
-    one batched matmul with the system's hops, ceil(log2 m) in all. It
+    Over v[j] = g(j+1), level l adds Phi(j+1, j+1-2^l) v[j-2^l] to v[j],
+    ceil(log2 m) levels in all. With the (N, N) hops of a time-invariant
+    system a level is one (m-2^l) k x N by N x N product; with per-time
+    hops it is one batched matmul, an (N, N) @ (N, k) product per time. It
     matches the step-by-step sweep to roundoff, not bit for bit, so only
     callers whose results feed no finite difference use it: iterate (one
     sweep per round) and assemble_B0 (one sweep of the r kernel columns).
@@ -195,13 +216,25 @@ def particular_forced_scan(system: OperatorSequence, f) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.ndim != 3 or f.shape[1:] != (m, N):
         raise ValueError(f"forcing stack must have shape (k, {m}, {N}), got {f.shape}")
-    # (m, N, k) puts each level in one (N, N) @ (N, k) matmul per time;
-    # copy() also keeps the in-place levels off the caller's array.
-    v = f.transpose(1, 2, 0).copy()
-    s = 1
-    for hop in system.hops:
-        v[s:] += hop @ v[:-s]
-        s *= 2
+    if system.hops and system.hops[0].ndim == 2:
+        # (m, k, N) puts each level in one 2-D product, v[j-s] lying s*k
+        # rows back; copy() also keeps the in-place levels off the caller's array.
+        k = f.shape[0]
+        v = f.transpose(1, 0, 2).copy()
+        flat = v.reshape(m * k, N)
+        s = 1
+        for hop in system.hops:
+            flat[s * k:] += flat[:(m - s) * k] @ hop.T
+            s *= 2
+        v = v.transpose(0, 2, 1)  # as (m, N, k), the layout below
+    else:
+        # (m, N, k) puts each level in one (N, N) @ (N, k) matmul per time;
+        # copy() also keeps the in-place levels off the caller's array.
+        v = f.transpose(1, 2, 0).copy()
+        s = 1
+        for hop in system.hops:
+            v[s:] += hop @ v[:-s]
+            s *= 2
     g = np.zeros((f.shape[0], m + 1, N))
     g[:, 1:] = v.transpose(2, 0, 1)
     return g
@@ -326,7 +359,9 @@ class LinearBVP:
     """Assembled linear problem: transition stack, Q, and its generalized inverse.
 
     Immutable after construction; all solve/green calls are pure. Q^+ is
-    rd.pinv, formed once on first use.
+    rd.pinv, formed once on first use. Transition matrices Phi(n, 0) that
+    overflow (a Fibonacci system over about 1475 steps) are refused with a
+    ValueError that names the first such n.
     """
 
     def __init__(self, system: OperatorSequence, l: BoundaryOperator,
@@ -334,6 +369,10 @@ class LinearBVP:
         self.system = system
         self.boundary = l
         self.U = transition_stack(system)
+        finite = np.isfinite(self.U).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"the transition matrices Phi(n, 0) overflow from "
+                             f"n = {int(finite.argmin())} on")
         self.Q = assemble_Q(system, l, self.U)
         self.rd = numerical_rank(self.Q, rank_tol)
 

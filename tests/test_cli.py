@@ -52,16 +52,30 @@ class TestSolveLinear:
                     "-o", tmp_path, "--allow-quasi"])
         assert code == 0
 
-    @pytest.mark.xfail(strict=True, raises=ValueError,
-                       reason="Phi(m, 0) overflows at horizon 1500 and the rank "
-                              "decision refuses it with a traceback (ROADMAP item 1)")
-    def test_fibonacci_long_horizon_exits_with_a_documented_code(self, tmp_path):
+    def test_fibonacci_long_horizon_exits_with_a_documented_code(self, tmp_path, capsys):
+        # Phi(n, 0) overflows from n = 1476 on; single shooting cannot solve it
         path = tmp_path / "fibonacci_1500.json"
         path.write_text(json.dumps({"dim": 2, "horizon": 1500,
                                     "system": {"type": "fibonacci"},
                                     "forcing": "zero", "boundary": {"type": "periodic"}}))
         code = run(["solve-linear", path, "-o", tmp_path / "out"])
-        assert code in (0, 2, 3, 4, 5, 64)
+        assert code == 64
+        assert "transition matrices Phi(n, 0) overflow from n = 1476" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", [["solve-nonlinear"],
+                                     ["sweep", "--eps-min", "0", "--eps-max", "1e-3",
+                                      "--count", "2"]])
+    def test_fibonacci_long_horizon_in_the_nonlinear_pipeline(self, tmp_path, capsys, cmd):
+        path = tmp_path / "fibonacci_lv_1500.json"
+        path.write_text(json.dumps({
+            "dim": 2, "horizon": 1500, "system": {"type": "fibonacci"},
+            "forcing": "zero", "boundary": {"type": "periodic"},
+            "nonlinearity": {"type": "lotka_volterra", "g1": 1.0, "g2": 1.0,
+                             "a": 1.0, "b": 1.0},
+            "epsilon": 1e-3}))
+        code = run(cmd[:1] + [path] + cmd[1:] + ["-o", tmp_path / "out"])
+        assert code == 64
+        assert "system: the transition matrices Phi(n, 0) overflow" in capsys.readouterr().err
 
     def test_emitted_residuals_are_small(self, tmp_path):
         run(["solve-linear", problem("rotation_lv.json"), "-o", tmp_path])
@@ -748,6 +762,37 @@ class TestOutputsAreNewFiles:
         assert run(["solve-linear", problem("identity_resonant.json"), "-o", out]) == 0
         assert not (out / "report.json").is_symlink() and (out / "report.json").is_file()
         assert target.read_text() == "sentinel"
+
+
+class TestStaleOutputs:
+    """A run removes the outputs of an earlier run that it does not rewrite."""
+
+    def test_kernels_of_an_earlier_family_are_removed(self, tmp_path):
+        assert run(["solve-linear", problem("identity_resonant.json"), "-o", tmp_path]) == 0
+        assert (tmp_path / "kernel_02.csv").exists()
+        assert run(["solve-linear", problem("fibonacci_periodic.json"), "-o", tmp_path]) == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["outputs"] == ["particular.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["particular.csv", "report.json"]
+
+    def test_a_failed_solve_leaves_no_solution(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(["solve-nonlinear", problem("rotation_lv.json"), "-o", out]) == 0
+        assert (out / "trace.csv").exists()
+        assert run(["solve-nonlinear", overflowing_scalar_problem(tmp_path), "-o", out]) == 3
+        assert json.loads((out / "report.json").read_text())["outputs"] == []
+        assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+
+    def test_other_names_are_left_alone(self, tmp_path):
+        assert run(["sweep", problem("sweep_scalar.json"), "--eps-min", "0", "--eps-max",
+                    "1e-3", "--count", "2", "-o", tmp_path, "--dump-canonical"]) == 0
+        for name in ("notes.txt", "kernel_1.csv", "solution.csv.bak"):
+            (tmp_path / name).write_text("kept")
+        (tmp_path / "trace.csv").mkdir()
+        assert run(["solve-linear", problem("identity_resonant.json"), "-o", tmp_path]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "canonical.json", "kernel_01.csv", "kernel_02.csv", "kernel_1.csv",
+            "notes.txt", "particular.csv", "report.json", "solution.csv.bak", "trace.csv"]
 
 
 @pytest.mark.parametrize("name,cmd", SHIPPED)

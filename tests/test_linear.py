@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,13 @@ class TestParticularForced:
             g[n + 1] = A.matrices[n] @ g[n] + f[n]
         return g
 
+    def check_scan(self, A: OperatorSequence, f):
+        G = particular_forced_scan(A, f)
+        assert G.shape == (f.shape[0], A.horizon + 1, A.dim)
+        for j in range(f.shape[0]):
+            g = self.sequential_sweep(A, f[j])
+            assert np.abs(G[j] - g).max() <= 1e-13 * (1 + np.abs(g).max())
+
     @pytest.mark.parametrize("m", [1, 2, 7, 16, 37])
     @pytest.mark.parametrize("N", [1, 3])
     @pytest.mark.parametrize("k", [1, 4])
@@ -132,12 +141,16 @@ class TestParticularForced:
         mats = rng.standard_normal((m, N, N))
         mats[m // 2] = 0.0 if N == 1 else np.outer(mats[m // 2, 0], mats[m // 2, 1])
         A = OperatorSequence(mats)  # A_{m//2} is singular
-        f = rng.standard_normal((k, m, N))
-        G = particular_forced_scan(A, f)
-        assert G.shape == (k, m + 1, N)
-        for j in range(k):
-            g = self.sequential_sweep(A, f[j])
-            assert np.abs(G[j] - g).max() <= 1e-13 * (1 + np.abs(g).max())
+        self.check_scan(A, rng.standard_normal((k, m, N)))
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 16, 37])
+    @pytest.mark.parametrize("N", [1, 3])
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_time_invariant_scan_matches_sequential_sweep(self, m, N, k):
+        rng = np.random.default_rng(100 * m + 10 * N + k)
+        A = OperatorSequence.constant(rng.standard_normal((N, N)) / np.sqrt(N), m)
+        assert all(hop.shape == (N, N) for hop in A.hops)
+        self.check_scan(A, rng.standard_normal((k, m, N)))
 
     def test_scan_fibonacci_growth(self):
         m = 300  # F(300) ~ 2e62: only a relative tolerance is meaningful
@@ -198,6 +211,47 @@ class TestParticularForced:
                 assert np.allclose(hop[j - s], expected, rtol=1e-13, atol=1e-13)
         with pytest.raises(ValueError):
             A.matrices[0, 0, 0] = 1.0  # read-only, so the hops cannot go stale
+
+    @pytest.mark.parametrize("N", [1, 2, 5])
+    def test_time_invariant_hops_equal_the_per_time_composition(self, N):
+        m = 23
+        M = np.random.default_rng(17).standard_normal((N, N))
+        A = OperatorSequence.constant(M, m)
+        T = [M.copy() for _ in range(m)]  # T[j] = Phi(j+1, j+1-s), composed per time
+        s = 1
+        for hop in A.hops:
+            assert hop.shape == (N, N)
+            for j in range(s, m):
+                assert np.array_equal(hop, T[j])
+            T = [T[j] @ T[j - s] if j >= s else T[j] for j in range(m)]
+            s *= 2
+        assert len(A.hops) == 5  # ceil(log2 23)
+
+    def test_a_signed_zero_makes_a_system_time_varying(self):
+        mats = np.zeros((4, 2, 2))
+        mats[2, 0, 1] = -0.0
+        assert OperatorSequence(mats).hops[0].shape == (3, 2, 2)
+        assert OperatorSequence(np.zeros((4, 2, 2))).hops[0].shape == (2, 2)
+
+    def test_time_invariant_hops_take_one_matrix_per_level(self):
+        m, N = 6000, 32
+        M = np.random.default_rng(18).standard_normal((N, N)) / np.sqrt(N)
+        hops = OperatorSequence.constant(M, m).hops
+        assert len(hops) == 13  # ceil(log2 6000)
+        assert sum(hop.nbytes for hop in hops) == 13 * N * N * 8
+
+    @pytest.mark.parametrize("time_invariant", [True, False])
+    def test_no_level_is_composed_past_the_last_kept(self, time_invariant):
+        # FIB^2048 overflows, FIB^1024 (the last level at m = 1500) does not
+        mats = np.broadcast_to(FIB, (1500, 2, 2)).copy()
+        if not time_invariant:
+            mats[0] = np.eye(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            A = OperatorSequence(mats)
+        assert (A.hops[0].ndim == 2) == time_invariant
+        assert len(A.hops) == 11
+        assert all(np.isfinite(hop).all() for hop in A.hops)
 
     def test_stack_shape_checked(self):
         A = random_system(np.random.default_rng(9), 4, 2)
@@ -300,6 +354,13 @@ class TestSolveFamily:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValueError, match="forced response"):
             bvp.solve(np.full((4, 2), 1e308))
+
+    def test_overflowing_transition_matrices_are_refused(self):
+        # FIB^1476 overflows; Q = Phi(m, 0) - I would then reach the rank decision
+        system = OperatorSequence.constant(FIB, 1500)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match=r"Phi\(n, 0\) overflow from n = 1476 on"):
+            LinearBVP(system, periodic(2, 1500))
 
     def test_invertible_Q_exact(self):
         rng = np.random.default_rng(12)
