@@ -135,6 +135,21 @@ def _trajectory_entry(problem: Problem, z: np.ndarray, kind: str) -> dict:
     return {"kind": kind, "recurrence_residual": rec, "boundary_residual": bc}
 
 
+def _refuse_inaccurate(problem: Problem, report, name: str, z: np.ndarray, entry: dict) -> None:
+    """Exit 64 on a linear trajectory whose residual is non-finite or exceeds
+    tolerances.residual (1 + max |z|), as single shooting leaves those of an
+    expanding system. A quasisolution particular's boundary residual is the defect norm."""
+    bound = problem.tolerances["residual"] * (1.0 + float(np.abs(z).max()))
+    quasi = entry["kind"] == "particular" and report.classification == QUASISOLUTION
+    for key, target in (("recurrence_residual", 0.0),
+                        ("boundary_residual", report.defect_norm if quasi else 0.0)):
+        value = entry[key]
+        if not (math.isfinite(value) and abs(value - target) <= bound):
+            raise ProblemFormatError(
+                f"{name}: {key.replace('_', ' ')} {value:.3e}, expected {target:.3e} "
+                f"within tolerances.residual (1 + max |z|) = {bound:.3e}")
+
+
 def _linear_family(problem: Problem) -> SolutionFamily:
     """The solution family of a problem file's linear part, from its one
     LinearBVP, at the file's rank and classification tolerances."""
@@ -166,13 +181,15 @@ def cmd_solve_linear(args) -> int:
     family = _linear_family(problem)
     report = family.report
 
-    trajectories = {}
-    _write_trajectory(out / "particular.csv", family.particular)
-    trajectories["particular.csv"] = _trajectory_entry(problem, family.particular, "particular")
+    emitted = {"particular.csv": (family.particular, "particular")}
     for j in range(family.kernel_dim):
-        name = f"kernel_{j + 1:02d}.csv"
-        _write_trajectory(out / name, family.kernel_basis[j])
-        trajectories[name] = _trajectory_entry(problem, family.kernel_basis[j], "kernel")
+        emitted[f"kernel_{j + 1:02d}.csv"] = (family.kernel_basis[j], "kernel")
+    trajectories = {}
+    for name, (z, kind) in emitted.items():
+        trajectories[name] = _trajectory_entry(problem, z, kind)
+        _refuse_inaccurate(problem, report, name, z, trajectories[name])
+    for name, (z, _) in emitted.items():
+        _write_trajectory(out / name, z)
 
     doc = {
         "command": "solve-linear",

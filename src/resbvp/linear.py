@@ -13,20 +13,13 @@ the unique choice under which z(n) = Phi(n, i) z(i) for the homogeneous
 recurrence and g(n) = sum_{i<n} Phi(n, i+1) f(i) solves the forced one
 from g(0) = 0.
 
-The forced recurrence has two sweeps, and each caller picks one.
-particular_forced steps through the window once for any stack of forcings,
-and every stacked slice equals, bit for bit, the sweep of that forcing
-alone. particular_forced_scan sweeps a stack by recursive doubling (a
-Hillis-Steele scan over the hops Phi(j+1, j+1-2^l) that each
-OperatorSequence holds), ceil(log2 m) matmul levels instead of m Python
-steps, and agrees with the step-by-step sweep to roundoff only. A
-time-invariant system (every A_n equal to A_0) holds one (N, N) hop
-A_0^(2^l) per level, ceil(log2 m) N^2 doubles, and each level of its scan
-is one 2-D product; a time-varying one holds a hop per time, about
-m N^2 log2 m doubles, and makes one (N, N) product per time. The
-bifurcation function F, whose finite-difference Jacobian amplifies
-roundoff about a millionfold, uses the first; the fixed-point iteration
-and B0 use the second.
+The forced recurrence has two sweeps. particular_forced steps through the
+window, and each stacked slice equals the sweep of that forcing alone bit
+for bit; the bifurcation function F, whose finite-difference Jacobian
+amplifies roundoff about a millionfold, uses it. particular_forced_scan
+sweeps a stack in ceil(log2 m) levels over the doubling hops each
+OperatorSequence holds and agrees with it to roundoff only; the
+fixed-point iteration and B0 use it.
 """
 
 from __future__ import annotations
@@ -70,7 +63,7 @@ class OperatorSequence:
 
     hops[l], for l = 0, ..., ceil(log2 m)-1, holds the transitions
     Phi(j+1, j+1-2^l) for j = 2^l, ..., m-1: the doubling steps of
-    particular_forced_scan, built once here. The system is time-invariant
+    particular_forced_scan, built once here. The system is time_invariant
     when every A_n equals A_0 bit for bit; then these transitions are all
     A_0^(2^l), and hops[l] is that one matrix, shape (N, N). Otherwise
     hops[l] has shape (m-2^l, N, N), one per j, about m N^2 log2 m doubles
@@ -78,10 +71,11 @@ class OperatorSequence:
     """
 
     matrices: np.ndarray
+    time_invariant: bool = field(init=False, repr=False, compare=False)
     hops: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        A = np.array(self.matrices, dtype=float)
+        A = np.array(self.matrices, dtype=float, order="C")  # a broadcast view copies non-C
         if A.ndim != 3 or A.shape[1] != A.shape[2]:
             raise ValueError(f"expected shape (m, N, N), got {A.shape}")
         if A.shape[0] == 0:
@@ -92,6 +86,7 @@ class OperatorSequence:
         object.__setattr__(self, "matrices", A)
         # bitwise, so that a -0.0 where A_0 has 0.0 keeps the per-time hops
         invariant = bool((A.view(np.uint64) == A[0].view(np.uint64)).all())
+        object.__setattr__(self, "time_invariant", invariant)
         object.__setattr__(self, "hops", _doubling_hops(A, invariant))
 
     @property
@@ -105,7 +100,7 @@ class OperatorSequence:
     @classmethod
     def constant(cls, A, m: int) -> "OperatorSequence":
         A = np.asarray(A, dtype=float)
-        return cls(np.broadcast_to(A, (m,) + A.shape).copy())
+        return cls(np.broadcast_to(A, (m,) + A.shape))  # __post_init__ copies it
 
     @classmethod
     def identity(cls, dim: int, m: int) -> "OperatorSequence":
@@ -201,22 +196,20 @@ def particular_forced_scan(system: OperatorSequence, f) -> np.ndarray:
     Hillis-Steele scan; returns shape (k, m+1, N).
 
     Over v[j] = g(j+1), level l adds Phi(j+1, j+1-2^l) v[j-2^l] to v[j],
-    ceil(log2 m) levels in all. With the (N, N) hops of a time-invariant
-    system a level is one (m-2^l) k x N by N x N product; with per-time
-    hops it is one batched matmul, an (N, N) @ (N, k) product per time. It
-    matches the step-by-step sweep to roundoff, not bit for bit, so only
-    callers whose results feed no finite difference use it: iterate (one
-    sweep per round) and assemble_B0 (one sweep of the r kernel columns).
-    generating_F keeps particular_forced: Newton's finite-difference
-    Jacobian amplifies a roundoff change in F about 1e6-fold, and through
-    the scan it moves the generating root of rotation_lv.json by 2.3e-12,
-    past the 1e-12 golden tolerance.
+    ceil(log2 m) levels in all. On a time_invariant system a level is one
+    2-D (m-2^l) k x N by N x N product; otherwise it is an (N, N) @ (N, k)
+    product per time. It matches the step-by-step sweep to roundoff, not
+    bit for bit, so only callers whose results feed no finite difference
+    use it: iterate (its two forcings in one call per round) and
+    assemble_B0 (the r kernel columns). Through the scan, generating_F's
+    root of rotation_lv.json would move 2.3e-12, past the 1e-12 golden
+    tolerance.
     """
     m, N = system.horizon, system.dim
     f = np.asarray(f, dtype=float)
     if f.ndim != 3 or f.shape[1:] != (m, N):
         raise ValueError(f"forcing stack must have shape (k, {m}, {N}), got {f.shape}")
-    if system.hops and system.hops[0].ndim == 2:
+    if system.time_invariant:
         # (m, k, N) puts each level in one 2-D product, v[j-s] lying s*k
         # rows back; copy() also keeps the in-place levels off the caller's array.
         k = f.shape[0]
@@ -377,8 +370,9 @@ class LinearBVP:
         self.rd = numerical_rank(self.Q, rank_tol)
 
     def propagate(self, z0: np.ndarray) -> np.ndarray:
-        """Homogeneous trajectory Phi(n, 0) z0 over the window."""
-        return self.U @ np.asarray(z0, dtype=float)
+        """Homogeneous trajectory Phi(n, 0) z0 over the window, one 2-D product."""
+        U = self.U
+        return (U.reshape(-1, U.shape[2]) @ np.asarray(z0, dtype=float)).reshape(U.shape[:2])
 
     def h(self, g, alpha=None) -> np.ndarray:
         """Right-hand side h = alpha - l g of the induced equation Q z0 = h,
@@ -388,9 +382,9 @@ class LinearBVP:
         alpha = self.boundary.target if alpha is None else np.asarray(alpha, dtype=float)
         return alpha - self.boundary.apply(g)
 
-    def green(self, g, alpha=None) -> np.ndarray:
+    def green(self, g, alpha=None, lg=None) -> np.ndarray:
         """Particular solution operator: Phi(n, 0) Q^+ (alpha - l g) + g(n),
-        with g as for ``h``.
+        with g as for ``h``. ``lg``, when given, is l g already applied.
 
         Linear in (g, alpha), so alpha defaults to zero, not to the boundary
         target; least-squares/minimum-norm when the boundary condition
@@ -398,7 +392,8 @@ class LinearBVP:
         """
         if alpha is None:
             alpha = np.zeros(self.boundary.codim)
-        return self.propagate(self.rd.pinv @ self.h(g, alpha)) + g
+        lg = self.boundary.apply(g) if lg is None else lg
+        return self.propagate(self.rd.pinv @ (alpha - lg)) + g
 
     def solve(self, f, alpha=None, tol: float = 1e-9) -> SolutionFamily:
         """Classify (f, alpha) and build its full solution family. A forced
@@ -408,17 +403,22 @@ class LinearBVP:
             raise ValueError("the forced response is not finite (the sweep overflowed)")
         h = self.h(g, alpha)
         particular = self.propagate(self.rd.pinv @ h) + g
-        # kernels[j] = propagate(K[:, j]) bit for bit; the 2-D U @ K rounds differently
+        # a product per time and kernel column, not one 2-D U @ K, which rounds
+        # differently; the basis reaches Newton's finite-difference Jacobian
         kernels = (self.U @ self.rd.kernel.T[:, None, :, None])[..., 0]
         return SolutionFamily(self, classify(self.rd, h, tol=tol), particular, kernels)
 
 
 def recurrence_defect(system: OperatorSequence, f, trajectory) -> np.ndarray:
     """z(n+1) - A_n z(n) - f(n) for n = 0, ..., m-1, shape (m, N), in one
-    stacked expression."""
+    stacked expression: a time-invariant system's A_n z(n) are one 2-D
+    product z[:m] A_0^T, a time-varying one's a product per time."""
     z = np.asarray(trajectory, dtype=float)
-    m = system.horizon
-    return z[1:m + 1] - (system.matrices @ z[:m, :, None])[..., 0] - _forcing_array(system, f)
+    m, A = system.horizon, system.matrices
+    # C-contiguous A_0^T like the scan's hop.T: a transposed view costs 0.1 MB more RSS
+    Az = z[:m] @ np.ascontiguousarray(A[0].T) if system.time_invariant \
+        else (A @ z[:m, :, None])[..., 0]
+    return z[1:m + 1] - Az - _forcing_array(system, f)
 
 
 def recurrence_residual(system: OperatorSequence, f, trajectory) -> float:

@@ -315,7 +315,7 @@ def nonlinear_recurrence_residual(problem: NonlinearProblem, z, Zz=None) -> floa
     if Zz is None:
         Zz = _along(problem, problem.Z, z, eps)
     res = recurrence_defect(problem.system, problem.forcing, z) - eps * Zz
-    return float(np.linalg.norm(res, axis=1).max())
+    return float(np.sqrt((res * res).sum(axis=1).max()))  # norm(res, axis=1).max(), bit for bit
 
 
 def iterate(problem: NonlinearProblem, family: SolutionFamily, c0, B0_pinv,
@@ -328,12 +328,14 @@ def iterate(problem: NonlinearProblem, family: SolutionFamily, c0, B0_pinv,
 
         u_next    = propagated-kernel(c) + ubar
         c_next    = B0^+ [cokernel proj. of l(response of Z_du ubar + R(u))]
-        ubar_next = eps * Green[ Z(z0,.,0) + Z_du(z0,.,0) u + R(u), 0 ]
+        ubar_next = eps * Green[ phi, 0 ],   phi = Z(z0+u, ., eps)
 
-    with remainder R(u, n, eps) = Z(z0+u, n, eps) - Z(z0, n, 0)
-    - Z_du(z0, n, 0) u, all three sequences starting at zero. The
-    linearized forcing therefore telescopes to Z(z0+u, n, eps) exactly, so
-    a fixed point solves the perturbed recurrence identically.
+    with Z_du = Z_du(z0, ., 0) and remainder R(u, n, eps) = Z(z0+u, n, eps)
+    - Z(z0, n, 0) - Z_du u, all three sequences starting at zero. phi is
+    Z(z0,.,0) + Z_du u + R(u) telescoped, so a fixed point solves the
+    perturbed recurrence identically. c_next's forcing is computed as
+    Z_du (ubar - u) + Z(z0+u,.,eps) - Z(z0,.,0), one Z_du product; one scan
+    sweeps both forcings, and one l of both responses serves c_next and Green.
 
     Stops on a sup-norm Cauchy increment delta_k = max |u_{k+1} - u_k|
     <= tol confirmed by small recurrence and boundary residuals of z0 + u.
@@ -360,9 +362,9 @@ def iterate(problem: NonlinearProblem, family: SolutionFamily, c0, B0_pinv,
     Z0 = _along(problem, problem.Z, z0, 0.0)
     Zdu = _along(problem, problem.Z_du, z0, 0.0)
     Zz = _along(problem, problem.Z, z0, eps)  # Z(z0 + u, ., eps), reused across rounds
-    D = family.cokernel_basis
     l = problem.boundary
 
+    K = family.kernel_basis.reshape(r, (m + 1) * N)  # explicit: -1 fails at r = 0
     u = np.zeros((m + 1, N))
     c = np.zeros(r)
     ubar = np.zeros((m + 1, N))
@@ -372,23 +374,21 @@ def iterate(problem: NonlinearProblem, family: SolutionFamily, c0, B0_pinv,
     iterations = 0
 
     for k in range(max_iter + 1):
-        Zdu_u = _matvec(Zdu, u[:m])
-        R = Zz - Z0 - Zdu_u
-        phi = Z0 + Zdu_u + R
-        lin_forcing = _matvec(Zdu, ubar[:m]) + R
-        g_lin, g_phi = particular_forced_scan(problem.system, np.stack([lin_forcing, phi]))
+        lin_forcing = _matvec(Zdu, ubar[:m] - u[:m]) + (Zz - Z0)
+        G = particular_forced_scan(problem.system, np.stack([lin_forcing, Zz]))
+        lG = l.apply(G)  # l g_lin and l g_phi
+        lin_proj, phi_proj = lG @ family.cokernel_basis
 
-        u_next = np.tensordot(c, family.kernel_basis, axes=1) + ubar
-        c_next = B0_pinv @ (D.T @ l.apply(g_lin))
-        ubar_next = eps * family.bvp.green(g_phi)
+        u_next = (c @ K).reshape(m + 1, N) + ubar
+        c_next = B0_pinv @ lin_proj
+        ubar_next = eps * family.bvp.green(G[1], lg=lG[1])
 
         z = z0 + u_next
         Zz = _along(problem, problem.Z, z, eps)
         rec_res = nonlinear_recurrence_residual(problem, z, Zz=Zz)
         bc_res = boundary_residual(l, z)
-        proj_res = float(np.linalg.norm(D.T @ l.apply(g_phi)))
         records.append((k, float(np.linalg.norm(c)), float(np.abs(ubar).max()),
-                        rec_res, bc_res, proj_res))
+                        rec_res, bc_res, float(np.linalg.norm(phi_proj))))
 
         delta = float(np.abs(u_next - u).max())
         deltas.append(delta)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import warnings
 from pathlib import Path
 
@@ -83,6 +84,64 @@ class TestSolveLinear:
         for entry in doc["trajectories"].values():
             assert entry["recurrence_residual"] <= 1e-10
             assert entry["boundary_residual"] <= 1e-10
+
+
+def fibonacci_periodic_file(tmp_path, m, eighths=False) -> Path:
+    """The Fibonacci companion with a periodic boundary at horizon m, forced
+    by zero or, with ``eighths``, by acceptance criterion 4's multiples of
+    1/8 in [-1, 1] drawn from seed 400 + m."""
+    forcing = "zero"
+    if eighths:
+        forcing = (np.random.default_rng(400 + m).integers(-8, 9, (m, 2)) / 8).tolist()
+    path = tmp_path / f"fibonacci_{m}.json"
+    path.write_text(json.dumps({"dim": 2, "horizon": m, "system": {"type": "fibonacci"},
+                                "forcing": forcing, "boundary": {"type": "periodic"}}))
+    return path
+
+
+class TestResidualGate:
+    """solve-linear refuses a trajectory that single shooting got wrong."""
+
+    @pytest.mark.parametrize("m,eighths,name,residual", [
+        (40, True, "particular.csv", r"boundary residual \d"),
+        (60, False, "kernel_01.csv", r"recurrence residual \d"),
+        (300, False, "kernel_01.csv", r"recurrence residual \d\.\d+e\+4\d"),
+        (1000, False, "kernel_01.csv", r"recurrence residual (inf|nan)"),  # non-finite
+    ], ids=["m40", "m60", "m300", "m1000"])
+    def test_inaccurate_trajectory_is_refused(self, tmp_path, capsys, m, eighths, name,
+                                              residual):
+        out = tmp_path / "out"
+        assert run(["solve-linear", fibonacci_periodic_file(tmp_path, m, eighths),
+                    "-o", out]) == 64
+        err = capsys.readouterr().err
+        assert re.search(f"^error: {name}: {residual}", err), err
+        assert "tolerances.residual (1 + max |z|)" in err
+        assert list(out.iterdir()) == []  # nothing is written
+
+    @pytest.mark.parametrize("eighths", [False, True])
+    def test_horizon_20_is_within_tolerance(self, tmp_path, eighths):
+        # its particular is off by about 1e-10, inside 1e-8 (1 + max |z|)
+        assert run(["solve-linear", fibonacci_periodic_file(tmp_path, 20, eighths),
+                    "-o", tmp_path / "out"]) == 0
+
+    @pytest.mark.parametrize("name", [name for name, _ in SHIPPED])
+    def test_shipped_problems_pass(self, tmp_path, name):
+        code = run(["solve-linear", problem(name), "-o", tmp_path])
+        assert code == (2 if name == "quasisolution_multipoint.json" else 0)
+        for entry in json.loads((tmp_path / "report.json").read_text())["trajectories"].values():
+            assert entry["recurrence_residual"] <= 1e-12
+
+    def test_quasisolution_particular_is_held_to_the_defect_norm(self):
+        prob = cli.load_problem(problem("quasisolution_multipoint.json"))
+        family = cli._linear_family(prob)
+        z = family.particular
+        entry = cli._trajectory_entry(prob, z, "particular")
+        defect = family.report.defect_norm
+        assert abs(entry["boundary_residual"] - defect) <= 1e-15 and defect > 0.7
+        cli._refuse_inaccurate(prob, family.report, "particular.csv", z, entry)
+        entry["boundary_residual"] = defect + 1e-6
+        with pytest.raises(cli.ProblemFormatError, match="expected 7.071e-01 within"):
+            cli._refuse_inaccurate(prob, family.report, "particular.csv", z, entry)
 
 
 def count_gate_calls(monkeypatch) -> dict:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from resbvp.linear import (
     evolution,
     particular_forced,
     particular_forced_scan,
+    recurrence_defect,
     recurrence_residual,
     transition_stack,
 )
@@ -536,3 +538,63 @@ class TestRecurrenceResidual:
         # a trailing (m+1)-th forcing value is outside the window
         assert recurrence_residual(A, np.vstack([f, np.ones(N)]), z) == stacked
         assert recurrence_residual(A, None, z) == recurrence_residual(A, np.zeros((m, N)), z)
+
+
+def batched_defect(A: OperatorSequence, f, z):
+    """z(n+1) - A_n z(n) - f(n) with one (N, N) @ (N, 1) product per time."""
+    m = A.horizon
+    return z[1:m + 1] - (A.matrices @ z[:m, :, None])[..., 0] - f
+
+
+class TestRecurrenceDefect:
+    @pytest.mark.parametrize("N", [1, 2, 32])
+    def test_time_invariant_branch_matches_the_batched_product(self, N):
+        rng = np.random.default_rng(19)
+        m = 600 if N <= 2 else 40
+        A = OperatorSequence.constant(rng.standard_normal((N, N)), m)
+        assert A.time_invariant
+        f, z = rng.standard_normal((m, N)), rng.standard_normal((m + 1, N))
+        got, want = recurrence_defect(A, f, z), batched_defect(A, f, z)
+        assert np.abs(got - want).max() <= 64 * np.finfo(float).eps * (1 + np.abs(want).max())
+
+    def test_a_signed_zero_takes_the_per_time_branch(self):
+        rng = np.random.default_rng(20)
+        mats = np.broadcast_to(np.array([[0.5, 0.0], [1.0, 2.0]]), (7, 2, 2)).copy()
+        mats[3, 0, 1] = -0.0
+        A = OperatorSequence(mats)
+        assert not A.time_invariant and A.hops[0].ndim == 3
+        f, z = rng.standard_normal((7, 2)), rng.standard_normal((8, 2))
+        assert np.array_equal(recurrence_defect(A, f, z), batched_defect(A, f, z))
+
+    def test_one_step_system_is_time_invariant(self):
+        rng = np.random.default_rng(21)
+        A = OperatorSequence(rng.standard_normal((1, 3, 3)))
+        assert A.time_invariant and A.hops == ()
+        f, z = rng.standard_normal((1, 3)), rng.standard_normal((2, 3))
+        assert np.allclose(recurrence_defect(A, f, z), batched_defect(A, f, z),
+                           rtol=0, atol=1e-14)
+        g = particular_forced_scan(A, f[None])
+        assert np.array_equal(g[0], particular_forced(A, f))
+
+
+class TestConstantSystem:
+    def test_is_a_read_only_copy_of_its_own(self):
+        M = np.array([[1.0, 2.0], [3.0, 4.0]])
+        A = OperatorSequence.constant(M, 5)
+        assert A.matrices.flags.owndata and A.matrices.flags.c_contiguous
+        assert not A.matrices.flags.writeable
+        assert not np.shares_memory(A.matrices, M)
+        M[0, 0] = 9.0
+        assert np.array_equal(A.matrices, np.broadcast_to([[1.0, 2.0], [3.0, 4.0]], (5, 2, 2)))
+
+    def test_copies_once(self):
+        m, N = 2000, 16
+        M = np.linalg.qr(np.random.default_rng(22).standard_normal((N, N)))[0]
+        tracemalloc.start()
+        try:
+            A = OperatorSequence.constant(M, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = A.matrices.nbytes + sum(hop.nbytes for hop in A.hops)
+        assert peak <= 1.2 * kept

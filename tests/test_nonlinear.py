@@ -10,7 +10,9 @@ from resbvp.linear import (
     OperatorSequence,
     boundary_residual,
     particular_forced,
+    particular_forced_scan,
 )
+from resbvp.lotka_volterra import LotkaVolterraSpec, lv_callables
 from resbvp.nonlinear import (
     NO_CONTRACTION_WINDOW,
     GeneratingFamilyError,
@@ -425,6 +427,134 @@ class TestIterate:
         assert len(delta) == len(trace.records) == k + 1
         assert k > w and delta[k] >= delta[k - w]
         assert all(delta[j] < delta[j - w] for j in range(w + 1, k))  # the first such round
+
+
+def reference_iterate(problem, family, c0, B0_pinv, tol=1e-10, max_iter=200,
+                      blowup=1e6, residual_tol=1e-8):
+    """The fixed-point round as it was before iterate made one Z_du product
+    per round: R formed on its own, l applied to each response apart, the
+    kernel part by tensordot, and Green's propagation and the recurrence
+    defect as per-time batched products. Returns (z, records, increments,
+    iterations, reason) with iterate's stopping rules."""
+    eps, m = problem.epsilon, problem.system.horizon
+    A, f = problem.system.matrices, np.asarray(problem.forcing, dtype=float)[:m]
+    bvp, l, D = family.bvp, problem.boundary, family.cokernel_basis
+
+    def along(fn, z, at_eps):
+        return np.asarray(fn(z[:m], np.arange(m), at_eps), dtype=float)
+
+    def matvec(M, v):
+        return (M @ v[..., None])[..., 0]
+
+    def green(g):
+        return bvp.U @ (bvp.rd.pinv @ (np.zeros(l.codim) - l.apply(g))) + g
+
+    z0 = family.member(c0)
+    Z0, Zdu = along(problem.Z, z0, 0.0), along(problem.Z_du, z0, 0.0)
+    Zz = along(problem.Z, z0, eps)
+    u, ubar, c = np.zeros_like(z0), np.zeros_like(z0), np.zeros(family.kernel_dim)
+    records, deltas, reason = [], [], "max_iter"
+    for k in range(max_iter + 1):
+        Zdu_u = matvec(Zdu, u[:m])
+        R = Zz - Z0 - Zdu_u
+        phi = Z0 + Zdu_u + R
+        lin_forcing = matvec(Zdu, ubar[:m]) + R
+        g_lin, g_phi = particular_forced_scan(problem.system, np.stack([lin_forcing, phi]))
+        u_next = np.tensordot(c, family.kernel_basis, axes=1) + ubar
+        c_next = B0_pinv @ (D.T @ l.apply(g_lin))
+        ubar_next = eps * green(g_phi)
+        z = z0 + u_next
+        Zz = along(problem.Z, z, eps)
+        rec_res = float(np.linalg.norm(z[1:] - matvec(A, z[:m]) - f - eps * Zz, axis=1).max())
+        bc_res = boundary_residual(l, z)
+        records.append((k, float(np.linalg.norm(c)), float(np.abs(ubar).max()), rec_res,
+                        bc_res, float(np.linalg.norm(D.T @ l.apply(g_phi)))))
+        delta = float(np.abs(u_next - u).max())
+        deltas.append(delta)
+        u, c, ubar = u_next, c_next, ubar_next
+        if not np.isfinite(u).all():
+            reason = "non_finite"
+            break
+        if np.abs(u).max() > blowup:
+            reason = "blowup"
+            break
+        scale = 1.0 + float(np.abs(z).max())
+        if delta <= tol * scale and rec_res <= residual_tol * scale \
+                and bc_res <= residual_tol * scale:
+            reason = "converged"
+            break
+        if k > NO_CONTRACTION_WINDOW and delta >= deltas[k - NO_CONTRACTION_WINDOW]:
+            reason = "no_contraction"
+            break
+    return z0 + u, records, deltas, k, reason
+
+
+def varying_rotation(m, eps):
+    """Rotations by angles 2 pi / m (1 + sin(2 pi n / m) / 2), which turn
+    one full circle over the window, so Phi(m, 0) = I and Q = 0 as for the
+    block rotation, but every A_n differs: a time-varying system."""
+    n = np.arange(m)
+    theta = 2 * np.pi / m * (1 + 0.5 * np.sin(2 * np.pi * n / m))
+    cos, sin = np.cos(theta), np.sin(theta)
+    system = OperatorSequence(np.stack([np.stack([cos, -sin], -1),
+                                        np.stack([sin, cos], -1)], -2))
+    f = 0.3 * np.random.default_rng(7).standard_normal((m, 2))
+    f[m - 1] -= particular_forced(system, f)[m]
+    return NonlinearProblem(system, f, periodic(2, m),
+                            *lv_callables(LotkaVolterraSpec.uniform(1)), eps)
+
+
+def no_kernel_square():
+    """N = 1, r = 0 < d = 1 (the CLI's no-kernel problem) with Z = z^2: its
+    gate fails, and iterate runs as --force makes it."""
+    doc = parse_problem({
+        "dim": 1, "horizon": 3, "system": {"type": "identity"},
+        "boundary": {"type": "generic", "target": [1.0, 1.0],
+                     "samples": [{"point": 0, "weights": [[1.0], [0.0]]},
+                                 {"point": 3, "weights": [[0.0], [1.0]]}]},
+        "nonlinearity": {"type": "polynomial", "coeffs": [0.0, 0.0, 1.0]},
+        "epsilon": 1e-2})
+    return NonlinearProblem(doc.system, doc.forcing, doc.boundary, *doc.nonlinearity,
+                            doc.epsilon)
+
+
+def block_rotation(m, N, eps, base):
+    doc = parse_problem(block_rotation_doc(m, N, eps, base))
+    return NonlinearProblem(doc.system, doc.forcing, doc.boundary, *doc.nonlinearity,
+                            doc.epsilon)
+
+
+ROUND_CASES = {
+    "invariant_m600_N2": lambda: block_rotation(600, 2, 1e-4, 0),
+    "invariant_m24_N32": lambda: block_rotation(24, 32, 1e-4, 0),
+    "stalling_m600_N2": lambda: block_rotation(600, 2, 1e-3, 0),
+    "varying_m120_N2": lambda: varying_rotation(120, 1e-3),
+    "no_kernel_forced": no_kernel_square,
+}
+
+
+class TestRoundMatchesReference:
+    @pytest.mark.parametrize("case", sorted(ROUND_CASES))
+    def test_same_rounds_trace_and_trajectory(self, case):
+        p = ROUND_CASES[case]()
+        family = LinearBVP(p.system, p.boundary).solve(p.forcing)
+        r = family.kernel_dim
+        c0 = solve_generating(p, family, [0.5] * r).c0 if r else np.zeros(0)
+        B0_pinv = check_sufficient(assemble_B0(p, family, c0)).B0_pinv
+        z, trace = iterate(p, family, c0, B0_pinv)
+        z_ref, records, deltas, iterations, reason = reference_iterate(p, family, c0, B0_pinv)
+        assert (trace.iterations, trace.reason) == (iterations, reason)
+        assert np.abs(z - z_ref).max() <= 1e-12
+        assert np.abs(np.array(trace.records) - np.array(records)).max() <= 1e-12
+        assert np.abs(np.array(trace.increments) - np.array(deltas)).max() <= 1e-12
+
+    def test_cases_cover_each_branch(self):
+        assert ROUND_CASES["invariant_m600_N2"]().system.time_invariant
+        assert not ROUND_CASES["varying_m120_N2"]().system.time_invariant
+        p = no_kernel_square()
+        family = LinearBVP(p.system, p.boundary).solve(p.forcing)
+        assert family.kernel_dim == 0 and family.cokernel_dim == 1
+        assert not check_sufficient(assemble_B0(p, family, np.zeros(0))).holds
 
 
 class TestRemainder:
