@@ -40,7 +40,7 @@ from .fibonacci import (
     fib_green_matrix_oracle,
 )
 from .linear import (QUASISOLUTION, LinearBVP, SolutionFamily, boundary_residual,
-                     recurrence_residual)
+                     recurrence_defect, recurrence_residual)
 from .problem_io import Problem, ProblemFormatError, canonical_json, json_text, load_problem
 
 EXIT_OK = 0
@@ -225,10 +225,24 @@ def _nonlinear_problem(problem: Problem, eps: float | None = None) -> nl.Nonline
 
 
 def _linear_stage(problem: Problem, nlp: nl.NonlinearProblem) -> SolutionFamily:
-    """The family of the linear part, with Z_du audited against Z unless
-    the family is a quasisolution. Neither depends on eps, so a sweep runs
-    this once for its whole grid."""
+    """The family of the linear part, its members held to solve-linear's
+    residual gate, with Z_du audited against Z unless the family is a
+    quasisolution. None of it depends on eps, so a sweep runs this once
+    for its whole grid."""
     family = _linear_family(problem)
+    z = family.particular
+    _refuse_inaccurate(problem, family.report, "linear-stage member particular", z,
+                       _trajectory_entry(problem, z, "particular"))
+    # The kernel members in one stacked pass, not r _trajectory_entry calls
+    # (0.3 vs 0.5 ms at r = 32); _refuse_inaccurate words the first refusal.
+    K = family.kernel_basis
+    rec = np.linalg.norm(recurrence_defect(problem.system, None, K), axis=-1).max(axis=-1)
+    bc = np.linalg.norm(problem.boundary.apply(K), axis=-1)
+    bound = problem.tolerances["residual"] * (1.0 + np.abs(K).max(axis=(1, 2)))
+    for j in np.flatnonzero(~((rec <= bound) & (bc <= bound))):
+        _refuse_inaccurate(problem, family.report, f"linear-stage member kernel_{j + 1:02d}",
+                           K[j], {"kind": "kernel", "recurrence_residual": rec[j],
+                                  "boundary_residual": bc[j]})
     if family.report.classification != QUASISOLUTION:
         nl.verify_derivative(nlp)
     return family

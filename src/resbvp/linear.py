@@ -13,13 +13,13 @@ the unique choice under which z(n) = Phi(n, i) z(i) for the homogeneous
 recurrence and g(n) = sum_{i<n} Phi(n, i+1) f(i) solves the forced one
 from g(0) = 0.
 
-The forced recurrence has two sweeps. particular_forced steps through the
-window, and each stacked slice equals the sweep of that forcing alone bit
-for bit; the bifurcation function F, whose finite-difference Jacobian
-amplifies roundoff about a millionfold, uses it. particular_forced_scan
-sweeps a stack in ceil(log2 m) levels over the doubling hops each
-OperatorSequence holds and agrees with it to roundoff only; the
-fixed-point iteration and B0 use it.
+The forced recurrence has two sweeps. particular_forced_scan sweeps a
+stack in ceil(log2 m) levels over the doubling hops each OperatorSequence
+holds; the fixed-point iteration and B0 use it. particular_forced, used by
+the bifurcation function F and the linear solve, scans long windows with
+small stacks too and steps through any other: F's finite-difference
+Jacobian amplifies roundoff about a millionfold, so the short windows of
+the shipped problems keep the stepped bits.
 """
 
 from __future__ import annotations
@@ -134,8 +134,9 @@ def _doubling_hops(A: np.ndarray, invariant: bool) -> tuple:
 
 def transition_stack(system: OperatorSequence) -> np.ndarray:
     """All transition matrices from time 0: U[k] = Phi(k, 0), shape (m+1, N, N)."""
-    # Step by step, not by the hops: the scan's roundoff would reach the
-    # generating root through Q's kernel basis (see particular_forced_scan).
+    # Step by step, not by the hops, on every window: Q is roundoff-sized on
+    # the rotation workloads, so the scan's roundoff picks another kernel
+    # basis of it, and c0 and solver.c_init are coordinates in that basis.
     m, N = system.horizon, system.dim
     U = np.empty((m + 1, N, N))
     U[0] = np.eye(N)
@@ -168,22 +169,38 @@ def _forcing_array(system: OperatorSequence, f) -> np.ndarray:
     return f
 
 
-def particular_forced(system: OperatorSequence, f) -> np.ndarray:
-    """The unique solution of g(n+1) = A_n g(n) + f(n) with g(0) = 0,
-    swept step by step.
+# particular_forced scans a stack of k forcings over a window of more than
+# _SCAN_MIN_HORIZON steps when N <= _SCAN_MAX_DIM and k N^2 <= _SCAN_MAX_WORK.
+# Past those the scan's ceil(log2 m) passes over m k N^2 work lose to the
+# loop (measured at m = 65 to 4000); shorter windows keep the loop's bits,
+# whose roundoff Newton's finite-difference root amplifies.
+_SCAN_MIN_HORIZON = 64
+_SCAN_MAX_DIM = 16
+_SCAN_MAX_WORK = 1024
 
-    f has shape (..., m, N) and g has shape (..., m+1, N). Each step is
-    one (N, N) @ (N, 1) product per stacked forcing, so every slice of a
-    stack equals the sweep of that forcing alone bit for bit. generating_F
-    needs that (see particular_forced_scan); the linear solve uses it too.
+
+def particular_forced(system: OperatorSequence, f) -> np.ndarray:
+    """The unique solution of g(n+1) = A_n g(n) + f(n) with g(0) = 0.
+
+    f has shape (..., m, N) and g has shape (..., m+1, N). A stack of k
+    forcings over a window of m > 64 steps, with N <= 16 and k N^2 <= 1024,
+    goes through particular_forced_scan, flattened to (k, m, N). Any other
+    is swept step by step, one (N, N) @ (N, 1) product per stacked
+    forcing, so that every slice equals the sweep of its forcing alone bit
+    for bit, as every shipped problem's generating root needs.
     """
     f = _forcing_array(system, f)
+    m, N = system.horizon, system.dim
+    k = f.size // (m * N)
+    if m > _SCAN_MIN_HORIZON and N <= _SCAN_MAX_DIM and k * N * N <= _SCAN_MAX_WORK:
+        g = particular_forced_scan(system, f.reshape(-1, m, N))
+        return g.reshape(f.shape[:-2] + (m + 1, N))
     # Time-major (m, ..., N, 1), stepping over views made once: each step
     # is one matmul into a contiguous block and one add in place, with no
     # temporary, and rounds as a plain g[n+1] = A_n g[n] + f[n].
     # swapaxes(0, -2) is its own inverse for any number of leading axes.
     ft = f.swapaxes(0, -2)[..., None]
-    g = np.zeros((system.horizon + 1,) + ft.shape[1:])
+    g = np.zeros((m + 1,) + ft.shape[1:])
     gv = list(g)
     for A, f_n, g_n, g_next in zip(system.matrices, ft, gv, gv[1:]):
         np.matmul(A, g_n, out=g_next)
@@ -199,11 +216,11 @@ def particular_forced_scan(system: OperatorSequence, f) -> np.ndarray:
     ceil(log2 m) levels in all. On a time_invariant system a level is one
     2-D (m-2^l) k x N by N x N product; otherwise it is an (N, N) @ (N, k)
     product per time. It matches the step-by-step sweep to roundoff, not
-    bit for bit, so only callers whose results feed no finite difference
-    use it: iterate (its two forcings in one call per round) and
-    assemble_B0 (the r kernel columns). Through the scan, generating_F's
-    root of rotation_lv.json would move 2.3e-12, past the 1e-12 golden
-    tolerance.
+    bit for bit. iterate (its two forcings in one call per round) and
+    assemble_B0 (the r kernel columns) call it on every window, and
+    particular_forced on long ones. On the short windows of the shipped
+    problems it would move generating_F's finite-difference root of
+    rotation_lv.json 2.3e-12, past the 1e-12 golden tolerance.
     """
     m, N = system.horizon, system.dim
     f = np.asarray(f, dtype=float)
@@ -276,7 +293,8 @@ def classify(rd: RankDecision, h, tol: float = 1e-9) -> SolvabilityReport:
     The defect is ||P_{N(Q*)} h||; quasisolution iff it exceeds
     tol * (1 + ||h||). In finite dimensions the range of Q is closed, so
     the non-classical branch is exactly the least-squares one. A
-    non-finite h is refused: its defect, NaN or inf, would pass that test.
+    non-finite h or defect is refused: a NaN or inf would pass that test,
+    and D^T h can overflow where h does not.
     """
     D = rd.cokernel
     h = np.asarray(h, dtype=float).reshape(-1)
@@ -285,8 +303,13 @@ def classify(rd: RankDecision, h, tol: float = 1e-9) -> SolvabilityReport:
     if not np.all(np.isfinite(h)):
         raise ValueError("the right-hand side h is not finite (it overflowed)")
     r, d = rd.kernel.shape[1], D.shape[1]
-    defect = float(np.linalg.norm(D.T @ h))
-    if defect > tol * (1.0 + np.linalg.norm(h)):
+    with np.errstate(over="ignore"):  # an overflowed defect is refused just below
+        defect = float(np.linalg.norm(D.T @ h))
+        h_norm = float(np.linalg.norm(h))
+    if not np.isfinite(defect):
+        raise ValueError("the defect ||D^T h|| of the right-hand side is not finite "
+                         "(it overflowed)")
+    if defect > tol * (1.0 + h_norm):
         label = QUASISOLUTION
     elif r == 0:
         label = CLASSICAL
@@ -412,13 +435,14 @@ class LinearBVP:
 def recurrence_defect(system: OperatorSequence, f, trajectory) -> np.ndarray:
     """z(n+1) - A_n z(n) - f(n) for n = 0, ..., m-1, shape (m, N), in one
     stacked expression: a time-invariant system's A_n z(n) are one 2-D
-    product z[:m] A_0^T, a time-varying one's a product per time."""
+    product z[:m] A_0^T, a time-varying one's a product per time. A stack
+    of trajectories, shape (..., m+1, N), gives the stack of defects."""
     z = np.asarray(trajectory, dtype=float)
     m, A = system.horizon, system.matrices
     # C-contiguous A_0^T like the scan's hop.T: a transposed view costs 0.1 MB more RSS
-    Az = z[:m] @ np.ascontiguousarray(A[0].T) if system.time_invariant \
-        else (A @ z[:m, :, None])[..., 0]
-    return z[1:m + 1] - Az - _forcing_array(system, f)
+    Az = z[..., :m, :] @ np.ascontiguousarray(A[0].T) if system.time_invariant \
+        else (A @ z[..., :m, :, None])[..., 0]
+    return z[..., 1:m + 1, :] - Az - _forcing_array(system, f)
 
 
 def recurrence_residual(system: OperatorSequence, f, trajectory) -> float:

@@ -185,10 +185,13 @@ def generating_F(problem: NonlinearProblem, family: SolutionFamily, c,
     nonlinearity at a nonzero ``at_eps`` instead.
 
     ``c`` may also be a stack of coefficient vectors, shape (k, r), giving
-    F of shape (k, d) from one stacked member, one Z call, one step-by-step
-    sweep, one boundary map and one projection. Every row equals the single
-    evaluation at its vector bit for bit, which Newton's finite-difference
-    Jacobian needs (see _fd_jacobian).
+    F of shape (k, d) from one stacked member, one Z call, one
+    particular_forced sweep, one boundary map and one projection. On a
+    window of m <= 64 steps, or past the scan's stack bound (N > 16 or
+    k N^2 > 1024), that sweep steps through the window and every row
+    equals the single evaluation at its vector bit for bit; on a longer
+    window with a small stack it is the doubling scan, and rows agree with
+    single evaluations to roundoff.
     """
     _require_generating(family)
     fz = _along(problem, problem.Z, family.member(c), at_eps)
@@ -202,8 +205,10 @@ def _fd_jacobian(problem: NonlinearProblem, family: SolutionFamily, c: np.ndarra
 
     Column j is (F(c + s_j e_j) - F(c - s_j e_j)) / (2 s_j) with step
     s_j = 1e-6 (1 + |c_j|); all 2r points are one stacked generating_F
-    call. It amplifies roundoff in F about a millionfold, so the stacked
-    rows must equal single evaluations bit for bit, as generating_F's do.
+    call, and the quotients use only rows of that call, which share one
+    sweep. It amplifies roundoff in F about a millionfold: on the short
+    windows of the shipped problems the rows equal single evaluations bit
+    for bit, and any change in F's roundoff moves the root.
     """
     r = c.shape[0]
     steps = 1e-6 * (1.0 + np.abs(c))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -86,17 +87,26 @@ class TestSolveLinear:
             assert entry["boundary_residual"] <= 1e-10
 
 
-def fibonacci_periodic_file(tmp_path, m, eighths=False) -> Path:
+def fibonacci_periodic_file(tmp_path, m, eighths=False, nonlinear=False) -> Path:
     """The Fibonacci companion with a periodic boundary at horizon m, forced
     by zero or, with ``eighths``, by acceptance criterion 4's multiples of
-    1/8 in [-1, 1] drawn from seed 400 + m."""
+    1/8 in [-1, 1] drawn from seed 400 + m; with ``nonlinear``, perturbed
+    by the Lotka-Volterra nonlinearity at eps = 1e-3."""
     forcing = "zero"
     if eighths:
         forcing = (np.random.default_rng(400 + m).integers(-8, 9, (m, 2)) / 8).tolist()
+    doc = {"dim": 2, "horizon": m, "system": {"type": "fibonacci"},
+           "forcing": forcing, "boundary": {"type": "periodic"}}
+    if nonlinear:
+        doc.update(nonlinearity={"type": "lotka_volterra", "g1": 1.0, "g2": 1.0,
+                                 "a": 1.0, "b": 1.0}, epsilon=1e-3)
     path = tmp_path / f"fibonacci_{m}.json"
-    path.write_text(json.dumps({"dim": 2, "horizon": m, "system": {"type": "fibonacci"},
-                                "forcing": forcing, "boundary": {"type": "periodic"}}))
+    path.write_text(json.dumps(doc))
     return path
+
+
+NONLINEAR_COMMANDS = [["solve-nonlinear"],
+                      ["sweep", "--eps-min", "0", "--eps-max", "1e-3", "--count", "2"]]
 
 
 class TestResidualGate:
@@ -130,6 +140,55 @@ class TestResidualGate:
         assert code == (2 if name == "quasisolution_multipoint.json" else 0)
         for entry in json.loads((tmp_path / "report.json").read_text())["trajectories"].values():
             assert entry["recurrence_residual"] <= 1e-12
+
+    @pytest.mark.parametrize("cmd", NONLINEAR_COMMANDS, ids=["solve-nonlinear", "sweep"])
+    def test_nonlinear_commands_gate_their_linear_stage(self, tmp_path, capsys, cmd):
+        # horizon-60 Fibonacci gets a spurious kernel member (r = d = 1) whose
+        # recurrence residual is 6.1e-05; Newton and the gate would build on it
+        out = tmp_path / "out"
+        path = fibonacci_periodic_file(tmp_path, 60, nonlinear=True)
+        assert run(cmd[:1] + [path] + cmd[1:] + ["-o", out]) == 64
+        err = capsys.readouterr().err
+        assert re.search(r"^error: linear-stage member kernel_01: recurrence residual "
+                         r"6\.\d+e-05, expected 0\.000e\+00 within", err), err
+        assert list(out.iterdir()) == []
+
+    def test_linear_stage_holds_kernel_members_to_the_boundary(self, tmp_path, monkeypatch):
+        # z(n) = 2^n solves z(n+1) = 2 z(n) exactly but misses the periodic
+        # boundary by z(3) - z(0) = 7
+        path = tmp_path / "doubling.json"
+        path.write_text(json.dumps({
+            "dim": 1, "horizon": 3, "system": {"type": "constant", "matrix": [[2.0]]},
+            "forcing": "zero", "boundary": {"type": "periodic"},
+            "nonlinearity": {"type": "polynomial", "coeffs": [0.0, 0.0, 1.0]}}))
+        prob = cli.load_problem(path)
+        family = cli._linear_family(prob)
+        bad = dataclasses.replace(family, kernel_basis=np.array([[[1.0], [2.0], [4.0], [8.0]]]))
+        monkeypatch.setattr(cli, "_linear_family", lambda problem: bad)
+        with pytest.raises(cli.ProblemFormatError,
+                           match="^linear-stage member kernel_01: boundary residual 7.000e"):
+            cli._linear_stage(prob, cli._nonlinear_problem(prob))
+
+    @pytest.mark.parametrize("cmd", NONLINEAR_COMMANDS, ids=["solve-nonlinear", "sweep"])
+    def test_overflowing_defect_exits_64(self, tmp_path, capsys, cmd):
+        # h is finite at m = 1000 but D^T h overflows; this was a `family`
+        # whose Newton stage exited 3 with |F| = nan
+        path = fibonacci_periodic_file(tmp_path, 1000, eighths=True, nonlinear=True)
+        assert run(cmd[:1] + [path] + cmd[1:] + ["-o", tmp_path / "out"]) == 64
+        assert "defect ||D^T h|| of the right-hand side is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,cmd", SHIPPED, ids=[name for name, _ in SHIPPED])
+    def test_shipped_commands_keep_their_exit_codes(self, tmp_path, name, cmd):
+        assert run(cmd[:1] + [problem(name)] + cmd[1:] + ["-o", tmp_path]) == 0
+
+    @pytest.mark.parametrize("case,code", [((600, 2, 1e-4, b), 0) for b in range(5)]
+                             + [((24, 32, 1e-4, b), 0) for b in range(5)]
+                             + [((600, 2, 1e-3, b), 5) for b in (0, 3)],
+                             ids=[f"iterate-long-f{b}" for b in range(5)]
+                             + [f"newton-wide-f{b}" for b in range(5)]
+                             + [f"iterate-stall-f{b}" for b in (0, 3)])
+    def test_workload_inputs_keep_their_exit_codes(self, tmp_path, case, code):
+        assert solve_block_rotation(tmp_path, case)[0] == code
 
     def test_quasisolution_particular_is_held_to_the_defect_norm(self):
         prob = cli.load_problem(problem("quasisolution_multipoint.json"))
@@ -270,16 +329,24 @@ class TestSolveNonlinear:
         assert code == 64
         assert "no nonlinearity" in capsys.readouterr().err
 
-    def test_residual_tolerance_is_read(self, tmp_path):
-        # the file's residual tolerance gates convergence: none can meet 1e-300
+    def test_residual_tolerance_is_read(self, tmp_path, capsys):
+        # The file's residual tolerance gates convergence. The linear members'
+        # residuals (at most 8.1e-16) meet 2e-15 (1 + max |z|); the iteration's
+        # boundary residual stalls near 2e-14 and cannot.
         doc = json.loads(Path(problem("rotation_lv.json")).read_text())
-        doc.setdefault("tolerances", {})["residual"] = 1e-300
+        doc.setdefault("tolerances", {})["residual"] = 2e-15
         path = tmp_path / "strict.json"
         path.write_text(json.dumps(doc))
         assert run(["solve-nonlinear", path, "-o", tmp_path / "out"]) == 5
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert not report["iteration"]["converged"]
         assert report["iteration"]["iterations"] < 200  # stopped before max_iter
+        # none meets 1e-300: the linear stage refuses first
+        doc["tolerances"]["residual"] = 1e-300
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["solve-nonlinear", path, "-o", tmp_path / "out"]) == 64
+        assert "error: linear-stage member particular: " in capsys.readouterr().err
 
 
 def _no_kernel_problem(tmp_path, coeffs) -> Path:

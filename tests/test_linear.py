@@ -203,6 +203,53 @@ class TestParticularForced:
             U[n + 1] = A.matrices[n] @ U[n]
         assert np.array_equal(transition_stack(A), U)
 
+    @staticmethod
+    def routed_system(m, N, time_invariant):
+        """A contracting system for the routing tests: one matrix A_0 with
+        spectral norm 0.99, or a Gaussian matrix per time whose A_{m//2}
+        is singular; and the generator that draws the forcing."""
+        rng = np.random.default_rng(1000 * m + 10 * N + time_invariant)
+        if time_invariant:
+            M = rng.standard_normal((N, N))
+            return OperatorSequence.constant(0.99 * M / np.linalg.norm(M, 2), m), rng
+        mats = rng.standard_normal((m, N, N)) / np.sqrt(N)
+        mats[m // 2] = np.outer(mats[m // 2, 0], mats[m // 2, 1])
+        return OperatorSequence(mats), rng
+
+    @pytest.mark.parametrize("time_invariant", [True, False])
+    @pytest.mark.parametrize("N", [2, 16])
+    def test_windows_of_64_steps_are_swept_step_by_step(self, N, time_invariant):
+        A, rng = self.routed_system(64, N, time_invariant)
+        f = rng.standard_normal((64, N))
+        assert np.array_equal(particular_forced(A, f), self.sequential_sweep(A, f))
+
+    @pytest.mark.parametrize("time_invariant", [True, False])
+    @pytest.mark.parametrize("m", [65, 600])
+    @pytest.mark.parametrize("N,stack", [(2, ()), (2, (4,)), (2, (2, 3)),
+                                         (16, ()), (16, (4,))])
+    def test_longer_windows_go_through_the_scan(self, m, N, stack, time_invariant):
+        A, rng = self.routed_system(m, N, time_invariant)
+        f = rng.standard_normal(stack + (m, N))
+        before = f.copy()
+        G = particular_forced(A, f)
+        assert G.shape == stack + (m + 1, N)
+        assert np.array_equal(f, before)
+        scanned = particular_forced_scan(A, f.reshape(-1, m, N))
+        assert np.array_equal(G, scanned.reshape(G.shape))
+        for i in np.ndindex(stack):
+            g = self.sequential_sweep(A, f[i])
+            assert np.abs(G[i] - g).max() <= 1e-13 * (1 + np.abs(g).max())
+
+    @pytest.mark.parametrize("time_invariant", [True, False])
+    @pytest.mark.parametrize("N,stack", [(32, ()), (16, (2, 3)), (8, (17,))])
+    def test_wide_stacks_keep_the_step_by_step_sweep(self, N, stack, time_invariant):
+        # past N = 16 or k N^2 = 1024 the scan is slower than the loop
+        A, rng = self.routed_system(600, N, time_invariant)
+        f = rng.standard_normal(stack + (600, N))
+        G = particular_forced(A, f)
+        for i in np.ndindex(stack):
+            assert np.array_equal(G[i], self.sequential_sweep(A, f[i]))
+
     def test_hops_are_doubling_transitions(self):
         A = random_system(np.random.default_rng(15), 11, 2)
         assert [hop.shape[0] for hop in A.hops] == [10, 9, 7, 3]
@@ -343,6 +390,13 @@ class TestClassify:
         # its defect is NaN or inf, which the quasisolution test lets through
         with pytest.raises(ValueError, match="not finite"):
             classify(numerical_rank(np.zeros((2, 2)), 1e-10), np.array([bad, 1.0]))
+
+    def test_overflowing_defect_is_refused(self):
+        # h is finite, but its component along the cokernel (1, 1)/sqrt(2) is not
+        rd = numerical_rank(np.array([[1.0, 0.0], [-1.0, 0.0]]), 1e-10)
+        assert rd.cokernel.shape == (2, 1)
+        with pytest.raises(ValueError, match="defect .* not finite"):
+            classify(rd, np.array([1.7e308, 1.7e308]))
 
 
 class TestSolveFamily:

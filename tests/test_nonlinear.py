@@ -4,6 +4,7 @@ import inspect
 import numpy as np
 import pytest
 
+from resbvp import linear
 from resbvp.boundary import periodic
 from resbvp.linear import (
     LinearBVP,
@@ -191,6 +192,25 @@ class TestStackedF:
         m, N, r = p.system.horizon, p.system.dim, family.kernel_dim
         assert shapes.count((2 * r, m, N)) == root.iterations
         assert all(shape in ((m, N), (2 * r, m, N)) for shape in shapes)
+
+
+class TestLongWindowF:
+    """On a window of more than 64 steps generating_F sweeps through the
+    scan; it still matches F swept step by step."""
+
+    @pytest.mark.parametrize("N", [2, 8])
+    def test_matches_the_step_by_step_sweep(self, monkeypatch, N):
+        p = block_rotation(600, N, 1e-4, 0)
+        family = LinearBVP(p.system, p.boundary).solve(p.forcing)
+        C = 0.5 + np.random.default_rng(33).standard_normal((3, family.kernel_dim))
+        scanned = generating_F(p, family, C)
+        single = generating_F(p, family, C[0])
+        monkeypatch.setattr(linear, "_SCAN_MIN_HORIZON", 10**9)
+        stepped = generating_F(p, family, C)
+        scale = np.abs(stepped).max()
+        assert scale > 1.0
+        assert np.abs(scanned - stepped).max() <= 1e-13 * scale
+        assert np.abs(single - stepped[0]).max() <= 1e-13 * scale
 
 
 class TestSolveGenerating:
