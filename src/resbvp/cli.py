@@ -27,7 +27,6 @@ import math
 import re
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +40,8 @@ from .fibonacci import (
 )
 from .linear import (QUASISOLUTION, LinearBVP, SolutionFamily, boundary_residual,
                      recurrence_defect, recurrence_residual)
-from .problem_io import Problem, ProblemFormatError, canonical_json, json_text, load_problem
+from .problem_io import (MAX_DOUBLES, Problem, ProblemFormatError, canonical_json, json_text,
+                         load_problem)
 
 EXIT_OK = 0
 EXIT_QUASI = 2
@@ -194,7 +194,7 @@ def cmd_solve_linear(args) -> int:
     doc = {
         "command": "solve-linear",
         "problem": problem.canonical,
-        "solvability": asdict(report),
+        "solvability": dict(vars(report)),
         "trajectories": trajectories,
         "outputs": sorted(trajectories),
     }
@@ -256,7 +256,7 @@ def _pipeline(problem: Problem, nlp: nl.NonlinearProblem, family: SolutionFamily
     Returns (stage dicts, z, trace, exit code); z/trace are None when an
     early stage fails.
     """
-    stages = {"solvability": asdict(family.report)}
+    stages = {"solvability": dict(vars(family.report))}
     if family.report.classification == QUASISOLUTION:
         return stages, None, None, EXIT_QUASI
 
@@ -373,6 +373,10 @@ def cmd_sweep(args) -> int:
     if args.count < 1 or not np.isfinite([args.eps_min, args.eps_max]).all():
         print("sweep: --count must be >= 1 and --eps-min, --eps-max finite", file=sys.stderr)
         return EXIT_USAGE
+    if args.count > MAX_DOUBLES:  # np.linspace would refuse the grid
+        print(f"sweep: --count {args.count} is more than the {MAX_DOUBLES} doubles "
+              "one array holds", file=sys.stderr)
+        return EXIT_USAGE
     out = _out_dir(args)
     _maybe_dump_canonical(args, problem, out)
 
@@ -476,8 +480,10 @@ def _report_fault(doc, name: str) -> str | None:
     if entry.get("kind") not in _KINDS:
         return f"entry for '{name}' has no kind of {', '.join(_KINDS)}"
     for key in _RESIDUALS:
-        # a bool is no residual; null is a non-finite one
-        if key not in entry or type(entry[key]) not in (int, float, type(None)):
+        # a bool is no residual, nor an integer past the doubles; null is a non-finite one
+        value = entry.get(key, "")
+        if type(value) not in (int, float, type(None)) or (
+                type(value) is int and abs(value) > sys.float_info.max):
             return f"entry for '{name}' has no numeric {key}"
     return None
 

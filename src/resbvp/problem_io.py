@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -25,6 +26,10 @@ from .lotka_volterra import LotkaVolterraSpec, lv_callables
 
 __all__ = ["ProblemFormatError", "Problem", "parse_problem", "load_problem",
            "canonical_json", "json_text", "rotation_matrix"]
+
+# the most doubles one numpy array holds: numpy refuses a larger shape
+# (a ValueError) before it allocates anything
+MAX_DOUBLES = np.iinfo(np.intp).max // 8
 
 DEFAULT_TOLERANCES = {
     "classification": 1e-9,
@@ -79,6 +84,8 @@ def _as_float_array(value, shape, where: str) -> np.ndarray:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ProblemFormatError(f"{where}: not a numeric array") from exc
+    except OverflowError as exc:  # a JSON integer past the largest double
+        raise ProblemFormatError(f"{where}: {exc}") from exc
     if shape is not None and arr.shape != shape:
         raise ProblemFormatError(f"{where}: expected shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -87,11 +94,19 @@ def _as_float_array(value, shape, where: str) -> np.ndarray:
 
 
 def _scalar(value, where: str, kind=float):
-    """A finite float, or with kind=int an integral number, as ``kind``."""
-    arr = _as_float_array(value, (), where)
-    if kind is int and arr != int(arr):
+    """A finite float, or with kind=int an integral number, as ``kind``.
+    A finite JSON number takes float(), the value a 0-d array would hold,
+    at a tenth of the cost or less; anything else, and every refusal, takes
+    _as_float_array."""
+    try:
+        x = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:  # an integer past the largest double
+        x = math.nan
+    if not math.isfinite(x):
+        x = float(_as_float_array(value, (), where))
+    if kind is int and x != int(x):
         raise ProblemFormatError(f"{where}: expected an integer, got {value!r}")
-    return kind(arr)
+    return kind(x)
 
 
 def _known(doc: dict, where: str, *fields: str) -> None:
@@ -312,6 +327,10 @@ def parse_problem(doc: dict, source: str = "<dict>") -> Problem:
     dim, m = canonical["dim"], canonical["horizon"]
     if dim < 1 or m < 1:
         raise ProblemFormatError(f"{source}: dim and horizon must be >= 1")
+    if (m + 1) * dim * dim > MAX_DOUBLES:  # the transition matrices Phi(n, 0), n = 0..m
+        raise ProblemFormatError(
+            f"{source}: dim {dim} and horizon {m} need (horizon + 1) dim^2 doubles, "
+            f"more than the {MAX_DOUBLES} one array holds")
     system = _parse_system(canonical["system"], dim, m)
     forcing_doc = canonical["forcing"]
     if isinstance(forcing_doc, str):
@@ -364,11 +383,25 @@ def json_text(obj) -> str:
     return _encode(obj, "\n")
 
 
+_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
 def _encode(obj, nl: str) -> str:
     """json_text(obj) at the level whose newline plus indent is ``nl``."""
+    # the exact JSON types take the stdlib encoder's own functions, not one
+    # json.dumps call each; a subclass such as np.float64 takes json.dumps
+    kind = type(obj)
+    if kind is float:
+        return float.__repr__(obj) if math.isfinite(obj) else "null"
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is bool or obj is None:
+        return _CONSTANTS[obj]
     if isinstance(obj, float) and not math.isfinite(obj):
         return "null"
-    if isinstance(obj, (str, int, float)) or obj is None or (
+    if isinstance(obj, (str, int, float)) or (
             isinstance(obj, (list, tuple, dict)) and not obj):
         return json.dumps(obj)
     inner = nl + "  "
@@ -376,8 +409,9 @@ def _encode(obj, nl: str) -> str:
         return _floats(obj, inner) or (
             "[" + inner + ("," + inner).join(_encode(v, inner) for v in obj) + nl + "]")
     if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
-        return "{" + inner + ("," + inner).join(json.dumps(k) + ": " + _encode(v, inner)
-                                                for k, v in sorted(obj.items())) + nl + "}"
+        return "{" + inner + ("," + inner).join(
+            encode_basestring_ascii(k) + ": " + _encode(v, inner)
+            for k, v in sorted(obj.items())) + nl + "}"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable "
                     "(or has a key that is not str)")
 

@@ -477,6 +477,78 @@ class TestOverflowingInputs:
             "a": [None, [None, 1.0]], "b": None}
 
 
+# where an oversized number goes in a problem document, by the field it names
+HUGE_INT_FIELDS = {
+    "epsilon": ("epsilon",),
+    "dim": ("dim",),
+    "tolerances.rank": ("tolerances", "rank"),
+    "solver.max_iter": ("solver", "max_iter"),
+    "system.theta": ("system", "theta"),
+    "solver.c_init": ("solver", "c_init", 0),
+    "forcing": ("forcing", 0, 0),
+}
+COMMANDS = [["solve-linear"], ["solve-nonlinear"],
+            ["sweep", "--eps-min", "0", "--eps-max", "1e-3", "--count", "2"]]
+
+
+def put(doc: dict, keys: tuple, value) -> None:
+    for key in keys[:-1]:
+        doc = doc.setdefault(key, {}) if isinstance(doc, dict) else doc[key]
+    doc[keys[-1]] = value
+
+
+class TestOversizedNumbers:
+    """A JSON integer past the largest double, or a size numpy cannot shape,
+    exits 64 naming its field; each once ended in a traceback."""
+
+    @staticmethod
+    def solve(tmp_path, cmd, doc) -> int:
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        return run(cmd[:1] + [path] + cmd[1:] + ["-o", tmp_path / "out"])
+
+    @staticmethod
+    def verify_with(tmp_path, field, value) -> int:
+        run(["solve-nonlinear", problem("rotation_lv.json"), "-o", tmp_path])
+        report = tmp_path / "report.json"
+        doc = json.loads(report.read_text())
+        put(doc["problem"], HUGE_INT_FIELDS.get(field, (field,)), value)
+        report.write_text(json.dumps(doc))
+        return run(["verify", report, tmp_path / "solution.csv"])
+
+    @pytest.mark.parametrize("cmd", COMMANDS, ids=lambda cmd: cmd[0])
+    @pytest.mark.parametrize("field", HUGE_INT_FIELDS)
+    def test_integer_past_the_doubles(self, tmp_path, capsys, field, cmd):
+        doc = json.loads(Path(problem("rotation_lv.json")).read_text())
+        put(doc, HUGE_INT_FIELDS[field], 10**400)
+        assert self.solve(tmp_path, cmd, doc) == 64
+        assert f"error: {field}: int too large" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", HUGE_INT_FIELDS)
+    def test_integer_past_the_doubles_in_a_report(self, tmp_path, capsys, field):
+        assert self.verify_with(tmp_path, field, 10**400) == 64
+        assert f"error: {field}: int too large" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", COMMANDS + [["verify"]], ids=lambda cmd: cmd[0])
+    @pytest.mark.parametrize("field", ["dim", "horizon"])
+    def test_size_numpy_cannot_shape(self, tmp_path, capsys, field, cmd):
+        # 10**20 is past any shape numpy makes: nothing is allocated, even unchecked
+        if cmd == ["verify"]:
+            code = self.verify_with(tmp_path, field, 10**20)
+        else:
+            doc = json.loads(Path(problem("rotation_lv.json")).read_text())
+            doc[field] = 10**20
+            code = self.solve(tmp_path, cmd, doc)
+        assert code == 64
+        assert f"{field} 100000000000000000000" in capsys.readouterr().err
+
+    def test_count_numpy_cannot_shape(self, tmp_path, capsys):
+        code = run(["sweep", problem("sweep_scalar.json"), "--eps-min", "0", "--eps-max", "1",
+                    "--count", str(10**20), "-o", tmp_path])
+        assert code == 64
+        assert "--count 100000000000000000000" in capsys.readouterr().err
+
+
 class TestNoKernelDirections:
     def test_nonzero_F_has_no_root(self, tmp_path):
         path = _no_kernel_problem(tmp_path, [1.0, 0.0, 1.0])  # Z = 1 + z^2
@@ -711,7 +783,9 @@ class TestVerify:
         lambda doc, e: e.pop("recurrence_residual"),
         lambda doc, e: e.update(boundary_residual="0"),
         lambda doc, e: doc.update(trajectories=[e]),
-    ], ids=["no-kind", "unknown-kind", "no-residual", "string-residual", "list"])
+        lambda doc, e: e.update(recurrence_residual=-(10**400)),
+    ], ids=["no-kind", "unknown-kind", "no-residual", "string-residual", "list",
+            "integer-past-the-doubles"])
     def test_malformed_entry_is_usage_error(self, tmp_path, capsys, edit):
         run(["solve-nonlinear", problem("rotation_lv.json"), "-o", tmp_path])
         report = tmp_path / "report.json"

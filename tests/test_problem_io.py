@@ -12,6 +12,8 @@ from resbvp.problem_io import (
     DEFAULT_SOLVER,
     DEFAULT_TOLERANCES,
     ProblemFormatError,
+    _as_float_array,
+    _scalar,
     canonical_json,
     json_text,
     load_problem,
@@ -20,6 +22,7 @@ from resbvp.problem_io import (
 )
 
 from conftest import PROBLEMS_DIR, load_problem_doc
+from test_acceptance import GOLDEN_DIR
 
 
 def minimal_doc(**overrides):
@@ -361,6 +364,10 @@ def _old_nulled(obj):
 NAN, INF = float("nan"), float("inf")
 
 
+class Text(str):
+    """A str subclass, which the stdlib encodes as the str it holds."""
+
+
 class TestJsonText:
     @pytest.mark.parametrize("obj", [
         NAN, INF, -INF, -0.0, 5e-324, 1e300, 10**30, np.float64(0.1), np.float64(NAN),
@@ -372,6 +379,10 @@ class TestJsonText:
         [[np.float64(1.5)], [2.0]], [None, "x"],
         ["", "é", "a\u2603\n\"", {"\u00fc": "\x00"}],
         {"b": [1.0, 2.0], "a": [[0.1, 0.2]] * 50, "c": {"z": None, "y": True, "x": False}},
+        Text("a\u2603"), {Text("k\n"): Text("v"), "a": [Text("x")]},
+        pytest.param(10**400, id="10**400"), pytest.param([-(10**400)], id="[-10**400]"),
+        *[pytest.param(json.loads(path.read_text()), id=f"{path.parent.name}/{path.name}")
+          for path in sorted(GOLDEN_DIR.glob("*/*.json"))],
     ])
     def test_equals_the_stdlib_encoding_of_the_nulled_object(self, obj):
         assert json_text(obj) == json.dumps(_old_nulled(obj), indent=2, sort_keys=True)
@@ -383,3 +394,32 @@ class TestJsonText:
     def test_refuses_what_json_refuses_and_non_str_keys(self, obj):
         with pytest.raises(TypeError):
             json_text(obj)
+
+
+def _numpy_scalar(value, where: str, kind=float):
+    """Reference: the former _scalar, every value through a 0-d array."""
+    arr = _as_float_array(value, (), where)
+    if kind is int and arr != int(arr):
+        raise ProblemFormatError(f"{where}: expected an integer, got {value!r}")
+    return kind(arr)
+
+
+class TestScalar:
+    @pytest.mark.parametrize("kind", [float, int])
+    @pytest.mark.parametrize("value", [
+        0, 7, -3, 2**53 + 1, 2**63 + 1, 0.0, -0.0, 0.1, 2.0, 2.5, -7.5, 1e308, 5e-324,
+        *json.loads("[NaN, Infinity, -Infinity]"), True, False, "3", "2.5", "x", [3], [],
+        None, {"a": 1}, pytest.param(10**308, id="10**308"), pytest.param(10**400, id="10**400"),
+        pytest.param(-(10**400), id="-10**400"),
+    ], ids=repr)
+    def test_same_value_or_message_as_the_numpy_path(self, value, kind):
+        try:
+            expected = _numpy_scalar(value, "field", kind)
+        except ProblemFormatError as exc:
+            with pytest.raises(ProblemFormatError) as got:
+                _scalar(value, "field", kind)
+            assert str(got.value) == str(exc)
+        else:
+            got = _scalar(value, "field", kind)
+            assert type(got) is kind and got == expected
+            assert math.copysign(1.0, got) == math.copysign(1.0, expected)
