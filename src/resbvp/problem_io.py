@@ -383,32 +383,29 @@ def json_text(obj) -> str:
     return _encode(obj, "\n")
 
 
-_CONSTANTS = {True: "true", False: "false", None: "null"}
-
-
 def _encode(obj, nl: str) -> str:
     """json_text(obj) at the level whose newline plus indent is ``nl``."""
-    # the exact JSON types take the stdlib encoder's own functions, not one
-    # json.dumps call each; a subclass such as np.float64 takes json.dumps
-    kind = type(obj)
-    if kind is float:
+    # a scalar takes the function the stdlib encoder itself uses for it (a
+    # subclass such as np.float64 too), not one json.dumps call each
+    if isinstance(obj, float):
         return float.__repr__(obj) if math.isfinite(obj) else "null"
-    if kind is str:
+    if isinstance(obj, str):
         return encode_basestring_ascii(obj)
-    if kind is int:
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
         return int.__repr__(obj)
-    if kind is bool or obj is None:
-        return _CONSTANTS[obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
+    if obj is None:
         return "null"
-    if isinstance(obj, (str, int, float)) or (
-            isinstance(obj, (list, tuple, dict)) and not obj):
-        return json.dumps(obj)
     inner = nl + "  "
     if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
         return _floats(obj, inner) or (
             "[" + inner + ("," + inner).join(_encode(v, inner) for v in obj) + nl + "]")
     if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
+        if not obj:
+            return "{}"
         return "{" + inner + ("," + inner).join(
             encode_basestring_ascii(k) + ": " + _encode(v, inner)
             for k, v in sorted(obj.items())) + nl + "}"

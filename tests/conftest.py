@@ -11,6 +11,9 @@ from resbvp.nonlinear import NonlinearProblem
 from resbvp.problem_io import rotation_matrix
 
 PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
+# outputs of the shipped commands, committed; test_acceptance holds them
+# to the bench/references rule
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def rotation_benchmark(epsilon=0.0, m=6, pairs=1):

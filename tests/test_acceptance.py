@@ -47,7 +47,7 @@ from resbvp.nonlinear import (
     solve_generating,
 )
 
-from conftest import PROBLEMS_DIR, rotation_benchmark
+from conftest import GOLDEN_DIR, PROBLEMS_DIR, rotation_benchmark
 from test_nonlinear import brute_force_F
 
 
@@ -321,7 +321,6 @@ SHIPPED = [
 # Outputs of the SHIPPED commands, committed before the single-LinearBVP
 # refactor; floats are held to the bench/references rule, not to bytes,
 # because the kernel basis of a near-zero Q depends on BLAS roundoff.
-GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 GOLDEN_TOL = 1e-12
 
 

@@ -21,8 +21,7 @@ from resbvp.problem_io import (
     rotation_matrix,
 )
 
-from conftest import PROBLEMS_DIR, load_problem_doc
-from test_acceptance import GOLDEN_DIR
+from conftest import GOLDEN_DIR, PROBLEMS_DIR, load_problem_doc
 
 
 def minimal_doc(**overrides):
@@ -368,6 +367,10 @@ class Text(str):
     """A str subclass, which the stdlib encodes as the str it holds."""
 
 
+class Count(int):
+    """An int subclass, which the stdlib encodes as the int it holds."""
+
+
 class TestJsonText:
     @pytest.mark.parametrize("obj", [
         NAN, INF, -INF, -0.0, 5e-324, 1e300, 10**30, np.float64(0.1), np.float64(NAN),
@@ -379,7 +382,7 @@ class TestJsonText:
         [[np.float64(1.5)], [2.0]], [None, "x"],
         ["", "é", "a\u2603\n\"", {"\u00fc": "\x00"}],
         {"b": [1.0, 2.0], "a": [[0.1, 0.2]] * 50, "c": {"z": None, "y": True, "x": False}},
-        Text("a\u2603"), {Text("k\n"): Text("v"), "a": [Text("x")]},
+        Text("a\u2603"), {Text("k\n"): Text("v"), "a": [Text("x")]}, Count(7), [Count(-7)],
         pytest.param(10**400, id="10**400"), pytest.param([-(10**400)], id="[-10**400]"),
         *[pytest.param(json.loads(path.read_text()), id=f"{path.parent.name}/{path.name}")
           for path in sorted(GOLDEN_DIR.glob("*/*.json"))],
