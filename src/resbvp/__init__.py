@@ -20,7 +20,6 @@ from .linear import (
     OperatorSequence,
     SolutionFamily,
     SolvabilityReport,
-    assemble_Q,
     boundary_residual,
     classify,
     particular_forced,

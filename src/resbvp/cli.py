@@ -163,6 +163,30 @@ def _linear_family(problem: Problem) -> SolutionFamily:
         raise ProblemFormatError(f"forcing: {exc}") from exc
 
 
+def _gated_members(problem: Problem, family: SolutionFamily, label: str) -> dict:
+    """The residual entries of the family's members, keyed particular,
+    kernel_01, kernel_02, ..., each held to the residual gate, which names
+    a refused member label.format(key). The kernel members take one stacked
+    pass, not r _trajectory_entry calls (0.3 vs 0.5 ms at r = 32), with
+    entries equal to theirs bit for bit."""
+    z = family.particular
+    entries = {"particular": _trajectory_entry(problem, z, "particular")}
+    _refuse_inaccurate(problem, family.report, label.format("particular"), z,
+                       entries["particular"])
+    K = family.kernel_basis
+    rec = np.linalg.norm(recurrence_defect(problem.system, None, K), axis=-1).max(axis=-1)
+    # sqrt(v . v) per member, as the 1-D np.linalg.norm of _trajectory_entry
+    # rounds it; a stacked norm sums in another order
+    bc = np.sqrt([v.dot(v) for v in problem.boundary.apply(K)])
+    keys = [f"kernel_{j + 1:02d}" for j in range(len(K))]
+    for key, rec_j, bc_j in zip(keys, rec.tolist(), bc.tolist()):
+        entries[key] = {"kind": "kernel", "recurrence_residual": rec_j, "boundary_residual": bc_j}
+    bound = problem.tolerances["residual"] * (1.0 + np.abs(K).max(axis=(1, 2)))
+    for j in np.flatnonzero(~((rec <= bound) & (bc <= bound))):
+        _refuse_inaccurate(problem, family.report, label.format(keys[j]), K[j], entries[keys[j]])
+    return entries
+
+
 def _maybe_dump_canonical(args, problem: Problem, out: Path) -> None:
     if args.dump_canonical:
         _write_new(out / "canonical.json", canonical_json(problem))
@@ -181,15 +205,10 @@ def cmd_solve_linear(args) -> int:
     family = _linear_family(problem)
     report = family.report
 
-    emitted = {"particular.csv": (family.particular, "particular")}
-    for j in range(family.kernel_dim):
-        emitted[f"kernel_{j + 1:02d}.csv"] = (family.kernel_basis[j], "kernel")
-    trajectories = {}
-    for name, (z, kind) in emitted.items():
-        trajectories[name] = _trajectory_entry(problem, z, kind)
-        _refuse_inaccurate(problem, report, name, z, trajectories[name])
-    for name, (z, _) in emitted.items():
-        _write_trajectory(out / name, z)
+    entries = _gated_members(problem, family, "{}.csv")
+    for key, z in zip(entries, [family.particular, *family.kernel_basis]):
+        _write_trajectory(out / f"{key}.csv", z)
+    trajectories = {f"{key}.csv": entry for key, entry in entries.items()}
 
     doc = {
         "command": "solve-linear",
@@ -230,19 +249,7 @@ def _linear_stage(problem: Problem, nlp: nl.NonlinearProblem) -> SolutionFamily:
     quasisolution. None of it depends on eps, so a sweep runs this once
     for its whole grid."""
     family = _linear_family(problem)
-    z = family.particular
-    _refuse_inaccurate(problem, family.report, "linear-stage member particular", z,
-                       _trajectory_entry(problem, z, "particular"))
-    # The kernel members in one stacked pass, not r _trajectory_entry calls
-    # (0.3 vs 0.5 ms at r = 32); _refuse_inaccurate words the first refusal.
-    K = family.kernel_basis
-    rec = np.linalg.norm(recurrence_defect(problem.system, None, K), axis=-1).max(axis=-1)
-    bc = np.linalg.norm(problem.boundary.apply(K), axis=-1)
-    bound = problem.tolerances["residual"] * (1.0 + np.abs(K).max(axis=(1, 2)))
-    for j in np.flatnonzero(~((rec <= bound) & (bc <= bound))):
-        _refuse_inaccurate(problem, family.report, f"linear-stage member kernel_{j + 1:02d}",
-                           K[j], {"kind": "kernel", "recurrence_residual": rec[j],
-                                  "boundary_residual": bc[j]})
+    _gated_members(problem, family, "linear-stage member {}")
     if family.report.classification != QUASISOLUTION:
         nl.verify_derivative(nlp)
     return family
@@ -493,7 +500,7 @@ def cmd_verify(args) -> int:
     traj_path = Path(args.trajectory)
     try:
         doc = json.loads(report_path.read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         print(f"verify: cannot read report {report_path}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     fault = _report_fault(doc, traj_path.name)

@@ -42,7 +42,6 @@ __all__ = [
     "transition_stack",
     "particular_forced",
     "particular_forced_scan",
-    "assemble_Q",
     "classify",
     "recurrence_defect",
     "recurrence_residual",
@@ -156,14 +155,11 @@ def evolution(system: OperatorSequence, n: int, i: int) -> np.ndarray:
 
 
 def _forcing_array(system: OperatorSequence, f) -> np.ndarray:
-    """f as a float array of shape (..., m, N); a trailing (m+1)-th value,
-    irrelevant to the window, is dropped."""
+    """f as a float array of shape (..., m, N); None is the zero forcing."""
     m, N = system.horizon, system.dim
     if f is None:
         return np.zeros((m, N))
     f = np.asarray(f, dtype=float)
-    if f.shape[-2:] == (m + 1, N):
-        f = f[..., :m, :]
     if f.shape[-2:] != (m, N):
         raise ValueError(f"forcing must have shape (..., {m}, {N}), got {f.shape}")
     return f
@@ -248,29 +244,6 @@ def particular_forced_scan(system: OperatorSequence, f) -> np.ndarray:
     g = np.zeros((f.shape[0], m + 1, N))
     g[:, 1:] = v.transpose(2, 0, 1)
     return g
-
-
-def _check_window(system: OperatorSequence, l: BoundaryOperator) -> None:
-    if l.dim is not None and l.dim != system.dim:
-        raise ValueError(f"boundary operator dimension {l.dim} != state dimension {system.dim}")
-    if l.max_point > system.horizon:
-        raise ValueError(
-            f"boundary sample point {l.max_point} outside window [0, {system.horizon}]"
-        )
-
-
-def assemble_Q(system: OperatorSequence, l: BoundaryOperator, U=None) -> np.ndarray:
-    """Matrix of the map c -> l(Phi(., 0) c), shape (q, N).
-
-    U is the transition stack of ``system``, built here unless given.
-    """
-    _check_window(system, l)
-    if U is None:
-        U = transition_stack(system)
-    Q = np.zeros((l.codim, system.dim))
-    for n, L in l.samples:
-        Q += L @ U[n]
-    return Q
 
 
 @dataclass(frozen=True)
@@ -372,7 +345,8 @@ class SolutionFamily:
 
 
 class LinearBVP:
-    """Assembled linear problem: transition stack, Q, and its generalized inverse.
+    """Assembled linear problem: transition stack, Q = l Phi(., 0), and its
+    generalized inverse. The target alpha of l z = alpha is l.target.
 
     Immutable after construction; all solve/green calls are pure. Q^+ is
     rd.pinv, formed once on first use. Transition matrices Phi(n, 0) that
@@ -382,6 +356,12 @@ class LinearBVP:
 
     def __init__(self, system: OperatorSequence, l: BoundaryOperator,
                  rank_tol: float = 1e-10):
+        if l.dim is not None and l.dim != system.dim:
+            raise ValueError(
+                f"boundary operator dimension {l.dim} != state dimension {system.dim}")
+        if l.max_point > system.horizon:
+            raise ValueError(
+                f"boundary sample point {l.max_point} outside window [0, {system.horizon}]")
         self.system = system
         self.boundary = l
         self.U = transition_stack(system)
@@ -389,7 +369,10 @@ class LinearBVP:
         if not finite.all():
             raise ValueError(f"the transition matrices Phi(n, 0) overflow from "
                              f"n = {int(finite.argmin())} on")
-        self.Q = assemble_Q(system, l, self.U)
+        # the matrix of c -> l(Phi(., 0) c), shape (q, N)
+        self.Q = np.zeros((l.codim, system.dim))
+        for n, L in l.samples:
+            self.Q += L @ self.U[n]
         self.rd = numerical_rank(self.Q, rank_tol)
 
     def propagate(self, z0: np.ndarray) -> np.ndarray:
@@ -397,34 +380,32 @@ class LinearBVP:
         U = self.U
         return (U.reshape(-1, U.shape[2]) @ np.asarray(z0, dtype=float)).reshape(U.shape[:2])
 
-    def h(self, g, alpha=None) -> np.ndarray:
+    def h(self, g) -> np.ndarray:
         """Right-hand side h = alpha - l g of the induced equation Q z0 = h,
-        for the response g of a forcing f, swept by the caller with either
-        particular_forced sweep. alpha defaults to the boundary target.
+        alpha the boundary target, for the response g of a forcing f, swept
+        by the caller with either particular_forced sweep.
         """
-        alpha = self.boundary.target if alpha is None else np.asarray(alpha, dtype=float)
-        return alpha - self.boundary.apply(g)
+        return self.boundary.target - self.boundary.apply(g)
 
-    def green(self, g, alpha=None, lg=None) -> np.ndarray:
-        """Particular solution operator: Phi(n, 0) Q^+ (alpha - l g) + g(n),
+    def green(self, g, lg=None) -> np.ndarray:
+        """Generalized Green operator G[g, 0] = Phi(n, 0) Q^+ (0 - l g) + g(n),
         with g as for ``h``. ``lg``, when given, is l g already applied.
 
-        Linear in (g, alpha), so alpha defaults to zero, not to the boundary
-        target; least-squares/minimum-norm when the boundary condition
-        cannot be met exactly.
+        Linear in g: the target is zero, not the boundary's (0 - l g, not
+        -l g, so that a zero l g gives no -0.0); least-squares/minimum-norm
+        when l z = 0 cannot be met exactly.
         """
-        if alpha is None:
-            alpha = np.zeros(self.boundary.codim)
         lg = self.boundary.apply(g) if lg is None else lg
-        return self.propagate(self.rd.pinv @ (alpha - lg)) + g
+        return self.propagate(self.rd.pinv @ (np.zeros(self.boundary.codim) - lg)) + g
 
-    def solve(self, f, alpha=None, tol: float = 1e-9) -> SolutionFamily:
-        """Classify (f, alpha) and build its full solution family. A forced
-        response that overflows is refused with a ValueError."""
+    def solve(self, f, tol: float = 1e-9) -> SolutionFamily:
+        """Classify f against the boundary target and build its full
+        solution family. A forced response that overflows is refused with
+        a ValueError."""
         g = particular_forced(self.system, f)
         if not np.all(np.isfinite(g)):
             raise ValueError("the forced response is not finite (the sweep overflowed)")
-        h = self.h(g, alpha)
+        h = self.h(g)
         particular = self.propagate(self.rd.pinv @ h) + g
         # a product per time and kernel column, not one 2-D U @ K, which rounds
         # differently; the basis reaches Newton's finite-difference Jacobian
@@ -450,7 +431,6 @@ def recurrence_residual(system: OperatorSequence, f, trajectory) -> float:
     return float(np.linalg.norm(recurrence_defect(system, f, trajectory), axis=1).max())
 
 
-def boundary_residual(l: BoundaryOperator, trajectory, alpha=None) -> float:
-    """|| l z - alpha ||."""
-    alpha = l.target if alpha is None else np.asarray(alpha, dtype=float)
-    return float(np.linalg.norm(l.apply(trajectory) - alpha))
+def boundary_residual(l: BoundaryOperator, trajectory) -> float:
+    """|| l z - alpha ||, alpha the boundary target."""
+    return float(np.linalg.norm(l.apply(trajectory) - l.target))

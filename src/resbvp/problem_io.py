@@ -263,25 +263,29 @@ def _parse_nonlinearity(doc: dict, dim: int, m: int):
         eps_grad = np.zeros(dim) if eps_grad is None else _as_float_array(
             eps_grad, (dim,), "nonlinearity.eps_gradient")
 
+        slopes = [k * ck for k, ck in enumerate(coeffs)][1:]
+
         def Z(z, n, eps):
-            z = np.asarray(z, dtype=float)
-            out = np.zeros_like(z)
-            for k, ck in enumerate(coeffs):
-                out += ck * z ** k
-            return out + eps * eps_grad
+            return _horner(coeffs, np.asarray(z, dtype=float)) + eps * eps_grad
 
         def Z_du(z, n, eps):
             z = np.asarray(z, dtype=float)
-            diag = np.zeros_like(z)
-            for k, ck in enumerate(coeffs[1:], start=1):
-                diag += k * ck * z ** (k - 1)
             J = np.zeros(z.shape + z.shape[-1:])
             i = np.arange(z.shape[-1])
-            J[..., i, i] = diag
+            J[..., i, i] = _horner(slopes, z)
             return J
 
         return Z, Z_du
     raise ProblemFormatError(f"nonlinearity: unknown type '{kind}'")
+
+
+def _horner(coeffs: list, z: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] z^k by Horner's rule, elementwise over z."""
+    out = np.full_like(z, coeffs[-1] if coeffs else 0.0)
+    for ck in reversed(coeffs[:-1]):
+        out *= z
+        out += ck
+    return out
 
 
 def _merge(defaults: dict, doc, where: str) -> dict:
@@ -362,7 +366,7 @@ def load_problem(path: str) -> Problem:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:  # nested past the stack
         raise ProblemFormatError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(

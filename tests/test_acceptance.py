@@ -134,17 +134,17 @@ def test_criterion_2_linear_bvp_oracle_equivalence():
             scale = 1 + np.abs(z).max()
             assert recurrence_residual(system, f, z) <= 1e-10 * scale
             if report.classification != QUASISOLUTION:
-                assert boundary_residual(l, z, l.target) <= 1e-8 * scale
+                assert boundary_residual(l, z) <= 1e-8 * scale
 
         if report.classification == QUASISOLUTION:
             # least-squares optimality: beat or tie exact random trajectories
-            ours = boundary_residual(l, family.particular, l.target)
+            ours = boundary_residual(l, family.particular)
             g = particular_forced(system, f)
             for _ in range(100):
                 z0 = rng.standard_normal(N)
                 z = np.array([evolution(system, n, 0) @ z0 + g[n]
                               for n in range(m + 1)])
-                other = boundary_residual(l, z, l.target)
+                other = boundary_residual(l, z)
                 assert ours <= other + 1e-8
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0

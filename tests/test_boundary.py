@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from resbvp.boundary import generic, initial_mass, multipoint, periodic
-from resbvp.linear import LinearBVP, OperatorSequence, assemble_Q, particular_forced
+from resbvp.linear import LinearBVP, OperatorSequence, particular_forced
 
 
 class TestPeriodic:
@@ -21,7 +21,7 @@ class TestPeriodic:
         rng = np.random.default_rng(3)
         m = 5
         A = OperatorSequence(rng.standard_normal((m, 3, 3)))
-        Q = assemble_Q(A, periodic(3, m))
+        Q = LinearBVP(A, periodic(3, m)).Q
         Phi = np.eye(3)
         for n in range(m):
             Phi = A.matrices[n] @ Phi
@@ -74,7 +74,7 @@ class TestGeneric:
         rng = np.random.default_rng(0)
         A = OperatorSequence(rng.standard_normal((m, dim, dim)))
         f = rng.standard_normal((m, dim))
-        assert np.allclose(assemble_Q(A, lg), assemble_Q(A, lp), atol=1e-14)
+        assert np.allclose(LinearBVP(A, lg).Q, LinearBVP(A, lp).Q, atol=1e-14)
         g = particular_forced(A, f)
         assert np.allclose(LinearBVP(A, lg).h(g), LinearBVP(A, lp).h(g), atol=1e-14)
 

@@ -86,6 +86,37 @@ class TestSolveLinear:
             assert entry["recurrence_residual"] <= 1e-10
             assert entry["boundary_residual"] <= 1e-10
 
+    @pytest.mark.parametrize("case", ["identity_resonant.json", "rotation_lv.json",
+                                      "newton-wide-f0", "iterate-long-f0", "near-identity"])
+    def test_kernel_entries_equal_trajectory_entry(self, tmp_path, case):
+        # the stacked pass over the kernel members, bit for bit what verify
+        # recomputes; on near-identity a stacked boundary norm rounds differently
+        if case.endswith(".json"):
+            path = Path(problem(case))
+        else:
+            path = tmp_path / "input.json"
+            path.write_text(json.dumps(GENERATED[case]()))
+        assert run(["solve-linear", path, "-o", tmp_path / "out"]) == 0
+        entries = json.loads((tmp_path / "out" / "report.json").read_text())["trajectories"]
+        prob = cli.load_problem(path)
+        family = cli._linear_family(prob)
+        assert family.kernel_dim > 0
+        for j, z in enumerate(family.kernel_basis):
+            assert entries[f"kernel_{j + 1:02d}.csv"] == cli._trajectory_entry(prob, z, "kernel")
+
+
+def near_identity_doc() -> dict:
+    """A periodic problem with four kernel members, one of whose boundary
+    norms a stacked np.linalg.norm(..., axis=-1) rounds otherwise than a 1-D one."""
+    A = np.eye(4) + 1e-9 * np.random.default_rng(1).standard_normal((5, 4, 4))
+    return {"dim": 4, "horizon": 5, "system": {"type": "explicit", "matrices": A.tolist()},
+            "forcing": "zero", "boundary": {"type": "periodic"}, "tolerances": {"rank": 1e-6}}
+
+
+GENERATED = {"newton-wide-f0": lambda: block_rotation_doc(24, 32, 1e-4, 0),
+             "iterate-long-f0": lambda: block_rotation_doc(600, 2, 1e-4, 0),
+             "near-identity": near_identity_doc}
+
 
 def fibonacci_periodic_file(tmp_path, m, eighths=False, nonlinear=False) -> Path:
     """The Fibonacci companion with a periodic boundary at horizon m, forced
@@ -766,6 +797,14 @@ class TestVerify:
         assert run(["verify", report, tmp_path / "solution.csv"]) == 64
         assert "report.json" in capsys.readouterr().err
 
+    def test_deeply_nested_report_is_usage_error(self, tmp_path, capsys):
+        run(["solve-nonlinear", problem("rotation_lv.json"), "-o", tmp_path])
+        report = tmp_path / "report.json"
+        report.write_text('{"problem": ' + "[" * 100000 + "]" * 100000 + "}")
+        assert run(["verify", report, tmp_path / "solution.csv"]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith(f"verify: cannot read report {report}: maximum recursion depth")
+
     @pytest.mark.parametrize("data", [
         b"\xff\xfe",
         b'n,z1,z2\r\n0,"' + b"1" * 200000 + b'",2\r\n',  # over csv's field size limit
@@ -843,6 +882,19 @@ class TestUsage:
         bad.write_bytes(b"\xff\xfe")
         assert run(["solve-linear", bad, "-o", tmp_path / "out"]) == 64
         assert "bad.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", [
+        ["solve-linear"], ["solve-nonlinear"],
+        ["sweep", "--eps-min", "0", "--eps-max", "1e-3", "--count", "2"],
+    ], ids=["solve-linear", "solve-nonlinear", "sweep"])
+    def test_deeply_nested_problem_file_is_usage_error(self, tmp_path, capsys, cmd):
+        doc = json.loads(Path(problem("rotation_lv.json")).read_text())
+        doc["forcing"] = "NESTED"
+        bad = tmp_path / "nested.json"
+        bad.write_text(json.dumps(doc).replace('"NESTED"', "[" * 100000 + "]" * 100000))
+        assert run(cmd[:1] + [bad] + cmd[1:] + ["-o", tmp_path / "out"]) == 64
+        assert re.match(r"error: \S*nested\.json: maximum recursion depth exceeded",
+                        capsys.readouterr().err)
 
     @pytest.mark.parametrize("cmd", [
         ["solve-linear", "identity_resonant.json"],

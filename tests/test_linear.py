@@ -12,7 +12,6 @@ from resbvp.linear import (
     QUASISOLUTION,
     LinearBVP,
     OperatorSequence,
-    assemble_Q,
     boundary_residual,
     classify,
     evolution,
@@ -312,7 +311,7 @@ class TestAssembly:
     def test_evaluation_at_zero_gives_identity(self):
         A = random_system(np.random.default_rng(6), 4, 3)
         l = generic([(0, np.eye(3))], np.zeros(3))
-        assert np.allclose(assemble_Q(A, l), np.eye(3))
+        assert np.allclose(LinearBVP(A, l).Q, np.eye(3))
 
     def test_multipoint_unit_vector_propagation(self):
         rng = np.random.default_rng(7)
@@ -320,7 +319,7 @@ class TestAssembly:
         A = random_system(rng, m, N)
         L1, L2 = rng.standard_normal((2, 2, N))
         l = generic([(2, L1), (5, L2)], np.zeros(2))
-        Q = assemble_Q(A, l)
+        Q = LinearBVP(A, l).Q
         for j in range(N):
             e = np.zeros(N)
             e[j] = 1.0
@@ -339,8 +338,8 @@ class TestAssembly:
         f = rng.standard_normal((5, 2))
         g = particular_forced(A, f)
         l = periodic(2, 5)
-        alpha = l.apply(g)
-        assert np.allclose(LinearBVP(A, l).h(g, alpha), 0.0, atol=1e-12)
+        l = generic(l.samples, l.apply(g))  # alpha = l g
+        assert np.allclose(LinearBVP(A, l).h(g), 0.0, atol=1e-12)
 
     def test_h_periodic_is_weighted_forcing_sum(self):
         rng = np.random.default_rng(10)
@@ -356,7 +355,7 @@ class TestAssembly:
         A = random_system(np.random.default_rng(11), 3, 2)
         l = generic([(5, np.eye(2))], np.zeros(2))
         with pytest.raises(ValueError):
-            assemble_Q(A, l)
+            LinearBVP(A, l)
 
 
 class TestClassify:
@@ -375,7 +374,7 @@ class TestClassify:
     def test_fibonacci_periodic_is_invertible(self):
         m = 7
         A = OperatorSequence.constant(FIB, m)
-        Q = assemble_Q(A, periodic(2, m))
+        Q = LinearBVP(A, periodic(2, m)).Q
         rep = classify(numerical_rank(Q, 1e-10), np.array([1.0, 1.0]))
         assert rep.classification == CLASSICAL
         assert rep.kernel_dim == 0 and rep.cokernel_dim == 0
@@ -428,7 +427,7 @@ class TestSolveFamily:
         report = family.report
         assert report.classification == CLASSICAL
         assert family.kernel_dim == 0
-        Q = assemble_Q(A, l)
+        Q = family.bvp.Q
         h = family.bvp.h(particular_forced(A, f))
         assert np.allclose(family.particular[0], np.linalg.solve(Q, h), atol=1e-9)
 
@@ -589,8 +588,8 @@ class TestRecurrenceResidual:
                    for n in range(m))
         stacked = recurrence_residual(A, f, z)
         assert abs(stacked - loop) <= 64 * np.finfo(float).eps * loop
-        # a trailing (m+1)-th forcing value is outside the window
-        assert recurrence_residual(A, np.vstack([f, np.ones(N)]), z) == stacked
+        with pytest.raises(ValueError):  # an (m+1)-th forcing row is a wrong shape
+            recurrence_residual(A, np.vstack([f, np.ones(N)]), z)
         assert recurrence_residual(A, None, z) == recurrence_residual(A, np.zeros((m, N)), z)
 
 

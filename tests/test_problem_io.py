@@ -165,6 +165,21 @@ class TestNonlinearity:
         assert np.array_equal(Z(z, n, 0.5), np.array([Z(z[k], k, 0.5) for k in range(4)]))
         assert np.array_equal(Z_du(z, n, 0.5), np.array([Z_du(z[k], k, 0.5) for k in range(4)]))
 
+    @pytest.mark.parametrize("coeffs", [[], [7.0], [0.0, 0.0, 1.0], [1.0, -2.0, 0.5, 3.0],
+                                        [1e-3, 5.0, -4.0, 0.25, -1.0, 2.0]])
+    def test_polynomial_matches_the_power_sum(self, coeffs):
+        # Horner's rule against sum_k c_k z^k, to its roundoff bound
+        Z, Z_du = parse_problem(minimal_doc(nonlinearity={
+            "type": "polynomial", "coeffs": coeffs})).nonlinearity
+        z = 3 * np.random.default_rng(5).standard_normal((50, 2))
+        k = np.arange(len(coeffs))
+        terms = np.array(coeffs) * z[..., None] ** k
+        slopes = (k * np.array(coeffs))[1:] * z[..., None] ** k[:-1]
+        bound = 4 * (len(coeffs) + 1) * np.finfo(float).eps
+        assert np.all(np.abs(Z(z, 0, 0.0) - terms.sum(-1)) <= bound * np.abs(terms).sum(-1))
+        diag = np.diagonal(Z_du(z, 0, 0.0), axis1=-2, axis2=-1)
+        assert np.all(np.abs(diag - slopes.sum(-1)) <= bound * np.abs(slopes).sum(-1))
+
 
 class TestDefaultsAndCanonical:
     def test_tolerance_and_solver_defaults(self):
