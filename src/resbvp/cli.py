@@ -10,7 +10,8 @@ Subcommands:
 Exit codes: 0 success, 2 quasisolution without --allow-quasi, 3 no
 generating root, 4 sufficient-condition failure, 5 iteration
 non-convergence (stderr names the stop: no contraction, blowup, non-finite
-iterate or max_iter), 64 usage or parse error.
+iterate or max_iter), 64 usage or parse error, or an SVD that does not
+converge.
 
 Every tolerance and iteration cap comes from the problem file's
 ``tolerances`` and ``solver`` objects (defaults in problem_io); the
@@ -38,6 +39,7 @@ from .fibonacci import (
     fib_green_coeffs,
     fib_green_matrix_oracle,
 )
+from .linalg import DecompositionError
 from .linear import (QUASISOLUTION, LinearBVP, SolutionFamily, boundary_residual,
                      recurrence_defect, recurrence_residual)
 from .problem_io import (MAX_DOUBLES, Problem, ProblemFormatError, canonical_json, json_text,
@@ -585,20 +587,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_bounds(argv) -> list:
+    """argv with a negative number after --eps-min or --eps-max joined to
+    it, as --eps-min=-1e-3: argparse reads a token that starts with '-' as
+    an option unless it is a plain decimal, so it refuses -1e-3 as a value."""
+    joined = []
+    for token in argv:
+        if joined and joined[-1] in ("--eps-min", "--eps-max") and re.match(r"-\.?\d", token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_bounds(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         # overflow is expected on hostile inputs and turns into exit 3 or 5
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
-    except ProblemFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except nl.DerivativeMismatchError as exc:
+    except (ProblemFormatError, nl.DerivativeMismatchError, DecompositionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

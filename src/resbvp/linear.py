@@ -15,7 +15,8 @@ from g(0) = 0.
 
 The forced recurrence has two sweeps. particular_forced_scan sweeps a
 stack in ceil(log2 m) levels over the doubling hops each OperatorSequence
-holds; the fixed-point iteration and B0 use it. particular_forced, used by
+holds, in place in a time-major output of which it returns a view; the
+fixed-point iteration and B0 use it. particular_forced, used by
 the bifurcation function F and the linear solve, scans long windows with
 small stacks too and steps through any other: F's finite-difference
 Jacobian amplifies roundoff about a millionfold, so the short windows of
@@ -140,7 +141,7 @@ def transition_stack(system: OperatorSequence) -> np.ndarray:
     U = np.empty((m + 1, N, N))
     U[0] = np.eye(N)
     for A, U_k, U_next in zip(system.matrices, U, U[1:]):
-        np.matmul(A, U_k, out=U_next)
+        A.dot(U_k, out=U_next)  # np.matmul's gemm, with half its dispatch
     return U
 
 
@@ -206,44 +207,57 @@ def particular_forced(system: OperatorSequence, f) -> np.ndarray:
 
 def particular_forced_scan(system: OperatorSequence, f) -> np.ndarray:
     """particular_forced of a stack of k forcings, shape (k, m, N), by a
-    Hillis-Steele scan; returns shape (k, m+1, N).
+    Hillis-Steele scan; returns shape (k, m+1, N), a view of the time-major
+    array that the scan ran in.
 
     Over v[j] = g(j+1), level l adds Phi(j+1, j+1-2^l) v[j-2^l] to v[j],
-    ceil(log2 m) levels in all. On a time_invariant system a level is one
-    2-D (m-2^l) k x N by N x N product; otherwise it is an (N, N) @ (N, k)
-    product per time. It matches the step-by-step sweep to roundoff, not
-    bit for bit. iterate (its two forcings in one call per round) and
-    assemble_B0 (the r kernel columns) call it on every window, and
-    particular_forced on long ones. On the short windows of the shipped
-    problems it would move generating_F's finite-difference root of
-    rotation_lv.json 2.3e-12, past the 1e-12 golden tolerance.
+    ceil(log2 m) levels in all. The forcings are copied once, into the
+    output, and every level runs there in place: its product is written
+    into one buffer, then added. On a time_invariant system a level is one
+    2-D (m-2^l) k x N by N x N product over an (m+1, k, N) output, which
+    a time-major forcing view, an (m, k, N) array transposed, fills by a
+    contiguous copy; otherwise it is an (N, N) @ (N, k) product per time
+    over an (m+1, N, k) output.
+
+    It matches the step-by-step sweep to roundoff, not bit for bit, and
+    the scan with a fresh array per level bit for bit. iterate (its two
+    forcings in one call per round) and assemble_B0 (the r kernel columns)
+    call it on every window, and particular_forced on long ones. On the
+    short windows of the shipped problems it would move generating_F's
+    finite-difference root of rotation_lv.json 2.3e-12, past the 1e-12
+    golden tolerance.
     """
     m, N = system.horizon, system.dim
     f = np.asarray(f, dtype=float)
     if f.ndim != 3 or f.shape[1:] != (m, N):
         raise ValueError(f"forcing stack must have shape (k, {m}, {N}), got {f.shape}")
+    k = f.shape[0]
     if system.time_invariant:
-        # (m, k, N) puts each level in one 2-D product, v[j-s] lying s*k
-        # rows back; copy() also keeps the in-place levels off the caller's array.
-        k = f.shape[0]
-        v = f.transpose(1, 0, 2).copy()
-        flat = v.reshape(m * k, N)
+        # (m+1, k, N) puts each level in one 2-D product, v[j-s] lying s*k rows back
+        g = np.empty((m + 1, k, N))
+        g[0] = 0.0
+        g[1:] = f.swapaxes(0, 1)
+        v = g[1:].reshape(m * k, N)
+        product = np.empty(((m - 1) * k, N))
         s = 1
         for hop in system.hops:
-            flat[s * k:] += flat[:(m - s) * k] @ hop.T
+            rows = (m - s) * k
+            np.matmul(v[:rows], hop.T, out=product[:rows])
+            v[s * k:] += product[:rows]
             s *= 2
-        v = v.transpose(0, 2, 1)  # as (m, N, k), the layout below
-    else:
-        # (m, N, k) puts each level in one (N, N) @ (N, k) matmul per time;
-        # copy() also keeps the in-place levels off the caller's array.
-        v = f.transpose(1, 2, 0).copy()
-        s = 1
-        for hop in system.hops:
-            v[s:] += hop @ v[:-s]
-            s *= 2
-    g = np.zeros((f.shape[0], m + 1, N))
-    g[:, 1:] = v.transpose(2, 0, 1)
-    return g
+        return g.swapaxes(0, 1)
+    # (m+1, N, k) puts each level in one (N, N) @ (N, k) matmul per time
+    g = np.empty((m + 1, N, k))
+    g[0] = 0.0
+    g[1:] = f.transpose(1, 2, 0)
+    v = g[1:]
+    product = np.empty((m - 1, N, k))
+    s = 1
+    for hop in system.hops:
+        np.matmul(hop, v[:-s], out=product[:m - s])
+        v[s:] += product[:m - s]
+        s *= 2
+    return g.transpose(2, 0, 1)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ onto the cokernel of Q.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -373,14 +374,17 @@ def iterate(problem: NonlinearProblem, family: SolutionFamily, c0, B0_pinv,
     u = np.zeros((m + 1, N))
     c = np.zeros(r)
     ubar = np.zeros((m + 1, N))
+    # both forcings of a round, time-major, so that the scan copies them contiguously
+    forcings = np.empty((m, 2, N))
     records = []
     deltas = []
     reason = "max_iter"
     iterations = 0
 
     for k in range(max_iter + 1):
-        lin_forcing = _matvec(Zdu, ubar[:m] - u[:m]) + (Zz - Z0)
-        G = particular_forced_scan(problem.system, np.stack([lin_forcing, Zz]))
+        np.add(_matvec(Zdu, ubar[:m] - u[:m]), Zz - Z0, out=forcings[:, 0])
+        forcings[:, 1] = Zz
+        G = particular_forced_scan(problem.system, forcings.swapaxes(0, 1))
         lG = l.apply(G)  # l g_lin and l g_phi
         lin_proj, phi_proj = lG @ family.cokernel_basis
 
@@ -392,17 +396,19 @@ def iterate(problem: NonlinearProblem, family: SolutionFamily, c0, B0_pinv,
         Zz = _along(problem, problem.Z, z, eps)
         rec_res = nonlinear_recurrence_residual(problem, z, Zz=Zz)
         bc_res = boundary_residual(l, z)
-        records.append((k, float(np.linalg.norm(c)), float(np.abs(ubar).max()),
-                        rec_res, bc_res, float(np.linalg.norm(phi_proj))))
+        # sqrt(v . v), as np.linalg.norm computes a vector's norm
+        records.append((k, math.sqrt(c.dot(c)), float(np.abs(ubar).max()),
+                        rec_res, bc_res, math.sqrt(phi_proj.dot(phi_proj))))
 
         delta = float(np.abs(u_next - u).max())
         deltas.append(delta)
         u, c, ubar = u_next, c_next, ubar_next
         iterations = k
-        if not np.isfinite(u).all():
+        u_max = float(np.abs(u).max())  # a NaN or inf in u makes it non-finite
+        if not math.isfinite(u_max):
             reason = "non_finite"
             break
-        if np.abs(u).max() > blowup:
+        if u_max > blowup:
             reason = "blowup"
             break
         scale = 1.0 + float(np.abs(z).max())

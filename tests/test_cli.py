@@ -685,6 +685,28 @@ class TestSweep:
         assert code == 64
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bounds", [["--eps-min", "-1e-3", "--eps-max", "-2E-4"],
+                                        ["--eps-max", "-2e-4", "--eps-min", "-.1e-2"]])
+    def test_negative_bound_with_an_exponent(self, tmp_path, capsys, bounds):
+        # argparse alone reads -1e-3 as an option, not as the value of --eps-min
+        joined = ["--eps-min=-1e-3", "--eps-max=-2e-4"]
+        outputs = []
+        for argv in (bounds, joined):
+            out = tmp_path / str(len(outputs))
+            assert run(["sweep", problem("sweep_scalar.json"), *argv, "--count", "3",
+                        "-o", out]) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1]
+        assert [pt["eps"] for pt in json.loads(outputs[0]["report.json"])["points"]] \
+            == np.linspace(-1e-3, -2e-4, 3).tolist()
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_bound_without_a_value_is_usage_error(self, tmp_path, capsys):
+        code = run(["sweep", problem("sweep_scalar.json"), "--eps-min", "--eps-max", "1e-3",
+                    "--count", "3", "-o", tmp_path])
+        assert code == 64
+        assert "--eps-min: expected one argument" in capsys.readouterr().err
+
 
 def csv_writer_reference(path, header, rows):
     """Reference: the csv.writer form the CSV outputs were first written in."""
@@ -867,6 +889,21 @@ class TestVerify:
         code = run(["verify", tmp_path / "report.json", path])
         assert code == 64
         assert "shape" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd, module", [
+    (["solve-linear", "identity_resonant.json"], linear),
+    (["solve-nonlinear", "rotation_lv.json"], linear),
+    (["solve-nonlinear", "rotation_lv.json"], nl),
+])
+def test_svd_that_does_not_converge_is_usage_error(tmp_path, capsys, monkeypatch, cmd, module):
+    # Q's decision in linear; Newton's Jacobian and the B0 gate in nonlinear
+    def no_convergence(M, tol=None):
+        raise linalg.DecompositionError(f"SVD did not converge for shape {np.shape(M)}")
+
+    monkeypatch.setattr(module, "numerical_rank", no_convergence)
+    assert run([cmd[0], problem(cmd[1]), "-o", tmp_path]) == 64
+    assert capsys.readouterr().err == "error: SVD did not converge for shape (2, 2)\n"
 
 
 class TestUsage:

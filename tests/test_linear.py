@@ -39,6 +39,30 @@ def phi_product(A: OperatorSequence, n, i):
     return P
 
 
+def allocating_scan(system: OperatorSequence, f):
+    """Reference: the doubling scan with a fresh product per level and a
+    fresh output, which particular_forced_scan must equal bit for bit."""
+    m, N = system.horizon, system.dim
+    if system.time_invariant:
+        k = f.shape[0]
+        v = f.transpose(1, 0, 2).copy()
+        flat = v.reshape(m * k, N)
+        s = 1
+        for hop in system.hops:
+            flat[s * k:] += flat[:(m - s) * k] @ hop.T
+            s *= 2
+        v = v.transpose(0, 2, 1)
+    else:
+        v = f.transpose(1, 2, 0).copy()
+        s = 1
+        for hop in system.hops:
+            v[s:] += hop @ v[:-s]
+            s *= 2
+    g = np.zeros((f.shape[0], m + 1, N))
+    g[:, 1:] = v.transpose(2, 0, 1)
+    return g
+
+
 class TestEvolution:
     def test_identity_at_equal_indices(self):
         A = random_system(np.random.default_rng(0), 6, 3)
@@ -192,15 +216,17 @@ class TestParticularForced:
             assert np.array_equal(G[i], self.sequential_sweep(A, f[i]))
 
     def test_single_sweep_and_transition_stack_stay_sequential(self):
-        rng = np.random.default_rng(14)
-        A = random_system(rng, 37, 3)
-        f = rng.standard_normal((37, 3))
-        assert np.array_equal(particular_forced(A, f), self.sequential_sweep(A, f))
-        U = np.empty((38, 3, 3))
-        U[0] = np.eye(3)
-        for n in range(37):
-            U[n + 1] = A.matrices[n] @ U[n]
-        assert np.array_equal(transition_stack(A), U)
+        for N in (2, 3, 32):
+            rng = np.random.default_rng(14 + N)
+            for A in (random_system(rng, 37, N),
+                      OperatorSequence.constant(rng.standard_normal((N, N)), 37)):
+                f = rng.standard_normal((37, N))
+                assert np.array_equal(particular_forced(A, f), self.sequential_sweep(A, f))
+                U = np.empty((38, N, N))
+                U[0] = np.eye(N)
+                for n in range(37):
+                    U[n + 1] = A.matrices[n] @ U[n]
+                assert np.array_equal(transition_stack(A), U)
 
     @staticmethod
     def routed_system(m, N, time_invariant):
@@ -238,6 +264,22 @@ class TestParticularForced:
         for i in np.ndindex(stack):
             g = self.sequential_sweep(A, f[i])
             assert np.abs(G[i] - g).max() <= 1e-13 * (1 + np.abs(g).max())
+
+    @pytest.mark.parametrize("time_invariant", [True, False])
+    @pytest.mark.parametrize("N", [2, 32])
+    @pytest.mark.parametrize("m", [6, 65, 600])
+    def test_in_place_scan_equals_the_allocating_scan(self, m, N, time_invariant):
+        A, rng = self.routed_system(m, N, time_invariant)
+        for k in (1, 2, 32):
+            f = rng.standard_normal((k, m, N))
+            time_major = np.ascontiguousarray(f.swapaxes(0, 1)).swapaxes(0, 1)
+            expected = allocating_scan(A, f)
+            for forcing in (f, time_major):
+                before = forcing.copy()
+                G = particular_forced_scan(A, forcing)
+                assert G.shape == (k, m + 1, N)
+                assert np.array_equal(G, expected)
+                assert np.array_equal(forcing, before)
 
     @pytest.mark.parametrize("time_invariant", [True, False])
     @pytest.mark.parametrize("N,stack", [(32, ()), (16, (2, 3)), (8, (17,))])
