@@ -34,39 +34,40 @@ from resbvp import (
 )
 
 
-def build(eps):
+def linear_family():
+    """The solution family of the linear part, from its one LinearBVP."""
     m = 6
     system = OperatorSequence.constant(rotation_matrix(2 * np.pi / m), m)
     rng = np.random.default_rng(42)
     f = 0.3 * rng.standard_normal((m, 2))
     f[m - 1] -= particular_forced(system, f)[m]  # make the window sum close
-    Z, Z_du = lv_callables(LotkaVolterraSpec.uniform(1))
-    return NonlinearProblem(system, f, periodic(2, m), Z, Z_du, eps)
+    return LinearBVP(system, periodic(2, m)).solve(f)
 
 
 def main():
-    problem = build(0.0)
-    # one LinearBVP and its family, shared by every eps below
-    family = LinearBVP(problem.system, problem.boundary).solve(problem.forcing)
+    # one family, shared by the NonlinearProblem of every eps below
+    family = linear_family()
+    system, l = family.bvp.system, family.bvp.boundary
+    Z, Z_du = lv_callables(LotkaVolterraSpec.uniform(1))
     print(f"linear part: {family.report.classification}, r = {family.kernel_dim}, "
           f"d = {family.cokernel_dim}")
 
-    root = solve_generating(problem, family, [0.5, 0.5])
+    problem = NonlinearProblem(family, Z, Z_du, 0.0)
+    root = solve_generating(problem, [0.5, 0.5])
     print(f"generating root c0 = {root.c0}, |F(c0)| = {root.residual_norm:.2e}")
 
-    B0 = assemble_B0(problem, family, root.c0)
+    B0 = assemble_B0(problem, root.c0)
     gate = check_sufficient(B0)
     print(f"sufficiency gate: row rank {gate.row_rank}/{gate.required_rank} "
           f"-> {'holds' if gate.holds else 'fails'}")
 
     print("\n eps       iters   |z - z0|_inf   recurrence   boundary")
     for eps in (1e-2, 1e-3, 1e-4, 0.0):
-        p = build(eps)
-        z, trace = iterate(p, family, root.c0, gate.B0_pinv)
+        z, trace = iterate(NonlinearProblem(family, Z, Z_du, eps), root.c0, gate.B0_pinv)
         gap = np.abs(z - family.member(root.c0)).max()
         print(f" {eps:8.0e}  {trace.iterations:5d}   {gap:12.4e}   "
-              f"{nonlinear_recurrence_residual(p, z):10.2e}   "
-              f"{boundary_residual(p.boundary, z):10.2e}")
+              f"{nonlinear_recurrence_residual(system, family.forcing, Z, eps, z):10.2e}   "
+              f"{boundary_residual(l, z):10.2e}")
     print("\nThe gap shrinks linearly with eps and vanishes exactly at eps = 0,")
     print("where the iteration returns the generating solution unchanged.")
 

@@ -10,7 +10,8 @@ Subcommands:
 Exit codes: 0 success, 2 quasisolution without --allow-quasi, 3 no
 generating root, 4 sufficient-condition failure, 5 iteration
 non-convergence (stderr names the stop: no contraction, blowup, non-finite
-iterate or max_iter), 64 usage or parse error, or an SVD that does not
+iterate or max_iter), 64 usage or parse error, an overflow of the input
+(the forced response, Phi(n, 0), h or B0), or an SVD that does not
 converge.
 
 Every tolerance and iteration cap comes from the problem file's
@@ -129,7 +130,8 @@ def _trajectory_entry(problem: Problem, z: np.ndarray, kind: str) -> dict:
         rec = recurrence_residual(problem.system, None, z)
         bc = float(np.linalg.norm(problem.boundary.apply(z)))
     elif kind == "solution":
-        rec = nl.nonlinear_recurrence_residual(_nonlinear_problem(problem), z)
+        rec = nl.nonlinear_recurrence_residual(problem.system, problem.forcing,
+                                               _nonlinearity(problem)[0], problem.epsilon, z)
         bc = boundary_residual(problem.boundary, z)
     else:  # particular family member of the linear problem
         rec = recurrence_residual(problem.system, problem.forcing, z)
@@ -237,30 +239,30 @@ def cmd_solve_linear(args) -> int:
 # solve-nonlinear
 # ---------------------------------------------------------------------------
 
-def _nonlinear_problem(problem: Problem, eps: float | None = None) -> nl.NonlinearProblem:
+def _nonlinearity(problem: Problem):
+    """The problem file's (Z, Z_du) pair."""
     if problem.nonlinearity is None:
         raise ProblemFormatError("problem has no nonlinearity; use solve-linear")
-    Z, Z_du = problem.nonlinearity
-    return nl.NonlinearProblem(problem.system, problem.forcing, problem.boundary,
-                               Z, Z_du, problem.epsilon if eps is None else eps)
+    return problem.nonlinearity
 
 
-def _linear_stage(problem: Problem, nlp: nl.NonlinearProblem) -> SolutionFamily:
+def _linear_stage(problem: Problem) -> SolutionFamily:
     """The family of the linear part, its members held to solve-linear's
     residual gate, with Z_du audited against Z unless the family is a
     quasisolution. None of it depends on eps, so a sweep runs this once
     for its whole grid."""
+    Z, Z_du = _nonlinearity(problem)
     family = _linear_family(problem)
     _gated_members(problem, family, "linear-stage member {}")
     if family.report.classification != QUASISOLUTION:
-        nl.verify_derivative(nlp)
+        nl.verify_derivative(nl.NonlinearProblem(family, Z, Z_du))
     return family
 
 
-def _pipeline(problem: Problem, nlp: nl.NonlinearProblem, family: SolutionFamily,
-              force: bool, c_seed=None, gen_eps: float = 0.0):
-    """Shared generating-root -> gate -> iteration pipeline, after the
-    linear stage ``family`` = _linear_stage(problem, nlp).
+def _pipeline(problem: Problem, family: SolutionFamily, eps: float, force: bool,
+              c_seed=None, gen_eps: float = 0.0):
+    """Shared generating-root -> gate -> iteration pipeline at ``eps``, after
+    the linear stage ``family`` = _linear_stage(problem).
 
     Returns (stage dicts, z, trace, exit code); z/trace are None when an
     early stage fails.
@@ -268,13 +270,14 @@ def _pipeline(problem: Problem, nlp: nl.NonlinearProblem, family: SolutionFamily
     stages = {"solvability": dict(vars(family.report))}
     if family.report.classification == QUASISOLUTION:
         return stages, None, None, EXIT_QUASI
+    nlp = nl.NonlinearProblem(family, *problem.nonlinearity, eps)
 
     seed = c_seed if c_seed is not None else problem.solver.get("c_init")
     if seed is not None and np.size(seed) != family.kernel_dim:
         raise ProblemFormatError(
             f"solver.c_init: expected {family.kernel_dim} values (the kernel "
             f"dimension r), got {np.size(seed)}")
-    root = nl.solve_generating(nlp, family, seed, tol=problem.tolerances["newton"],
+    root = nl.solve_generating(nlp, seed, tol=problem.tolerances["newton"],
                                max_iter=problem.solver["newton_max_iter"],
                                at_eps=gen_eps)
     stages["generating"] = {
@@ -286,7 +289,9 @@ def _pipeline(problem: Problem, nlp: nl.NonlinearProblem, family: SolutionFamily
     if not root.converged:
         return stages, None, None, EXIT_NO_ROOT
 
-    B0 = nl.assemble_B0(nlp, family, root.c0, at_eps=gen_eps)
+    B0 = nl.assemble_B0(nlp, root.c0, at_eps=gen_eps)
+    if not np.isfinite(B0).all():  # the gate's rank decision refuses it
+        raise ProblemFormatError("nonlinearity: B0 is not finite (the sweep overflowed)")
     suff = nl.check_sufficient(B0)
     stages["sufficiency"] = {
         "holds": suff.holds,
@@ -299,8 +304,7 @@ def _pipeline(problem: Problem, nlp: nl.NonlinearProblem, family: SolutionFamily
     if not suff.holds and not force:
         return stages, None, None, EXIT_SUFFICIENCY
 
-    z, trace = nl.iterate(nlp, family, root.c0, suff.B0_pinv,
-                          tol=problem.tolerances["iteration"],
+    z, trace = nl.iterate(nlp, root.c0, suff.B0_pinv, tol=problem.tolerances["iteration"],
                           max_iter=problem.solver["max_iter"], blowup=problem.solver["blowup"],
                           residual_tol=problem.tolerances["residual"])
     stages["iteration"] = {
@@ -318,8 +322,8 @@ def cmd_solve_nonlinear(args) -> int:
     out = _out_dir(args)
     _maybe_dump_canonical(args, problem, out)
 
-    nlp = _nonlinear_problem(problem)
-    stages, z, trace, code = _pipeline(problem, nlp, _linear_stage(problem, nlp), args.force)
+    stages, z, trace, code = _pipeline(problem, _linear_stage(problem), problem.epsilon,
+                                       args.force)
 
     doc = {"command": "solve-nonlinear", "problem": problem.canonical, **stages}
     trajectories = {}
@@ -390,15 +394,14 @@ def cmd_sweep(args) -> int:
     _maybe_dump_canonical(args, problem, out)
 
     grid = np.linspace(args.eps_min, args.eps_max, args.count)
-    family = _linear_stage(problem, _nonlinear_problem(problem))
+    family = _linear_stage(problem)
     # a quasisolution has no generating stage, so no c0 columns
     r_dim = 0 if family.report.classification == QUASISOLUTION else family.kernel_dim
     rows = []
     seed = None
     for eps in grid:
-        nlp = _nonlinear_problem(problem, eps=float(eps))
-        stages, z, trace, code = _pipeline(problem, nlp, family, args.force, c_seed=seed,
-                                           gen_eps=float(eps))
+        stages, z, trace, code = _pipeline(problem, family, float(eps), args.force,
+                                           c_seed=seed, gen_eps=float(eps))
         gen = stages.get("generating", {})
         c0 = gen.get("c0", [])
         if code == EXIT_OK:

@@ -15,16 +15,17 @@ from g(0) = 0.
 
 The forced recurrence has two sweeps. particular_forced_scan sweeps a
 stack in ceil(log2 m) levels over the doubling hops each OperatorSequence
-holds, in place in a time-major output of which it returns a view; the
-fixed-point iteration and B0 use it. particular_forced, used by
-the bifurcation function F and the linear solve, scans long windows with
-small stacks too and steps through any other: F's finite-difference
+builds on first use, in place in a time-major output of which it returns
+a view; the fixed-point iteration and B0 use it. particular_forced, used
+by the bifurcation function F and the linear solve, scans long windows
+with small stacks too and steps through any other: F's finite-difference
 Jacobian amplifies roundoff about a millionfold, so the short windows of
 the shipped problems keep the stepped bits.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,7 +64,7 @@ class OperatorSequence:
 
     hops[l], for l = 0, ..., ceil(log2 m)-1, holds the transitions
     Phi(j+1, j+1-2^l) for j = 2^l, ..., m-1: the doubling steps of
-    particular_forced_scan, built once here. The system is time_invariant
+    particular_forced_scan, built on first use. The system is time_invariant
     when every A_n equals A_0 bit for bit; then these transitions are all
     A_0^(2^l), and hops[l] is that one matrix, shape (N, N). Otherwise
     hops[l] has shape (m-2^l, N, N), one per j, about m N^2 log2 m doubles
@@ -72,7 +73,6 @@ class OperatorSequence:
 
     matrices: np.ndarray
     time_invariant: bool = field(init=False, repr=False, compare=False)
-    hops: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = np.array(self.matrices, dtype=float, order="C")  # a broadcast view copies non-C
@@ -87,7 +87,10 @@ class OperatorSequence:
         # bitwise, so that a -0.0 where A_0 has 0.0 keeps the per-time hops
         invariant = bool((A.view(np.uint64) == A[0].view(np.uint64)).all())
         object.__setattr__(self, "time_invariant", invariant)
-        object.__setattr__(self, "hops", _doubling_hops(A, invariant))
+
+    @functools.cached_property
+    def hops(self) -> tuple:
+        return _doubling_hops(self.matrices, self.time_invariant)
 
     @property
     def dim(self) -> int:
@@ -316,8 +319,8 @@ def classify(rd: RankDecision, h, tol: float = 1e-9) -> SolvabilityReport:
 @dataclass(frozen=True)
 class SolutionFamily:
     """Solution family z0(n, c) = particular(n) + sum_j c_j kernel_basis[j](n)
-    of one LinearBVP.solve: ``bvp`` is the LinearBVP it came from and
-    ``report`` its classification.
+    of one LinearBVP.solve: ``bvp`` is the LinearBVP it came from,
+    ``forcing`` the f it solved for and ``report`` its classification.
 
     Kernel members are propagated from an orthonormal basis of N(Q), the
     rows of kernel_basis[:, 0], so every member solves the recurrence
@@ -326,6 +329,7 @@ class SolutionFamily:
     """
 
     bvp: LinearBVP
+    forcing: np.ndarray               # (m, N)
     report: SolvabilityReport
     particular: np.ndarray            # (m+1, N)
     kernel_basis: np.ndarray          # (r, m+1, N)
@@ -416,6 +420,7 @@ class LinearBVP:
         """Classify f against the boundary target and build its full
         solution family. A forced response that overflows is refused with
         a ValueError."""
+        f = _forcing_array(self.system, f)
         g = particular_forced(self.system, f)
         if not np.all(np.isfinite(g)):
             raise ValueError("the forced response is not finite (the sweep overflowed)")
@@ -424,7 +429,7 @@ class LinearBVP:
         # a product per time and kernel column, not one 2-D U @ K, which rounds
         # differently; the basis reaches Newton's finite-difference Jacobian
         kernels = (self.U @ self.rd.kernel.T[:, None, :, None])[..., 0]
-        return SolutionFamily(self, classify(self.rd, h, tol=tol), particular, kernels)
+        return SolutionFamily(self, f, classify(self.rd, h, tol=tol), particular, kernels)
 
 
 def recurrence_defect(system: OperatorSequence, f, trajectory) -> np.ndarray:

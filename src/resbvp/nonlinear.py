@@ -19,11 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import BoundaryOperator
 from .linalg import numerical_rank
 from .linear import (
     QUASISOLUTION,
-    OperatorSequence,
     SolutionFamily,
     boundary_residual,
     particular_forced,
@@ -59,22 +57,31 @@ class DerivativeMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class NonlinearProblem:
-    """Linear BVP data plus the nonlinearity and its state derivative.
+    """The generating family of the linear problem plus the nonlinearity
+    and its state derivative.
 
-    Z(z, n, eps) maps R^N -> R^N; Z_du(z, n, eps) is its N x N Jacobian
-    in z. eps is the perturbation size of the solve. Both are batched over
-    states z of shape (..., N) and integer times n broadcasting to
-    z.shape[:-1], returning (..., N) and (..., N, N). The assembled linear
-    operator is not part of the problem: build one LinearBVP per solve;
-    its solution family carries it to ``iterate``.
+    ``family`` is the solution family of one LinearBVP.solve; its ``bvp``
+    holds the system, the boundary operator and its Green operator, and its
+    ``forcing`` the f. Z(z, n, eps) maps R^N -> R^N; Z_du(z, n, eps) is its
+    N x N Jacobian in z. eps is the perturbation size of the solve. Both are
+    batched over states z of shape (..., N) and integer times n
+    broadcasting to z.shape[:-1], returning (..., N) and (..., N, N).
+
+    A quasisolution family has no generating solutions and is refused with
+    GeneratingFamilyError.
     """
 
-    system: OperatorSequence
-    forcing: np.ndarray
-    boundary: BoundaryOperator
+    family: SolutionFamily
     Z: callable
     Z_du: callable
     epsilon: float = 0.0
+
+    def __post_init__(self):
+        if self.family.report.classification == QUASISOLUTION:
+            raise GeneratingFamilyError(
+                "linear part is only solvable in the least-squares sense; "
+                "no generating family exists"
+            )
 
 
 @dataclass(frozen=True)
@@ -127,10 +134,10 @@ class IterationTrace:
               "boundary_residual", "projected_residual")
 
 
-def _along(problem: NonlinearProblem, fn, z, eps) -> np.ndarray:
+def _along(fn, z, eps) -> np.ndarray:
     """fn (Z or Z_du) at the first m states of a trajectory, or of a stack
     of trajectories (..., m+1, N), in one call."""
-    m = problem.system.horizon
+    m = z.shape[-2] - 1
     return np.asarray(fn(z[..., :m, :], np.arange(m), float(eps)), dtype=float)
 
 
@@ -148,7 +155,8 @@ def verify_derivative(problem: NonlinearProblem) -> None:
     once entries pass about 1e154.
     """
     rng = np.random.default_rng(0)
-    N, m = problem.system.dim, problem.system.horizon
+    system = problem.family.bvp.system
+    N, m = system.dim, system.horizon
     points, step = 20, 1e-6
     z, n = np.empty((points, N)), np.empty(points, dtype=int)
     for k in range(points):
@@ -168,16 +176,7 @@ def verify_derivative(problem: NonlinearProblem) -> None:
         )
 
 
-def _require_generating(family: SolutionFamily) -> None:
-    if family.report.classification == QUASISOLUTION:
-        raise GeneratingFamilyError(
-            "linear part is only solvable in the least-squares sense; "
-            "no generating family exists"
-        )
-
-
-def generating_F(problem: NonlinearProblem, family: SolutionFamily, c,
-                 at_eps: float = 0.0) -> np.ndarray:
+def generating_F(problem: NonlinearProblem, c, at_eps: float = 0.0) -> np.ndarray:
     """Bifurcation function F(c) in cokernel coordinates (length d).
 
     Evaluates Z along the family member z0(., c), pushes it through the
@@ -194,14 +193,12 @@ def generating_F(problem: NonlinearProblem, family: SolutionFamily, c,
     window with a small stack it is the doubling scan, and rows agree with
     single evaluations to roundoff.
     """
-    _require_generating(family)
-    fz = _along(problem, problem.Z, family.member(c), at_eps)
-    g = particular_forced(problem.system, fz)
-    return _matvec(family.cokernel_basis.T, problem.boundary.apply(g))
+    family, bvp = problem.family, problem.family.bvp
+    g = particular_forced(bvp.system, _along(problem.Z, family.member(c), at_eps))
+    return _matvec(family.cokernel_basis.T, bvp.boundary.apply(g))
 
 
-def _fd_jacobian(problem: NonlinearProblem, family: SolutionFamily, c: np.ndarray,
-                 at_eps: float) -> np.ndarray:
+def _fd_jacobian(problem: NonlinearProblem, c: np.ndarray, at_eps: float) -> np.ndarray:
     """Central finite-difference Jacobian of generating_F at c, shape (d, r).
 
     Column j is (F(c + s_j e_j) - F(c - s_j e_j)) / (2 s_j) with step
@@ -214,13 +211,12 @@ def _fd_jacobian(problem: NonlinearProblem, family: SolutionFamily, c: np.ndarra
     r = c.shape[0]
     steps = 1e-6 * (1.0 + np.abs(c))
     E = np.diag(steps)
-    F = generating_F(problem, family, np.concatenate([c + E, c - E]), at_eps=at_eps)
+    F = generating_F(problem, np.concatenate([c + E, c - E]), at_eps=at_eps)
     return ((F[:r] - F[r:]) / (2 * steps)[:, None]).T
 
 
-def solve_generating(problem: NonlinearProblem, family: SolutionFamily, c_init=None,
-                     tol: float = 1e-10, max_iter: int = 50,
-                     at_eps: float = 0.0) -> GeneratingRoot:
+def solve_generating(problem: NonlinearProblem, c_init=None, tol: float = 1e-10,
+                     max_iter: int = 50, at_eps: float = 0.0) -> GeneratingRoot:
     """Damped Newton root search for F(c) = 0.
 
     Uses a finite-difference Jacobian and a pseudoinverse step, so
@@ -233,20 +229,18 @@ def solve_generating(problem: NonlinearProblem, family: SolutionFamily, c_init=N
     generating_F call (one Z call); the centre and each line-search trial
     are single evaluations.
     """
-    _require_generating(family)
-    r = family.kernel_dim
-    d = family.cokernel_dim
+    r, d = problem.family.kernel_dim, problem.family.cokernel_dim
     c = np.zeros(r) if c_init is None else np.asarray(c_init, dtype=float).reshape(r).copy()
     if d == 0:
         return GeneratingRoot(c0=c, residual_norm=0.0, jacobian_rank=0,
                               converged=True, iterations=0)
 
-    F = generating_F(problem, family, c, at_eps=at_eps)
+    F = generating_F(problem, c, at_eps=at_eps)
     norm = float(np.linalg.norm(F))
     jac_rank = 0
     steps = 0
     while tol < norm < np.inf and steps < max_iter and r > 0:
-        J = _fd_jacobian(problem, family, c, at_eps)
+        J = _fd_jacobian(problem, c, at_eps)
         if not np.isfinite(J).all():
             break  # overflow; report the current iterate
         rd = numerical_rank(J)
@@ -256,7 +250,7 @@ def solve_generating(problem: NonlinearProblem, family: SolutionFamily, c_init=N
         improved = False
         for _ in range(30):
             trial = c + lam * step
-            Ft = generating_F(problem, family, trial, at_eps=at_eps)
+            Ft = generating_F(problem, trial, at_eps=at_eps)
             nt = float(np.linalg.norm(Ft))
             if nt < norm:
                 c, F, norm = trial, Ft, nt
@@ -270,22 +264,20 @@ def solve_generating(problem: NonlinearProblem, family: SolutionFamily, c_init=N
                           converged=norm <= tol, iterations=steps)
 
 
-def assemble_B0(problem: NonlinearProblem, family: SolutionFamily, c0,
-                at_eps: float = 0.0) -> np.ndarray:
+def assemble_B0(problem: NonlinearProblem, c0, at_eps: float = 0.0) -> np.ndarray:
     """Linearization of the bifurcation function at c0, shape (d, r).
 
     Column j is minus the cokernel projection of l applied to the forced
     response of Z_du(z0(., c0), ., 0) acting on the j-th propagated kernel
     trajectory. By construction B0 = -dF/dc at c0.
     """
-    _require_generating(family)
-    m = problem.system.horizon
+    family, bvp = problem.family, problem.family.bvp
     r, d = family.kernel_dim, family.cokernel_dim
     if d == 0 or r == 0:
         return np.zeros((d, r))
-    Zdu = _along(problem, problem.Z_du, family.member(c0), at_eps)
-    G = particular_forced_scan(problem.system, _matvec(Zdu, family.kernel_basis[:, :m]))
-    return -family.cokernel_basis.T @ problem.boundary.apply(G).T
+    Zdu = _along(problem.Z_du, family.member(c0), at_eps)
+    G = particular_forced_scan(bvp.system, _matvec(Zdu, family.kernel_basis[:, :-1]))
+    return -family.cokernel_basis.T @ bvp.boundary.apply(G).T
 
 
 def check_sufficient(B0) -> SufficiencyCheck:
@@ -310,22 +302,20 @@ def check_sufficient(B0) -> SufficiencyCheck:
                             B0_pinv=pinv)
 
 
-def nonlinear_recurrence_residual(problem: NonlinearProblem, z, Zz=None) -> float:
-    """max_n || z(n+1) - A_n z(n) - f(n) - eps Z(z(n), n, eps) || at
-    eps = problem.epsilon.
+def nonlinear_recurrence_residual(system, f, Z, eps, z, Zz=None) -> float:
+    """max_n || z(n+1) - A_n z(n) - f(n) - eps Z(z(n), n, eps) || over the
+    OperatorSequence ``system``.
 
     ``Zz``, when given, is Z already evaluated at z(0..m-1) and eps.
     """
-    eps = problem.epsilon
     z = np.asarray(z, dtype=float)
     if Zz is None:
-        Zz = _along(problem, problem.Z, z, eps)
-    res = recurrence_defect(problem.system, problem.forcing, z) - eps * Zz
+        Zz = _along(Z, z, eps)
+    res = recurrence_defect(system, f, z) - eps * Zz
     return float(np.sqrt((res * res).sum(axis=1).max()))  # norm(res, axis=1).max(), bit for bit
 
 
-def iterate(problem: NonlinearProblem, family: SolutionFamily, c0, B0_pinv,
-            tol: float = 1e-10, max_iter: int = 200,
+def iterate(problem: NonlinearProblem, c0, B0_pinv, tol: float = 1e-10, max_iter: int = 200,
             blowup: float = 1e6, residual_tol: float = 1e-8):
     """Three-sequence fixed-point iteration continuing z0(., c0) to
     eps = problem.epsilon.
@@ -351,24 +341,24 @@ def iterate(problem: NonlinearProblem, family: SolutionFamily, c0, B0_pinv,
     has not shrunk over w rounds is not contracting. trace.reason names the
     stop.
 
-    The Green operator of family.bvp, the LinearBVP of (problem.system,
-    problem.boundary) that ``family`` came from, gives ubar. ``B0_pinv`` is
-    the pseudoinverse of the linearization assemble_B0 gives at c0, from
-    the gate's rank decision: check_sufficient(B0).B0_pinv. The gate is
-    not made here; the caller decides whether to iterate when it fails.
+    The Green operator of problem.family.bvp, the LinearBVP the family came
+    from, gives ubar. ``B0_pinv`` is the pseudoinverse of the linearization
+    assemble_B0 gives at c0, from the gate's rank decision:
+    check_sufficient(B0).B0_pinv. The gate is not made here; the caller
+    decides whether to iterate when it fails.
 
     Returns (z, trace) with z = z0(., c0) + u.
     """
-    _require_generating(family)
-    eps = problem.epsilon
-    m, N = problem.system.horizon, problem.system.dim
+    eps, family = problem.epsilon, problem.family
+    bvp = family.bvp
+    system, l = bvp.system, bvp.boundary
+    m, N = system.horizon, system.dim
     r = family.kernel_dim
 
     z0 = family.member(c0)
-    Z0 = _along(problem, problem.Z, z0, 0.0)
-    Zdu = _along(problem, problem.Z_du, z0, 0.0)
-    Zz = _along(problem, problem.Z, z0, eps)  # Z(z0 + u, ., eps), reused across rounds
-    l = problem.boundary
+    Z0 = _along(problem.Z, z0, 0.0)
+    Zdu = _along(problem.Z_du, z0, 0.0)
+    Zz = _along(problem.Z, z0, eps)  # Z(z0 + u, ., eps), reused across rounds
 
     K = family.kernel_basis.reshape(r, (m + 1) * N)  # explicit: -1 fails at r = 0
     u = np.zeros((m + 1, N))
@@ -384,17 +374,17 @@ def iterate(problem: NonlinearProblem, family: SolutionFamily, c0, B0_pinv,
     for k in range(max_iter + 1):
         np.add(_matvec(Zdu, ubar[:m] - u[:m]), Zz - Z0, out=forcings[:, 0])
         forcings[:, 1] = Zz
-        G = particular_forced_scan(problem.system, forcings.swapaxes(0, 1))
+        G = particular_forced_scan(system, forcings.swapaxes(0, 1))
         lG = l.apply(G)  # l g_lin and l g_phi
         lin_proj, phi_proj = lG @ family.cokernel_basis
 
         u_next = (c @ K).reshape(m + 1, N) + ubar
         c_next = B0_pinv @ lin_proj
-        ubar_next = eps * family.bvp.green(G[1], lg=lG[1])
+        ubar_next = eps * bvp.green(G[1], lg=lG[1])
 
         z = z0 + u_next
-        Zz = _along(problem, problem.Z, z, eps)
-        rec_res = nonlinear_recurrence_residual(problem, z, Zz=Zz)
+        Zz = _along(problem.Z, z, eps)
+        rec_res = nonlinear_recurrence_residual(system, family.forcing, problem.Z, eps, z, Zz=Zz)
         bc_res = boundary_residual(l, z)
         # sqrt(v . v), as np.linalg.norm computes a vector's norm
         records.append((k, math.sqrt(c.dot(c)), float(np.abs(ubar).max()),

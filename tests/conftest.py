@@ -31,8 +31,7 @@ def rotation_benchmark(epsilon=0.0, m=6, pairs=1):
     f = 0.3 * rng.standard_normal((m, N))
     f[m - 1] -= particular_forced(system, f)[m]
     Z, Z_du = lv_callables(LotkaVolterraSpec.uniform(pairs))
-    problem = NonlinearProblem(system, f, l, Z, Z_du, epsilon)
-    return problem
+    return NonlinearProblem(LinearBVP(system, l).solve(f), Z, Z_du, epsilon)
 
 
 def block_rotation_doc(m, N, eps, base_seed, seed=0):
@@ -72,8 +71,7 @@ def benchmark_problem():
 
 @pytest.fixture
 def benchmark_family(benchmark_problem):
-    family = LinearBVP(benchmark_problem.system,
-                       benchmark_problem.boundary).solve(benchmark_problem.forcing)
+    family = benchmark_problem.family
     report = family.report
     assert report.kernel_dim == 2 and report.cokernel_dim == 2
     return family

@@ -211,29 +211,29 @@ def test_criterion_4_fibonacci_oracle():
 
 def test_criterion_5_generating_equation():
     problem = rotation_benchmark()
-    family = LinearBVP(problem.system, problem.boundary).solve(problem.forcing)
+    family = problem.family
     assert family.kernel_dim == 2 and family.cokernel_dim == 2
 
     rng = np.random.default_rng(505)
     worst = 0.0
     for _ in range(50):
         c = rng.standard_normal(2) * 2.0
-        got = generating_F(problem, family, c)
-        want = brute_force_F(problem, family, c)
+        got = generating_F(problem, c)
+        want = brute_force_F(problem, c)
         err = np.linalg.norm(got - want) / (1 + np.linalg.norm(want))
         worst = max(worst, err)
         assert err <= 1e-10
 
-    root = solve_generating(problem, family, [0.5, 0.5])
+    root = solve_generating(problem, [0.5, 0.5])
     assert root.converged
-    B0 = assemble_B0(problem, family, root.c0)
+    B0 = assemble_B0(problem, root.c0)
     h = 1e-6
     J = np.zeros((2, 2))
     for j in range(2):
         e = np.zeros(2)
         e[j] = h
-        J[:, j] = (generating_F(problem, family, root.c0 + e)
-                   - generating_F(problem, family, root.c0 - e)) / (2 * h)
+        J[:, j] = (generating_F(problem, root.c0 + e)
+                   - generating_F(problem, root.c0 - e)) / (2 * h)
     fd_err = np.linalg.norm(B0 + J) / (1 + np.linalg.norm(B0))
     assert fd_err <= 1e-5
     _report(5, f"50 random c, worst F defect {worst:.2e}; B0 vs FD {fd_err:.2e}")
@@ -244,22 +244,23 @@ def test_criterion_6_iteration_and_eps_scaling():
     eps_grid = [1e-2, 1e-3, 1e-4]
     for eps in eps_grid:
         problem = rotation_benchmark(eps)
-        family = LinearBVP(problem.system, problem.boundary).solve(problem.forcing)
-        root = solve_generating(problem, family, [0.5, 0.5])
-        z, trace = iterate(problem, family, root.c0,
-                           check_sufficient(assemble_B0(problem, family, root.c0)).B0_pinv)
+        family = problem.family
+        root = solve_generating(problem, [0.5, 0.5])
+        z, trace = iterate(problem, root.c0,
+                           check_sufficient(assemble_B0(problem, root.c0)).B0_pinv)
         assert trace.converged and trace.iterations <= 200
-        assert nonlinear_recurrence_residual(problem, z) <= 1e-8
-        assert boundary_residual(problem.boundary, z) <= 1e-8
+        assert nonlinear_recurrence_residual(family.bvp.system, family.forcing, problem.Z,
+                                             problem.epsilon, z) <= 1e-8
+        assert boundary_residual(family.bvp.boundary, z) <= 1e-8
         sizes.append(np.abs(z - family.member(root.c0)).max())
     slope = np.polyfit(np.log(eps_grid), np.log(sizes), 1)[0]
     assert abs(slope - 1.0) <= 0.15
 
     problem = rotation_benchmark(0.0)
-    family = LinearBVP(problem.system, problem.boundary).solve(problem.forcing)
-    root = solve_generating(problem, family, [0.5, 0.5])
-    z, trace = iterate(problem, family, root.c0,
-                       check_sufficient(assemble_B0(problem, family, root.c0)).B0_pinv)
+    family = problem.family
+    root = solve_generating(problem, [0.5, 0.5])
+    z, trace = iterate(problem, root.c0,
+                       check_sufficient(assemble_B0(problem, root.c0)).B0_pinv)
     exact_gap = np.abs(z - family.member(root.c0)).max()
     assert exact_gap <= np.finfo(float).eps * 8
     _report(6, f"converged at all eps, residuals <= 1e-8, slope {slope:.3f}, "
@@ -272,9 +273,8 @@ def test_criterion_7_sufficiency_gate(tmp_path):
     assert code == 4
 
     problem = rotation_benchmark(1e-3)
-    family = LinearBVP(problem.system, problem.boundary).solve(problem.forcing)
-    root = solve_generating(problem, family, [0.5, 0.5])
-    B0 = assemble_B0(problem, family, root.c0)
+    root = solve_generating(problem, [0.5, 0.5])
+    B0 = assemble_B0(problem, root.c0)
     chk = check_sufficient(B0)
     assert chk.holds and chk.row_rank == chk.required_rank == 2
     _report(7, "degenerate problem refused with exit 4; benchmark B0 full row rank")

@@ -198,7 +198,7 @@ class TestResidualGate:
         monkeypatch.setattr(cli, "_linear_family", lambda problem: bad)
         with pytest.raises(cli.ProblemFormatError,
                            match="^linear-stage member kernel_01: boundary residual 7.000e"):
-            cli._linear_stage(prob, cli._nonlinear_problem(prob))
+            cli._linear_stage(prob)
 
     @pytest.mark.parametrize("cmd", NONLINEAR_COMMANDS, ids=["solve-nonlinear", "sweep"])
     def test_overflowing_defect_exits_64(self, tmp_path, capsys, cmd):
@@ -336,7 +336,7 @@ class TestSolveNonlinear:
         run(["solve-nonlinear", problem(name), "-o", tmp_path, *flags])
         [(_, gate)] = gates
         [(args, _)] = iterations
-        assert args[3] is gate.B0_pinv
+        assert args[2] is gate.B0_pinv
 
     def test_overflowing_newton_has_no_root(self, tmp_path, capsys):
         path = overflowing_scalar_problem(tmp_path)
@@ -464,6 +464,23 @@ class TestOverflowingInputs:
                                 capsys) == 3
         doc = strict_json((tmp_path / "out" / "report.json").read_text())
         assert doc["generating"]["residual_norm"] is None
+
+    @pytest.mark.parametrize("cmd", NONLINEAR_COMMANDS, ids=["solve-nonlinear", "sweep"])
+    def test_overflowing_B0_is_usage_error(self, tmp_path, capsys, cmd):
+        # the root is c0 = 0 and the Z_du audit passes, but Z_du = 1e307 I at
+        # z = 0 overflows the forced responses that B0 is built from
+        path = tmp_path / "huge_gain.json"
+        path.write_text(json.dumps({
+            "dim": 2, "horizon": 100, "system": {"type": "rotation", "theta": 2 * np.pi / 100},
+            "forcing": "zero", "boundary": {"type": "periodic"},
+            "nonlinearity": {"type": "lotka_volterra", "g1": 1e307, "g2": 1e307,
+                             "a": 1.0, "b": 1.0}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(cmd[:1] + [path] + cmd[1:] + ["-o", tmp_path / "out"])
+        err = capsys.readouterr().err
+        assert code == 64
+        assert re.search(r"^error: .*B0 .*overflow", err, re.M) and "Warning" not in err, err
 
     def test_sweep(self, tmp_path, capsys):
         assert self.run_quietly(["sweep", problem("sweep_scalar.json"), "--eps-min", "1e308",
@@ -772,6 +789,19 @@ class TestVerify:
         code = run(["verify", tmp_path / "report.json", tmp_path / "solution.csv"])
         assert code == 0
         assert "MISMATCH" not in capsys.readouterr().out
+
+    def test_solution_builds_no_linear_bvp(self, tmp_path, monkeypatch):
+        run(["solve-nonlinear", problem("rotation_lv.json"), "-o", tmp_path])
+        built = []
+        init = LinearBVP.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(LinearBVP, "__init__", counting_init)
+        assert run(["verify", tmp_path / "report.json", tmp_path / "solution.csv"]) == 0
+        assert built == []
 
     def test_tampered_trajectory_is_flagged(self, tmp_path, capsys):
         run(["solve-nonlinear", problem("rotation_lv.json"), "-o", tmp_path])

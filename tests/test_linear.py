@@ -323,6 +323,16 @@ class TestParticularForced:
         assert OperatorSequence(mats).hops[0].shape == (3, 2, 2)
         assert OperatorSequence(np.zeros((4, 2, 2))).hops[0].shape == (2, 2)
 
+    def test_hops_are_built_on_first_use(self):
+        # m = 200, N = 32 steps through the loop, so a linear solve reads no hop
+        m, N = 200, 32
+        rng = np.random.default_rng(23)
+        system = random_system(rng, m, N, scale=N ** -0.5)
+        assert not system.time_invariant
+        LinearBVP(system, periodic(N, m)).solve(rng.standard_normal((m, N)))
+        assert "hops" not in vars(system)
+        assert len(system.hops) == 8 and "hops" in vars(system)
+
     def test_time_invariant_hops_take_one_matrix_per_level(self):
         m, N = 6000, 32
         M = np.random.default_rng(18).standard_normal((N, N)) / np.sqrt(N)
@@ -339,6 +349,7 @@ class TestParticularForced:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             A = OperatorSequence(mats)
+            A.hops  # built on first use
         assert (A.hops[0].ndim == 2) == time_invariant
         assert len(A.hops) == 11
         assert all(np.isfinite(hop).all() for hop in A.hops)
@@ -507,9 +518,8 @@ class TestSolveFamily:
 
     def test_stacked_members_equal_single_members(self):
         rng = np.random.default_rng(19)
-        p = rotation_benchmark(m=7, pairs=2)
+        family = rotation_benchmark(m=7, pairs=2).family
         m, N = 7, 4
-        family = LinearBVP(p.system, p.boundary).solve(p.forcing)
         assert family.kernel_dim == N
         C = rng.standard_normal((2, 3, family.kernel_dim))
         Z = family.member(C)
@@ -589,8 +599,8 @@ class TestOneHandle:
         if name == "fibonacci":  # Q invertible
             m = 6
             return OperatorSequence.constant(FIB, m), periodic(2, m), rng.standard_normal((m, 2))
-        p = rotation_benchmark(m=7, pairs=2)  # Q = 0
-        return p.system, p.boundary, p.forcing
+        family = rotation_benchmark(m=7, pairs=2).family  # Q = 0
+        return family.bvp.system, family.bvp.boundary, family.forcing
 
 
 class TestGreenApply:

@@ -95,7 +95,8 @@ class TestLVNonlinearity:
         Z, Z_du = lv_callables(LotkaVolterraSpec.uniform(2))
         m = 4
         system = OperatorSequence.identity(4, m)
-        p = NonlinearProblem(system, np.zeros((m, 4)), periodic(4, m), Z, Z_du, 0.0)
+        family = LinearBVP(system, periodic(4, m)).solve(np.zeros((m, 4)))
+        p = NonlinearProblem(family, Z, Z_du, 0.0)
         verify_derivative(p)
 
 

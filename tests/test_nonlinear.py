@@ -7,6 +7,7 @@ import pytest
 from resbvp import linear
 from resbvp.boundary import periodic
 from resbvp.linear import (
+    QUASISOLUTION,
     LinearBVP,
     OperatorSequence,
     boundary_residual,
@@ -42,11 +43,12 @@ def zero_Zdu(z, n, eps):
     return np.zeros(z.shape + z.shape[-1:])
 
 
-def brute_force_F(problem, family, c):
+def brute_force_F(problem, c):
     """Independent oracle: unroll z0(., c), push the nonlinearity through
     explicit transition products into the boundary form, and project."""
-    A = problem.system.matrices
-    m, N = problem.system.horizon, problem.system.dim
+    family, system = problem.family, problem.family.bvp.system
+    A = system.matrices
+    m, N = system.horizon, system.dim
     z0 = family.member(c)
     g = np.zeros((m + 1, N))
     for n in range(m + 1):
@@ -57,13 +59,25 @@ def brute_force_F(problem, family, c):
                 P = A[k] @ P
             acc += P @ problem.Z(z0[i], i, 0.0)
         g[n] = acc
-    v = sum(L @ g[n] for n, L in problem.boundary.samples)
+    v = sum(L @ g[n] for n, L in family.bvp.boundary.samples)
     return family.cokernel_basis.T @ v
 
 
+def over_zero_forcing(system, l, Z, Z_du, eps=0.0):
+    """The NonlinearProblem over the family of (system, l) with f = 0."""
+    family = LinearBVP(system, l).solve(np.zeros((system.horizon, system.dim)))
+    return NonlinearProblem(family, Z, Z_du, eps)
+
+
+def from_file(doc):
+    """The NonlinearProblem of a parsed problem file, over the family of its
+    linear part."""
+    family = LinearBVP(doc.system, doc.boundary).solve(doc.forcing)
+    return NonlinearProblem(family, *doc.nonlinearity, doc.epsilon)
+
+
 def resonant_identity_problem(Z, Z_du, eps=0.0, m=4, N=2):
-    system = OperatorSequence.identity(N, m)
-    return NonlinearProblem(system, np.zeros((m, N)), periodic(N, m), Z, Z_du, eps)
+    return over_zero_forcing(OperatorSequence.identity(N, m), periodic(N, m), Z, Z_du, eps)
 
 
 def test_nonlinear_problem_is_frozen(benchmark_problem):
@@ -74,42 +88,38 @@ def test_nonlinear_problem_is_frozen(benchmark_problem):
 class TestGeneratingF:
     def test_zero_nonlinearity(self, benchmark_family, benchmark_problem):
         p = resonant_identity_problem(zero_Z, zero_Zdu)
-        family = LinearBVP(p.system, p.boundary).solve(p.forcing)
         for c in (np.zeros(2), np.array([1.0, -2.0])):
-            assert np.allclose(generating_F(p, family, c), 0.0)
+            assert np.allclose(generating_F(p, c), 0.0)
 
     def test_nonresonant_gives_empty_F(self):
         m = 5
         system = OperatorSequence.constant(np.array([[1.0, 1.0], [1.0, 0.0]]), m)
-        p = NonlinearProblem(system, np.zeros((m, 2)), periodic(2, m),
-                             zero_Z, zero_Zdu)
-        family = LinearBVP(p.system, p.boundary).solve(p.forcing)
+        p = over_zero_forcing(system, periodic(2, m), zero_Z, zero_Zdu)
+        family = p.family
         assert family.cokernel_dim == 0
-        assert generating_F(p, family, np.zeros(0)).shape == (0,)
+        assert generating_F(p, np.zeros(0)).shape == (0,)
 
     def test_matches_brute_force_oracle(self, benchmark_problem, benchmark_family):
         rng = np.random.default_rng(21)
         for _ in range(10):
             c = rng.standard_normal(2)
-            got = generating_F(benchmark_problem, benchmark_family, c)
-            expected = brute_force_F(benchmark_problem, benchmark_family, c)
+            got = generating_F(benchmark_problem, c)
+            expected = brute_force_F(benchmark_problem, c)
             assert np.linalg.norm(got - expected) <= 1e-10 * (1 + np.linalg.norm(expected))
 
     def test_single_sweep_arithmetic_is_kept(self):
         # F must be bit-identical to the single-forcing sweep of a per-state
         # evaluation: Newton's finite-difference Jacobian amplifies any
         # roundoff in F about a millionfold.
-        prob = load_problem(str(PROBLEMS_DIR / "rotation_lv.json"))
-        p = NonlinearProblem(prob.system, prob.forcing, prob.boundary,
-                             *prob.nonlinearity, prob.epsilon)
-        family = LinearBVP(p.system, p.boundary).solve(p.forcing)
-        m = p.system.horizon
+        p = from_file(load_problem(str(PROBLEMS_DIR / "rotation_lv.json")))
+        family, bvp = p.family, p.family.bvp
+        m = bvp.system.horizon
         for c in (np.array([0.5, 0.5]), np.array([-0.3, 1.2])):
             z0 = family.member(c)
             fz = np.array([p.Z(z0[n], n, 0.0) for n in range(m)])
-            expected = family.cokernel_basis.T @ p.boundary.apply(
-                particular_forced(p.system, fz))
-            assert np.array_equal(generating_F(p, family, c), expected)
+            expected = family.cokernel_basis.T @ bvp.boundary.apply(
+                particular_forced(bvp.system, fz))
+            assert np.array_equal(generating_F(p, c), expected)
 
     def test_quasisolution_family_rejected(self):
         from resbvp.boundary import generic
@@ -119,16 +129,13 @@ class TestGeneratingF:
                      (m, np.array([[0.0, 0.0], [1.0, 0.0]]))],
                     np.array([0.0, 1.0]))
         family = LinearBVP(system, l).solve(np.zeros((m, N)))
-        report = family.report
-        p = NonlinearProblem(system, np.zeros((m, N)), l, zero_Z, zero_Zdu)
-        with pytest.raises(GeneratingFamilyError):
-            generating_F(p, family, np.zeros(family.kernel_dim))
+        assert family.report.classification == QUASISOLUTION
+        with pytest.raises(GeneratingFamilyError):  # refused at construction
+            NonlinearProblem(family, zero_Z, zero_Zdu)
 
 
 def shipped_nonlinear(name):
-    prob = load_problem(str(PROBLEMS_DIR / name))
-    return NonlinearProblem(prob.system, prob.forcing, prob.boundary,
-                            *prob.nonlinearity, prob.epsilon)
+    return from_file(load_problem(str(PROBLEMS_DIR / name)))
 
 
 # Problems whose F rows are compared bit for bit: three shipped files and
@@ -140,21 +147,20 @@ STACK_CASES = ["rotation_lv.json", "gate_refusal.json", "sweep_scalar.json", "bl
 def stack_case(name):
     p = rotation_benchmark(1e-4, m=12, pairs=16) if name == "block32" \
         else shipped_nonlinear(name)
-    family = LinearBVP(p.system, p.boundary).solve(p.forcing)
-    return p, family
+    return p, p.family
 
 
-def per_column_fd_jacobian(problem, family, c, at_eps):
+def per_column_fd_jacobian(problem, c, at_eps):
     """Reference: the central-difference Jacobian one column, and two
     single evaluations of F, at a time."""
     r = c.shape[0]
-    J = np.zeros((family.cokernel_dim, r))
+    J = np.zeros((problem.family.cokernel_dim, r))
     for j in range(r):
         step = 1e-6 * (1.0 + abs(c[j]))
         e = np.zeros(r)
         e[j] = step
-        J[:, j] = (generating_F(problem, family, c + e, at_eps=at_eps)
-                   - generating_F(problem, family, c - e, at_eps=at_eps)) / (2 * step)
+        J[:, j] = (generating_F(problem, c + e, at_eps=at_eps)
+                   - generating_F(problem, c - e, at_eps=at_eps)) / (2 * step)
     return J
 
 
@@ -164,10 +170,10 @@ class TestStackedF:
     def test_rows_equal_single_calls(self, name, at_eps):
         p, family = stack_case(name)
         C = 0.5 + np.random.default_rng(31).standard_normal((5, family.kernel_dim))
-        F = generating_F(p, family, C, at_eps=at_eps)
+        F = generating_F(p, C, at_eps=at_eps)
         assert F.shape == (5, family.cokernel_dim)
         for c, row in zip(C, F):
-            assert np.array_equal(row, generating_F(p, family, c, at_eps=at_eps))
+            assert np.array_equal(row, generating_F(p, c, at_eps=at_eps))
 
     @pytest.mark.parametrize("name", STACK_CASES)
     @pytest.mark.parametrize("at_eps", [0.0, 1e-3])
@@ -175,8 +181,8 @@ class TestStackedF:
         p, family = stack_case(name)
         c = 0.5 + 0.1 * np.random.default_rng(32).standard_normal(family.kernel_dim)
         c[0] = -0.0  # -0.0 + 0.0 is +0.0 off the diagonal, in both forms
-        assert np.array_equal(_fd_jacobian(p, family, c, at_eps),
-                              per_column_fd_jacobian(p, family, c, at_eps))
+        assert np.array_equal(_fd_jacobian(p, c, at_eps),
+                              per_column_fd_jacobian(p, c, at_eps))
 
     def test_one_stacked_Z_call_per_newton_step(self):
         p, family = stack_case("block32")
@@ -187,9 +193,9 @@ class TestStackedF:
             return p.Z(z, n, eps)
 
         counted = dataclasses.replace(p, Z=Z)
-        root = solve_generating(counted, family, np.full(family.kernel_dim, 0.5))
+        root = solve_generating(counted, np.full(family.kernel_dim, 0.5))
         assert root.converged and root.iterations >= 1
-        m, N, r = p.system.horizon, p.system.dim, family.kernel_dim
+        m, N, r = family.bvp.system.horizon, family.bvp.system.dim, family.kernel_dim
         assert shapes.count((2 * r, m, N)) == root.iterations
         assert all(shape in ((m, N), (2 * r, m, N)) for shape in shapes)
 
@@ -201,12 +207,12 @@ class TestLongWindowF:
     @pytest.mark.parametrize("N", [2, 8])
     def test_matches_the_step_by_step_sweep(self, monkeypatch, N):
         p = block_rotation(600, N, 1e-4, 0)
-        family = LinearBVP(p.system, p.boundary).solve(p.forcing)
+        family = p.family
         C = 0.5 + np.random.default_rng(33).standard_normal((3, family.kernel_dim))
-        scanned = generating_F(p, family, C)
-        single = generating_F(p, family, C[0])
+        scanned = generating_F(p, C)
+        single = generating_F(p, C[0])
         monkeypatch.setattr(linear, "_SCAN_MIN_HORIZON", 10**9)
-        stepped = generating_F(p, family, C)
+        stepped = generating_F(p, C)
         scale = np.abs(stepped).max()
         assert scale > 1.0
         assert np.abs(scanned - stepped).max() <= 1e-13 * scale
@@ -216,8 +222,7 @@ class TestLongWindowF:
 class TestSolveGenerating:
     def test_zero_nonlinearity_returns_seed(self):
         p = resonant_identity_problem(zero_Z, zero_Zdu)
-        family = LinearBVP(p.system, p.boundary).solve(p.forcing)
-        root = solve_generating(p, family, [0.3, -0.7])
+        root = solve_generating(p, [0.3, -0.7])
         assert root.converged
         assert np.allclose(root.c0, [0.3, -0.7])
 
@@ -233,8 +238,7 @@ class TestSolveGenerating:
             return np.broadcast_to([[1.0, 2.0], [-1.0, 1.0]], z.shape + (2,))
 
         p = resonant_identity_problem(Z, Z_du)
-        family = LinearBVP(p.system, p.boundary).solve(p.forcing)
-        root = solve_generating(p, family, [5.0, -3.0])
+        root = solve_generating(p, [5.0, -3.0])
         assert root.converged
         assert root.residual_norm <= 1e-9
         assert root.iterations <= 2
@@ -249,8 +253,8 @@ class TestSolveGenerating:
             return 2 * z[..., None] * np.eye(z.shape[-1])
 
         p = resonant_identity_problem(Z, Z_du, N=1)
-        family = LinearBVP(p.system, p.boundary).solve(p.forcing)
-        root = solve_generating(p, family, [1.0])
+        family = p.family
+        root = solve_generating(p, [1.0])
         assert root.converged
         # kernel basis of the scalar zero matrix is +-1; the state is +-2
         state = family.member(root.c0)[0]
@@ -263,8 +267,7 @@ class TestSolveGenerating:
             return np.full_like(np.asarray(z, dtype=float), 2.0)
 
         p = resonant_identity_problem(Z, zero_Zdu)
-        family = LinearBVP(p.system, p.boundary).solve(p.forcing)
-        root = solve_generating(p, family, [0.1, 0.2], max_iter=50)
+        root = solve_generating(p, [0.1, 0.2], max_iter=50)
         assert not root.converged
         assert root.iterations == 0
         assert np.allclose(root.c0, [0.1, 0.2])
@@ -272,9 +275,8 @@ class TestSolveGenerating:
     def test_nonresonant_short_circuits(self):
         m = 4
         system = OperatorSequence.constant(np.array([[1.0, 1.0], [1.0, 0.0]]), m)
-        p = NonlinearProblem(system, np.zeros((m, 2)), periodic(2, m), zero_Z, zero_Zdu)
-        family = LinearBVP(p.system, p.boundary).solve(p.forcing)
-        root = solve_generating(p, family, np.zeros(0))
+        p = over_zero_forcing(system, periodic(2, m), zero_Z, zero_Zdu)
+        root = solve_generating(p, np.zeros(0))
         assert root.converged and root.c0.shape == (0,)
 
 
@@ -284,27 +286,25 @@ class TestB0:
             return np.full_like(np.asarray(z, dtype=float), 2.0)
 
         p = resonant_identity_problem(Z, zero_Zdu)
-        family = LinearBVP(p.system, p.boundary).solve(p.forcing)
-        assert np.allclose(assemble_B0(p, family, np.zeros(2)), 0.0)
+        assert np.allclose(assemble_B0(p, np.zeros(2)), 0.0)
 
     def test_degenerate_shapes(self):
         m = 4
         system = OperatorSequence.constant(np.array([[1.0, 1.0], [1.0, 0.0]]), m)
-        p = NonlinearProblem(system, np.zeros((m, 2)), periodic(2, m), zero_Z, zero_Zdu)
-        family = LinearBVP(p.system, p.boundary).solve(p.forcing)
-        assert assemble_B0(p, family, np.zeros(0)).shape == (0, 0)
+        p = over_zero_forcing(system, periodic(2, m), zero_Z, zero_Zdu)
+        assert assemble_B0(p, np.zeros(0)).shape == (0, 0)
 
     def test_matches_negative_fd_jacobian(self, benchmark_problem, benchmark_family):
-        root = solve_generating(benchmark_problem, benchmark_family, [0.5, 0.5])
+        root = solve_generating(benchmark_problem, [0.5, 0.5])
         assert root.converged
-        B0 = assemble_B0(benchmark_problem, benchmark_family, root.c0)
+        B0 = assemble_B0(benchmark_problem, root.c0)
         h = 1e-6
         J = np.zeros((2, 2))
         for j in range(2):
             e = np.zeros(2)
             e[j] = h
-            J[:, j] = (generating_F(benchmark_problem, benchmark_family, root.c0 + e)
-                       - generating_F(benchmark_problem, benchmark_family, root.c0 - e)) / (2 * h)
+            J[:, j] = (generating_F(benchmark_problem, root.c0 + e)
+                       - generating_F(benchmark_problem, root.c0 - e)) / (2 * h)
         assert np.linalg.norm(B0 + J) <= 1e-6 * (1 + np.linalg.norm(B0))
 
 
@@ -353,15 +353,15 @@ class TestCheckSufficient:
 
 class TestIterate:
     def test_takes_the_green_operator_from_the_family(self):
-        assert list(inspect.signature(iterate).parameters)[:4] == [
-            "problem", "family", "c0", "B0_pinv"]
-        assert "bvp" not in inspect.signature(iterate).parameters
+        assert list(inspect.signature(iterate).parameters)[:3] == ["problem", "c0", "B0_pinv"]
+        for stage in (generating_F, _fd_jacobian, solve_generating, assemble_B0, iterate):
+            assert not {"family", "bvp"} & set(inspect.signature(stage).parameters)
 
     def test_eps_zero_returns_generating_solution(self, benchmark_problem, benchmark_family):
         assert benchmark_problem.epsilon == 0.0
-        root = solve_generating(benchmark_problem, benchmark_family, [0.5, 0.5])
-        B0 = assemble_B0(benchmark_problem, benchmark_family, root.c0)
-        z, trace = iterate(benchmark_problem, benchmark_family, root.c0,
+        root = solve_generating(benchmark_problem, [0.5, 0.5])
+        B0 = assemble_B0(benchmark_problem, root.c0)
+        z, trace = iterate(benchmark_problem, root.c0,
                            check_sufficient(B0).B0_pinv)
         assert trace.converged and trace.iterations == 0
         z0 = benchmark_family.member(root.c0)
@@ -369,23 +369,24 @@ class TestIterate:
 
     def test_zero_nonlinearity_keeps_u_zero(self):
         p = resonant_identity_problem(zero_Z, zero_Zdu, eps=0.1)
-        family = LinearBVP(p.system, p.boundary).solve(p.forcing)
-        z, trace = iterate(p, family, np.zeros(2),
-                           check_sufficient(assemble_B0(p, family, np.zeros(2))).B0_pinv)
+        family = p.family
+        z, trace = iterate(p, np.zeros(2),
+                           check_sufficient(assemble_B0(p, np.zeros(2))).B0_pinv)
         assert trace.converged
         assert np.abs(z - family.member(np.zeros(2))).max() <= 1e-14
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
     def test_benchmark_converges_with_small_residuals(self, eps):
         p = rotation_benchmark(eps)
-        family = LinearBVP(p.system, p.boundary).solve(p.forcing)
-        root = solve_generating(p, family, [0.5, 0.5])
-        z, trace = iterate(p, family, root.c0,
-                           check_sufficient(assemble_B0(p, family, root.c0)).B0_pinv)
+        family = p.family
+        root = solve_generating(p, [0.5, 0.5])
+        z, trace = iterate(p, root.c0,
+                           check_sufficient(assemble_B0(p, root.c0)).B0_pinv)
         assert trace.converged and trace.iterations <= 200
         assert trace.reason == "converged" and len(trace.increments) == trace.iterations + 1
-        assert nonlinear_recurrence_residual(p, z) <= 1e-8
-        assert boundary_residual(p.boundary, z) <= 1e-8
+        assert nonlinear_recurrence_residual(family.bvp.system, family.forcing, p.Z,
+                                             p.epsilon, z) <= 1e-8
+        assert boundary_residual(family.bvp.boundary, z) <= 1e-8
         # necessity: the accepted root satisfies the generating equation
         assert root.residual_norm <= 1e-10
         # condition-(17)-style projected residual at convergence
@@ -396,10 +397,10 @@ class TestIterate:
         eps_grid = [1e-2, 1e-3, 1e-4]
         for eps in eps_grid:
             p = rotation_benchmark(eps)
-            family = LinearBVP(p.system, p.boundary).solve(p.forcing)
-            root = solve_generating(p, family, [0.5, 0.5])
-            z, trace = iterate(p, family, root.c0,
-                               check_sufficient(assemble_B0(p, family, root.c0)).B0_pinv)
+            family = p.family
+            root = solve_generating(p, [0.5, 0.5])
+            z, trace = iterate(p, root.c0,
+                               check_sufficient(assemble_B0(p, root.c0)).B0_pinv)
             assert trace.converged
             sizes.append(np.abs(z - family.member(root.c0)).max())
         slope = np.polyfit(np.log(eps_grid), np.log(sizes), 1)[0]
@@ -414,8 +415,7 @@ class TestIterate:
             return 2 * z[..., None] * np.eye(z.shape[-1])
 
         p = resonant_identity_problem(Z, Z_du, eps=1e-3)
-        family = LinearBVP(p.system, p.boundary).solve(p.forcing)
-        assert not check_sufficient(assemble_B0(p, family, np.zeros(2))).holds
+        assert not check_sufficient(assemble_B0(p, np.zeros(2))).holds
 
     def test_non_finite_iterate_stops(self):
         # Z turns NaN once a state leaves [-2, 2]; NaN never exceeds the
@@ -425,9 +425,8 @@ class TestIterate:
             return np.where(np.abs(z) > 2.0, np.nan, 1.0 + z)
 
         p = resonant_identity_problem(Z, zero_Zdu, eps=1.0, N=1)
-        family = LinearBVP(p.system, p.boundary).solve(p.forcing)
-        B0_pinv = check_sufficient(assemble_B0(p, family, np.zeros(1))).B0_pinv
-        z, trace = iterate(p, family, np.zeros(1), B0_pinv, max_iter=200)
+        B0_pinv = check_sufficient(assemble_B0(p, np.zeros(1))).B0_pinv
+        z, trace = iterate(p, np.zeros(1), B0_pinv, max_iter=200)
         assert not trace.converged and trace.reason == "non_finite"
         assert trace.iterations <= 5
         assert not np.isfinite(z).all()
@@ -436,12 +435,10 @@ class TestIterate:
         # the benchmark's m = 600, eps = 1e-3 block rotation (f0): without the
         # rule it runs all 200 rounds unconverged
         doc = parse_problem(block_rotation_doc(600, 2, 1e-3, 0))
-        p = NonlinearProblem(doc.system, doc.forcing, doc.boundary, *doc.nonlinearity,
-                             doc.epsilon)
-        family = LinearBVP(p.system, p.boundary).solve(p.forcing)
-        root = solve_generating(p, family, [0.5, 0.5])
-        B0_pinv = check_sufficient(assemble_B0(p, family, root.c0)).B0_pinv
-        _, trace = iterate(p, family, root.c0, B0_pinv)
+        p = from_file(doc)
+        root = solve_generating(p, [0.5, 0.5])
+        B0_pinv = check_sufficient(assemble_B0(p, root.c0)).B0_pinv
+        _, trace = iterate(p, root.c0, B0_pinv)
         w, k, delta = NO_CONTRACTION_WINDOW, trace.iterations, trace.increments
         assert not trace.converged and trace.reason == "no_contraction"
         assert len(delta) == len(trace.records) == k + 1
@@ -449,16 +446,18 @@ class TestIterate:
         assert all(delta[j] < delta[j - w] for j in range(w + 1, k))  # the first such round
 
 
-def reference_iterate(problem, family, c0, B0_pinv, tol=1e-10, max_iter=200,
+def reference_iterate(problem, c0, B0_pinv, tol=1e-10, max_iter=200,
                       blowup=1e6, residual_tol=1e-8):
     """The fixed-point round as it was before iterate made one Z_du product
     per round: R formed on its own, l applied to each response apart, the
     kernel part by tensordot, and Green's propagation and the recurrence
     defect as per-time batched products. Returns (z, records, increments,
     iterations, reason) with iterate's stopping rules."""
-    eps, m = problem.epsilon, problem.system.horizon
-    A, f = problem.system.matrices, np.asarray(problem.forcing, dtype=float)[:m]
-    bvp, l, D = family.bvp, problem.boundary, family.cokernel_basis
+    family = problem.family
+    bvp, D = family.bvp, family.cokernel_basis
+    system, l = bvp.system, bvp.boundary
+    eps, m = problem.epsilon, system.horizon
+    A, f = system.matrices, np.asarray(family.forcing, dtype=float)[:m]
 
     def along(fn, z, at_eps):
         return np.asarray(fn(z[:m], np.arange(m), at_eps), dtype=float)
@@ -479,7 +478,7 @@ def reference_iterate(problem, family, c0, B0_pinv, tol=1e-10, max_iter=200,
         R = Zz - Z0 - Zdu_u
         phi = Z0 + Zdu_u + R
         lin_forcing = matvec(Zdu, ubar[:m]) + R
-        g_lin, g_phi = particular_forced_scan(problem.system, np.stack([lin_forcing, phi]))
+        g_lin, g_phi = particular_forced_scan(system, np.stack([lin_forcing, phi]))
         u_next = np.tensordot(c, family.kernel_basis, axes=1) + ubar
         c_next = B0_pinv @ (D.T @ l.apply(g_lin))
         ubar_next = eps * green(g_phi)
@@ -520,7 +519,7 @@ def varying_rotation(m, eps):
                                         np.stack([sin, cos], -1)], -2))
     f = 0.3 * np.random.default_rng(7).standard_normal((m, 2))
     f[m - 1] -= particular_forced(system, f)[m]
-    return NonlinearProblem(system, f, periodic(2, m),
+    return NonlinearProblem(LinearBVP(system, periodic(2, m)).solve(f),
                             *lv_callables(LotkaVolterraSpec.uniform(1)), eps)
 
 
@@ -534,14 +533,12 @@ def no_kernel_square():
                                  {"point": 3, "weights": [[0.0], [1.0]]}]},
         "nonlinearity": {"type": "polynomial", "coeffs": [0.0, 0.0, 1.0]},
         "epsilon": 1e-2})
-    return NonlinearProblem(doc.system, doc.forcing, doc.boundary, *doc.nonlinearity,
-                            doc.epsilon)
+    return from_file(doc)
 
 
 def block_rotation(m, N, eps, base):
     doc = parse_problem(block_rotation_doc(m, N, eps, base))
-    return NonlinearProblem(doc.system, doc.forcing, doc.boundary, *doc.nonlinearity,
-                            doc.epsilon)
+    return from_file(doc)
 
 
 ROUND_CASES = {
@@ -557,34 +554,34 @@ class TestRoundMatchesReference:
     @pytest.mark.parametrize("case", sorted(ROUND_CASES))
     def test_same_rounds_trace_and_trajectory(self, case):
         p = ROUND_CASES[case]()
-        family = LinearBVP(p.system, p.boundary).solve(p.forcing)
+        family = p.family
         r = family.kernel_dim
-        c0 = solve_generating(p, family, [0.5] * r).c0 if r else np.zeros(0)
-        B0_pinv = check_sufficient(assemble_B0(p, family, c0)).B0_pinv
-        z, trace = iterate(p, family, c0, B0_pinv)
-        z_ref, records, deltas, iterations, reason = reference_iterate(p, family, c0, B0_pinv)
+        c0 = solve_generating(p, [0.5] * r).c0 if r else np.zeros(0)
+        B0_pinv = check_sufficient(assemble_B0(p, c0)).B0_pinv
+        z, trace = iterate(p, c0, B0_pinv)
+        z_ref, records, deltas, iterations, reason = reference_iterate(p, c0, B0_pinv)
         assert (trace.iterations, trace.reason) == (iterations, reason)
         assert np.abs(z - z_ref).max() <= 1e-12
         assert np.abs(np.array(trace.records) - np.array(records)).max() <= 1e-12
         assert np.abs(np.array(trace.increments) - np.array(deltas)).max() <= 1e-12
 
     def test_cases_cover_each_branch(self):
-        assert ROUND_CASES["invariant_m600_N2"]().system.time_invariant
-        assert not ROUND_CASES["varying_m120_N2"]().system.time_invariant
+        assert ROUND_CASES["invariant_m600_N2"]().family.bvp.system.time_invariant
+        assert not ROUND_CASES["varying_m120_N2"]().family.bvp.system.time_invariant
         p = no_kernel_square()
-        family = LinearBVP(p.system, p.boundary).solve(p.forcing)
+        family = p.family
         assert family.kernel_dim == 0 and family.cokernel_dim == 1
-        assert not check_sufficient(assemble_B0(p, family, np.zeros(0))).holds
+        assert not check_sufficient(assemble_B0(p, np.zeros(0))).holds
 
 
 class TestRemainder:
     def test_remainder_law(self, benchmark_problem, benchmark_family):
         # R(u) = Z(z0+u, n, 0) - Z(z0, n, 0) - Z'(z0, n, 0) u is quadratically small
-        root = solve_generating(benchmark_problem, benchmark_family, [0.5, 0.5])
+        root = solve_generating(benchmark_problem, [0.5, 0.5])
         z0 = benchmark_family.member(root.c0)
         p = benchmark_problem
         rng = np.random.default_rng(33)
-        for n in range(p.system.horizon):
+        for n in range(p.family.bvp.system.horizon):
             Z0 = p.Z(z0[n], n, 0.0)
             J = p.Z_du(z0[n], n, 0.0)
             assert np.allclose(p.Z(z0[n] + 0.0, n, 0.0) - Z0, 0.0)
@@ -605,8 +602,7 @@ class TestVerifyDerivative:
         doc = load_problem_doc("sweep_scalar.json")
         doc["nonlinearity"]["coeffs"] = [0.0, 0.0, scale]
         doc = parse_problem(doc)
-        verify_derivative(NonlinearProblem(doc.system, doc.forcing, doc.boundary,
-                                           *doc.nonlinearity, doc.epsilon))
+        verify_derivative(from_file(doc))
 
     def test_rejects_nan_derivative(self, benchmark_problem):
         from resbvp.nonlinear import DerivativeMismatchError
@@ -615,16 +611,12 @@ class TestVerifyDerivative:
             z = np.asarray(z, dtype=float)
             return np.full(z.shape + z.shape[-1:], np.nan)
 
-        bad = NonlinearProblem(benchmark_problem.system, benchmark_problem.forcing,
-                               benchmark_problem.boundary, benchmark_problem.Z,
-                               nan_Zdu, 0.0)
+        bad = NonlinearProblem(benchmark_problem.family, benchmark_problem.Z, nan_Zdu, 0.0)
         with pytest.raises(DerivativeMismatchError):
             verify_derivative(bad)
 
     def test_rejects_wrong_derivative(self, benchmark_problem):
         from resbvp.nonlinear import DerivativeMismatchError
-        bad = NonlinearProblem(benchmark_problem.system, benchmark_problem.forcing,
-                               benchmark_problem.boundary, benchmark_problem.Z,
-                               zero_Zdu, 0.0)
+        bad = NonlinearProblem(benchmark_problem.family, benchmark_problem.Z, zero_Zdu, 0.0)
         with pytest.raises(DerivativeMismatchError):
             verify_derivative(bad)
