@@ -11,8 +11,8 @@ Exit codes: 0 success, 2 quasisolution without --allow-quasi, 3 no
 generating root, 4 sufficient-condition failure, 5 iteration
 non-convergence (stderr names the stop: no contraction, blowup, non-finite
 iterate or max_iter), 64 usage or parse error, an overflow of the input
-(the forced response, Phi(n, 0), h or B0), or an SVD that does not
-converge.
+(the forced response, Phi(n, 0), h or B0), an SVD that does not
+converge, or an input too large for memory (a MemoryError).
 
 Every tolerance and iteration cap comes from the problem file's
 ``tolerances`` and ``solver`` objects (defaults in problem_io); the
@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import nonlinear as nl
+from . import nonlinear as nl, problem_io
 from .fibonacci import (
     fib_delta,
     fib_delta_exponent_offset,
@@ -41,8 +41,7 @@ from .fibonacci import (
     fib_green_matrix_oracle,
 )
 from .linalg import DecompositionError
-from .linear import (QUASISOLUTION, LinearBVP, SolutionFamily, boundary_residual,
-                     recurrence_defect, recurrence_residual)
+from .linear import QUASISOLUTION, LinearBVP, SolutionFamily, recurrence_defect
 from .problem_io import (MAX_DOUBLES, Problem, ProblemFormatError, canonical_json, json_text,
                          load_problem)
 
@@ -73,10 +72,10 @@ def _write_table(path: Path, header, rows) -> None:
     _write_new(path, ",".join(header) + "\r\n" + "".join(fmt % tuple(row) for row in rows))
 
 
-def _write_trajectory(path: Path, z: np.ndarray) -> None:
-    z = np.asarray(z, dtype=float)
-    _write_table(path, ["n"] + [f"z{i + 1}" for i in range(z.shape[1])],
-                 ((n, *v) for n, v in enumerate(z.tolist())))
+def _trajectory_table(z: np.ndarray) -> tuple:
+    """The (header, rows) of a trajectory CSV: n, z1, ..., zN per time n."""
+    header = ["n"] + [f"z{i + 1}" for i in range(z.shape[1])]
+    return header, ((n, *v) for n, v in enumerate(z.tolist()))
 
 
 def _read_trajectory(path: Path) -> np.ndarray:
@@ -93,65 +92,62 @@ def _read_trajectory(path: Path) -> np.ndarray:
         raise ProblemFormatError(f"{path}: {exc}") from exc
 
 
-def _write_report(path: Path, report: dict) -> None:
-    """Strict JSON in one write: a non-finite float, which has no JSON
-    token, is written as null."""
-    _write_new(path, json_text(report) + "\n")
-
-
 # what a run may write besides report.json and canonical.json
 _OUTPUT_NAME = re.compile(r"(particular|solution|trace|branch|kernel_\d{2,})\.csv")
+_RESIDUALS = ("recurrence_residual", "boundary_residual")
 
 
-def _remove_stale(out: Path, written) -> None:
-    """Remove the outputs that an earlier run left in ``out`` and this run
-    did not rewrite (it wrote ``written``), so that the directory holds what
-    its report lists. Other names and directories are left alone."""
+def _finish(out: Path, doc: dict, tables: dict) -> None:
+    """Write each of ``tables`` {name: (header, rows)} as out/name. Then
+    remove the outputs that an earlier run left in ``out`` and this one did
+    not write, so that the directory holds what its report lists (other
+    names and directories are left alone). Last write report.json as strict
+    JSON (a non-finite float, which has no JSON token, as null), with the
+    report's trajectories, or a sweep's tables, listed under outputs."""
+    for name, (header, rows) in tables.items():
+        _write_table(out / name, header, rows)
     for path in out.iterdir():
-        if _OUTPUT_NAME.fullmatch(path.name) and path.name not in written and not path.is_dir():
+        if _OUTPUT_NAME.fullmatch(path.name) and path.name not in tables and not path.is_dir():
             try:
                 path.unlink()
             except OSError as exc:
                 raise ProblemFormatError(f"{path}: cannot remove the stale output: {exc}") from exc
+    doc["outputs"] = sorted(doc.get("trajectories", tables))
+    _write_new(out / "report.json", json_text(doc) + "\n")
 
 
-def _out_dir(args) -> Path:
+def _out_dir(args, problem: Problem) -> Path:
+    """The -o directory, made if need be, holding canonical.json under
+    --dump-canonical."""
     out = Path(args.output)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # e.g. -o names an existing file
         raise ProblemFormatError(f"{out}: cannot make the output directory: {exc}") from exc
+    if args.dump_canonical:
+        _write_new(out / "canonical.json", canonical_json(problem))
     return out
 
 
-def _trajectory_entry(problem: Problem, z: np.ndarray, kind: str) -> dict:
-    """Measured residuals of an emitted trajectory; what `verify` recomputes."""
-    if kind == "kernel":
-        rec = recurrence_residual(problem.system, None, z)
-        bc = float(np.linalg.norm(problem.boundary.apply(z)))
-    elif kind == "solution":
-        rec = nl.nonlinear_recurrence_residual(problem.system, problem.forcing,
-                                               _nonlinearity(problem)[0], problem.epsilon, z)
-        bc = boundary_residual(problem.boundary, z)
-    else:  # particular family member of the linear problem
-        rec = recurrence_residual(problem.system, problem.forcing, z)
-        bc = boundary_residual(problem.boundary, z)
-    return {"kind": kind, "recurrence_residual": rec, "boundary_residual": bc}
-
-
-def _refuse_inaccurate(problem: Problem, report, name: str, z: np.ndarray, entry: dict) -> None:
-    """Exit 64 on a linear trajectory whose residual is non-finite or exceeds
-    tolerances.residual (1 + max |z|), as single shooting leaves those of an
-    expanding system. A quasisolution particular's boundary residual is the defect norm."""
-    bound = problem.tolerances["residual"] * (1.0 + float(np.abs(z).max()))
-    quasi = entry["kind"] == "particular" and report.classification == QUASISOLUTION
-    for key, target in (("recurrence_residual", 0.0),
-                        ("boundary_residual", report.defect_norm if quasi else 0.0)):
-        value = entry[key]
-        if not (math.isfinite(value) and abs(value - target) <= bound):
-            raise ProblemFormatError(
-                f"{name}: {key.replace('_', ' ')} {value:.3e}, expected {target:.3e} "
-                f"within tolerances.residual (1 + max |z|) = {bound:.3e}")
+def _entries(problem: Problem, z_stack: np.ndarray, kind: str) -> list:
+    """The measured residuals of each trajectory in a stack, shape
+    (s, m+1, N), of one kind: what `verify` recomputes. A kernel member
+    solves the homogeneous problem, a particular the forced one, and a
+    solution the forced one perturbed by eps Z(z); each row's residuals
+    equal those of that trajectory alone bit for bit."""
+    z = np.asarray(z_stack, dtype=float)
+    defect = recurrence_defect(problem.system, None if kind == "kernel" else problem.forcing, z)
+    v = problem.boundary.apply(z)
+    if kind == "solution":
+        defect -= problem.epsilon * nl._along(_nonlinearity(problem)[0], z, problem.epsilon)
+    if kind != "kernel":
+        v -= problem.boundary.target
+    rec = np.linalg.norm(defect, axis=-1).max(axis=-1)
+    # sqrt(v . v) per member, as a 1-D np.linalg.norm rounds it; a stacked
+    # norm sums in another order
+    bc = np.sqrt([row.dot(row) for row in v])
+    return [{"kind": kind, "recurrence_residual": r, "boundary_residual": b}
+            for r, b in zip(rec.tolist(), bc.tolist())]
 
 
 def _linear_family(problem: Problem) -> SolutionFamily:
@@ -169,31 +165,29 @@ def _linear_family(problem: Problem) -> SolutionFamily:
 
 def _gated_members(problem: Problem, family: SolutionFamily, label: str) -> dict:
     """The residual entries of the family's members, keyed particular,
-    kernel_01, kernel_02, ..., each held to the residual gate, which names
-    a refused member label.format(key). The kernel members take one stacked
-    pass, not r _trajectory_entry calls (0.3 vs 0.5 ms at r = 32), with
-    entries equal to theirs bit for bit."""
-    z = family.particular
-    entries = {"particular": _trajectory_entry(problem, z, "particular")}
-    _refuse_inaccurate(problem, family.report, label.format("particular"), z,
-                       entries["particular"])
+    kernel_01, kernel_02, ..., held to the residual gate: a residual that
+    is non-finite or off its target by more than tolerances.residual
+    (1 + max |z|), as single shooting leaves those of an expanding system,
+    exits 64 naming the first such member label.format(key). The target is
+    0, or the defect norm for a quasisolution particular's boundary residual."""
     K = family.kernel_basis
-    rec = np.linalg.norm(recurrence_defect(problem.system, None, K), axis=-1).max(axis=-1)
-    # sqrt(v . v) per member, as the 1-D np.linalg.norm of _trajectory_entry
-    # rounds it; a stacked norm sums in another order
-    bc = np.sqrt([v.dot(v) for v in problem.boundary.apply(K)])
-    keys = [f"kernel_{j + 1:02d}" for j in range(len(K))]
-    for key, rec_j, bc_j in zip(keys, rec.tolist(), bc.tolist()):
-        entries[key] = {"kind": "kernel", "recurrence_residual": rec_j, "boundary_residual": bc_j}
-    bound = problem.tolerances["residual"] * (1.0 + np.abs(K).max(axis=(1, 2)))
-    for j in np.flatnonzero(~((rec <= bound) & (bc <= bound))):
-        _refuse_inaccurate(problem, family.report, label.format(keys[j]), K[j], entries[keys[j]])
+    keys = ["particular"] + [f"kernel_{j + 1:02d}" for j in range(len(K))]
+    entries = dict(zip(keys, _entries(problem, family.particular[None], "particular")
+                       + _entries(problem, K, "kernel")))
+    values = np.array([[e[key] for key in _RESIDUALS] for e in entries.values()])
+    targets = np.zeros_like(values)
+    if family.report.classification == QUASISOLUTION:
+        targets[0, 1] = family.report.defect_norm
+    bound = problem.tolerances["residual"] * (
+        1.0 + np.append(np.abs(family.particular).max(), np.abs(K).max(axis=(1, 2))))
+    refused = ~(np.isfinite(values) & (np.abs(values - targets) <= bound[:, None]))
+    if refused.any():
+        j, i = np.argwhere(refused)[0]  # the first member, its recurrence residual first
+        raise ProblemFormatError(
+            f"{label.format(keys[j])}: {_RESIDUALS[i].replace('_', ' ')} {values[j, i]:.3e}, "
+            f"expected {targets[j, i]:.3e} within tolerances.residual (1 + max |z|) = "
+            f"{bound[j]:.3e}")
     return entries
-
-
-def _maybe_dump_canonical(args, problem: Problem, out: Path) -> None:
-    if args.dump_canonical:
-        _write_new(out / "canonical.json", canonical_json(problem))
 
 
 # ---------------------------------------------------------------------------
@@ -203,26 +197,20 @@ def _maybe_dump_canonical(args, problem: Problem, out: Path) -> None:
 def cmd_solve_linear(args) -> int:
     started = time.perf_counter()
     problem = load_problem(args.problem)
-    out = _out_dir(args)
-    _maybe_dump_canonical(args, problem, out)
+    out = _out_dir(args, problem)
 
     family = _linear_family(problem)
     report = family.report
 
     entries = _gated_members(problem, family, "{}.csv")
-    for key, z in zip(entries, [family.particular, *family.kernel_basis]):
-        _write_trajectory(out / f"{key}.csv", z)
-    trajectories = {f"{key}.csv": entry for key, entry in entries.items()}
-
-    doc = {
+    tables = {f"{key}.csv": _trajectory_table(z)
+              for key, z in zip(entries, [family.particular, *family.kernel_basis])}
+    _finish(out, {
         "command": "solve-linear",
         "problem": problem.canonical,
         "solvability": dict(vars(report)),
-        "trajectories": trajectories,
-        "outputs": sorted(trajectories),
-    }
-    _remove_stale(out, trajectories)
-    _write_report(out / "report.json", doc)
+        "trajectories": {f"{key}.csv": entry for key, entry in entries.items()},
+    }, tables)
 
     print(f"classification: {report.classification}  "
           f"r={report.kernel_dim} d={report.cokernel_dim} index={report.fredholm_index}")
@@ -319,24 +307,19 @@ def _pipeline(problem: Problem, family: SolutionFamily, eps: float, force: bool,
 def cmd_solve_nonlinear(args) -> int:
     started = time.perf_counter()
     problem = load_problem(args.problem)
-    out = _out_dir(args)
-    _maybe_dump_canonical(args, problem, out)
+    out = _out_dir(args, problem)
 
     stages, z, trace, code = _pipeline(problem, _linear_stage(problem), problem.epsilon,
                                        args.force)
 
-    doc = {"command": "solve-nonlinear", "problem": problem.canonical, **stages}
-    trajectories = {}
-    written = []
+    doc = {"command": "solve-nonlinear", "problem": problem.canonical, **stages,
+           "trajectories": {}}
+    tables = {}
     if z is not None:
-        _write_trajectory(out / "solution.csv", z)
-        trajectories["solution.csv"] = _trajectory_entry(problem, z, "solution")
-        _write_table(out / "trace.csv", nl.IterationTrace.FIELDS, trace.records)
-        written = ["solution.csv", "trace.csv"]
-    doc["trajectories"] = trajectories
-    doc["outputs"] = sorted(trajectories)
-    _remove_stale(out, written)
-    _write_report(out / "report.json", doc)
+        doc["trajectories"]["solution.csv"] = _entries(problem, z[None], "solution")[0]
+        tables = {"solution.csv": _trajectory_table(z),
+                  "trace.csv": (nl.IterationTrace.FIELDS, trace.records)}
+    _finish(out, doc, tables)
 
     if "generating" in stages:
         print(f"generating root |F| = {stages['generating']['residual_norm']:.3e} "
@@ -390,8 +373,7 @@ def cmd_sweep(args) -> int:
         print(f"sweep: --count {args.count} is more than the {MAX_DOUBLES} doubles "
               "one array holds", file=sys.stderr)
         return EXIT_USAGE
-    out = _out_dir(args)
-    _maybe_dump_canonical(args, problem, out)
+    out = _out_dir(args, problem)
 
     grid = np.linspace(args.eps_min, args.eps_max, args.count)
     family = _linear_stage(problem)
@@ -417,17 +399,13 @@ def cmd_sweep(args) -> int:
         })
 
     columns = ["eps", "exit", "root_converged", "F_norm", "iter_converged", "iterations"]
-    _write_table(out / "branch.csv", columns + [f"c{j + 1}" for j in range(r_dim)],
-                 ([row[k] for k in columns] + row["c0"] for row in rows))
-    doc = {
+    _finish(out, {
         "command": "sweep",
         "problem": problem.canonical,
         "grid": {"min": args.eps_min, "max": args.eps_max, "count": args.count},
         "points": rows,
-        "outputs": ["branch.csv"],
-    }
-    _remove_stale(out, doc["outputs"])
-    _write_report(out / "report.json", doc)
+    }, {"branch.csv": (columns + [f"c{j + 1}" for j in range(r_dim)],
+                       ([row[k] for k in columns] + row["c0"] for row in rows))})
     ok = sum(1 for row in rows if row["exit"] == EXIT_OK)
     print(f"sweep: {ok}/{len(rows)} grid points converged; outputs in {out} "
           f"({time.perf_counter() - started:.3f}s)")
@@ -476,7 +454,6 @@ def cmd_fib_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 _KINDS = ("particular", "kernel", "solution")
-_RESIDUALS = ("recurrence_residual", "boundary_residual")
 
 
 def _report_fault(doc, name: str) -> str | None:
@@ -514,14 +491,13 @@ def cmd_verify(args) -> int:
         return EXIT_USAGE
     entry = doc["trajectories"][traj_path.name]
 
-    from .problem_io import parse_problem
-    problem = parse_problem(doc["problem"], source=str(report_path))
+    problem = problem_io.parse_problem(doc["problem"], source=str(report_path))
     z = _read_trajectory(traj_path)
-    if z.shape != (problem.horizon + 1, problem.dim):
-        raise ProblemFormatError(
-            f"{traj_path}: trajectory has shape {z.shape}, expected "
-            f"({problem.horizon + 1}, {problem.dim}) for the report's problem")
-    recomputed = _trajectory_entry(problem, z, entry["kind"])
+    shape = (problem.system.horizon + 1, problem.system.dim)
+    if z.shape != shape:
+        raise ProblemFormatError(f"{traj_path}: trajectory has shape {z.shape}, expected "
+                                 f"{shape} for the report's problem")
+    recomputed = _entries(problem, z[None], entry["kind"])[0]
 
     agree = []
     for key in _RESIDUALS:
@@ -615,6 +591,9 @@ def main(argv=None) -> int:
             return args.func(args)
     except (ProblemFormatError, nl.DerivativeMismatchError, DecompositionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # an input too large for this host: a --count, a dim
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

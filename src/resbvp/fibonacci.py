@@ -10,8 +10,6 @@ Matrices and vectors are numpy object arrays of Python ints and Fractions,
 so ``@`` and ``np.linalg.matrix_power`` are exact.
 """
 
-from fractions import Fraction
-
 import numpy as np
 
 __all__ = [
@@ -120,6 +118,7 @@ def fib_periodic_particular(f, m: int):
     invertible for every m >= 1 (its determinant is never zero), so this
     is the unique periodic solution.
     """
+    from fractions import Fraction  # its only user: importing resbvp does not load fractions
     if m < 1:
         raise ValueError("m must be >= 1")
     g = [np.zeros(2, dtype=object)]

@@ -60,8 +60,6 @@ def rotation_matrix(theta: float) -> np.ndarray:
 class Problem:
     """Parsed problem: assembled objects plus the canonical source document."""
 
-    dim: int
-    horizon: int
     system: OperatorSequence
     forcing: np.ndarray
     boundary: bd.BoundaryOperator
@@ -349,8 +347,6 @@ def parse_problem(doc: dict, source: str = "<dict>") -> Problem:
         forcing = arr[:m]
     boundary = _parse_boundary(canonical["boundary"], dim, m)
     return Problem(
-        dim=dim,
-        horizon=m,
         system=system,
         forcing=forcing,
         boundary=boundary,

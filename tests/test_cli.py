@@ -3,6 +3,8 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -90,7 +92,8 @@ class TestSolveLinear:
                                       "newton-wide-f0", "iterate-long-f0", "near-identity"])
     def test_kernel_entries_equal_trajectory_entry(self, tmp_path, case):
         # the stacked pass over the kernel members, bit for bit what verify
-        # recomputes; on near-identity a stacked boundary norm rounds differently
+        # recomputes from a stack of one; on near-identity a stacked boundary
+        # norm rounds differently
         if case.endswith(".json"):
             path = Path(problem(case))
         else:
@@ -102,7 +105,7 @@ class TestSolveLinear:
         family = cli._linear_family(prob)
         assert family.kernel_dim > 0
         for j, z in enumerate(family.kernel_basis):
-            assert entries[f"kernel_{j + 1:02d}.csv"] == cli._trajectory_entry(prob, z, "kernel")
+            assert entries[f"kernel_{j + 1:02d}.csv"] == cli._entries(prob, z[None], "kernel")[0]
 
 
 def near_identity_doc() -> dict:
@@ -221,17 +224,24 @@ class TestResidualGate:
     def test_workload_inputs_keep_their_exit_codes(self, tmp_path, case, code):
         assert solve_block_rotation(tmp_path, case)[0] == code
 
-    def test_quasisolution_particular_is_held_to_the_defect_norm(self):
+    def test_quasisolution_particular_is_held_to_the_defect_norm(self, monkeypatch):
         prob = cli.load_problem(problem("quasisolution_multipoint.json"))
         family = cli._linear_family(prob)
-        z = family.particular
-        entry = cli._trajectory_entry(prob, z, "particular")
+        entry = cli._gated_members(prob, family, "{}.csv")["particular"]
         defect = family.report.defect_norm
         assert abs(entry["boundary_residual"] - defect) <= 1e-15 and defect > 0.7
-        cli._refuse_inaccurate(prob, family.report, "particular.csv", z, entry)
-        entry["boundary_residual"] = defect + 1e-6
-        with pytest.raises(cli.ProblemFormatError, match="expected 7.071e-01 within"):
-            cli._refuse_inaccurate(prob, family.report, "particular.csv", z, entry)
+        entries = cli._entries
+
+        def shifted(problem, z_stack, kind):
+            found = entries(problem, z_stack, kind)
+            if kind == "particular":
+                found[0]["boundary_residual"] = defect + 1e-6
+            return found
+
+        monkeypatch.setattr(cli, "_entries", shifted)
+        with pytest.raises(cli.ProblemFormatError,
+                           match="^particular.csv: boundary residual .* expected 7.071e-01 within"):
+            cli._gated_members(prob, family, "{}.csv")
 
 
 def count_gate_calls(monkeypatch) -> dict:
@@ -519,10 +529,9 @@ class TestOverflowingInputs:
         assert "overflow" in err and "Warning" not in err
 
     def test_non_finite_floats_become_null(self, tmp_path):
-        cli._write_report(tmp_path / "r.json",
-                          {"a": [float("inf"), (float("nan"), 1.0)], "b": -float("inf")})
-        assert strict_json((tmp_path / "r.json").read_text()) == {
-            "a": [None, [None, 1.0]], "b": None}
+        cli._finish(tmp_path, {"a": [float("inf"), (float("nan"), 1.0)], "b": -float("inf")}, {})
+        assert strict_json((tmp_path / "report.json").read_text()) == {
+            "a": [None, [None, 1.0]], "b": None, "outputs": []}
 
 
 # where an oversized number goes in a problem document, by the field it names
@@ -589,6 +598,23 @@ class TestOversizedNumbers:
             code = self.solve(tmp_path, cmd, doc)
         assert code == 64
         assert f"{field} 100000000000000000000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,cmd,stage", [
+        ("identity_resonant.json", ["solve-linear"], (cli, "_linear_family")),
+        ("sweep_scalar.json",
+         ["sweep", "--eps-min", "0", "--eps-max", "1e-3", "--count", str(10**11)],
+         (np, "linspace")),
+    ], ids=["dim", "count"])
+    def test_out_of_memory_is_usage_error(self, tmp_path, capsys, monkeypatch, name, cmd, stage):
+        # a size under the doubles limit can still be past the host's memory;
+        # the allocation is faked, since a real one may succeed and exhaust the host
+        def allocate(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(*stage, allocate)
+        assert run(cmd[:1] + [problem(name)] + cmd[1:] + ["-o", tmp_path]) == 64
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 745. GiB for an array\n"
 
     def test_count_numpy_cannot_shape(self, tmp_path, capsys):
         code = run(["sweep", problem("sweep_scalar.json"), "--eps-min", "0", "--eps-max", "1",
@@ -741,10 +767,10 @@ SPECIAL = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e-300, 5e-324,
 class TestCsvWriters:
     def test_trajectory_bytes_match_csv_writer(self, tmp_path):
         z = np.array(SPECIAL).reshape(4, 3)
-        cli._write_trajectory(tmp_path / "new.csv", z)
+        cli._finish(tmp_path, {}, {"particular.csv": cli._trajectory_table(z)})
         csv_writer_reference(tmp_path / "ref.csv", ["n", "z1", "z2", "z3"],
                              [[n, *z[n]] for n in range(4)])
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert (tmp_path / "particular.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_trace_bytes_match_csv_writer(self, tmp_path):
         records = [(k, *SPECIAL[k:k + 5]) for k in range(7)]
@@ -771,6 +797,15 @@ class TestCsvWriters:
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def test_importing_the_cli_leaves_fractions_unloaded():
+    # fractions serves only the exact Fibonacci oracle, imported where it is used
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = "import sys, resbvp.cli; sys.exit('fractions' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 class TestFibCheck:
     def test_reports_convention_and_census(self, capsys):
         code = run(["fib-check", "--m-max", "8"])
@@ -784,6 +819,23 @@ class TestFibCheck:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("name,cmd", SHIPPED, ids=[name for name, _ in SHIPPED])
+    def test_every_shipped_trajectory_verifies_exactly(self, tmp_path, capsys, name, cmd):
+        # the particular, kernel and solution kinds, a quasisolution's
+        # particular among them: verify recomputes what the run reported
+        run(cmd[:1] + [problem(name)] + cmd[1:] + ["-o", tmp_path])
+        report = json.loads((tmp_path / "report.json").read_text())
+        names = sorted(p.name for p in tmp_path.glob("*.csv")
+                       if p.name not in ("trace.csv", "branch.csv"))
+        assert names == sorted(report.get("trajectories", {}))
+        for csv_name in names:
+            capsys.readouterr()
+            assert run(["verify", tmp_path / "report.json", tmp_path / csv_name]) == 0
+            out = capsys.readouterr().out.splitlines()
+            assert [line.split()[0] for line in out] == ["recurrence_residual:",
+                                                        "boundary_residual:"], out
+            assert all("|diff|=0.000e+00 ok" in line for line in out), out
+
     def test_recomputation_matches(self, tmp_path, capsys):
         run(["solve-nonlinear", problem("rotation_lv.json"), "-o", tmp_path])
         code = run(["verify", tmp_path / "report.json", tmp_path / "solution.csv"])

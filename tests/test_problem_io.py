@@ -39,7 +39,7 @@ class TestGenerators:
     def test_identity(self):
         p = parse_problem(minimal_doc())
         assert np.allclose(p.system.matrices, np.eye(2))
-        assert p.system.horizon == 4 and p.dim == 2
+        assert p.system.horizon == 4 and p.system.dim == 2
 
     def test_fibonacci(self):
         p = parse_problem(minimal_doc(system={"type": "fibonacci"}))
