@@ -279,7 +279,7 @@ def _pipeline(problem: Problem, family: SolutionFamily, eps: float, force: bool,
 
     B0 = nl.assemble_B0(nlp, root.c0, at_eps=gen_eps)
     if not np.isfinite(B0).all():  # the gate's rank decision refuses it
-        raise ProblemFormatError("nonlinearity: B0 is not finite (the sweep overflowed)")
+        raise ProblemFormatError("nonlinearity: B0 is not finite (it overflowed)")
     suff = nl.check_sufficient(B0)
     stages["sufficiency"] = {
         "holds": suff.holds,

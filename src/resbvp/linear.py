@@ -16,11 +16,15 @@ from g(0) = 0.
 The forced recurrence has two sweeps. particular_forced_scan sweeps a
 stack in ceil(log2 m) levels over the doubling hops each OperatorSequence
 builds on first use, in place in a time-major output of which it returns
-a view; the fixed-point iteration and B0 use it. particular_forced, used
-by the bifurcation function F and the linear solve, scans long windows
+a view; the fixed-point iteration's Green operator uses it. particular_forced,
+used by the bifurcation function F and the linear solve, scans long windows
 with small stacks too and steps through any other: F's finite-difference
 Jacobian amplifies roundoff about a millionfold, so the short windows of
 the shipped problems keep the stepped bits.
+
+LinearBVP.psi, the forcing-to-boundary map projected onto the cokernel, is
+built once by a backward sweep; B0 and the fixed-point iteration's c
+update contract forcings with it instead of sweeping them.
 """
 
 from __future__ import annotations
@@ -223,12 +227,11 @@ def particular_forced_scan(system: OperatorSequence, f) -> np.ndarray:
     over an (m+1, N, k) output.
 
     It matches the step-by-step sweep to roundoff, not bit for bit, and
-    the scan with a fresh array per level bit for bit. iterate (its two
-    forcings in one call per round) and assemble_B0 (the r kernel columns)
-    call it on every window, and particular_forced on long ones. On the
-    short windows of the shipped problems it would move generating_F's
-    finite-difference root of rotation_lv.json 2.3e-12, past the 1e-12
-    golden tolerance.
+    the scan with a fresh array per level bit for bit. iterate calls it on
+    every window, with the one forcing phi of each round, and
+    particular_forced on long ones. On the short windows of the shipped
+    problems it would move generating_F's finite-difference root of
+    rotation_lv.json 2.3e-12, past the 1e-12 golden tolerance.
     """
     m, N = system.horizon, system.dim
     f = np.asarray(f, dtype=float)
@@ -392,6 +395,26 @@ class LinearBVP:
         for n, L in l.samples:
             self.Q += L @ self.U[n]
         self.rd = numerical_rank(self.Q, rank_tol)
+
+    @functools.cached_property
+    def psi(self) -> np.ndarray:
+        """D^T l g = sum_i psi[:, i] f(i), D = rd.cokernel, for the response g
+        of any forcing f: a read-only (d, m, N) view of the psi_i^T, stacked
+        (m, N, d). One backward sweep, no inverse: psi_m = 0 and
+        psi_{i-1} = psi_i A_i + D^T sum_{n_k = i} L_k."""
+        m, N, D = self.system.horizon, self.system.dim, self.rd.cokernel
+        summed = {}  # the weights summed per sample time
+        for n, L in self.boundary.samples:
+            summed[n] = summed.get(n, 0.0) + L
+        W = np.zeros((m, N, D.shape[1]))  # W[i] = psi_i^T, so each step writes a block
+        W[m - 1] = summed[m].T @ D if m in summed else 0.0
+        At = self.system.matrices.transpose(0, 2, 1)
+        for i, At_i, W_i, W_prev in zip(range(m - 1, 0, -1), At[:0:-1], W[:0:-1], W[-2::-1]):
+            At_i.dot(W_i, out=W_prev)  # as transition_stack steps
+            if i in summed:
+                W_prev += summed[i].T @ D
+        W.flags.writeable = False
+        return W.transpose(2, 0, 1)
 
     def propagate(self, z0: np.ndarray) -> np.ndarray:
         """Homogeneous trajectory Phi(n, 0) z0 over the window, one 2-D product."""

@@ -141,9 +141,14 @@ def _along(fn, z, eps) -> np.ndarray:
     return np.asarray(fn(z[..., :m, :], np.arange(m), float(eps)), dtype=float)
 
 
-def _matvec(M, v):
-    """Stacked matrix-vector products M[..., i, j] v[..., j]."""
-    return (M @ v[..., None])[..., 0]
+def _projected_du(problem: NonlinearProblem, z0, at_eps: float) -> np.ndarray:
+    """P = psi Z_du(z0, ., at_eps) for the family's LinearBVP.psi, flattened
+    to (d, m N): P v[:m].ravel() is D^T l of the response to Z_du v. It is
+    a view of the P_i^T = Z_du(i)^T psi_i^T, one product per time."""
+    psi = problem.family.bvp.psi
+    d, m, N = psi.shape
+    PT = _along(problem.Z_du, z0, at_eps).transpose(0, 2, 1) @ psi.transpose(1, 2, 0)
+    return PT.reshape(m * N, d).T
 
 
 def verify_derivative(problem: NonlinearProblem) -> None:
@@ -195,7 +200,7 @@ def generating_F(problem: NonlinearProblem, c, at_eps: float = 0.0) -> np.ndarra
     """
     family, bvp = problem.family, problem.family.bvp
     g = particular_forced(bvp.system, _along(problem.Z, family.member(c), at_eps))
-    return _matvec(family.cokernel_basis.T, bvp.boundary.apply(g))
+    return (family.cokernel_basis.T @ bvp.boundary.apply(g)[..., None])[..., 0]
 
 
 def _fd_jacobian(problem: NonlinearProblem, c: np.ndarray, at_eps: float) -> np.ndarray:
@@ -268,16 +273,16 @@ def assemble_B0(problem: NonlinearProblem, c0, at_eps: float = 0.0) -> np.ndarra
     """Linearization of the bifurcation function at c0, shape (d, r).
 
     Column j is minus the cokernel projection of l applied to the forced
-    response of Z_du(z0(., c0), ., 0) acting on the j-th propagated kernel
-    trajectory. By construction B0 = -dF/dc at c0.
+    response of Z_du(z0(., c0), ., at_eps) acting on the j-th propagated
+    kernel trajectory. By construction B0 = -dF/dc at c0. It is one product
+    and no sweep: B0 = -P K^T, K the kernel basis over its first m times.
     """
-    family, bvp = problem.family, problem.family.bvp
+    family = problem.family
     r, d = family.kernel_dim, family.cokernel_dim
     if d == 0 or r == 0:
         return np.zeros((d, r))
-    Zdu = _along(problem.Z_du, family.member(c0), at_eps)
-    G = particular_forced_scan(bvp.system, _matvec(Zdu, family.kernel_basis[:, :-1]))
-    return -family.cokernel_basis.T @ bvp.boundary.apply(G).T
+    P = _projected_du(problem, family.member(c0), at_eps)
+    return -(P @ family.kernel_basis.reshape(r, -1)[:, :P.shape[1]].T)
 
 
 def check_sufficient(B0) -> SufficiencyCheck:
@@ -329,9 +334,9 @@ def iterate(problem: NonlinearProblem, c0, B0_pinv, tol: float = 1e-10, max_iter
     with Z_du = Z_du(z0, ., 0) and remainder R(u, n, eps) = Z(z0+u, n, eps)
     - Z(z0, n, 0) - Z_du u, all three sequences starting at zero. phi is
     Z(z0,.,0) + Z_du u + R(u) telescoped, so a fixed point solves the
-    perturbed recurrence identically. c_next's forcing is computed as
-    Z_du (ubar - u) + Z(z0+u,.,eps) - Z(z0,.,0), one Z_du product; one scan
-    sweeps both forcings, and one l of both responses serves c_next and Green.
+    perturbed recurrence identically. c_next's forcing, Z_du (ubar - u) +
+    Z(z0+u,.,eps) - Z(z0,.,0), is not swept but contracted with P = psi Z_du,
+    formed once, and LinearBVP.psi; the round's one scan sweeps phi.
 
     Stops on a sup-norm Cauchy increment delta_k = max |u_{k+1} - u_k|
     <= tol confirmed by small recurrence and boundary residuals of z0 + u.
@@ -357,30 +362,27 @@ def iterate(problem: NonlinearProblem, c0, B0_pinv, tol: float = 1e-10, max_iter
 
     z0 = family.member(c0)
     Z0 = _along(problem.Z, z0, 0.0)
-    Zdu = _along(problem.Z_du, z0, 0.0)
     Zz = _along(problem.Z, z0, eps)  # Z(z0 + u, ., eps), reused across rounds
+    P = _projected_du(problem, z0, 0.0)
+    psi = bvp.psi.reshape(P.shape)
 
     K = family.kernel_basis.reshape(r, (m + 1) * N)  # explicit: -1 fails at r = 0
     u = np.zeros((m + 1, N))
     c = np.zeros(r)
     ubar = np.zeros((m + 1, N))
-    # both forcings of a round, time-major, so that the scan copies them contiguously
-    forcings = np.empty((m, 2, N))
-    records = []
-    deltas = []
+    records, deltas = [], []
     reason = "max_iter"
     iterations = 0
 
     for k in range(max_iter + 1):
-        np.add(_matvec(Zdu, ubar[:m] - u[:m]), Zz - Z0, out=forcings[:, 0])
-        forcings[:, 1] = Zz
-        G = particular_forced_scan(system, forcings.swapaxes(0, 1))
-        lG = l.apply(G)  # l g_lin and l g_phi
-        lin_proj, phi_proj = lG @ family.cokernel_basis
+        lin_proj = P @ (ubar[:m] - u[:m]).ravel() + psi @ (Zz - Z0).ravel()
+        g_phi = particular_forced_scan(system, Zz[None])[0]
+        lg_phi = l.apply(g_phi)
+        phi_proj = lg_phi @ family.cokernel_basis
 
         u_next = (c @ K).reshape(m + 1, N) + ubar
         c_next = B0_pinv @ lin_proj
-        ubar_next = eps * bvp.green(G[1], lg=lG[1])
+        ubar_next = eps * bvp.green(g_phi, lg=lg_phi)
 
         z = z0 + u_next
         Zz = _along(problem.Z, z, eps)

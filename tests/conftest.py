@@ -34,6 +34,17 @@ def rotation_benchmark(epsilon=0.0, m=6, pairs=1):
     return NonlinearProblem(LinearBVP(system, l).solve(f), Z, Z_du, epsilon)
 
 
+def varying_rotation_system(m):
+    """Rotations by angles 2 pi / m (1 + sin(2 pi n / m) / 2), which turn
+    one full circle over the window, so Phi(m, 0) = I and Q = 0 as for the
+    block rotation, but every A_n differs: a time-varying system."""
+    n = np.arange(m)
+    theta = 2 * np.pi / m * (1 + 0.5 * np.sin(2 * np.pi * n / m))
+    cos, sin = np.cos(theta), np.sin(theta)
+    return OperatorSequence(np.stack([np.stack([cos, -sin], -1),
+                                      np.stack([sin, cos], -1)], -2))
+
+
 def block_rotation_doc(m, N, eps, base_seed, seed=0):
     """Problem-file dict of the benchmark's block rotation: N/2 copies of the
     2x2 rotation by 2 pi / m, periodic boundary, uniform Lotka-Volterra

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import json
 import os
 import re
@@ -706,6 +707,23 @@ class TestSweep:
         points = json.loads((tmp_path / "report.json").read_text())["points"]
         assert [pt["root_converged"] for pt in points] == [True] * 6
         assert calls == {"assemble_B0": 6, "check_sufficient": 6}
+
+    def test_one_forcing_to_boundary_map_per_run(self, tmp_path, monkeypatch):
+        built = []
+        build = LinearBVP.psi.func
+
+        def counting_build(self):
+            built.append(1)
+            return build(self)
+
+        psi = functools.cached_property(counting_build)
+        psi.__set_name__(LinearBVP, "psi")
+        monkeypatch.setattr(LinearBVP, "psi", psi)
+        code = run(["sweep", problem("sweep_scalar.json"), "--eps-min", "0",
+                    "--eps-max", "1e-3", "--count", "6", "-o", tmp_path])
+        assert code == 0
+        assert len(json.loads((tmp_path / "report.json").read_text())["points"]) == 6
+        assert len(built) == 1
 
     def test_overflowing_point_has_no_root(self, tmp_path):
         code = run(["sweep", problem("sweep_scalar.json"), "--eps-min", "1e308",

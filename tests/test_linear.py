@@ -22,7 +22,9 @@ from resbvp.linear import (
     transition_stack,
 )
 
-from conftest import rotation_benchmark
+from resbvp.problem_io import rotation_matrix
+
+from conftest import rotation_benchmark, varying_rotation_system
 
 FIB = np.array([[1.0, 1.0], [1.0, 0.0]])
 
@@ -601,6 +603,67 @@ class TestOneHandle:
             return OperatorSequence.constant(FIB, m), periodic(2, m), rng.standard_normal((m, 2))
         family = rotation_benchmark(m=7, pairs=2).family  # Q = 0
         return family.bvp.system, family.bvp.boundary, family.forcing
+
+
+def psi_case(name):
+    """(system, boundary) pairs for the forcing-to-boundary map psi; every
+    one but no_cokernel has d > 0."""
+    rng = np.random.default_rng(24)
+    if name == "rotation_m600":  # time-invariant, Q = 0
+        return OperatorSequence.constant(rotation_matrix(2 * np.pi / 600), 600), periodic(2, 600)
+    if name == "varying_rotation":  # time-varying, Q = 0
+        return varying_rotation_system(120), periodic(2, 120)
+    if name == "multipoint":  # interior samples, two of them at each of n = 4 and n = 7
+        m, N, q = 9, 3, 4
+        samples = [(n, rng.standard_normal((q, N))) for n in (0, 4, 4, 7, m, 7)]
+        return random_system(rng, m, N), generic(samples, np.zeros(q))
+    if name == "singular_steps":  # A_3 has rank 1 and A_5 = 0
+        m, N, q = 8, 3, 5
+        A = rng.standard_normal((m, N, N))
+        A[3] = np.outer(rng.standard_normal(N), rng.standard_normal(N))
+        A[5] = 0.0
+        samples = [(n, rng.standard_normal((q, N))) for n in (0, 2, 4, 6, m)]
+        return OperatorSequence(A), generic(samples, np.zeros(q))
+    if name.startswith("fibonacci"):  # expanding; three conditions on two states
+        m = int(name.split("_m")[1])
+        samples = [(0, rng.standard_normal((3, 2))), (m, rng.standard_normal((3, 2)))]
+        return OperatorSequence.constant(FIB, m), generic(samples, np.zeros(3))
+    if name == "one_step":
+        samples = [(0, rng.standard_normal((3, 2))), (1, rng.standard_normal((3, 2)))]
+        return random_system(rng, 1, 2), generic(samples, np.zeros(3))
+    assert name == "no_cokernel"  # Fibonacci periodic: Q invertible, d = 0
+    return OperatorSequence.constant(FIB, 6), periodic(2, 6)
+
+
+PSI_CASES = ["rotation_m600", "varying_rotation", "multipoint", "singular_steps",
+             "fibonacci_m2", "fibonacci_m7", "fibonacci_m12", "one_step", "no_cokernel"]
+
+
+class TestForcingToBoundaryMap:
+    """LinearBVP.psi, the map f -> D^T l g of a forcing to the cokernel
+    projection of its response's boundary value, built once, backwards."""
+
+    @pytest.mark.parametrize("case", PSI_CASES)
+    def test_contracts_forcings_as_the_sweep_then_l(self, case):
+        system, l = psi_case(case)
+        bvp = LinearBVP(system, l)
+        m, N, D = system.horizon, system.dim, bvp.rd.cokernel
+        psi = bvp.psi
+        assert psi.shape == (D.shape[1], m, N)
+        assert (D.shape[1] == 0) == (case == "no_cokernel")
+        f = np.random.default_rng(25).standard_normal((3, m, N))
+        got = np.einsum("din,kin->kd", psi, f)
+        swept = l.apply(particular_forced(system, f)) @ D
+        scale = np.einsum("din,kin->kd", np.abs(psi), np.abs(f))
+        assert (np.abs(got - swept) <= 1e-13 * (1 + scale)).all()
+
+    def test_is_read_only_and_built_once(self):
+        bvp = LinearBVP(*psi_case("multipoint"))
+        psi = bvp.psi
+        assert bvp.psi is psi
+        assert not psi.flags.writeable
+        with pytest.raises(ValueError):
+            psi[0, 0, 0] = 1.0
 
 
 class TestGreenApply:

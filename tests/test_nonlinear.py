@@ -4,8 +4,8 @@ import inspect
 import numpy as np
 import pytest
 
-from resbvp import linear
-from resbvp.boundary import periodic
+from resbvp import linear, nonlinear
+from resbvp.boundary import generic, periodic
 from resbvp.linear import (
     QUASISOLUTION,
     LinearBVP,
@@ -31,7 +31,13 @@ from resbvp.nonlinear import (
 
 from resbvp.problem_io import load_problem, parse_problem
 
-from conftest import PROBLEMS_DIR, block_rotation_doc, load_problem_doc, rotation_benchmark
+from conftest import (
+    PROBLEMS_DIR,
+    block_rotation_doc,
+    load_problem_doc,
+    rotation_benchmark,
+    varying_rotation_system,
+)
 
 
 def zero_Z(z, n, eps):
@@ -122,7 +128,6 @@ class TestGeneratingF:
             assert np.array_equal(generating_F(p, c), expected)
 
     def test_quasisolution_family_rejected(self):
-        from resbvp.boundary import generic
         m, N = 4, 2
         system = OperatorSequence.identity(N, m)
         l = generic([(0, np.array([[1.0, 0.0], [0.0, 0.0]])),
@@ -280,6 +285,55 @@ class TestSolveGenerating:
         assert root.converged and root.c0.shape == (0,)
 
 
+def interior_sample_rotation():
+    """The benchmark rotation (m = 6, Phi(6, 0) = I) under z(6) - z(0) +
+    M z(3) + M z(3) = 0, M = diag(1, 0): an interior sample time, taken
+    twice, that makes Q = -2M, so r = d = 1."""
+    m = 6
+    system = rotation_benchmark().family.bvp.system
+    M = np.diag([1.0, 0.0])
+    l = generic([(0, -np.eye(2)), (3, M), (m, np.eye(2)), (3, M)], np.zeros(2))
+    return over_zero_forcing(system, l, *lv_callables(LotkaVolterraSpec.uniform(1)))
+
+
+def benchmark_root():
+    p = rotation_benchmark()
+    root = solve_generating(p, [0.5, 0.5])
+    assert root.converged
+    return p, root.c0
+
+
+B0_CASES = {
+    "benchmark_root": benchmark_root,
+    "varying_m120": lambda: (varying_rotation(120, 1e-3), np.array([0.5, -0.2])),
+    "interior_sample": lambda: (interior_sample_rotation(), np.array([0.7])),
+    "block_m24_N32": lambda: (block_rotation(24, 32, 1e-4, 0),
+                              0.5 + 0.1 * np.random.default_rng(34).standard_normal(32)),
+}
+
+
+def scanned_B0(problem, c0):
+    """B0 as it was before the map psi: the scan of Z_du(z0) times each
+    kernel trajectory, then l, then the cokernel projection."""
+    family, bvp = problem.family, problem.family.bvp
+    m = bvp.system.horizon
+    Zdu = np.asarray(problem.Z_du(family.member(c0)[:m], np.arange(m), 0.0))
+    G = particular_forced_scan(bvp.system, (Zdu @ family.kernel_basis[:, :-1, :, None])[..., 0])
+    return -family.cokernel_basis.T @ bvp.boundary.apply(G).T
+
+
+def spy_sweeps(monkeypatch) -> list:
+    """Record the forcing shape of every particular_forced and
+    particular_forced_scan call the nonlinear module makes."""
+    shapes = []
+    for name in ("particular_forced", "particular_forced_scan"):
+        def spying(system, f, _fn=getattr(nonlinear, name)):
+            shapes.append(np.shape(f))
+            return _fn(system, f)
+        monkeypatch.setattr(nonlinear, name, spying)
+    return shapes
+
+
 class TestB0:
     def test_zero_derivative_gives_zero(self):
         def Z(z, n, eps):
@@ -294,18 +348,29 @@ class TestB0:
         p = over_zero_forcing(system, periodic(2, m), zero_Z, zero_Zdu)
         assert assemble_B0(p, np.zeros(0)).shape == (0, 0)
 
-    def test_matches_negative_fd_jacobian(self, benchmark_problem, benchmark_family):
-        root = solve_generating(benchmark_problem, [0.5, 0.5])
-        assert root.converged
-        B0 = assemble_B0(benchmark_problem, root.c0)
-        h = 1e-6
-        J = np.zeros((2, 2))
-        for j in range(2):
-            e = np.zeros(2)
-            e[j] = h
-            J[:, j] = (generating_F(benchmark_problem, root.c0 + e)
-                       - generating_F(benchmark_problem, root.c0 - e)) / (2 * h)
+    @pytest.mark.parametrize("case", sorted(B0_CASES))
+    def test_matches_negative_fd_jacobian(self, case):
+        p, c0 = B0_CASES[case]()
+        B0 = assemble_B0(p, c0)
+        J = per_column_fd_jacobian(p, c0, 0.0)
         assert np.linalg.norm(B0 + J) <= 1e-6 * (1 + np.linalg.norm(B0))
+
+    @pytest.mark.parametrize("case", sorted(B0_CASES))
+    def test_matches_the_scanned_formula(self, case):
+        p, c0 = B0_CASES[case]()
+        expected = scanned_B0(p, c0)
+        assert np.abs(assemble_B0(p, c0) - expected).max() <= 1e-13 * (1 + np.abs(expected).max())
+
+    def test_gate_refusal_gives_exactly_zero(self):
+        p = shipped_nonlinear("gate_refusal.json")  # Z = z^2 at z0 = 0: Z_du = 0
+        B0 = assemble_B0(p, np.zeros(2))
+        assert B0.shape == (2, 2) and (B0 == 0).all()
+
+    def test_one_product_and_no_sweep(self, monkeypatch):
+        p, c0 = B0_CASES["block_m24_N32"]()
+        swept = spy_sweeps(monkeypatch)
+        assemble_B0(p, c0)
+        assert swept == []
 
 
 class TestCheckSufficient:
@@ -445,6 +510,23 @@ class TestIterate:
         assert k > w and delta[k] >= delta[k - w]
         assert all(delta[j] < delta[j - w] for j in range(w + 1, k))  # the first such round
 
+    @pytest.mark.parametrize("m, N", [(600, 2), (24, 32)])
+    def test_one_single_forcing_sweep_and_no_Z_du_per_round(self, monkeypatch, m, N):
+        p = block_rotation(m, N, 1e-4, 0)
+        c0 = solve_generating(p, [0.5] * N).c0
+        B0_pinv = check_sufficient(assemble_B0(p, c0)).B0_pinv
+        derivatives = []
+
+        def Z_du(z, n, eps):
+            derivatives.append(np.shape(z))
+            return p.Z_du(z, n, eps)
+
+        swept = spy_sweeps(monkeypatch)
+        _, trace = iterate(dataclasses.replace(p, Z_du=Z_du), c0, B0_pinv)
+        assert trace.converged and trace.iterations > 1
+        assert swept == [(1, m, N)] * (trace.iterations + 1)
+        assert derivatives == [(m, N)]
+
 
 def reference_iterate(problem, c0, B0_pinv, tol=1e-10, max_iter=200,
                       blowup=1e6, residual_tol=1e-8):
@@ -509,14 +591,10 @@ def reference_iterate(problem, c0, B0_pinv, tol=1e-10, max_iter=200,
 
 
 def varying_rotation(m, eps):
-    """Rotations by angles 2 pi / m (1 + sin(2 pi n / m) / 2), which turn
-    one full circle over the window, so Phi(m, 0) = I and Q = 0 as for the
-    block rotation, but every A_n differs: a time-varying system."""
-    n = np.arange(m)
-    theta = 2 * np.pi / m * (1 + 0.5 * np.sin(2 * np.pi * n / m))
-    cos, sin = np.cos(theta), np.sin(theta)
-    system = OperatorSequence(np.stack([np.stack([cos, -sin], -1),
-                                        np.stack([sin, cos], -1)], -2))
+    """The time-varying rotation of varying_rotation_system, periodic
+    boundary, a forcing corrected so that Q = 0 is solvable, and the
+    uniform Lotka-Volterra nonlinearity."""
+    system = varying_rotation_system(m)
     f = 0.3 * np.random.default_rng(7).standard_normal((m, 2))
     f[m - 1] -= particular_forced(system, f)[m]
     return NonlinearProblem(LinearBVP(system, periodic(2, m)).solve(f),
@@ -562,7 +640,9 @@ class TestRoundMatchesReference:
         z_ref, records, deltas, iterations, reason = reference_iterate(p, c0, B0_pinv)
         assert (trace.iterations, trace.reason) == (iterations, reason)
         assert np.abs(z - z_ref).max() <= 1e-12
-        assert np.abs(np.array(trace.records) - np.array(records)).max() <= 1e-12
+        # relative to each record: the stalling run's projected residual reaches 400
+        records = np.array(records)
+        assert (np.abs(np.array(trace.records) - records) <= 1e-12 * (1 + np.abs(records))).all()
         assert np.abs(np.array(trace.increments) - np.array(deltas)).max() <= 1e-12
 
     def test_cases_cover_each_branch(self):
