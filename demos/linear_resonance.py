@@ -16,8 +16,7 @@ from resbvp import (
     LinearBVP,
     OperatorSequence,
     periodic,
-    recurrence_residual,
-    boundary_residual,
+    residuals,
 )
 
 
@@ -33,8 +32,8 @@ def show(title, system, f, l):
 
     z = family.member(np.ones(family.kernel_dim))
     print(f"sample member  : z(0) = {z[0]},  z(m) = {z[-1]}")
-    print(f"recurrence residual = {recurrence_residual(system, f, z):.2e},  "
-          f"boundary residual = {boundary_residual(l, z):.2e}")
+    rec, bc = residuals(system, l, f, z)
+    print(f"recurrence residual = {rec:.2e},  boundary residual = {bc:.2e}")
 
 
 def main():

@@ -20,11 +20,10 @@ from .linear import (
     OperatorSequence,
     SolutionFamily,
     SolvabilityReport,
-    boundary_residual,
     classify,
     particular_forced,
     particular_forced_scan,
-    recurrence_residual,
+    residuals,
     transition_stack,
 )
 from .lotka_volterra import LotkaVolterraSpec, lv_callables
@@ -39,7 +38,6 @@ from .nonlinear import (
     check_sufficient,
     generating_F,
     iterate,
-    nonlinear_recurrence_residual,
     solve_generating,
     verify_derivative,
 )

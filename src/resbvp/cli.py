@@ -41,7 +41,7 @@ from .fibonacci import (
     fib_green_matrix_oracle,
 )
 from .linalg import DecompositionError
-from .linear import QUASISOLUTION, LinearBVP, SolutionFamily, recurrence_defect
+from .linear import QUASISOLUTION, LinearBVP, SolutionFamily, residuals
 from .problem_io import (MAX_DOUBLES, Problem, ProblemFormatError, canonical_json, json_text,
                          load_problem)
 
@@ -133,19 +133,12 @@ def _entries(problem: Problem, z_stack: np.ndarray, kind: str) -> list:
     """The measured residuals of each trajectory in a stack, shape
     (s, m+1, N), of one kind: what `verify` recomputes. A kernel member
     solves the homogeneous problem, a particular the forced one, and a
-    solution the forced one perturbed by eps Z(z); each row's residuals
-    equal those of that trajectory alone bit for bit."""
-    z = np.asarray(z_stack, dtype=float)
-    defect = recurrence_defect(problem.system, None if kind == "kernel" else problem.forcing, z)
-    v = problem.boundary.apply(z)
-    if kind == "solution":
-        defect -= problem.epsilon * nl._along(_nonlinearity(problem)[0], z, problem.epsilon)
-    if kind != "kernel":
-        v -= problem.boundary.target
-    rec = np.linalg.norm(defect, axis=-1).max(axis=-1)
-    # sqrt(v . v) per member, as a 1-D np.linalg.norm rounds it; a stacked
-    # norm sums in another order
-    bc = np.sqrt([row.dot(row) for row in v])
+    solution the forced one perturbed by eps Z(z)."""
+    z, eps = np.asarray(z_stack, dtype=float), problem.epsilon
+    perturbation = (eps * nl._along(_nonlinearity(problem)[0], z, eps)
+                    if kind == "solution" else None)
+    rec, bc = residuals(problem.system, problem.boundary,
+                        None if kind == "kernel" else problem.forcing, z, perturbation)
     return [{"kind": kind, "recurrence_residual": r, "boundary_residual": b}
             for r, b in zip(rec.tolist(), bc.tolist())]
 
@@ -261,10 +254,10 @@ def _pipeline(problem: Problem, family: SolutionFamily, eps: float, force: bool,
     nlp = nl.NonlinearProblem(family, *problem.nonlinearity, eps)
 
     seed = c_seed if c_seed is not None else problem.solver.get("c_init")
-    if seed is not None and np.size(seed) != family.kernel_dim:
+    if seed is not None and np.shape(seed) != (family.kernel_dim,):
         raise ProblemFormatError(
-            f"solver.c_init: expected {family.kernel_dim} values (the kernel "
-            f"dimension r), got {np.size(seed)}")
+            f"solver.c_init: expected shape ({family.kernel_dim},) (r values, r the "
+            f"kernel dimension), got shape {np.shape(seed)}")
     root = nl.solve_generating(nlp, seed, tol=problem.tolerances["newton"],
                                max_iter=problem.solver["newton_max_iter"],
                                at_eps=gen_eps)

@@ -25,6 +25,9 @@ the shipped problems keep the stepped bits.
 LinearBVP.psi, the forcing-to-boundary map projected onto the cokernel, is
 built once by a backward sweep; B0 and the fixed-point iteration's c
 update contract forcings with it instead of sweeping them.
+
+residuals is the one place a trajectory's recurrence and boundary residual
+norms are taken: the fixed-point iteration's stop test and the CLI's audit.
 """
 
 from __future__ import annotations
@@ -50,8 +53,7 @@ __all__ = [
     "particular_forced_scan",
     "classify",
     "recurrence_defect",
-    "recurrence_residual",
-    "boundary_residual",
+    "residuals",
 ]
 
 CLASSICAL = "unique_classical"
@@ -468,11 +470,19 @@ def recurrence_defect(system: OperatorSequence, f, trajectory) -> np.ndarray:
     return z[..., 1:m + 1, :] - Az - _forcing_array(system, f)
 
 
-def recurrence_residual(system: OperatorSequence, f, trajectory) -> float:
-    """max_n || z(n+1) - A_n z(n) - f(n) ||."""
-    return float(np.linalg.norm(recurrence_defect(system, f, trajectory), axis=1).max())
-
-
-def boundary_residual(l: BoundaryOperator, trajectory) -> float:
-    """|| l z - alpha ||, alpha the boundary target."""
-    return float(np.linalg.norm(l.apply(trajectory) - l.target))
+def residuals(system: OperatorSequence, l: BoundaryOperator, f, trajectory,
+              perturbation=None):
+    """max_n ||z(n+1) - A_n z(n) - f(n) - perturbation(n)|| and ||l z - alpha||
+    of a trajectory, shape (m+1, N), as two floats; f=None is the homogeneous
+    problem, zero forcing and a zero target. A stack, shape (..., m+1, N),
+    perturbation (..., m, N), gives two (...) arrays, each entry equal bit
+    for bit to that trajectory's own."""
+    z = np.asarray(trajectory, dtype=float)
+    defect = recurrence_defect(system, f, z)
+    if perturbation is not None:
+        defect -= perturbation
+    v = l.apply(z) - (0.0 if f is None else l.target)
+    rec = np.sqrt((defect * defect).sum(axis=-1).max(axis=-1))  # norm(., axis=-1).max(), bitwise
+    # sqrt(v . v) per row, as a 1-D np.linalg.norm rounds it; a stacked norm sums otherwise
+    bc = np.sqrt([row.dot(row) for row in v.reshape(-1, l.codim)]).reshape(v.shape[:-1])
+    return (float(rec), float(bc)) if z.ndim == 2 else (rec, bc)

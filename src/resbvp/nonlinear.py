@@ -23,10 +23,9 @@ from .linalg import numerical_rank
 from .linear import (
     QUASISOLUTION,
     SolutionFamily,
-    boundary_residual,
     particular_forced,
     particular_forced_scan,
-    recurrence_defect,
+    residuals,
 )
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "check_sufficient",
     "iterate",
     "verify_derivative",
-    "nonlinear_recurrence_residual",
 ]
 
 
@@ -307,19 +305,6 @@ def check_sufficient(B0) -> SufficiencyCheck:
                             B0_pinv=pinv)
 
 
-def nonlinear_recurrence_residual(system, f, Z, eps, z, Zz=None) -> float:
-    """max_n || z(n+1) - A_n z(n) - f(n) - eps Z(z(n), n, eps) || over the
-    OperatorSequence ``system``.
-
-    ``Zz``, when given, is Z already evaluated at z(0..m-1) and eps.
-    """
-    z = np.asarray(z, dtype=float)
-    if Zz is None:
-        Zz = _along(Z, z, eps)
-    res = recurrence_defect(system, f, z) - eps * Zz
-    return float(np.sqrt((res * res).sum(axis=1).max()))  # norm(res, axis=1).max(), bit for bit
-
-
 def iterate(problem: NonlinearProblem, c0, B0_pinv, tol: float = 1e-10, max_iter: int = 200,
             blowup: float = 1e6, residual_tol: float = 1e-8):
     """Three-sequence fixed-point iteration continuing z0(., c0) to
@@ -386,8 +371,7 @@ def iterate(problem: NonlinearProblem, c0, B0_pinv, tol: float = 1e-10, max_iter
 
         z = z0 + u_next
         Zz = _along(problem.Z, z, eps)
-        rec_res = nonlinear_recurrence_residual(system, family.forcing, problem.Z, eps, z, Zz=Zz)
-        bc_res = boundary_residual(l, z)
+        rec_res, bc_res = residuals(system, l, family.forcing, z, eps * Zz)
         # sqrt(v . v), as np.linalg.norm computes a vector's norm
         records.append((k, math.sqrt(c.dot(c)), float(np.abs(ubar).max()),
                         rec_res, bc_res, math.sqrt(phi_proj.dot(phi_proj))))

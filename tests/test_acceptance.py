@@ -32,10 +32,9 @@ from resbvp.linear import (
     QUASISOLUTION,
     LinearBVP,
     OperatorSequence,
-    boundary_residual,
     evolution,
     particular_forced,
-    recurrence_residual,
+    residuals,
 )
 from resbvp.lotka_volterra import LotkaVolterraSpec, lv_callables
 from resbvp.nonlinear import (
@@ -43,7 +42,6 @@ from resbvp.nonlinear import (
     check_sufficient,
     generating_F,
     iterate,
-    nonlinear_recurrence_residual,
     solve_generating,
 )
 
@@ -132,20 +130,18 @@ def test_criterion_2_linear_bvp_oracle_equivalence():
             members.append(family.member(rng.standard_normal(family.kernel_dim)))
         for z in members:
             scale = 1 + np.abs(z).max()
-            assert recurrence_residual(system, f, z) <= 1e-10 * scale
+            rec, bc = residuals(system, l, f, z)
+            assert rec <= 1e-10 * scale
             if report.classification != QUASISOLUTION:
-                assert boundary_residual(l, z) <= 1e-8 * scale
+                assert bc <= 1e-8 * scale
 
         if report.classification == QUASISOLUTION:
             # least-squares optimality: beat or tie exact random trajectories
-            ours = boundary_residual(l, family.particular)
+            ours = residuals(system, l, f, family.particular)[1]
             g = particular_forced(system, f)
-            for _ in range(100):
-                z0 = rng.standard_normal(N)
-                z = np.array([evolution(system, n, 0) @ z0 + g[n]
-                              for n in range(m + 1)])
-                other = boundary_residual(l, z)
-                assert ours <= other + 1e-8
+            U = np.array([evolution(system, n, 0) for n in range(m + 1)])
+            Z = np.einsum("nij,kj->kni", U, rng.standard_normal((100, N))) + g
+            assert ours <= residuals(system, l, f, Z)[1].min() + 1e-8
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
     _report(2, f"100 problems ({counts}), {elapsed:.2f}s")
@@ -249,9 +245,11 @@ def test_criterion_6_iteration_and_eps_scaling():
         z, trace = iterate(problem, root.c0,
                            check_sufficient(assemble_B0(problem, root.c0)).B0_pinv)
         assert trace.converged and trace.iterations <= 200
-        assert nonlinear_recurrence_residual(family.bvp.system, family.forcing, problem.Z,
-                                             problem.epsilon, z) <= 1e-8
-        assert boundary_residual(family.bvp.boundary, z) <= 1e-8
+        m = family.bvp.system.horizon
+        Zz = problem.Z(z[:m], np.arange(m), problem.epsilon)
+        rec, bc = residuals(family.bvp.system, family.bvp.boundary, family.forcing, z,
+                            problem.epsilon * Zz)
+        assert rec <= 1e-8 and bc <= 1e-8
         sizes.append(np.abs(z - family.member(root.c0)).max())
     slope = np.polyfit(np.log(eps_grid), np.log(sizes), 1)[0]
     assert abs(slope - 1.0) <= 0.15

@@ -16,7 +16,7 @@ from resbvp import cli, linalg, linear
 from resbvp import nonlinear as nl
 from resbvp.linear import LinearBVP
 
-from conftest import PROBLEMS_DIR, block_rotation_doc
+from conftest import GOLDEN_DIR, PROBLEMS_DIR, block_rotation_doc
 from test_acceptance import SHIPPED
 
 
@@ -358,12 +358,16 @@ class TestSolveNonlinear:
         assert "sufficiency" not in doc
 
     def test_c_init_of_wrong_length_is_usage_error(self, tmp_path, capsys):
-        doc = json.loads(Path(problem("rotation_lv.json")).read_text())
-        doc.setdefault("solver", {})["c_init"] = [0.5]  # the kernel dimension is 2
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        assert run(["solve-nonlinear", path, "-o", tmp_path / "out"]) == 64
-        assert "solver.c_init" in capsys.readouterr().err
+        # the kernel dimension is 2: one value is too few, and a nested pair
+        # of the right size has the wrong shape
+        for i, c_init in enumerate([[0.5], [[0.5, 0.5]]]):
+            doc = json.loads(Path(problem("rotation_lv.json")).read_text())
+            doc.setdefault("solver", {})["c_init"] = c_init
+            path = tmp_path / f"bad{i}.json"
+            path.write_text(json.dumps(doc))
+            assert run(["solve-nonlinear", path, "-o", tmp_path / f"out{i}"]) == 64
+            err = capsys.readouterr().err
+            assert "solver.c_init" in err and f"got shape {np.shape(c_init)}" in err
 
     def test_linear_only_problem_is_usage_error(self, tmp_path, capsys):
         code = run(["solve-nonlinear", problem("identity_resonant.json"),
@@ -414,6 +418,30 @@ def solve_block_rotation(tmp_path, case, **solver):
     path.write_text(json.dumps(doc))
     code = run(["solve-nonlinear", path, "-o", tmp_path / "out"])
     return code, json.loads((tmp_path / "out" / "report.json").read_text())
+
+
+class TestStopTestMatchesAudit:
+    """The iteration's stop test and a report's audit measure a solution
+    by one function: the last trace record's residuals are those of the
+    solution.csv entry, bit for bit, whether the iteration converged or not."""
+
+    @staticmethod
+    def assert_agree(report):
+        final = report["iteration"]["final_record"]
+        entry = report["trajectories"]["solution.csv"]
+        assert [final[key] for key in cli._RESIDUALS] == [entry[key] for key in cli._RESIDUALS]
+
+    @pytest.mark.parametrize("name,flags", [("rotation_lv.json", []),
+                                            ("gate_refusal.json", ["--force"])])
+    def test_shipped_solutions(self, tmp_path, name, flags):
+        assert run(["solve-nonlinear", problem(name), *flags, "-o", tmp_path]) == 0
+        self.assert_agree(json.loads((tmp_path / "report.json").read_text()))
+        self.assert_agree(json.loads((GOLDEN_DIR / name[:-5] / "report.json").read_text()))
+
+    def test_unconverged_solution(self, tmp_path):
+        code, report = solve_block_rotation(tmp_path, (600, 2, 1e-3, 0))
+        assert code == 5 and not report["iteration"]["converged"]
+        self.assert_agree(report)
 
 
 class TestNoContraction:

@@ -12,13 +12,12 @@ from resbvp.linear import (
     QUASISOLUTION,
     LinearBVP,
     OperatorSequence,
-    boundary_residual,
     classify,
     evolution,
     particular_forced,
     particular_forced_scan,
     recurrence_defect,
-    recurrence_residual,
+    residuals,
     transition_stack,
 )
 
@@ -506,17 +505,17 @@ class TestSolveFamily:
         l = periodic(N, m)
         family = LinearBVP(A, l).solve(f)
         report = family.report
+        particular_bc = residuals(A, l, f, family.particular)[1]
         for _ in range(5):
             c = rng.standard_normal(family.kernel_dim)
             z = family.member(c)
             scale = 1 + np.abs(z).max()
-            assert recurrence_residual(A, f, z) <= 1e-10 * scale
+            rec, bc = residuals(A, l, f, z)
+            assert rec <= 1e-10 * scale
             # kernel members contribute no boundary defect
-            assert np.isclose(boundary_residual(l, z),
-                              boundary_residual(l, family.particular), atol=1e-8)
+            assert np.isclose(bc, particular_bc, atol=1e-8)
         if report.classification != QUASISOLUTION:
-            assert boundary_residual(l, family.particular) <= 1e-8 * (
-                1 + np.linalg.norm(l.target))
+            assert particular_bc <= 1e-8 * (1 + np.linalg.norm(l.target))
 
     def test_stacked_members_equal_single_members(self):
         rng = np.random.default_rng(19)
@@ -552,10 +551,9 @@ class TestSolveFamily:
         family = LinearBVP(A, l).solve(f)
         report = family.report
         assert report.classification == QUASISOLUTION
-        best = boundary_residual(l, family.particular)
-        for _ in range(100):
-            z = np.tile(rng.standard_normal(N), (m + 1, 1))  # exact trajectories
-            assert best <= boundary_residual(l, z) + 1e-8
+        best = residuals(A, l, f, family.particular)[1]
+        Z = np.tile(rng.standard_normal((100, 1, N)), (1, m + 1, 1))  # exact trajectories
+        assert best <= residuals(A, l, f, Z)[1].min() + 1e-8
 
     def test_kernel_members_homogeneous(self):
         rng = np.random.default_rng(15)
@@ -563,10 +561,10 @@ class TestSolveFamily:
         A = random_system(rng, m, N)
         l = periodic(N, m)
         family = LinearBVP(A, l).solve(rng.standard_normal((m, N)))
-        for j in range(family.kernel_dim):
-            w = family.kernel_basis[j]
-            assert recurrence_residual(A, None, w) <= 1e-10 * (1 + np.abs(w).max())
-            assert np.linalg.norm(l.apply(w)) <= 1e-8 * (1 + np.abs(w).max())
+        W = family.kernel_basis
+        rec, bc = residuals(A, l, None, W)
+        scale = 1 + np.abs(W).max(axis=(1, 2))
+        assert (rec <= 1e-10 * scale).all() and (bc <= 1e-8 * scale).all()
 
 
 class TestOneHandle:
@@ -688,24 +686,62 @@ class TestGreenApply:
         m, N = 6, 3
         A = random_system(rng, m, N, scale=0.7)
         f = rng.standard_normal((m, N))
-        z = LinearBVP(A, periodic(N, m)).green(particular_forced(A, f))
-        assert recurrence_residual(A, f, z) <= 1e-10 * (1 + np.abs(z).max())
+        l = periodic(N, m)
+        z = LinearBVP(A, l).green(particular_forced(A, f))
+        assert residuals(A, l, f, z)[0] <= 1e-10 * (1 + np.abs(z).max())
 
 
-class TestRecurrenceResidual:
+def random_boundary(rng, m, N):
+    """Two weighted samples, at 0 and m, with a random nonzero target."""
+    return generic([(0, rng.standard_normal((2, N))), (m, rng.standard_normal((2, N)))],
+                   rng.standard_normal(2))
+
+
+class TestResiduals:
     @pytest.mark.parametrize("N", [1, 3, 32])
     def test_matches_per_step_loop(self, N):
         rng = np.random.default_rng(11)
         m = 9
-        A = random_system(rng, m, N)
-        f, z = rng.standard_normal((m, N)), rng.standard_normal((m + 1, N))
-        loop = max(float(np.linalg.norm(z[n + 1] - A.matrices[n] @ z[n] - f[n]))
+        A, l = random_system(rng, m, N), random_boundary(rng, m, N)
+        f, p = rng.standard_normal((2, m, N))
+        z = rng.standard_normal((m + 1, N))
+        loop = max(float(np.linalg.norm(z[n + 1] - A.matrices[n] @ z[n] - f[n] - p[n]))
                    for n in range(m))
-        stacked = recurrence_residual(A, f, z)
-        assert abs(stacked - loop) <= 64 * np.finfo(float).eps * loop
+        lz = sum(L @ z[n] for n, L in l.samples)
+        rec, bc = residuals(A, l, f, z, p)
+        assert type(rec) is float and type(bc) is float
+        assert abs(rec - loop) <= 64 * np.finfo(float).eps * loop
+        want = float(np.linalg.norm(lz - l.target))
+        assert abs(bc - want) <= 64 * np.finfo(float).eps * want
         with pytest.raises(ValueError):  # an (m+1)-th forcing row is a wrong shape
-            recurrence_residual(A, np.vstack([f, np.ones(N)]), z)
-        assert recurrence_residual(A, None, z) == recurrence_residual(A, np.zeros((m, N)), z)
+            residuals(A, l, np.vstack([f, np.ones(N)]), z)
+        # no perturbation is a zero one, bit for bit
+        assert residuals(A, l, f, z) == residuals(A, l, f, z, np.zeros((m, N)))
+        # f=None is the homogeneous problem: zero forcing and a zero target
+        rec0, bc0 = residuals(A, l, None, z)
+        assert rec0 == residuals(A, l, np.zeros((m, N)), z)[0]
+        assert bc0 == float(np.linalg.norm(l.apply(z)))
+        assert bc0 != residuals(A, l, np.zeros((m, N)), z)[1]
+
+    @pytest.mark.parametrize("N", [2, 9])
+    @pytest.mark.parametrize("invariant", [True, False])
+    def test_stacked_rows_equal_single_calls(self, invariant, N):
+        rng = np.random.default_rng(12)
+        m = 70
+        A = OperatorSequence.constant(rng.standard_normal((N, N)), m) if invariant \
+            else random_system(rng, m, N)
+        assert A.time_invariant == invariant
+        l = random_boundary(rng, m, N)
+        f = rng.standard_normal((m, N))
+        Z, P = rng.standard_normal((2, 3, m + 1, N)), rng.standard_normal((2, 3, m, N))
+        for forcing in (f, None):
+            for perturbation in (P, None):
+                rec, bc = residuals(A, l, forcing, Z, perturbation)
+                assert rec.shape == bc.shape == (2, 3)
+                for i in np.ndindex(2, 3):
+                    single = residuals(A, l, forcing, Z[i],
+                                       None if perturbation is None else perturbation[i])
+                    assert (rec[i], bc[i]) == single
 
 
 def batched_defect(A: OperatorSequence, f, z):
