@@ -6,9 +6,9 @@ monodromy is the identity and the periodic problem is fully resonant
 
     z(n+1) = A z(n) + f(n) + eps * Z(z(n))
 
-selects isolated members of the generating family.  The script runs the
-full pipeline by hand: classification, generating roots, the sufficiency
-gate, and the contraction-style iteration, then measures how far the
+selects isolated members of the generating family.  The script classifies
+the linear part, then runs `solve` (generating root, sufficiency gate and
+contraction-style iteration) at several eps and measures how far the
 perturbed solution drifts from the generating one as eps shrinks.
 
 Run:  python3 demos/weakly_nonlinear_rotation.py
@@ -21,16 +21,14 @@ from resbvp import (
     LotkaVolterraSpec,
     NonlinearProblem,
     OperatorSequence,
-    assemble_B0,
-    check_sufficient,
-    iterate,
     lv_callables,
     particular_forced,
     periodic,
     residuals,
     rotation_matrix,
-    solve_generating,
+    solve,
 )
+from resbvp.problem_io import DEFAULT_SOLVER, DEFAULT_TOLERANCES
 
 
 def linear_family():
@@ -51,18 +49,19 @@ def main():
     print(f"linear part: {family.report.classification}, r = {family.kernel_dim}, "
           f"d = {family.cokernel_dim}")
 
-    problem = NonlinearProblem(family, Z, Z_du, 0.0)
-    root = solve_generating(problem, [0.5, 0.5])
+    # the problem file's defaults, Newton started from c = (0.5, 0.5)
+    solver = {**DEFAULT_SOLVER, "c_init": [0.5, 0.5]}
+    eps_grid = (1e-2, 1e-3, 1e-4, 0.0)
+    solutions = [solve(NonlinearProblem(family, Z, Z_du, eps), DEFAULT_TOLERANCES, solver)
+                 for eps in eps_grid]
+    root, gate = solutions[-1].root, solutions[-1].gate  # the same at every eps
     print(f"generating root c0 = {root.c0}, |F(c0)| = {root.residual_norm:.2e}")
-
-    B0 = assemble_B0(problem, root.c0)
-    gate = check_sufficient(B0)
     print(f"sufficiency gate: row rank {gate.row_rank}/{gate.required_rank} "
           f"-> {'holds' if gate.holds else 'fails'}")
 
     print("\n eps       iters   |z - z0|_inf   recurrence   boundary")
-    for eps in (1e-2, 1e-3, 1e-4, 0.0):
-        z, trace = iterate(NonlinearProblem(family, Z, Z_du, eps), root.c0, gate.B0_pinv)
+    for eps, sol in zip(eps_grid, solutions):
+        z, trace = sol.z, sol.trace
         gap = np.abs(z - family.member(root.c0)).max()
         m = system.horizon
         rec, bc = residuals(system, l, family.forcing, z, eps * Z(z[:m], np.arange(m), eps))

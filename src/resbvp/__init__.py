@@ -33,12 +33,9 @@ from .nonlinear import (
     GeneratingRoot,
     IterationTrace,
     NonlinearProblem,
+    NonlinearSolution,
     SufficiencyCheck,
-    assemble_B0,
-    check_sufficient,
-    generating_F,
-    iterate,
-    solve_generating,
+    solve,
     verify_derivative,
 )
 from .problem_io import (

@@ -51,6 +51,11 @@ EXIT_NO_ROOT = 3
 EXIT_SUFFICIENCY = 4
 EXIT_NO_CONVERGENCE = 5
 EXIT_USAGE = 64
+_REFUSALS = {  # solve-nonlinear's stderr line per refusal; _stop_reason words exit 5's
+    EXIT_QUASI: "linear part is a quasisolution; no generating family",
+    EXIT_NO_ROOT: "no generating root found",
+    EXIT_SUFFICIENCY: "sufficient condition fails; rerun with --force to iterate anyway",
+}
 
 def _write_new(path: Path, text: str) -> None:
     """Write every output as a new file: an old file, hard link or symlink
@@ -240,61 +245,33 @@ def _linear_stage(problem: Problem) -> SolutionFamily:
     return family
 
 
-def _pipeline(problem: Problem, family: SolutionFamily, eps: float, force: bool,
-              c_seed=None, gen_eps: float = 0.0):
-    """Shared generating-root -> gate -> iteration pipeline at ``eps``, after
-    the linear stage ``family`` = _linear_stage(problem).
-
-    Returns (stage dicts, z, trace, exit code); z/trace are None when an
-    early stage fails.
-    """
+def _solve(problem: Problem, family: SolutionFamily, force: bool, solver: dict, eps: float,
+           at_eps: float = 0.0):
+    """(solution, report objects, exit code) of nl.solve at eps; all None for a quasisolution."""
     stages = {"solvability": dict(vars(family.report))}
     if family.report.classification == QUASISOLUTION:
-        return stages, None, None, EXIT_QUASI
-    nlp = nl.NonlinearProblem(family, *problem.nonlinearity, eps)
-
-    seed = c_seed if c_seed is not None else problem.solver.get("c_init")
-    if seed is not None and np.shape(seed) != (family.kernel_dim,):
-        raise ProblemFormatError(
-            f"solver.c_init: expected shape ({family.kernel_dim},) (r values, r the "
-            f"kernel dimension), got shape {np.shape(seed)}")
-    root = nl.solve_generating(nlp, seed, tol=problem.tolerances["newton"],
-                               max_iter=problem.solver["newton_max_iter"],
-                               at_eps=gen_eps)
-    stages["generating"] = {
-        "c0": root.c0.tolist(),
-        "residual_norm": root.residual_norm,
-        "jacobian_rank": root.jacobian_rank,
-        "converged": root.converged,
-    }
-    if not root.converged:
-        return stages, None, None, EXIT_NO_ROOT
-
-    B0 = nl.assemble_B0(nlp, root.c0, at_eps=gen_eps)
-    if not np.isfinite(B0).all():  # the gate's rank decision refuses it
-        raise ProblemFormatError("nonlinearity: B0 is not finite (it overflowed)")
-    suff = nl.check_sufficient(B0)
+        return nl.NonlinearSolution(None, None, None, None), stages, EXIT_QUASI
+    try:
+        sol = nl.solve(nl.NonlinearProblem(family, *problem.nonlinearity, eps),
+                       problem.tolerances, solver, force, at_eps)
+    except (OverflowError, ValueError) as exc:  # a non-finite B0, or c_init of a wrong shape
+        where = "nonlinearity: " if isinstance(exc, OverflowError) else "solver."
+        raise ProblemFormatError(where + str(exc)) from exc
+    root, gate, trace = sol.root, sol.gate, sol.trace
+    stages["generating"] = {"c0": root.c0.tolist(), "residual_norm": root.residual_norm,
+                            "jacobian_rank": root.jacobian_rank, "converged": root.converged}
+    if gate is None:
+        return sol, stages, EXIT_NO_ROOT
     stages["sufficiency"] = {
-        "holds": suff.holds,
-        "row_rank": suff.row_rank,
-        "required_rank": suff.required_rank,
-        "product_norm": suff.product_norm,
-        "null_direction": None if suff.null_direction is None
-        else suff.null_direction.tolist(),
+        "holds": gate.holds, "row_rank": gate.row_rank, "required_rank": gate.required_rank,
+        "product_norm": gate.product_norm,
+        "null_direction": None if gate.null_direction is None else gate.null_direction.tolist(),
     }
-    if not suff.holds and not force:
-        return stages, None, None, EXIT_SUFFICIENCY
-
-    z, trace = nl.iterate(nlp, root.c0, suff.B0_pinv, tol=problem.tolerances["iteration"],
-                          max_iter=problem.solver["max_iter"], blowup=problem.solver["blowup"],
-                          residual_tol=problem.tolerances["residual"])
-    stages["iteration"] = {
-        "converged": trace.converged,
-        "iterations": trace.iterations,
-        "final_record": dict(zip(nl.IterationTrace.FIELDS, trace.records[-1])),
-    }
-    code = EXIT_OK if trace.converged else EXIT_NO_CONVERGENCE
-    return stages, z, trace, code
+    if trace is None:
+        return sol, stages, EXIT_SUFFICIENCY
+    stages["iteration"] = {"converged": trace.converged, "iterations": trace.iterations,
+                           "final_record": dict(zip(trace.FIELDS, trace.records[-1]))}
+    return sol, stages, EXIT_OK if trace.converged else EXIT_NO_CONVERGENCE
 
 
 def cmd_solve_nonlinear(args) -> int:
@@ -302,38 +279,30 @@ def cmd_solve_nonlinear(args) -> int:
     problem = load_problem(args.problem)
     out = _out_dir(args, problem)
 
-    stages, z, trace, code = _pipeline(problem, _linear_stage(problem), problem.epsilon,
-                                       args.force)
+    sol, stages, code = _solve(problem, _linear_stage(problem), args.force, problem.solver,
+                               problem.epsilon)
 
     doc = {"command": "solve-nonlinear", "problem": problem.canonical, **stages,
            "trajectories": {}}
     tables = {}
-    if z is not None:
-        doc["trajectories"]["solution.csv"] = _entries(problem, z[None], "solution")[0]
-        tables = {"solution.csv": _trajectory_table(z),
-                  "trace.csv": (nl.IterationTrace.FIELDS, trace.records)}
+    if sol.trace is not None:
+        doc["trajectories"]["solution.csv"] = _entries(problem, sol.z[None], "solution")[0]
+        tables = {"solution.csv": _trajectory_table(sol.z),
+                  "trace.csv": (nl.IterationTrace.FIELDS, sol.trace.records)}
     _finish(out, doc, tables)
 
-    if "generating" in stages:
-        print(f"generating root |F| = {stages['generating']['residual_norm']:.3e} "
-              f"(converged={stages['generating']['converged']})")
-    if "sufficiency" in stages:
-        s = stages["sufficiency"]
-        print(f"sufficiency gate: rank {s['row_rank']}/{s['required_rank']} "
-              f"({'holds' if s['holds'] else 'FAILS'})")
-    if "iteration" in stages:
-        it = stages["iteration"]
-        print(f"iteration: converged={it['converged']} after {it['iterations']} steps")
+    if sol.root is not None:
+        print(f"generating root |F| = {sol.root.residual_norm:.3e} "
+              f"(converged={sol.root.converged})")
+    if sol.gate is not None:
+        print(f"sufficiency gate: rank {sol.gate.row_rank}/{sol.gate.required_rank} "
+              f"({'holds' if sol.gate.holds else 'FAILS'})")
+    if sol.trace is not None:
+        print(f"iteration: converged={sol.trace.converged} after {sol.trace.iterations} steps")
     print(f"outputs in {out} ({time.perf_counter() - started:.3f}s)")
-    if code == EXIT_QUASI:
-        print("linear part is a quasisolution; no generating family", file=sys.stderr)
-    elif code == EXIT_NO_ROOT:
-        print("no generating root found", file=sys.stderr)
-    elif code == EXIT_SUFFICIENCY:
-        print("sufficient condition fails; rerun with --force to iterate anyway",
+    if code != EXIT_OK:
+        print(_REFUSALS.get(code) or f"iteration stopped: {_stop_reason(problem, sol.trace)}",
               file=sys.stderr)
-    elif code == EXIT_NO_CONVERGENCE:
-        print(f"iteration stopped: {_stop_reason(problem, trace)}", file=sys.stderr)
     return code
 
 
@@ -370,24 +339,20 @@ def cmd_sweep(args) -> int:
 
     grid = np.linspace(args.eps_min, args.eps_max, args.count)
     family = _linear_stage(problem)
-    # a quasisolution has no generating stage, so no c0 columns
-    r_dim = 0 if family.report.classification == QUASISOLUTION else family.kernel_dim
     rows = []
-    seed = None
+    solver = problem.solver
     for eps in grid:
-        stages, z, trace, code = _pipeline(problem, family, float(eps), args.force,
-                                           c_seed=seed, gen_eps=float(eps))
-        gen = stages.get("generating", {})
-        c0 = gen.get("c0", [])
-        if code == EXIT_OK:
-            seed = c0  # continuation: warm-start the next grid point
+        sol, _, code = _solve(problem, family, args.force, solver, float(eps), float(eps))
+        c0 = [] if sol.root is None else sol.root.c0.tolist()
+        if code == EXIT_OK:  # continuation: warm-start the next grid point
+            solver = {**problem.solver, "c_init": c0}
         rows.append({
             "eps": float(eps),
             "exit": code,
-            "root_converged": bool(gen.get("converged", False)),
-            "F_norm": float(gen.get("residual_norm", float("nan"))),
-            "iter_converged": bool(stages.get("iteration", {}).get("converged", False)),
-            "iterations": int(stages.get("iteration", {}).get("iterations", -1)),
+            "root_converged": sol.root is not None and sol.root.converged,
+            "F_norm": math.nan if sol.root is None else sol.root.residual_norm,
+            "iter_converged": sol.trace is not None and sol.trace.converged,
+            "iterations": -1 if sol.trace is None else sol.trace.iterations,
             "c0": c0,
         })
 
@@ -397,7 +362,7 @@ def cmd_sweep(args) -> int:
         "problem": problem.canonical,
         "grid": {"min": args.eps_min, "max": args.eps_max, "count": args.count},
         "points": rows,
-    }, {"branch.csv": (columns + [f"c{j + 1}" for j in range(r_dim)],
+    }, {"branch.csv": (columns + [f"c{j + 1}" for j in range(len(rows[0]["c0"]))],
                        ([row[k] for k in columns] + row["c0"] for row in rows))})
     ok = sum(1 for row in rows if row["exit"] == EXIT_OK)
     print(f"sweep: {ok}/{len(rows)} grid points converged; outputs in {out} "

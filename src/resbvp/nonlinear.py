@@ -1,6 +1,7 @@
 """Weakly nonlinear solver: generating-constant equation, its linearization
 B0, the full-row-rank sufficiency gate, and the fixed-point iteration that
-continues a generating solution z0(n, c0) to z(n, eps) = z0 + u.
+continues a generating solution z0(n, c0) to z(n, eps) = z0 + u. ``solve``
+chains them, and is the one place where the gate decides whether to iterate.
 
 The perturbed system is
 
@@ -35,6 +36,7 @@ __all__ = [
     "GeneratingRoot",
     "SufficiencyCheck",
     "IterationTrace",
+    "NonlinearSolution",
     "NO_CONTRACTION_WINDOW",
     "generating_F",
     "solve_generating",
@@ -42,6 +44,7 @@ __all__ = [
     "check_sufficient",
     "iterate",
     "verify_derivative",
+    "solve",
 ]
 
 
@@ -226,14 +229,18 @@ def solve_generating(problem: NonlinearProblem, c_init=None, tol: float = 1e-10,
     rectangular and rank-deficient Jacobians are handled. With d = 0 the
     equation is empty and c_init is returned unchanged; with r = 0 < d
     there is nothing to vary, so F's norm is returned after 0 steps. A
-    non-finite F or Jacobian (overflow) stops the search unconverged.
+    non-finite F or Jacobian (overflow) stops the search unconverged; a
+    c_init not of shape (r,) raises ValueError.
 
     Per Newton step, the Jacobian's 2r evaluations of F are one stacked
     generating_F call (one Z call); the centre and each line-search trial
     are single evaluations.
     """
     r, d = problem.family.kernel_dim, problem.family.cokernel_dim
-    c = np.zeros(r) if c_init is None else np.asarray(c_init, dtype=float).reshape(r).copy()
+    c = np.zeros(r) if c_init is None else np.array(c_init, dtype=float)
+    if c.shape != (r,):
+        raise ValueError(f"c_init: expected shape ({r},) (r values, r the kernel dimension), "
+                         f"got shape {c.shape}")
     if d == 0:
         return GeneratingRoot(c0=c, residual_norm=0.0, jacobian_rank=0,
                               converged=True, iterations=0)
@@ -331,11 +338,9 @@ def iterate(problem: NonlinearProblem, c0, B0_pinv, tol: float = 1e-10, max_iter
     has not shrunk over w rounds is not contracting. trace.reason names the
     stop.
 
-    The Green operator of problem.family.bvp, the LinearBVP the family came
-    from, gives ubar. ``B0_pinv`` is the pseudoinverse of the linearization
-    assemble_B0 gives at c0, from the gate's rank decision:
-    check_sufficient(B0).B0_pinv. The gate is not made here; the caller
-    decides whether to iterate when it fails.
+    The Green operator of problem.family.bvp gives ubar. ``B0_pinv`` is
+    check_sufficient(assemble_B0(problem, c0)).B0_pinv, from the gate's rank
+    decision; ``solve`` decides whether to iterate when that gate fails.
 
     Returns (z, trace) with z = z0(., c0) + u.
     """
@@ -400,3 +405,36 @@ def iterate(problem: NonlinearProblem, c0, B0_pinv, tol: float = 1e-10, max_iter
     trace = IterationTrace(records=tuple(records), converged=reason == "converged",
                            iterations=iterations, reason=reason, increments=tuple(deltas))
     return z, trace
+
+
+@dataclass(frozen=True)
+class NonlinearSolution:
+    """What ``solve`` reached: the generating root, the gate on B0 at it, the
+    iterate z and its trace. A field past the stage that stopped is None."""
+
+    root: GeneratingRoot
+    gate: SufficiencyCheck | None
+    z: np.ndarray | None
+    trace: IterationTrace | None
+
+
+def solve(problem: NonlinearProblem, tolerances: dict, solver: dict, force: bool = False,
+          at_eps: float = 0.0) -> NonlinearSolution:
+    """Root of F from solver["c_init"] -> gate on B0 -> iteration, under a
+    problem file's whole ``tolerances`` and ``solver`` dicts; the root and
+    B0 take Z at ``at_eps``. An unconverged root stops the solve, and so
+    does a failed gate unless ``force``. A non-finite B0 raises OverflowError."""
+    root = solve_generating(problem, solver["c_init"], tol=tolerances["newton"],
+                            max_iter=solver["newton_max_iter"], at_eps=at_eps)
+    if not root.converged:
+        return NonlinearSolution(root, None, None, None)
+    B0 = assemble_B0(problem, root.c0, at_eps=at_eps)
+    if not np.isfinite(B0).all():  # the gate's rank decision refuses it
+        raise OverflowError("B0 is not finite (it overflowed)")
+    gate = check_sufficient(B0)
+    if not gate.holds and not force:
+        return NonlinearSolution(root, gate, None, None)
+    z, trace = iterate(problem, root.c0, gate.B0_pinv, tol=tolerances["iteration"],
+                       max_iter=solver["max_iter"], blowup=solver["blowup"],
+                       residual_tol=tolerances["residual"])
+    return NonlinearSolution(root, gate, z, trace)

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from resbvp.nonlinear import (
     _fd_jacobian,
 )
 
-from resbvp.problem_io import load_problem, parse_problem
+from resbvp.problem_io import DEFAULT_SOLVER, DEFAULT_TOLERANCES, load_problem, parse_problem
 
 from conftest import (
     PROBLEMS_DIR,
@@ -275,6 +276,13 @@ class TestSolveGenerating:
         assert not root.converged
         assert root.iterations == 0
         assert np.allclose(root.c0, [0.1, 0.2])
+
+    @pytest.mark.parametrize("c_init", [[[0.5, 0.5]], [0.5]], ids=["nested", "short"])
+    def test_c_init_of_another_shape_is_refused(self, c_init):
+        # r = 2: one shape rule, (r,), with no reshaping of a nested pair
+        with pytest.raises(ValueError, match=r"c_init: expected shape \(2,\) .* got shape "
+                                             + re.escape(str(np.shape(c_init)))):
+            solve_generating(rotation_benchmark(), c_init)
 
     def test_nonresonant_short_circuits(self):
         m = 4
@@ -700,3 +708,69 @@ class TestVerifyDerivative:
         bad = NonlinearProblem(benchmark_problem.family, benchmark_problem.Z, zero_Zdu, 0.0)
         with pytest.raises(DerivativeMismatchError):
             verify_derivative(bad)
+
+
+def overflowing_B0_problem():
+    """The rotation by 2 pi / 100 over 100 steps, periodic, with zero forcing
+    and a Lotka-Volterra gain of 1e307: the root is c0 = 0, where Z_du =
+    1e307 I overflows the forced responses B0 is built from."""
+    return from_file(parse_problem({
+        "dim": 2, "horizon": 100, "system": {"type": "rotation", "theta": 2 * np.pi / 100},
+        "forcing": "zero", "boundary": {"type": "periodic"},
+        "nonlinearity": {"type": "lotka_volterra", "g1": 1e307, "g2": 1e307,
+                         "a": 1.0, "b": 1.0}}))
+
+
+class TestSolve:
+    """nonlinear.solve: root, gate and iteration under a problem file's
+    tolerances and solver dicts, each field past the stage that stopped it
+    None."""
+
+    def test_unconverged_root_stops_the_solve(self):
+        # constant Z: F is a nonzero constant and Newton cannot improve it
+        def Z(z, n, eps):
+            return np.full_like(np.asarray(z, dtype=float), 2.0)
+
+        p = resonant_identity_problem(Z, zero_Zdu, eps=1e-3)
+        sol = nonlinear.solve(p, DEFAULT_TOLERANCES, {**DEFAULT_SOLVER, "c_init": [0.1, 0.2]})
+        assert not sol.root.converged
+        assert (sol.gate, sol.z, sol.trace) == (None, None, None)
+
+    def test_failed_gate_stops_unless_forced(self):
+        doc = load_problem(PROBLEMS_DIR / "gate_refusal.json")
+        p = from_file(doc)
+        sol = nonlinear.solve(p, doc.tolerances, doc.solver)
+        assert sol.root.converged and not sol.gate.holds
+        assert sol.z is None and sol.trace is None
+        forced = nonlinear.solve(p, doc.tolerances, doc.solver, force=True)
+        assert np.array_equal(forced.root.c0, sol.root.c0) and not forced.gate.holds
+        assert forced.trace.records and forced.z.shape == (doc.system.horizon + 1, doc.system.dim)
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    def test_converged_solve_is_the_hand_run_chain(self, eps):
+        p = rotation_benchmark(eps)
+        sol = nonlinear.solve(p, DEFAULT_TOLERANCES, {**DEFAULT_SOLVER, "c_init": [0.5, 0.5]})
+        root = solve_generating(p, [0.5, 0.5], tol=DEFAULT_TOLERANCES["newton"],
+                                max_iter=DEFAULT_SOLVER["newton_max_iter"])
+        gate = check_sufficient(assemble_B0(p, root.c0))
+        z, trace = iterate(p, root.c0, gate.B0_pinv, tol=DEFAULT_TOLERANCES["iteration"],
+                           max_iter=DEFAULT_SOLVER["max_iter"], blowup=DEFAULT_SOLVER["blowup"],
+                           residual_tol=DEFAULT_TOLERANCES["residual"])
+        assert sol.trace.converged and sol.gate.holds
+        assert np.array_equal(sol.root.c0, root.c0)
+        assert np.array_equal(sol.z, z) and sol.trace.records == trace.records
+
+    def test_non_finite_B0_raises(self):
+        p = overflowing_B0_problem()
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(OverflowError, match="B0 is not finite"):
+            nonlinear.solve(p, DEFAULT_TOLERANCES, DEFAULT_SOLVER)
+
+    def test_package_root_exports_solve_not_its_stages(self):
+        import resbvp
+
+        assert resbvp.solve is nonlinear.solve
+        assert resbvp.NonlinearSolution is nonlinear.NonlinearSolution
+        for name in ("generating_F", "solve_generating", "assemble_B0", "check_sufficient",
+                     "iterate"):
+            assert not hasattr(resbvp, name)
