@@ -363,8 +363,8 @@ class SolutionFamily:
         shape = c.shape[:-1] + self.particular.shape
         if r == 0:
             return np.broadcast_to(self.particular, shape).copy()
-        kernel_part = c[..., None, :] @ self.kernel_basis.reshape(r, -1)
-        return self.particular + kernel_part.reshape(shape)
+        member = (c[..., None, :] @ self.kernel_basis.reshape(r, -1)).reshape(shape)
+        return np.add(self.particular, member, out=member)
 
 
 class LinearBVP:
@@ -467,7 +467,8 @@ def recurrence_defect(system: OperatorSequence, f, trajectory) -> np.ndarray:
     # C-contiguous A_0^T like the scan's hop.T: a transposed view costs 0.1 MB more RSS
     Az = z[..., :m, :] @ np.ascontiguousarray(A[0].T) if system.time_invariant \
         else (A @ z[..., :m, :, None])[..., 0]
-    return z[..., 1:m + 1, :] - Az - _forcing_array(system, f)
+    defect = np.subtract(z[..., 1:m + 1, :], Az, out=Az)
+    return np.subtract(defect, _forcing_array(system, f), out=defect)
 
 
 def residuals(system: OperatorSequence, l: BoundaryOperator, f, trajectory,
@@ -482,7 +483,7 @@ def residuals(system: OperatorSequence, l: BoundaryOperator, f, trajectory,
     if perturbation is not None:
         defect -= perturbation
     v = l.apply(z) - (0.0 if f is None else l.target)
-    rec = np.sqrt((defect * defect).sum(axis=-1).max(axis=-1))  # norm(., axis=-1).max(), bitwise
+    rec = np.sqrt(np.square(defect, out=defect).sum(-1).max(-1))  # norm(., axis=-1).max(), bitwise
     # sqrt(v . v) per row, as a 1-D np.linalg.norm rounds it; a stacked norm sums otherwise
     bc = np.sqrt([row.dot(row) for row in v.reshape(-1, l.codim)]).reshape(v.shape[:-1])
     return (float(rec), float(bc)) if z.ndim == 2 else (rec, bc)

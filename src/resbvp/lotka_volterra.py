@@ -6,7 +6,9 @@ components y_1..y_p. The nonlinearity per pair is
     Zx_i = g1_i(n) x_i (1 - sum_j a_ij(n) y_j),
     Zy_i = g2_i(n) y_i (1 - sum_j b_ij(n) x_j),
 
-with the interaction sums running over the first t components.
+with the interaction sums running over the first t components. A stack's
+time-invariant sums are one 2-D product: with t >= 2 a row may differ in its
+last bits from its state alone; with t = 1 or time-varying tables it cannot.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ def _at(table: np.ndarray, n, time_varying_ndim: int) -> np.ndarray:
 
 
 def _split(spec: LotkaVolterraSpec, z, n):
-    """States, tables at times n and interaction sums (a y, b x), batched."""
+    """States, tables at times n and the sums (a y, b x) in one array of z's shape."""
     z = np.asarray(z, dtype=float)
     p, t = spec.pairs, spec.interactions
     if z.shape[-1:] != (2 * p,):
@@ -72,30 +74,37 @@ def _split(spec: LotkaVolterraSpec, z, n):
     x, y = z[..., :p], z[..., p:]
     g1, g2 = _at(spec.g1, n, 2), _at(spec.g2, n, 2)
     a, b = _at(spec.a, n, 3), _at(spec.b, n, 3)
-    ay = (a @ y[..., :t, None])[..., 0]
-    bx = (b @ x[..., :t, None])[..., 0]
-    return x, y, g1, g2, a, b, ay, bx
+    sums = np.empty(z.shape)
+    for full, table, state, out in ((spec.a, a, y, sums[..., :p]), (spec.b, b, x, sums[..., p:])):
+        if full.ndim == 2:  # time-invariant: the whole stack in one 2-D product
+            np.matmul(state[..., :t], table.T, out=out)
+        else:
+            out[...] = (table @ state[..., :t, None])[..., 0]
+    return x, y, g1, g2, a, b, sums
 
 
 def lv_callables(spec: LotkaVolterraSpec):
-    """(Z, Z_du) pair for NonlinearProblem; the nonlinearity carries no
-    explicit eps dependence."""
+    """(Z, Z_du) pair for NonlinearProblem, with no explicit eps dependence. On
+    a stack a time-invariant table's sums are one 2-D product (module docstring)."""
     def Z(z, n, eps):
-        """Stacked (Zx, Zy) at states z = (x_1..x_p, y_1..y_p), shape
-        (..., 2p), and integer times n broadcasting to z.shape[:-1]."""
-        x, y, g1, g2, _, _, ay, bx = _split(spec, z, n)
-        return np.concatenate([g1 * x * (1.0 - ay), g2 * y * (1.0 - bx)], axis=-1)
+        """Stacked (Zx, Zy) in the sums' array: (1 - a y)(g1 x) rounds as g1 x (1 - a y)."""
+        x, y, g1, g2, _, _, out = _split(spec, z, n)
+        p = spec.pairs
+        np.subtract(1.0, out, out=out)
+        out[..., :p] *= g1 * x
+        out[..., p:] *= g2 * y
+        return out
 
     def Z_du(z, n, eps):
         """Exact Jacobian of Z in z, shape (..., 2p, 2p)."""
-        x, y, g1, g2, a, b, ay, bx = _split(spec, z, n)
+        x, y, g1, g2, a, b, sums = _split(spec, z, n)
         p, t = spec.pairs, spec.interactions
         J = np.zeros(x.shape[:-1] + (2 * p, 2 * p))
         i = np.arange(p)
-        J[..., i, i] = g1 * (1.0 - ay)
+        J[..., i, i] = g1 * (1.0 - sums[..., :p])
         J[..., :p, p:p + t] = -(g1 * x)[..., None] * a
         J[..., p:, :t] = -(g2 * y)[..., None] * b
-        J[..., p + i, p + i] = g2 * (1.0 - bx)
+        J[..., p + i, p + i] = g2 * (1.0 - sums[..., p:])
         return J
 
     return Z, Z_du

@@ -172,8 +172,12 @@ def verify_derivative(problem: NonlinearProblem) -> None:
     # probes[s, k, j] = z[k] + s-th sign * step * e_j
     probes = z[None, :, None, :] + np.array([step, -step])[:, None, None, None] * np.eye(N)
     Zp = np.asarray(problem.Z(probes, n[None, :, None], 0.0), dtype=float)
-    fd = (Zp[0] - Zp[1]).transpose(0, 2, 1) / (2 * step)
-    err = np.abs(fd - J).max(axis=(1, 2)) / (1.0 + np.abs(J).max(axis=(1, 2)))
+    Zp = Zp if Zp.flags.writeable else Zp.copy()
+    # fd, then |fd - J|, formed in Zp[0]: the steps and their order of fd = (Zp[0] - Zp[1]) / 2h
+    fd = np.subtract(Zp[0], Zp[1], out=Zp[0]).transpose(0, 2, 1)
+    fd /= 2 * step
+    fd -= J
+    err = np.abs(fd, out=fd).max(axis=(1, 2)) / (1.0 + np.abs(J).max(axis=(1, 2)))
     bad = np.flatnonzero(~(err <= 1e-5))  # a NaN error is a mismatch too
     if bad.size:
         k = bad[0]
@@ -195,9 +199,10 @@ def generating_F(problem: NonlinearProblem, c, at_eps: float = 0.0) -> np.ndarra
     particular_forced sweep, one boundary map and one projection. On a
     window of m <= 64 steps, or past the scan's stack bound (N > 16 or
     k N^2 > 1024), that sweep steps through the window and every row
-    equals the single evaluation at its vector bit for bit; on a longer
-    window with a small stack it is the doubling scan, and rows agree with
-    single evaluations to roundoff.
+    equals the single evaluation at its vector bit for bit, as Z's rows do
+    (lv_callables sums each member in its own 2-D product); on a longer
+    window with a small stack the sweep is the doubling scan, and rows
+    agree with single evaluations to roundoff.
     """
     family, bvp = problem.family, problem.family.bvp
     g = particular_forced(bvp.system, _along(problem.Z, family.member(c), at_eps))
@@ -210,9 +215,9 @@ def _fd_jacobian(problem: NonlinearProblem, c: np.ndarray, at_eps: float) -> np.
     Column j is (F(c + s_j e_j) - F(c - s_j e_j)) / (2 s_j) with step
     s_j = 1e-6 (1 + |c_j|); all 2r points are one stacked generating_F
     call, and the quotients use only rows of that call, which share one
-    sweep. It amplifies roundoff in F about a millionfold: on the short
-    windows of the shipped problems the rows equal single evaluations bit
-    for bit, and any change in F's roundoff moves the root.
+    sweep. It amplifies roundoff in F about a millionfold: on short windows
+    the rows equal single evaluations bit for bit when Z's rows do, as
+    generating_F says, and any change in F's roundoff moves the root.
     """
     r = c.shape[0]
     steps = 1e-6 * (1.0 + np.abs(c))

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -75,7 +76,11 @@ class TestLVNonlinearity:
 
     @pytest.mark.parametrize("time_varying", [False, True])
     def test_stack_equals_per_state_loop(self, time_varying):
-        # p = 3 pairs with t = 2 < p interaction columns
+        # p = 3 pairs with t = 2 < p interaction columns. Time-varying tables
+        # take a product per time, so rows equal single evaluations bit for
+        # bit. Time-invariant ones sum over the whole stack in one 2-D
+        # product (gemm, where a single state takes gemv), held to a per-state
+        # math.fsum reference within a few ulps of the sum of absolute terms.
         rng = np.random.default_rng(11)
         m, p, t = 7, 3, 2
         lead = (m,) if time_varying else ()
@@ -86,10 +91,41 @@ class TestLVNonlinearity:
         Z, Z_du = lv_callables(spec)
         z = rng.standard_normal((m, 2 * p))
         n = np.arange(m)
-        Z_loop = np.array([Z(z[k], k, 0.0) for k in range(m)])
+        Z_stack, J_stack = Z(z, n, 0.0), Z_du(z, n, 0.0)
+        if time_varying:
+            assert np.array_equal(Z_stack, np.array([Z(z[k], k, 0.0) for k in range(m)]))
+            assert np.array_equal(J_stack, np.array([Z_du(z[k], k, 0.0) for k in range(m)]))
+            return
+        x, y = z[:, :p], z[:, p:]
+        J_diag = np.diagonal(J_stack, axis1=-2, axis2=-1)
+        for half, g, table, state, other in ((slice(None, p), spec.g1, spec.a, x, y),
+                                             (slice(p, None), spec.g2, spec.b, y, x)):
+            terms = table * other[:, None, :t]  # (m, p, t)
+            sums = np.array([[math.fsum(row) for row in rows] for rows in terms])
+            bound = 8 * np.finfo(float).eps * np.abs(g) * (1.0 + np.abs(terms).sum(axis=-1))
+            assert (np.abs(Z_stack[:, half] - g * state * (1.0 - sums))
+                    <= bound * np.abs(state)).all()
+            assert (np.abs(J_diag[:, half] - g * (1.0 - sums)) <= bound).all()
+        # off the diagonal no interaction sum enters: bit for bit
+        off = ~np.eye(2 * p, dtype=bool)
         J_loop = np.array([Z_du(z[k], k, 0.0) for k in range(m)])
-        assert np.array_equal(Z(z, n, 0.0), Z_loop)
-        assert np.array_equal(Z_du(z, n, 0.0), J_loop)
+        assert np.array_equal(J_stack[:, off], J_loop[:, off])
+
+    def test_one_interaction_stack_equals_per_state_loop(self):
+        # t = 1: each interaction sum is one product, so the 2-D product of a
+        # time-invariant table is exact and every row equals its single
+        # evaluation bit for bit (every shipped problem has p = t = 1)
+        rng = np.random.default_rng(12)
+        m, p = 7, 3
+        spec = LotkaVolterraSpec(p, rng.standard_normal(p), rng.standard_normal(p),
+                                 rng.standard_normal((p, 1)), rng.standard_normal((p, 1)))
+        Z, Z_du = lv_callables(spec)
+        z = rng.standard_normal((2, m, 2 * p))
+        n = np.arange(m)
+        assert np.array_equal(Z(z, n, 0.0), np.array(
+            [[Z(z[s, k], k, 0.0) for k in range(m)] for s in range(2)]))
+        assert np.array_equal(Z_du(z, n, 0.0), np.array(
+            [[Z_du(z[s, k], k, 0.0) for k in range(m)] for s in range(2)]))
 
     def test_callables_pass_derivative_audit(self):
         Z, Z_du = lv_callables(LotkaVolterraSpec.uniform(2))

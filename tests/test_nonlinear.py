@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -708,6 +709,59 @@ class TestVerifyDerivative:
         bad = NonlinearProblem(benchmark_problem.family, benchmark_problem.Z, zero_Zdu, 0.0)
         with pytest.raises(DerivativeMismatchError):
             verify_derivative(bad)
+
+    def test_accepts_read_only_Z_output(self):
+        # the audit forms its quotient in Z's output, or in a copy of a read-only one
+        def Z(z, n, eps):
+            return np.broadcast_to(0.0, np.shape(z))
+
+        verify_derivative(resonant_identity_problem(Z, zero_Zdu))
+
+    def test_pinned_verdicts_on_the_wide_block_rotation(self):
+        # N = 32, the newton-wide f0 input: a Z_du off by a relative 1e-3
+        # is refused at the probe and with the error the audit has always
+        # printed there, and a NaN derivative is refused too
+        from resbvp.nonlinear import DerivativeMismatchError
+        p = block_rotation(24, 32, 1e-4, 0)
+        verify_derivative(p)
+
+        def off_Zdu(z, n, eps):
+            return p.Z_du(z, n, eps) * (1.0 + 1e-3)
+
+        def nan_Zdu(z, n, eps):
+            return np.full_like(p.Z_du(z, n, eps), np.nan)
+
+        with pytest.raises(DerivativeMismatchError, match=re.escape(
+                "Z_du disagrees with finite differences at n=21: relative error 8.395e-04")):
+            verify_derivative(dataclasses.replace(p, Z_du=off_Zdu))
+        with pytest.raises(DerivativeMismatchError, match="relative error nan"):
+            verify_derivative(dataclasses.replace(p, Z_du=nan_Zdu))
+
+
+def peak_kib(fn):
+    """tracemalloc's peak of one call of fn, in KiB, after a first call has
+    built what the problem caches (the map psi)."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
+
+
+class TestNewtonStackMemory:
+    """tracemalloc peaks at N = 32, the newton-wide f0 input, against bounds
+    10% over the measured 1131 and 1096 KiB. A count, not a timing: it
+    guards the in-place forms of Z, the family member and the audit."""
+
+    def test_fd_jacobian(self):
+        p = block_rotation(24, 32, 1e-4, 0)
+        assert peak_kib(lambda: _fd_jacobian(p, np.full(32, 0.5), 0.0)) <= 1244
+
+    def test_verify_derivative(self):
+        p = block_rotation(24, 32, 1e-4, 0)
+        assert peak_kib(lambda: verify_derivative(p)) <= 1206
 
 
 def overflowing_B0_problem():
