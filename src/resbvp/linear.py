@@ -23,8 +23,8 @@ Jacobian amplifies roundoff about a millionfold, so the short windows of
 the shipped problems keep the stepped bits.
 
 LinearBVP.psi, the forcing-to-boundary map projected onto the cokernel, is
-built once by a backward sweep; B0 and the fixed-point iteration's c
-update contract forcings with it instead of sweeping them.
+built once, from the transition stack if the system is time-invariant and by
+a backward sweep if not; B0 and the iteration's c update contract with it.
 
 residuals is the one place a trajectory's recurrence and boundary residual
 norms are taken: the fixed-point iteration's stop test and the CLI's audit.
@@ -33,6 +33,7 @@ norms are taken: the fixed-point iteration's stop test and the CLI's audit.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,14 +144,16 @@ def _doubling_hops(A: np.ndarray, invariant: bool) -> tuple:
 
 def transition_stack(system: OperatorSequence) -> np.ndarray:
     """All transition matrices from time 0: U[k] = Phi(k, 0), shape (m+1, N, N)."""
-    # Step by step, not by the hops, on every window: Q is roundoff-sized on
-    # the rotation workloads, so the scan's roundoff picks another kernel
-    # basis of it, and c0 and solver.c_init are coordinates in that basis.
-    m, N = system.horizon, system.dim
+    # Step by step (A_k.dot, np.matmul's gemm at half its dispatch), not by the
+    # hops: Q is roundoff-sized on the rotation workloads, so the scan's roundoff
+    # would pick another kernel basis, in which c0 and solver.c_init are coordinates.
+    m, N, A = system.horizon, system.dim, system.matrices
     U = np.empty((m + 1, N, N))
     U[0] = np.eye(N)
-    for A, U_k, U_next in zip(system.matrices, U, U[1:]):
-        A.dot(U_k, out=U_next)  # np.matmul's gemm, with half its dispatch
+    steps = [A[0].dot] * m if system.time_invariant else [A_k.dot for A_k in A]
+    Uv = list(U)  # the views made once
+    for step, U_k, U_next in zip(steps, Uv, Uv[1:]):
+        step(U_k, out=U_next)
     return U
 
 
@@ -402,19 +405,25 @@ class LinearBVP:
     def psi(self) -> np.ndarray:
         """D^T l g = sum_i psi[:, i] f(i), D = rd.cokernel, for the response g
         of any forcing f: a read-only (d, m, N) view of the psi_i^T, stacked
-        (m, N, d). One backward sweep, no inverse: psi_m = 0 and
-        psi_{i-1} = psi_i A_i + D^T sum_{n_k = i} L_k."""
+        (m, N, d). No inverse: a time_invariant system's psi_i^T is sum_{n_k > i}
+        U[n_k-1-i]^T L_k^T D; else psi_{i-1} = psi_i A_i + D^T sum_{n_k = i} L_k from psi_m = 0."""
         m, N, D = self.system.horizon, self.system.dim, self.rd.cokernel
         summed = {}  # the weights summed per sample time
         for n, L in self.boundary.samples:
             summed[n] = summed.get(n, 0.0) + L
         W = np.zeros((m, N, D.shape[1]))  # W[i] = psi_i^T, so each step writes a block
-        W[m - 1] = summed[m].T @ D if m in summed else 0.0
-        At = self.system.matrices.transpose(0, 2, 1)
-        for i, At_i, W_i, W_prev in zip(range(m - 1, 0, -1), At[:0:-1], W[:0:-1], W[-2::-1]):
-            At_i.dot(W_i, out=W_prev)  # as transition_stack steps
-            if i in summed:
-                W_prev += summed[i].T @ D
+        if self.system.time_invariant and summed:  # the latest time's product needs no temporary
+            last = max(summed)
+            np.matmul(self.U[:last][::-1].transpose(0, 2, 1), summed.pop(last).T @ D, out=W[:last])
+            for n, L in summed.items():
+                W[:n] += np.matmul(self.U[:n][::-1].transpose(0, 2, 1), L.T @ D)
+        else:
+            W[m - 1] = summed[m].T @ D if m in summed else 0.0
+            At, Wr = list(self.system.matrices[:0:-1].transpose(0, 2, 1)), list(W[::-1])
+            for i, At_i, W_i, W_prev in zip(range(m - 1, 0, -1), At, Wr, Wr[1:]):
+                At_i.dot(W_i, out=W_prev)  # as transition_stack steps
+                if i in summed:
+                    W_prev += summed[i].T @ D
         W.flags.writeable = False
         return W.transpose(2, 0, 1)
 
@@ -483,7 +492,8 @@ def residuals(system: OperatorSequence, l: BoundaryOperator, f, trajectory,
     if perturbation is not None:
         defect -= perturbation
     v = l.apply(z) - (0.0 if f is None else l.target)
-    rec = np.sqrt(np.square(defect, out=defect).sum(-1).max(-1))  # norm(., axis=-1).max(), bitwise
-    # sqrt(v . v) per row, as a 1-D np.linalg.norm rounds it; a stacked norm sums otherwise
-    bc = np.sqrt([row.dot(row) for row in v.reshape(-1, l.codim)]).reshape(v.shape[:-1])
-    return (float(rec), float(bc)) if z.ndim == 2 else (rec, bc)
+    # max_n ||defect(n)|| with the row sums as one product; .sum(-1) takes each row alone
+    rec = np.sqrt((np.square(defect, out=defect) @ np.ones(system.dim)).max(-1))
+    if z.ndim == 2:  # sqrt(v . v) per row, as a 1-D norm rounds it; a stacked norm sums otherwise
+        return float(rec), math.sqrt(v.dot(v))
+    return rec, np.sqrt([row.dot(row) for row in v.reshape(-1, l.codim)]).reshape(v.shape[:-1])

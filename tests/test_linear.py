@@ -615,6 +615,16 @@ def psi_case(name):
         m, N, q = 9, 3, 4
         samples = [(n, rng.standard_normal((q, N))) for n in (0, 4, 4, 7, m, 7)]
         return random_system(rng, m, N), generic(samples, np.zeros(q))
+    if name == "constant_multipoint":  # time-invariant, samples as multipoint's
+        m, N, q = 9, 3, 4
+        A = rng.standard_normal((N, N))
+        A[0, 2] = 0.0  # a zero that psi_sweep_system can flip to -0.0
+        samples = [(n, rng.standard_normal((q, N))) for n in (0, 4, 4, 7, m, 7)]
+        return OperatorSequence.constant(A, m), generic(samples, np.zeros(q))
+    if name == "nilpotent":  # constant A with A^3 = 0: terms with n_k - 1 - i >= 3 vanish
+        m, N, q = 8, 3, 5
+        samples = [(n, rng.standard_normal((q, N))) for n in (0, 2, 5, 5, m)]
+        return OperatorSequence.constant(np.diag([1.5, -0.5], 1), m), generic(samples, np.zeros(q))
     if name == "singular_steps":  # A_3 has rank 1 and A_5 = 0
         m, N, q = 8, 3, 5
         A = rng.standard_normal((m, N, N))
@@ -626,6 +636,8 @@ def psi_case(name):
         m = int(name.split("_m")[1])
         samples = [(0, rng.standard_normal((3, 2))), (m, rng.standard_normal((3, 2)))]
         return OperatorSequence.constant(FIB, m), generic(samples, np.zeros(3))
+    if name == "no_samples":  # l z = 0 z: Q = 0 and psi = 0
+        return OperatorSequence.constant(FIB, 5), generic([], np.zeros(2))
     if name == "one_step":
         samples = [(0, rng.standard_normal((3, 2))), (1, rng.standard_normal((3, 2)))]
         return random_system(rng, 1, 2), generic(samples, np.zeros(3))
@@ -633,13 +645,24 @@ def psi_case(name):
     return OperatorSequence.constant(FIB, 6), periodic(2, 6)
 
 
-PSI_CASES = ["rotation_m600", "varying_rotation", "multipoint", "singular_steps",
-             "fibonacci_m2", "fibonacci_m7", "fibonacci_m12", "one_step", "no_cokernel"]
+PSI_CASES = ["rotation_m600", "varying_rotation", "multipoint", "constant_multipoint",
+             "nilpotent", "singular_steps", "fibonacci_m2", "fibonacci_m7", "fibonacci_m12",
+             "no_samples", "one_step", "no_cokernel"]
+
+
+def psi_sweep_system(system: OperatorSequence) -> OperatorSequence:
+    """The same matrices with one 0.0 of A_{m-1} flipped to -0.0: equal in
+    value, but time-varying bit for bit, so LinearBVP.psi sweeps them."""
+    A = system.matrices.copy()
+    zero = tuple(np.argwhere(A[-1] == 0.0)[0])
+    A[(-1,) + zero] = -0.0
+    return OperatorSequence(A)
 
 
 class TestForcingToBoundaryMap:
     """LinearBVP.psi, the map f -> D^T l g of a forcing to the cokernel
-    projection of its response's boundary value, built once, backwards."""
+    projection of its response's boundary value, built once: from the
+    transition stack on a time-invariant system, backwards otherwise."""
 
     @pytest.mark.parametrize("case", PSI_CASES)
     def test_contracts_forcings_as_the_sweep_then_l(self, case):
@@ -654,6 +677,27 @@ class TestForcingToBoundaryMap:
         swept = l.apply(particular_forced(system, f)) @ D
         scale = np.einsum("din,kin->kd", np.abs(psi), np.abs(f))
         assert (np.abs(got - swept) <= 1e-13 * (1 + scale)).all()
+        if case == "no_samples":
+            assert not psi.any()
+
+    @pytest.mark.parametrize("case", ["constant_multipoint", "nilpotent", "fibonacci_m2",
+                                      "fibonacci_m7", "fibonacci_m12", "no_cokernel"])
+    def test_time_invariant_product_matches_the_backward_sweep(self, case):
+        system, l = psi_case(case)
+        swept_system = psi_sweep_system(system)
+        assert system.time_invariant and not swept_system.time_invariant
+        assert np.array_equal(swept_system.matrices, system.matrices)  # -0.0 == 0.0
+        bvp, swept = LinearBVP(system, l), LinearBVP(swept_system, l)
+        assert np.array_equal(bvp.rd.cokernel, swept.rd.cokernel)
+        # |D^T L_k| |A|^(n_k-1-i) summed over n_k > i bounds each entry's terms
+        D, m = bvp.rd.cokernel, system.horizon
+        powers = transition_stack(OperatorSequence(np.abs(system.matrices)))
+        scale = np.zeros(bvp.psi.shape)
+        for n, L in l.samples:
+            for i in range(n):
+                scale[:, i] += np.abs(D.T @ L) @ powers[n - 1 - i]
+        assert np.isfinite(scale).all() and scale.shape == (D.shape[1], m, system.dim)
+        assert (np.abs(bvp.psi - swept.psi) <= 1e-13 * (1 + scale)).all()
 
     def test_is_read_only_and_built_once(self):
         bvp = LinearBVP(*psi_case("multipoint"))
@@ -698,7 +742,7 @@ def random_boundary(rng, m, N):
 
 
 class TestResiduals:
-    @pytest.mark.parametrize("N", [1, 3, 32])
+    @pytest.mark.parametrize("N", [1, 2, 3, 9, 32])
     def test_matches_per_step_loop(self, N):
         rng = np.random.default_rng(11)
         m = 9
