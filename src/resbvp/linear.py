@@ -340,7 +340,7 @@ class SolutionFamily:
     forcing: np.ndarray               # (m, N)
     report: SolvabilityReport
     particular: np.ndarray            # (m+1, N)
-    kernel_basis: np.ndarray          # (r, m+1, N)
+    kernel_basis: np.ndarray          # (r, m+1, N), C-contiguous
 
     @property
     def kernel_dim(self) -> int:
@@ -428,9 +428,10 @@ class LinearBVP:
         return W.transpose(2, 0, 1)
 
     def propagate(self, z0: np.ndarray) -> np.ndarray:
-        """Homogeneous trajectory Phi(n, 0) z0 over the window, one 2-D product."""
-        U = self.U
-        return (U.reshape(-1, U.shape[2]) @ np.asarray(z0, dtype=float)).reshape(U.shape[:2])
+        """Homogeneous trajectory Phi(n, 0) z0 over the window, one 2-D product;
+        k initial states as the columns of z0, shape (N, k), give (m+1, N, k)."""
+        U, z0 = self.U, np.asarray(z0, dtype=float)
+        return (U.reshape(-1, U.shape[2]) @ z0).reshape(U.shape[:2] + z0.shape[1:])
 
     def h(self, g) -> np.ndarray:
         """Right-hand side h = alpha - l g of the induced equation Q z0 = h,
@@ -451,18 +452,16 @@ class LinearBVP:
         return self.propagate(self.rd.pinv @ (np.zeros(self.boundary.codim) - lg)) + g
 
     def solve(self, f, tol: float = 1e-9) -> SolutionFamily:
-        """Classify f against the boundary target and build its full
-        solution family. A forced response that overflows is refused with
-        a ValueError."""
+        """Classify f against the boundary target and build its full solution
+        family, the kernel basis as one propagate of rd.kernel's columns. A
+        forced response that overflows is refused with a ValueError."""
         f = _forcing_array(self.system, f)
         g = particular_forced(self.system, f)
         if not np.all(np.isfinite(g)):
             raise ValueError("the forced response is not finite (the sweep overflowed)")
         h = self.h(g)
         particular = self.propagate(self.rd.pinv @ h) + g
-        # a product per time and kernel column, not one 2-D U @ K, which rounds
-        # differently; the basis reaches Newton's finite-difference Jacobian
-        kernels = (self.U @ self.rd.kernel.T[:, None, :, None])[..., 0]
+        kernels = np.ascontiguousarray(self.propagate(self.rd.kernel).transpose(2, 0, 1))
         return SolutionFamily(self, f, classify(self.rd, h, tol=tol), particular, kernels)
 
 

@@ -509,8 +509,8 @@ class TestOverflowingInputs:
 
     @pytest.mark.parametrize("cmd", NONLINEAR_COMMANDS, ids=["solve-nonlinear", "sweep"])
     def test_overflowing_B0_is_usage_error(self, tmp_path, capsys, cmd):
-        # the root is c0 = 0 and the Z_du audit passes, but Z_du = 1e307 I at
-        # z = 0 overflows the forced responses that B0 is built from
+        # the root is c0 = 0, but Z_du = 1e307 I at z = 0 overflows the
+        # forced responses that B0 is built from
         path = tmp_path / "huge_gain.json"
         path.write_text(json.dumps({
             "dim": 2, "horizon": 100, "system": {"type": "rotation", "theta": 2 * np.pi / 100},
@@ -531,15 +531,42 @@ class TestOverflowingInputs:
         [point] = strict_json((tmp_path / "report.json").read_text())["points"]
         assert point["F_norm"] is None
 
-    def test_huge_coefficient_passes_the_derivative_audit(self, tmp_path, capsys):
-        # Z = 1e200 z^2 once failed the audit (exit 64, "relative error nan");
-        # now, like 1e150, it finds no generating root
+    def test_huge_coefficient_finds_no_root(self, tmp_path, capsys):
+        # Z = 1e200 z^2 once failed the derivative audit (exit 64, "relative
+        # error nan"); like 1e150, it finds no generating root
         doc = json.loads(Path(problem("sweep_scalar.json")).read_text())
         doc["nonlinearity"]["coeffs"] = [0.0, 0.0, 1e200]
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(doc))
         assert self.run_quietly(["solve-nonlinear", path, "-o", tmp_path / "out"],
                                 capsys) == 3
+
+    @pytest.mark.parametrize("cmd", NONLINEAR_COMMANDS, ids=["solve-nonlinear", "sweep"])
+    @pytest.mark.parametrize("name, nonlinearity", [
+        ("rotation_lv.json", {"g1": 1e308, "g2": 1e308}),
+        ("rotation_lv.json", {"a": 1e308, "b": 1e308}),
+        ("sweep_scalar.json", {"coeffs": [1e308, 1e308]}),
+    ], ids=["lv_gains", "lv_tables", "polynomial"])
+    def test_overflowing_nonlinearity_finds_no_root(self, tmp_path, capsys, cmd, name,
+                                                    nonlinearity):
+        # Z overflows at every probe, as g1 = 1e307 does on rotation_lv.json:
+        # no generating root, not a derivative mismatch (the run-time audit
+        # once refused these with exit 64, "Z_du disagrees ... nan")
+        doc = json.loads(Path(problem(name)).read_text())
+        doc["nonlinearity"].update(nonlinearity)
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        code = run(cmd[:1] + [path] + cmd[1:] + ["-o", tmp_path / "out"])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "Z_du" not in err, err
+        report = strict_json((tmp_path / "out" / "report.json").read_text())
+        if cmd[0] == "sweep":  # the sweep exits 0 and records each point's exit
+            assert code == 0
+            assert [(pt["exit"], pt["root_converged"]) for pt in report["points"]] \
+                == [(3, False)] * 2
+        else:
+            assert code == 3 and "no generating root found" in err, err
+            assert not report["generating"]["converged"]
 
     @pytest.mark.parametrize("cmd", [
         ["solve-linear"],
@@ -710,7 +737,9 @@ class TestSweep:
         assert len(json.loads((tmp_path / "report.json").read_text())["points"]) == 6
         assert len(built) == 1
 
-    def test_one_linear_solve_and_audit_per_run(self, tmp_path, monkeypatch):
+    def test_one_linear_solve_and_no_audit_per_run(self, tmp_path, monkeypatch):
+        # the file names a built-in pair, whose derivative the tests audit,
+        # so the CLI does not audit it at run time
         solves, audits = [], []
         solve, audit = LinearBVP.solve, nl.verify_derivative
 
@@ -728,7 +757,7 @@ class TestSweep:
                     "--eps-max", "1e-3", "--count", "6", "-o", tmp_path])
         assert code == 0
         assert len(json.loads((tmp_path / "report.json").read_text())["points"]) == 6
-        assert len(solves) == 1 and len(audits) == 1
+        assert len(solves) == 1 and len(audits) == 0
 
     def test_one_B0_and_one_gate_per_grid_point(self, tmp_path, monkeypatch):
         calls = count_gate_calls(monkeypatch)
@@ -854,6 +883,19 @@ def test_importing_the_cli_leaves_fractions_unloaded():
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
     code = "import sys, resbvp.cli; sys.exit('fractions' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_solving_leaves_numpy_random_unloaded(tmp_path):
+    # a run draws no random numbers, so it does not load numpy.random
+    # (about 5.5 MB of peak RSS; the run-time derivative audit loaded it)
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = ("import sys, resbvp.cli; resbvp.cli.main(sys.argv[1:]); "
+            "sys.exit('numpy.random' in sys.modules)")
+    argv = ["solve-nonlinear", problem("rotation_lv.json"), "-o", str(tmp_path)]
+    assert subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          stdout=subprocess.DEVNULL).returncode == 0
 
 
 class TestFibCheck:

@@ -566,6 +566,23 @@ class TestSolveFamily:
         scale = 1 + np.abs(W).max(axis=(1, 2))
         assert (rec <= 1e-10 * scale).all() and (bc <= 1e-8 * scale).all()
 
+    @pytest.mark.parametrize("case", ["varying_r2", "identity_r3", "fibonacci_r0"])
+    def test_kernel_basis_is_one_propagation(self, case):
+        # the columns of rd.kernel propagated by the transition stack,
+        # stored C-contiguous as (r, m+1, N); r = 0 gives an empty stack
+        m = 7
+        system, N = {"varying_r2": (varying_rotation_system(m), 2),
+                     "identity_r3": (OperatorSequence.identity(3, m), 3),
+                     "fibonacci_r0": (OperatorSequence.constant(FIB, m), 2)}[case]
+        bvp = LinearBVP(system, periodic(N, m))
+        K = bvp.solve(np.zeros((m, N))).kernel_basis
+        r = int(case[-1])
+        assert K.shape == (r, m + 1, N) and K.flags.c_contiguous
+        for j in range(r):
+            expected = np.array([evolution(system, n, 0) @ bvp.rd.kernel[:, j]
+                                 for n in range(m + 1)])
+            assert np.allclose(K[j], expected, rtol=0, atol=1e-14)
+
 
 class TestOneHandle:
     """solve returns one family that carries its LinearBVP and its report;

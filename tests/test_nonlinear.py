@@ -1,6 +1,9 @@
 import dataclasses
+import functools
+import importlib.util
 import inspect
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -736,6 +739,76 @@ class TestVerifyDerivative:
             verify_derivative(dataclasses.replace(p, Z_du=off_Zdu))
         with pytest.raises(DerivativeMismatchError, match="relative error nan"):
             verify_derivative(dataclasses.replace(p, Z_du=nan_Zdu))
+
+
+@functools.cache
+def load_workloads():
+    """bench/workloads.py, imported from its file (bench is not a package)
+    and registered, as its dataclasses need, as bench_workloads."""
+    path = PROBLEMS_DIR.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def built_in_pair(dim, m, nonlinearity):
+    """The NonlinearProblem of a problem file's nonlinearity over the
+    identity system with a periodic boundary and zero forcing (Q = 0)."""
+    return from_file(parse_problem({
+        "dim": dim, "horizon": m, "system": {"type": "identity"}, "forcing": "zero",
+        "boundary": {"type": "periodic"}, "nonlinearity": nonlinearity}))
+
+
+def lv_tables(p, m, t, varying):
+    """Random Lotka-Volterra gains and tables of p pairs and t interaction
+    columns, the ones named in ``varying`` with a time axis of m."""
+    rng = np.random.default_rng([p, m, t, len(varying)])
+    shapes = {"g1": (p,), "g2": (p,), "a": (p, t), "b": (p, t)}
+    return {"type": "lotka_volterra", **{
+        name: rng.standard_normal(((m,) if name in varying else ()) + shape).tolist()
+        for name, shape in shapes.items()}}
+
+
+def shipped_nonlinear_files():
+    return [path.name for path in sorted(PROBLEMS_DIR.glob("*.json"))
+            if load_problem(str(path)).nonlinearity is not None]
+
+
+class TestBuiltInPairs:
+    """verify_derivative passes on every (Z, Z_du) pair a problem file can
+    name, as the problem file builds it: the CLI builds only these and
+    does not audit them at run time."""
+
+    @pytest.mark.parametrize("t, varying", [
+        (3, ()), (1, ()), (2, ()),
+        (3, ("g1", "g2")), (3, ("a", "b")), (2, ("g1", "g2", "a", "b")), (1, ("a",)),
+    ])
+    def test_lotka_volterra(self, t, varying):
+        p, m = 3, 5
+        verify_derivative(built_in_pair(2 * p, m, lv_tables(p, m, t, varying)))
+
+    @pytest.mark.parametrize("with_gradient", [False, True])
+    @pytest.mark.parametrize("degree", range(6))
+    def test_polynomial(self, degree, with_gradient):
+        rng = np.random.default_rng(degree)
+        nonlinearity = {"type": "polynomial", "coeffs": rng.standard_normal(degree + 1).tolist()}
+        if with_gradient:
+            nonlinearity["eps_gradient"] = rng.standard_normal(3).tolist()
+        verify_derivative(built_in_pair(3, 4, nonlinearity))
+
+    @pytest.mark.parametrize("name", shipped_nonlinear_files())
+    def test_shipped_problem(self, name):
+        doc = load_problem(str(PROBLEMS_DIR / name))
+        verify_derivative(built_in_pair(doc.system.dim, doc.system.horizon,
+                                        doc.canonical["nonlinearity"]))
+
+    @pytest.mark.parametrize("workload", ["iterate-long", "newton-wide", "iterate-stall"])
+    def test_benchmark_block_rotation(self, workload):
+        workloads = load_workloads()
+        w = workloads.WORKLOADS[workload]
+        doc = workloads.block_rotation_problem(w.m, w.N, w.eps, w.base_seeds[0], 0)
+        verify_derivative(from_file(parse_problem(doc)))
 
 
 def peak_kib(fn):
