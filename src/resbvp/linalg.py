@@ -55,8 +55,8 @@ class RankDecision:
 
 
 def numerical_rank(M, tol: float | None = None) -> RankDecision:
-    """Rank decision of a nonempty, finite 2-d matrix M under one cutoff
-    policy.
+    """Rank decision of a finite 2-d matrix M under one cutoff policy; an
+    empty M has rank 0, identity bases and a zero pseudoinverse.
 
     With ``tol=None`` the cutoff is the standard ``max(rows, cols) * eps *
     sigma_max``. A given ``tol``, which must be >= 0 (NaN is refused too),
@@ -66,8 +66,8 @@ def numerical_rank(M, tol: float | None = None) -> RankDecision:
     problem, where every entry is roundoff, or a vanishing B0).
     """
     A = np.asarray(M, dtype=float)
-    if A.ndim != 2 or A.size == 0:
-        raise ValueError(f"expected a nonempty 2-d matrix, got shape {A.shape}")
+    if A.ndim != 2:
+        raise ValueError(f"expected a 2-d matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     if tol is not None and not tol >= 0:
@@ -76,7 +76,7 @@ def numerical_rank(M, tol: float | None = None) -> RankDecision:
         u, s, vt = np.linalg.svd(A)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"SVD did not converge for shape {A.shape}") from exc
-    smax = float(s[0])
+    smax = float(s[0]) if s.size else 0.0
     if tol is None:
         cutoff = max(A.shape) * np.finfo(float).eps * smax
     else:

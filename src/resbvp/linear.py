@@ -157,16 +157,6 @@ def transition_stack(system: OperatorSequence) -> np.ndarray:
     return U
 
 
-def evolution(system: OperatorSequence, n: int, i: int) -> np.ndarray:
-    """State-transition matrix Phi(n, i) = A_{n-1} ... A_i, Phi(n, n) = I."""
-    if not 0 <= i <= n <= system.horizon:
-        raise IndexError(f"need 0 <= i <= n <= {system.horizon}, got (n, i) = ({n}, {i})")
-    P = np.eye(system.dim)
-    for k in range(i, n):
-        P = system.matrices[k] @ P
-    return P
-
-
 def _forcing_array(system: OperatorSequence, f) -> np.ndarray:
     """f as a float array of shape (..., m, N); None is the zero forcing."""
     m, N = system.horizon, system.dim
@@ -356,17 +346,15 @@ class SolutionFamily:
         return self.cokernel_basis.shape[1]
 
     def member(self, c) -> np.ndarray:
-        """z0(., c), shape (m+1, N); a stack of coefficient vectors, shape
-        (..., r), gives the stack of members, shape (..., m+1, N), each
-        equal bit for bit to the member of its vector alone."""
+        """z0(., c), shape (m+1, N), the particular member at r = 0; a stack
+        of coefficient vectors, shape (..., r), gives the stack of members,
+        shape (..., m+1, N), each equal bit for bit to its vector's alone."""
         c = np.atleast_1d(np.asarray(c, dtype=float))
         r = self.kernel_dim
         if c.shape[-1] != r:
             raise ValueError(f"coefficient vector must have shape (..., {r})")
-        shape = c.shape[:-1] + self.particular.shape
-        if r == 0:
-            return np.broadcast_to(self.particular, shape).copy()
-        member = (c[..., None, :] @ self.kernel_basis.reshape(r, -1)).reshape(shape)
+        K = self.kernel_basis.reshape(r, self.particular.size)  # explicit: -1 fails at r = 0
+        member = (c[..., None, :] @ K).reshape(c.shape[:-1] + self.particular.shape)
         return np.add(self.particular, member, out=member)
 
 

@@ -241,15 +241,11 @@ def solve_generating(problem: NonlinearProblem, c_init=None, tol: float = 1e-10,
     generating_F call (one Z call); the centre and each line-search trial
     are single evaluations.
     """
-    r, d = problem.family.kernel_dim, problem.family.cokernel_dim
+    r = problem.family.kernel_dim
     c = np.zeros(r) if c_init is None else np.array(c_init, dtype=float)
     if c.shape != (r,):
         raise ValueError(f"c_init: expected shape ({r},) (r values, r the kernel dimension), "
                          f"got shape {c.shape}")
-    if d == 0:
-        return GeneratingRoot(c0=c, residual_norm=0.0, jacobian_rank=0,
-                              converged=True, iterations=0)
-
     F = generating_F(problem, c, at_eps=at_eps)
     norm = float(np.linalg.norm(F))
     jac_rank = 0
@@ -287,34 +283,26 @@ def assemble_B0(problem: NonlinearProblem, c0, at_eps: float = 0.0) -> np.ndarra
     kernel trajectory. By construction B0 = -dF/dc at c0. It is one product
     and no sweep: B0 = -P K^T, K the kernel basis over its first m times.
     """
-    family = problem.family
-    r, d = family.kernel_dim, family.cokernel_dim
-    if d == 0 or r == 0:
-        return np.zeros((d, r))
+    family, r = problem.family, problem.family.kernel_dim
     P = _projected_du(problem, family.member(c0), at_eps)
-    return -(P @ family.kernel_basis.reshape(r, -1)[:, :P.shape[1]].T)
+    K = family.kernel_basis.reshape(r, family.particular.size)  # explicit: -1 fails at r = 0
+    return -(P @ K[:, :P.shape[1]].T)
 
 
 def check_sufficient(B0) -> SufficiencyCheck:
     """Full-row-rank gate on B0 (in cokernel coordinates the condition
     P_{N(B0*)} P_{N(Q*)} = 0 reads: B0 has row rank d), at the rank
-    cutoff 1e-9 (1 + ||B0||_2). A (d, 0) B0 (r = 0) has row rank 0.
-
-    The one rank decision of B0 also gives B0^+, so directions the gate
-    counts as null are never inverted; it is zero when r or d is 0."""
-    B0 = np.asarray(B0, dtype=float)
-    d, r = B0.shape
-    if d == 0 or r == 0:
-        rank, coker, pinv = 0, np.eye(d), np.zeros((r, d))
-    else:
-        rd = numerical_rank(B0, 1e-9)
-        rank, coker, pinv = rd.rank, rd.cokernel, rd.pinv
+    cutoff 1e-9 (1 + ||B0||_2): a (d, 0) B0 (r = 0) has row rank 0 < d,
+    and a (0, r) one (d = 0) holds. Its one rank decision also gives B0^+,
+    so directions the gate counts as null are never inverted."""
+    rd = numerical_rank(B0, 1e-9)
+    coker, d = rd.cokernel, rd.u.shape[0]
     product_norm = float(np.linalg.norm(coker @ coker.T))  # = P_{N(B0*)} on R^d
-    holds = rank == d
+    holds = rd.rank == d
     null_dir = None if holds else coker[:, 0].copy()
-    return SufficiencyCheck(holds=holds, row_rank=rank, required_rank=d,
+    return SufficiencyCheck(holds=holds, row_rank=rd.rank, required_rank=d,
                             product_norm=product_norm, null_direction=null_dir,
-                            B0_pinv=pinv)
+                            B0_pinv=rd.pinv)
 
 
 def iterate(problem: NonlinearProblem, c0, B0_pinv, tol: float = 1e-10, max_iter: int = 200,

@@ -77,7 +77,8 @@ def _need(doc: dict, key: str, where: str):
 
 
 def _as_float_array(value, shape, where: str) -> np.ndarray:
-    """Finite float array; of the given shape unless ``shape`` is None."""
+    """Finite float array; of the given shape unless ``shape`` is None. A
+    JSON boolean is refused, not read as 0 or 1."""
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -88,14 +89,21 @@ def _as_float_array(value, shape, where: str) -> np.ndarray:
         raise ProblemFormatError(f"{where}: expected shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ProblemFormatError(f"{where}: entries must be finite")
+    # a boolean reads as 0.0 or 1.0, so only an array holding one is scanned
+    if ((arr == 0.0) | (arr == 1.0)).any():
+        cells = [value]
+        for _ in range(arr.ndim):
+            cells = chain.from_iterable(cells)
+        if bool in set(map(type, cells)):
+            raise ProblemFormatError(f"{where}: expected a number, got a boolean")
     return arr
 
 
 def _scalar(value, where: str, kind=float):
     """A finite float, or with kind=int an integral number, as ``kind``.
     A finite JSON number takes float(), the value a 0-d array would hold,
-    at a tenth of the cost or less; anything else, and every refusal, takes
-    _as_float_array."""
+    at a tenth of the cost or less; anything else (a boolean among them),
+    and every refusal, takes _as_float_array."""
     try:
         x = float(value) if type(value) in (int, float) else math.nan
     except OverflowError:  # an integer past the largest double

@@ -16,6 +16,14 @@ PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
+def phi_product(A: OperatorSequence, n, i):
+    """Independent oracle: explicit ordered product A_{n-1} ... A_i."""
+    P = np.eye(A.dim)
+    for k in range(i, n):
+        P = A.matrices[k] @ P
+    return P
+
+
 def rotation_benchmark(epsilon=0.0, m=6, pairs=1):
     """Fully resonant rotation system over one full turn, periodic BC,
     Lotka-Volterra nonlinearity; the forcing is corrected so the periodic

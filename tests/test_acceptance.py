@@ -32,7 +32,6 @@ from resbvp.linear import (
     QUASISOLUTION,
     LinearBVP,
     OperatorSequence,
-    evolution,
     particular_forced,
     residuals,
 )
@@ -45,7 +44,7 @@ from resbvp.nonlinear import (
     solve_generating,
 )
 
-from conftest import GOLDEN_DIR, PROBLEMS_DIR, rotation_benchmark
+from conftest import GOLDEN_DIR, PROBLEMS_DIR, phi_product, rotation_benchmark
 from test_nonlinear import brute_force_F
 
 
@@ -139,7 +138,7 @@ def test_criterion_2_linear_bvp_oracle_equivalence():
             # least-squares optimality: beat or tie exact random trajectories
             ours = residuals(system, l, f, family.particular)[1]
             g = particular_forced(system, f)
-            U = np.array([evolution(system, n, 0) for n in range(m + 1)])
+            U = np.array([phi_product(system, n, 0) for n in range(m + 1)])
             Z = np.einsum("nij,kj->kni", U, rng.standard_normal((100, N))) + g
             assert ours <= residuals(system, l, f, Z)[1].min() + 1e-8
     elapsed = time.perf_counter() - started

@@ -43,9 +43,21 @@ class TestNumericalRank:
         with pytest.raises(ValueError):
             numerical_rank(np.array([[1.0, np.nan]]))
 
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            numerical_rank(np.zeros((0, 3)))
+    def test_empty_matrix_is_rank_zero(self):
+        # the non-critical shapes r = 0 or d = 0: sigma_max is 0, so the
+        # cutoff is tol (1 + 0), the bases are identities and M^+ is zero
+        for d, r in [(0, 3), (2, 0), (0, 0)]:
+            rd = numerical_rank(np.zeros((d, r)), tol=1e-9)
+            assert rd.rank == 0 and rd.tolerance == 1e-9
+            assert np.array_equal(rd.kernel, np.eye(r))
+            assert np.array_equal(rd.cokernel, np.eye(d))
+            assert rd.pinv.shape == (r, d) and not rd.pinv.any()
+            assert numerical_rank(np.zeros((d, r))).tolerance == 0.0
+
+    def test_rejects_non_2d(self):
+        for shape in [(3,), (0,), (1, 2, 2)]:
+            with pytest.raises(ValueError, match="2-d"):
+                numerical_rank(np.zeros(shape))
 
     @pytest.mark.parametrize("tol", [-1, -1e-300, float("nan")])
     def test_rejects_negative_or_nan_tolerance(self, tol):

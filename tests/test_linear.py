@@ -13,7 +13,6 @@ from resbvp.linear import (
     LinearBVP,
     OperatorSequence,
     classify,
-    evolution,
     particular_forced,
     particular_forced_scan,
     recurrence_defect,
@@ -23,21 +22,13 @@ from resbvp.linear import (
 
 from resbvp.problem_io import rotation_matrix
 
-from conftest import rotation_benchmark, varying_rotation_system
+from conftest import phi_product, rotation_benchmark, varying_rotation_system
 
 FIB = np.array([[1.0, 1.0], [1.0, 0.0]])
 
 
 def random_system(rng, m, N, scale=1.0):
     return OperatorSequence(scale * rng.standard_normal((m, N, N)))
-
-
-def phi_product(A: OperatorSequence, n, i):
-    """Independent oracle: explicit ordered product A_{n-1} ... A_i."""
-    P = np.eye(A.dim)
-    for k in range(i, n):
-        P = A.matrices[k] @ P
-    return P
 
 
 def allocating_scan(system: OperatorSequence, f):
@@ -65,38 +56,7 @@ def allocating_scan(system: OperatorSequence, f):
 
 
 class TestEvolution:
-    def test_identity_at_equal_indices(self):
-        A = random_system(np.random.default_rng(0), 6, 3)
-        for k in (0, 3, 6):
-            assert np.array_equal(evolution(A, k, k), np.eye(3))
-
-    def test_single_step(self):
-        A = random_system(np.random.default_rng(1), 4, 2)
-        assert np.array_equal(evolution(A, 1, 0), A.matrices[0])
-
-    def test_fibonacci_powers(self):
-        A = OperatorSequence.constant(FIB, 8)
-        expected = np.eye(2)
-        for n in range(9):
-            assert np.allclose(evolution(A, n, 0), expected)
-            expected = FIB @ expected
-
-    def test_out_of_window(self):
-        A = random_system(np.random.default_rng(2), 4, 2)
-        with pytest.raises(IndexError):
-            evolution(A, 2, 3)
-        with pytest.raises(IndexError):
-            evolution(A, 5, 0)
-
-    def test_cocycle(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            m, N = int(rng.integers(2, 13)), int(rng.integers(1, 9))
-            A = random_system(rng, m, N)
-            i, k, n = sorted(rng.integers(0, m + 1, size=3))
-            lhs = evolution(A, n, i)
-            rhs = evolution(A, n, k) @ evolution(A, k, i)
-            assert np.linalg.norm(lhs - rhs) <= 1e-12 * (1 + np.linalg.norm(lhs))
+    """transition_stack against the explicit ordered products Phi(n, i)."""
 
     def test_invertible_factorization(self):
         # Phi(n, i) = U(n) U(i)^{-1} when every step matrix is invertible
@@ -105,9 +65,9 @@ class TestEvolution:
         A = OperatorSequence(np.eye(N) + 0.3 * rng.standard_normal((m, N, N)))
         U = transition_stack(A)
         for i, n in [(0, 3), (2, 6), (1, 7)]:
-            expected = U[n] @ np.linalg.inv(U[i])
-            got = evolution(A, n, i)
-            assert np.linalg.norm(got - expected) <= 1e-10 * (1 + np.linalg.norm(got))
+            got = U[n] @ np.linalg.inv(U[i])
+            expected = phi_product(A, n, i)
+            assert np.linalg.norm(got - expected) <= 1e-10 * (1 + np.linalg.norm(expected))
 
 
 class TestParticularForced:
@@ -579,7 +539,7 @@ class TestSolveFamily:
         r = int(case[-1])
         assert K.shape == (r, m + 1, N) and K.flags.c_contiguous
         for j in range(r):
-            expected = np.array([evolution(system, n, 0) @ bvp.rd.kernel[:, j]
+            expected = np.array([phi_product(system, n, 0) @ bvp.rd.kernel[:, j]
                                  for n in range(m + 1)])
             assert np.allclose(K[j], expected, rtol=0, atol=1e-14)
 

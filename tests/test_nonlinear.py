@@ -848,6 +848,26 @@ def overflowing_B0_problem():
                          "a": 1.0, "b": 1.0}}))
 
 
+NO_COKERNEL_DOCS = {
+    # non-resonant: Q = Phi(8, 0) - I is invertible, r = d = 0
+    "r0_d0": {"dim": 2, "horizon": 4,
+              "system": {"type": "constant", "matrix": [[0.5, 0.1], [0.0, 0.8]]},
+              "forcing": [[0.1, 0.2], [0.0, -0.1], [0.3, 0.0], [-0.2, 0.1]],
+              "boundary": {"type": "periodic"},
+              "nonlinearity": {"type": "lotka_volterra", "g1": 1.0, "g2": 1.0,
+                               "a": 1.0, "b": 1.0},
+              "epsilon": 1e-2},
+    # one condition x(0) = 1 on a rotation: Q = [1, 0], r = 1, d = 0
+    "r1_d0": {"dim": 2, "horizon": 8, "system": {"type": "rotation", "theta": 0.25},
+              "forcing": "zero",
+              "boundary": {"type": "generic", "target": [1.0],
+                           "samples": [{"point": 0, "weights": [[1.0, 0.0]]}]},
+              "nonlinearity": {"type": "lotka_volterra", "g1": 1.0, "g2": 1.0,
+                               "a": 1.0, "b": 1.0},
+              "epsilon": 1e-2},
+}
+
+
 class TestSolve:
     """nonlinear.solve: root, gate and iteration under a problem file's
     tolerances and solver dicts, each field past the stage that stopped it
@@ -886,6 +906,26 @@ class TestSolve:
         assert sol.trace.converged and sol.gate.holds
         assert np.array_equal(sol.root.c0, root.c0)
         assert np.array_equal(sol.z, z) and sol.trace.records == trace.records
+
+    @pytest.mark.parametrize("case", ["r0_d0", "r1_d0"])
+    def test_no_cokernel_takes_the_general_path(self, case):
+        # d = 0: F is empty, so the root is c_init after 0 Newton steps; B0
+        # is (0, r) and the gate holds with row rank 0 = d
+        doc = parse_problem(NO_COKERNEL_DOCS[case])
+        p = from_file(doc)
+        r = p.family.kernel_dim
+        assert (r, p.family.cokernel_dim) == (int(case[1]), 0)
+        solver = {**doc.solver, "c_init": [0.3] * r}
+        sol = nonlinear.solve(p, doc.tolerances, solver)
+        assert sol.root.converged and sol.root.iterations == 0 and sol.root.residual_norm == 0.0
+        assert np.array_equal(sol.root.c0, solver["c_init"])
+        assert assemble_B0(p, sol.root.c0).shape == (0, r)
+        assert sol.gate.holds and sol.gate.row_rank == 0 and sol.gate.B0_pinv.shape == (r, 0)
+        assert sol.trace.converged and sol.trace.iterations > 0
+        m, Z = doc.system.horizon, doc.nonlinearity[0]
+        rec, bc = residuals(doc.system, doc.boundary, doc.forcing, sol.z,
+                            doc.epsilon * Z(sol.z[:m], np.arange(m), doc.epsilon))
+        assert rec <= 1e-8 and bc <= 1e-8
 
     def test_non_finite_B0_raises(self):
         p = overflowing_B0_problem()

@@ -258,6 +258,34 @@ class TestDefaultsAndCanonical:
         path.write_text(json.dumps(doc))  # a NaN is written as the bare token NaN
         assert cli.main(["solve-linear", str(path), "-o", str(tmp_path / "out")]) == 64
 
+    @pytest.mark.parametrize("overrides,field", [
+        ({"epsilon": True}, "epsilon"),
+        ({"dim": True}, "dim"),
+        ({"solver": {"max_iter": True}}, "solver.max_iter"),
+        ({"tolerances": {"rank": True}}, "tolerances.rank"),
+        ({"solver": {"c_init": [True, False]}}, "solver.c_init"),
+        ({"forcing": [[0.5, 0.25]] * 3 + [[0.5, False]]}, "forcing"),
+        ({"dim": 2, "system": {"type": "rotation", "theta": False}}, "system.theta"),
+        ({"system": {"type": "constant", "matrix": [[1.0, 0.0], [True, 1.0]]}}, "system.matrix"),
+    ])
+    def test_boolean_is_not_a_number(self, tmp_path, capsys, overrides, field):
+        # a JSON true or false is refused where a number is expected, not read as 1 or 0
+        doc = minimal_doc(**overrides)
+        with pytest.raises(ProblemFormatError,
+                           match=f"^{field}: expected a number, got a boolean"):
+            parse_problem(doc)
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["solve-linear", str(path), "-o", str(tmp_path / "out")]) == 64
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+
+    def test_numbers_equal_to_a_boolean_are_kept(self):
+        doc = parse_problem(minimal_doc(forcing=[[0, 1]] * 4, epsilon=1,
+                                        solver={"c_init": [1, 0.0]}))
+        assert np.array_equal(doc.forcing, [[0.0, 1.0]] * 4) and doc.epsilon == 1.0
+        assert doc.solver["c_init"] == [1.0, 0.0]
+
     @pytest.mark.parametrize("boundary,field", [
         ({"type": "multipoint", "groups": 5, "targets": [0.0]}, "boundary.groups"),
         ({"type": "multipoint", "groups": [{"components": 0, "points": [0]}],
