@@ -14,11 +14,12 @@ recurrence and g(n) = sum_{i<n} Phi(n, i+1) f(i) solves the forced one
 from g(0) = 0.
 
 The forced recurrence has two sweeps. particular_forced_scan sweeps a
-stack in ceil(log2 m) levels over the doubling hops each OperatorSequence
-builds on first use, in place in a time-major output of which it returns
-a view; the fixed-point iteration's Green operator uses it. particular_forced,
-used by the bifurcation function F and the linear solve, scans long windows
-with small stacks too and steps through any other: F's finite-difference
+stack over a time_invariant system in ceil(log2 m) levels over the hops
+A_0^(2^l), in place in a time-major output of which it returns a view,
+and steps through a time-varying one; the fixed-point iteration's Green
+operator uses it. particular_forced, used by the bifurcation function F
+and the linear solve, scans a time-invariant system's long windows with
+small stacks too and steps through any other: F's finite-difference
 Jacobian amplifies roundoff about a millionfold, so the short windows of
 the shipped problems keep the stepped bits.
 
@@ -69,13 +70,12 @@ class OperatorSequence:
     matrices has shape (m, N, N); step n maps z(n) to the A_n z(n) part of
     z(n+1). Trajectories over the window have m+1 states.
 
-    hops[l], for l = 0, ..., ceil(log2 m)-1, holds the transitions
-    Phi(j+1, j+1-2^l) for j = 2^l, ..., m-1: the doubling steps of
-    particular_forced_scan, built on first use. The system is time_invariant
-    when every A_n equals A_0 bit for bit; then these transitions are all
-    A_0^(2^l), and hops[l] is that one matrix, shape (N, N). Otherwise
-    hops[l] has shape (m-2^l, N, N), one per j, about m N^2 log2 m doubles
-    in all. Both arrays are read-only, so the hops cannot go stale.
+    The system is time_invariant when every A_n equals A_0 bit for bit;
+    then hops[l] = A_0^(2^l), l < ceil(log2 m), are particular_forced_scan's
+    doubling steps, built on first use, each squared from the one before,
+    read-only (so never stale) and in Fortran order, so that the scan's
+    hop.T is C-contiguous, which BLAS multiplies by faster than by a
+    transposed view. A time-varying system is never scanned: its hops are ().
     """
 
     matrices: np.ndarray
@@ -91,13 +91,23 @@ class OperatorSequence:
             raise ValueError("system matrices must have finite entries")
         A.flags.writeable = False
         object.__setattr__(self, "matrices", A)
-        # bitwise, so that a -0.0 where A_0 has 0.0 keeps the per-time hops
+        # bitwise, so that a -0.0 where A_0 has 0.0 makes the system time-varying
         invariant = bool((A.view(np.uint64) == A[0].view(np.uint64)).all())
         object.__setattr__(self, "time_invariant", invariant)
 
     @functools.cached_property
     def hops(self) -> tuple:
-        return _doubling_hops(self.matrices, self.time_invariant)
+        if not self.time_invariant:
+            return ()
+        T, hops, s = self.matrices[0], [], 1
+        while s < self.horizon:
+            hop = np.asfortranarray(T)
+            hop.flags.writeable = False
+            hops.append(hop)
+            if 2 * s < self.horizon:  # compose no level past the last one kept
+                T = T @ T
+            s *= 2
+        return tuple(hops)
 
     @property
     def dim(self) -> int:
@@ -115,31 +125,6 @@ class OperatorSequence:
     @classmethod
     def identity(cls, dim: int, m: int) -> "OperatorSequence":
         return cls.constant(np.eye(dim), m)
-
-
-def _doubling_hops(A: np.ndarray, invariant: bool) -> tuple:
-    """hops[l] for s = 2^l < m. A time-varying system keeps T[s:], where
-    T[j] = Phi(j+1, j+1-s): T starts as A_j = Phi(j+1, j) and each level
-    composes T[j] with T[j-s]. A time-invariant one keeps T = A_0^s, squared
-    from level to level: the composition of two equal hops, so the same
-    product, bit for bit, as every kept entry of the per-time T. It is
-    stored in Fortran order, so that the scan's hop.T is C-contiguous,
-    which BLAS multiplies by faster than by a transposed view."""
-    m = A.shape[0]
-    T = A[0] if invariant else A.copy()
-    hops = []
-    s = 1
-    while s < m:
-        hop = np.asfortranarray(T) if invariant else T[s:].copy()
-        hop.flags.writeable = False
-        hops.append(hop)
-        if 2 * s < m:  # compose no level past the last one kept
-            if invariant:
-                T = T @ T
-            else:
-                T[s:] = T[s:] @ T[:-s]
-        s *= 2
-    return tuple(hops)
 
 
 def transition_stack(system: OperatorSequence) -> np.ndarray:
@@ -168,21 +153,20 @@ def _forcing_array(system: OperatorSequence, f) -> np.ndarray:
     return f
 
 
-# particular_forced scans a stack of k forcings over a window of more than
-# _SCAN_MIN_HORIZON steps when N <= _SCAN_MAX_DIM and k N^2 <= _SCAN_MAX_WORK.
-# Past those the scan's ceil(log2 m) passes over m k N^2 work lose to the
-# loop (measured at m = 65 to 4000); shorter windows keep the loop's bits,
-# whose roundoff Newton's finite-difference root amplifies.
+# particular_forced scans a stack of k forcings over a time_invariant
+# system's window of more than _SCAN_MIN_HORIZON steps when k N^2 <=
+# _SCAN_MAX_WORK. Past that the scan's ceil(log2 m) passes over m k N^2
+# work lose to the loop; shorter windows keep the loop's bits, whose
+# roundoff Newton's finite-difference root amplifies.
 _SCAN_MIN_HORIZON = 64
-_SCAN_MAX_DIM = 16
 _SCAN_MAX_WORK = 1024
 
 
 def particular_forced(system: OperatorSequence, f) -> np.ndarray:
     """The unique solution of g(n+1) = A_n g(n) + f(n) with g(0) = 0.
 
-    f has shape (..., m, N) and g has shape (..., m+1, N). A stack of k
-    forcings over a window of m > 64 steps, with N <= 16 and k N^2 <= 1024,
+    f has shape (..., m, N) and g has shape (..., m+1, N). A time_invariant
+    system's stack of k forcings over m > 64 steps, with k N^2 <= 1024,
     goes through particular_forced_scan, flattened to (k, m, N). Any other
     is swept step by step, one (N, N) @ (N, 1) product per stacked
     forcing, so that every slice equals the sweep of its forcing alone bit
@@ -191,7 +175,7 @@ def particular_forced(system: OperatorSequence, f) -> np.ndarray:
     f = _forcing_array(system, f)
     m, N = system.horizon, system.dim
     k = f.size // (m * N)
-    if m > _SCAN_MIN_HORIZON and N <= _SCAN_MAX_DIM and k * N * N <= _SCAN_MAX_WORK:
+    if system.time_invariant and m > _SCAN_MIN_HORIZON and k * N * N <= _SCAN_MAX_WORK:
         g = particular_forced_scan(system, f.reshape(-1, m, N))
         return g.reshape(f.shape[:-2] + (m + 1, N))
     # Time-major (m, ..., N, 1), stepping over views made once: each step
@@ -209,56 +193,43 @@ def particular_forced(system: OperatorSequence, f) -> np.ndarray:
 
 def particular_forced_scan(system: OperatorSequence, f) -> np.ndarray:
     """particular_forced of a stack of k forcings, shape (k, m, N), by a
-    Hillis-Steele scan; returns shape (k, m+1, N), a view of the time-major
-    array that the scan ran in.
+    Hillis-Steele scan; returns shape (k, m+1, N). A time-varying system
+    is handed to particular_forced, which steps through it.
 
-    Over v[j] = g(j+1), level l adds Phi(j+1, j+1-2^l) v[j-2^l] to v[j],
-    ceil(log2 m) levels in all. The forcings are copied once, into the
-    output, and every level runs there in place: its product is written
-    into one buffer, then added. On a time_invariant system a level is one
-    2-D (m-2^l) k x N by N x N product over an (m+1, k, N) output, which
-    a time-major forcing view, an (m, k, N) array transposed, fills by a
-    contiguous copy; otherwise it is an (N, N) @ (N, k) product per time
-    over an (m+1, N, k) output.
+    Over v[j] = g(j+1), level l adds A_0^(2^l) v[j-2^l] to v[j],
+    ceil(log2 m) levels in all, each one 2-D (m-2^l) k x N by N x N
+    product written into one buffer, then added in place. The forcings are
+    copied once, into an (m+1, k, N) output of which a view is returned (a
+    contiguous copy from a time-major forcing, an (m, k, N) array transposed).
 
     It matches the step-by-step sweep to roundoff, not bit for bit, and
     the scan with a fresh array per level bit for bit. iterate calls it on
     every window, with the one forcing phi of each round, and
     particular_forced on long ones. On the short windows of the shipped
     problems it would move generating_F's finite-difference root of
-    rotation_lv.json 2.3e-12, past the 1e-12 golden tolerance.
+    rotation_lv.json 5.8e-12 in c0[1], and its solution.csv 7.2e-12, past
+    the 1e-12 golden tolerance.
     """
     m, N = system.horizon, system.dim
     f = np.asarray(f, dtype=float)
     if f.ndim != 3 or f.shape[1:] != (m, N):
         raise ValueError(f"forcing stack must have shape (k, {m}, {N}), got {f.shape}")
+    if not system.time_invariant:
+        return particular_forced(system, f)
     k = f.shape[0]
-    if system.time_invariant:
-        # (m+1, k, N) puts each level in one 2-D product, v[j-s] lying s*k rows back
-        g = np.empty((m + 1, k, N))
-        g[0] = 0.0
-        g[1:] = f.swapaxes(0, 1)
-        v = g[1:].reshape(m * k, N)
-        product = np.empty(((m - 1) * k, N))
-        s = 1
-        for hop in system.hops:
-            rows = (m - s) * k
-            np.matmul(v[:rows], hop.T, out=product[:rows])
-            v[s * k:] += product[:rows]
-            s *= 2
-        return g.swapaxes(0, 1)
-    # (m+1, N, k) puts each level in one (N, N) @ (N, k) matmul per time
-    g = np.empty((m + 1, N, k))
+    # (m+1, k, N) puts each level in one 2-D product, v[j-s] lying s*k rows back
+    g = np.empty((m + 1, k, N))
     g[0] = 0.0
-    g[1:] = f.transpose(1, 2, 0)
-    v = g[1:]
-    product = np.empty((m - 1, N, k))
+    g[1:] = f.swapaxes(0, 1)
+    v = g[1:].reshape(m * k, N)
+    product = np.empty(((m - 1) * k, N))
     s = 1
     for hop in system.hops:
-        np.matmul(hop, v[:-s], out=product[:m - s])
-        v[s:] += product[:m - s]
+        rows = (m - s) * k
+        np.matmul(v[:rows], hop.T, out=product[:rows])
+        v[s * k:] += product[:rows]
         s *= 2
-    return g.transpose(2, 0, 1)
+    return g.swapaxes(0, 1)
 
 
 @dataclass(frozen=True)

@@ -196,13 +196,13 @@ def generating_F(problem: NonlinearProblem, c, at_eps: float = 0.0) -> np.ndarra
 
     ``c`` may also be a stack of coefficient vectors, shape (k, r), giving
     F of shape (k, d) from one stacked member, one Z call, one
-    particular_forced sweep, one boundary map and one projection. On a
-    window of m <= 64 steps, or past the scan's stack bound (N > 16 or
-    k N^2 > 1024), that sweep steps through the window and every row
+    particular_forced sweep, one boundary map and one projection. That
+    sweep steps through a time-varying system, a window of m <= 64 steps
+    and a stack past the scan's bound (k N^2 > 1024), and there every row
     equals the single evaluation at its vector bit for bit, as Z's rows do
-    (lv_callables sums each member in its own 2-D product); on a longer
-    window with a small stack the sweep is the doubling scan, and rows
-    agree with single evaluations to roundoff.
+    (lv_callables sums each member in its own 2-D product); elsewhere it
+    is the doubling scan, and rows agree with single evaluations to
+    roundoff.
     """
     family, bvp = problem.family, problem.family.bvp
     g = particular_forced(bvp.system, _along(problem.Z, family.member(c), at_eps))

@@ -78,13 +78,17 @@ def _need(doc: dict, key: str, where: str):
 
 def _as_float_array(value, shape, where: str) -> np.ndarray:
     """Finite float array; of the given shape unless ``shape`` is None. A
-    JSON boolean is refused, not read as 0 or 1."""
+    JSON boolean or string is refused, not read as 0 or 1 or parsed."""
     try:
-        arr = np.asarray(value, dtype=float)
+        arr = np.asarray(value)  # no dtype: a string cell gives kind U (O past int64)
+        text = arr.dtype.kind in "US" or arr.dtype.kind == "O" and str in set(map(type, arr.flat))
+        arr = arr if text else arr.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise ProblemFormatError(f"{where}: not a numeric array") from exc
     except OverflowError as exc:  # a JSON integer past the largest double
         raise ProblemFormatError(f"{where}: {exc}") from exc
+    if text:
+        raise ProblemFormatError(f"{where}: expected a number, got a string")
     if shape is not None and arr.shape != shape:
         raise ProblemFormatError(f"{where}: expected shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):

@@ -53,6 +53,24 @@ def varying_rotation_system(m):
                                       np.stack([sin, cos], -1)], -2))
 
 
+def varying_block_doc(m, eps):
+    """Problem-file dict of varying_rotation_system(m) as a block system
+    with per-time tables, periodic boundary, uniform Lotka-Volterra
+    nonlinearity and c_init 0.5; the forcing is 0.3 times a standard normal
+    draw from seed 0, corrected in its last step so that g(m) = 0 (r = d =
+    2)."""
+    A = varying_rotation_system(m)
+    f = 0.3 * np.random.default_rng(0).standard_normal((m, 2))
+    f[m - 1] -= particular_forced(A, f)[m]
+    table = {name: A.matrices[:, i, j, None].tolist()
+             for name, (i, j) in zip("abcd", [(0, 0), (0, 1), (1, 0), (1, 1)])}
+    return {"dim": 2, "horizon": m, "system": {"type": "block", **table},
+            "forcing": f.tolist(), "boundary": {"type": "periodic"},
+            "nonlinearity": {"type": "lotka_volterra", "g1": 1.0, "g2": 1.0,
+                             "a": 1.0, "b": 1.0},
+            "epsilon": eps, "solver": {"c_init": [0.5, 0.5]}}
+
+
 def block_rotation_doc(m, N, eps, base_seed, seed=0):
     """Problem-file dict of the benchmark's block rotation: N/2 copies of the
     2x2 rotation by 2 pi / m, periodic boundary, uniform Lotka-Volterra

@@ -40,6 +40,7 @@ from conftest import (
     block_rotation_doc,
     load_problem_doc,
     rotation_benchmark,
+    varying_block_doc,
     varying_rotation_system,
 )
 
@@ -636,6 +637,7 @@ ROUND_CASES = {
     "invariant_m24_N32": lambda: block_rotation(24, 32, 1e-4, 0),
     "stalling_m600_N2": lambda: block_rotation(600, 2, 1e-3, 0),
     "varying_m120_N2": lambda: varying_rotation(120, 1e-3),
+    "varying_block_m80_N2": lambda: from_file(parse_problem(varying_block_doc(80, 1e-4))),
     "no_kernel_forced": no_kernel_square,
 }
 
@@ -649,6 +651,8 @@ class TestRoundMatchesReference:
         c0 = solve_generating(p, [0.5] * r).c0 if r else np.zeros(0)
         B0_pinv = check_sufficient(assemble_B0(p, c0)).B0_pinv
         z, trace = iterate(p, c0, B0_pinv)
+        system = family.bvp.system
+        assert system.time_invariant or system.hops == ()  # a time-varying one is stepped
         z_ref, records, deltas, iterations, reason = reference_iterate(p, c0, B0_pinv)
         assert (trace.iterations, trace.reason) == (iterations, reason)
         assert np.abs(z - z_ref).max() <= 1e-12
@@ -660,6 +664,7 @@ class TestRoundMatchesReference:
     def test_cases_cover_each_branch(self):
         assert ROUND_CASES["invariant_m600_N2"]().family.bvp.system.time_invariant
         assert not ROUND_CASES["varying_m120_N2"]().family.bvp.system.time_invariant
+        assert not ROUND_CASES["varying_block_m80_N2"]().family.bvp.system.time_invariant
         p = no_kernel_square()
         family = p.family
         assert family.kernel_dim == 0 and family.cokernel_dim == 1

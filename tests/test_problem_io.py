@@ -280,6 +280,27 @@ class TestDefaultsAndCanonical:
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("overrides,field", [
+        ({"epsilon": "0.001"}, "epsilon"),
+        ({"dim": 2, "system": {"type": "rotation", "theta": "1.0471975511965976"}},
+         "system.theta"),
+        ({"forcing": [[0.5, 0.25]] * 3 + [[0.5, "0.25"]]}, "forcing"),
+        ({"forcing": [[2 ** 70, "0.25"]] + [[0.5, 0.25]] * 3}, "forcing"),  # kind O
+        ({"solver": {"c_init": ["0.5", 0.5]}}, "solver.c_init"),
+        ({"tolerances": {"rank": "1e-10"}}, "tolerances.rank"),
+    ])
+    def test_string_is_not_a_number(self, tmp_path, capsys, overrides, field):
+        # a JSON string of digits is refused where a number is expected, not parsed
+        doc = minimal_doc(**overrides)
+        with pytest.raises(ProblemFormatError,
+                           match=f"^{field}: expected a number, got a string"):
+            parse_problem(doc)
+        path = tmp_path / "str.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["solve-linear", str(path), "-o", str(tmp_path / "out")]) == 64
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+
     def test_numbers_equal_to_a_boolean_are_kept(self):
         doc = parse_problem(minimal_doc(forcing=[[0, 1]] * 4, epsilon=1,
                                         solver={"c_init": [1, 0.0]}))
