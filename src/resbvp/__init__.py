@@ -22,7 +22,6 @@ from .linear import (
     SolvabilityReport,
     classify,
     particular_forced,
-    particular_forced_scan,
     residuals,
     transition_stack,
 )

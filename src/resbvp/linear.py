@@ -13,15 +13,12 @@ the unique choice under which z(n) = Phi(n, i) z(i) for the homogeneous
 recurrence and g(n) = sum_{i<n} Phi(n, i+1) f(i) solves the forced one
 from g(0) = 0.
 
-The forced recurrence has two sweeps. particular_forced_scan sweeps a
-stack over a time_invariant system in ceil(log2 m) levels over the hops
-A_0^(2^l), in place in a time-major output of which it returns a view,
-and steps through a time-varying one; the fixed-point iteration's Green
-operator uses it. particular_forced, used by the bifurcation function F
-and the linear solve, scans a time-invariant system's long windows with
-small stacks too and steps through any other: F's finite-difference
-Jacobian amplifies roundoff about a millionfold, so the short windows of
-the shipped problems keep the stepped bits.
+The forced recurrence has one sweep, particular_forced, which F, the
+linear solve and the fixed-point iteration's Green operator all use. It
+scans a time_invariant system's long windows with small stacks in
+ceil(log2 m) levels over the hops A_0^(2^l), and steps through any other:
+F's finite-difference Jacobian amplifies roundoff about a millionfold, so
+the short windows of the shipped problems keep the stepped bits.
 
 LinearBVP.psi, the forcing-to-boundary map projected onto the cokernel, is
 built once, from the transition stack if the system is time-invariant and by
@@ -52,7 +49,6 @@ __all__ = [
     "LinearBVP",
     "transition_stack",
     "particular_forced",
-    "particular_forced_scan",
     "classify",
     "recurrence_defect",
     "residuals",
@@ -71,8 +67,8 @@ class OperatorSequence:
     z(n+1). Trajectories over the window have m+1 states.
 
     The system is time_invariant when every A_n equals A_0 bit for bit;
-    then hops[l] = A_0^(2^l), l < ceil(log2 m), are particular_forced_scan's
-    doubling steps, built on first use, each squared from the one before,
+    then hops[l] = A_0^(2^l), l < ceil(log2 m), are the doubling
+    scan's steps, built on first use, each squared from the one before,
     read-only (so never stale) and in Fortran order, so that the scan's
     hop.T is C-contiguous, which BLAS multiplies by faster than by a
     transposed view. A time-varying system is never scanned: its hops are ().
@@ -153,11 +149,8 @@ def _forcing_array(system: OperatorSequence, f) -> np.ndarray:
     return f
 
 
-# particular_forced scans a stack of k forcings over a time_invariant
-# system's window of more than _SCAN_MIN_HORIZON steps when k N^2 <=
-# _SCAN_MAX_WORK. Past that the scan's ceil(log2 m) passes over m k N^2
-# work lose to the loop; shorter windows keep the loop's bits, whose
-# roundoff Newton's finite-difference root amplifies.
+# Past k N^2 = _SCAN_MAX_WORK the scan's ceil(log2 m) passes over m k N^2 work lose to
+# the loop; windows of at most _SCAN_MIN_HORIZON steps keep the loop's bits for Newton.
 _SCAN_MIN_HORIZON = 64
 _SCAN_MAX_WORK = 1024
 
@@ -167,34 +160,33 @@ def particular_forced(system: OperatorSequence, f) -> np.ndarray:
 
     f has shape (..., m, N) and g has shape (..., m+1, N). A time_invariant
     system's stack of k forcings over m > 64 steps, with k N^2 <= 1024,
-    goes through particular_forced_scan, flattened to (k, m, N). Any other
-    is swept step by step, one (N, N) @ (N, 1) product per stacked
+    goes through the doubling scan _scan, flattened to (k, m, N). Any
+    other is swept step by step, one (N, N) @ (N, 1) product per stacked
     forcing, so that every slice equals the sweep of its forcing alone bit
     for bit, as every shipped problem's generating root needs.
     """
     f = _forcing_array(system, f)
-    m, N = system.horizon, system.dim
-    k = f.size // (m * N)
+    m, N, k = system.horizon, system.dim, math.prod(f.shape[:-2])
     if system.time_invariant and m > _SCAN_MIN_HORIZON and k * N * N <= _SCAN_MAX_WORK:
-        g = particular_forced_scan(system, f.reshape(-1, m, N))
-        return g.reshape(f.shape[:-2] + (m + 1, N))
+        return _scan(system, f.reshape(-1, m, N)).reshape(f.shape[:-2] + (m + 1, N))
     # Time-major (m, ..., N, 1), stepping over views made once: each step
-    # is one matmul into a contiguous block and one add in place, with no
-    # temporary, and rounds as a plain g[n+1] = A_n g[n] + f[n].
+    # is one product into a contiguous block and one add in place, with no
+    # temporary, and rounds as a plain g[n+1] = A_n g[n] + f[n]. A single
+    # forcing steps by np.dot, np.matmul's bits at half its dispatch.
     # swapaxes(0, -2) is its own inverse for any number of leading axes.
     ft = f.swapaxes(0, -2)[..., None]
     g = np.zeros((m + 1,) + ft.shape[1:])
     gv = list(g)
+    step = np.dot if f.ndim == 2 else np.matmul
     for A, f_n, g_n, g_next in zip(system.matrices, ft, gv, gv[1:]):
-        np.matmul(A, g_n, out=g_next)
+        step(A, g_n, out=g_next)
         g_next += f_n
     return g[..., 0].swapaxes(0, -2)
 
 
-def particular_forced_scan(system: OperatorSequence, f) -> np.ndarray:
-    """particular_forced of a stack of k forcings, shape (k, m, N), by a
-    Hillis-Steele scan; returns shape (k, m+1, N). A time-varying system
-    is handed to particular_forced, which steps through it.
+def _scan(system: OperatorSequence, f: np.ndarray) -> np.ndarray:
+    """particular_forced of a stack of k forcings, shape (k, m, N), over a
+    time_invariant system, by a Hillis-Steele scan; returns (k, m+1, N).
 
     Over v[j] = g(j+1), level l adds A_0^(2^l) v[j-2^l] to v[j],
     ceil(log2 m) levels in all, each one 2-D (m-2^l) k x N by N x N
@@ -203,20 +195,12 @@ def particular_forced_scan(system: OperatorSequence, f) -> np.ndarray:
     contiguous copy from a time-major forcing, an (m, k, N) array transposed).
 
     It matches the step-by-step sweep to roundoff, not bit for bit, and
-    the scan with a fresh array per level bit for bit. iterate calls it on
-    every window, with the one forcing phi of each round, and
-    particular_forced on long ones. On the short windows of the shipped
-    problems it would move generating_F's finite-difference root of
-    rotation_lv.json 5.8e-12 in c0[1], and its solution.csv 7.2e-12, past
-    the 1e-12 golden tolerance.
+    the scan with a fresh array per level bit for bit. On the short windows
+    of the shipped problems it would move generating_F's finite-difference
+    root of rotation_lv.json 5.8e-12 in c0[1], and its solution.csv
+    7.2e-12, past the 1e-12 golden tolerance.
     """
-    m, N = system.horizon, system.dim
-    f = np.asarray(f, dtype=float)
-    if f.ndim != 3 or f.shape[1:] != (m, N):
-        raise ValueError(f"forcing stack must have shape (k, {m}, {N}), got {f.shape}")
-    if not system.time_invariant:
-        return particular_forced(system, f)
-    k = f.shape[0]
+    m, N, k = system.horizon, system.dim, f.shape[0]
     # (m+1, k, N) puts each level in one 2-D product, v[j-s] lying s*k rows back
     g = np.empty((m + 1, k, N))
     g[0] = 0.0
@@ -308,6 +292,11 @@ class SolutionFamily:
         return self.kernel_basis.shape[0]
 
     @property
+    def kernel_rows(self) -> np.ndarray:
+        """kernel_basis as an (r, (m+1) N) view; an explicit r, as -1 fails at r = 0."""
+        return self.kernel_basis.reshape(self.kernel_dim, self.particular.size)
+
+    @property
     def cokernel_basis(self) -> np.ndarray:
         """Orthonormal basis of N(Q*), shape (q, d), from bvp's rank decision."""
         return self.bvp.rd.cokernel
@@ -324,8 +313,7 @@ class SolutionFamily:
         r = self.kernel_dim
         if c.shape[-1] != r:
             raise ValueError(f"coefficient vector must have shape (..., {r})")
-        K = self.kernel_basis.reshape(r, self.particular.size)  # explicit: -1 fails at r = 0
-        member = (c[..., None, :] @ K).reshape(c.shape[:-1] + self.particular.shape)
+        member = (c[..., None, :] @ self.kernel_rows).reshape(c.shape[:-1] + self.particular.shape)
         return np.add(self.particular, member, out=member)
 
 
@@ -395,7 +383,7 @@ class LinearBVP:
     def h(self, g) -> np.ndarray:
         """Right-hand side h = alpha - l g of the induced equation Q z0 = h,
         alpha the boundary target, for the response g of a forcing f, swept
-        by the caller with either particular_forced sweep.
+        by the caller with particular_forced.
         """
         return self.boundary.target - self.boundary.apply(g)
 

@@ -25,7 +25,6 @@ from .linear import (
     QUASISOLUTION,
     SolutionFamily,
     particular_forced,
-    particular_forced_scan,
     residuals,
 )
 
@@ -283,10 +282,9 @@ def assemble_B0(problem: NonlinearProblem, c0, at_eps: float = 0.0) -> np.ndarra
     kernel trajectory. By construction B0 = -dF/dc at c0. It is one product
     and no sweep: B0 = -P K^T, K the kernel basis over its first m times.
     """
-    family, r = problem.family, problem.family.kernel_dim
+    family = problem.family
     P = _projected_du(problem, family.member(c0), at_eps)
-    K = family.kernel_basis.reshape(r, family.particular.size)  # explicit: -1 fails at r = 0
-    return -(P @ K[:, :P.shape[1]].T)
+    return -(P @ family.kernel_rows[:, :P.shape[1]].T)
 
 
 def check_sufficient(B0) -> SufficiencyCheck:
@@ -321,7 +319,7 @@ def iterate(problem: NonlinearProblem, c0, B0_pinv, tol: float = 1e-10, max_iter
     Z(z0,.,0) + Z_du u + R(u) telescoped, so a fixed point solves the
     perturbed recurrence identically. c_next's forcing, Z_du (ubar - u) +
     Z(z0+u,.,eps) - Z(z0,.,0), is not swept but contracted with P = psi Z_du,
-    formed once, and LinearBVP.psi; the round's one scan sweeps phi.
+    formed once, and LinearBVP.psi; the round's one sweep takes phi.
 
     Stops on a sup-norm Cauchy increment delta_k = max |u_{k+1} - u_k|
     <= tol confirmed by small recurrence and boundary residuals of z0 + u.
@@ -340,8 +338,7 @@ def iterate(problem: NonlinearProblem, c0, B0_pinv, tol: float = 1e-10, max_iter
     eps, family = problem.epsilon, problem.family
     bvp = family.bvp
     system, l = bvp.system, bvp.boundary
-    m, N = system.horizon, system.dim
-    r = family.kernel_dim
+    m = system.horizon
 
     z0 = family.member(c0)
     Z0 = _along(problem.Z, z0, 0.0)
@@ -349,21 +346,20 @@ def iterate(problem: NonlinearProblem, c0, B0_pinv, tol: float = 1e-10, max_iter
     P = _projected_du(problem, z0, 0.0)
     psi = bvp.psi.reshape(P.shape)
 
-    K = family.kernel_basis.reshape(r, (m + 1) * N)  # explicit: -1 fails at r = 0
-    u = np.zeros((m + 1, N))
-    c = np.zeros(r)
-    ubar = np.zeros((m + 1, N))
+    u = np.zeros_like(z0)
+    c = np.zeros(family.kernel_dim)
+    ubar = np.zeros_like(z0)
     records, deltas = [], []
     reason = "max_iter"
     iterations = 0
 
     for k in range(max_iter + 1):
         lin_proj = P @ (ubar[:m] - u[:m]).ravel() + psi @ (Zz - Z0).ravel()
-        g_phi = particular_forced_scan(system, Zz[None])[0]
+        g_phi = particular_forced(system, Zz)
         lg_phi = l.apply(g_phi)
         phi_proj = lg_phi @ family.cokernel_basis
 
-        u_next = (c @ K).reshape(m + 1, N) + ubar
+        u_next = (c @ family.kernel_rows).reshape(z0.shape) + ubar
         c_next = B0_pinv @ lin_proj
         ubar_next = eps * bvp.green(g_phi, lg=lg_phi)
 

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from resbvp import linear
 from resbvp.boundary import generic, periodic
 from resbvp.linalg import numerical_rank
 from resbvp.linear import (
@@ -14,7 +15,6 @@ from resbvp.linear import (
     OperatorSequence,
     classify,
     particular_forced,
-    particular_forced_scan,
     recurrence_defect,
     residuals,
     transition_stack,
@@ -33,8 +33,8 @@ def random_system(rng, m, N, scale=1.0):
 
 def allocating_scan(system: OperatorSequence, f):
     """Reference: the doubling scan of a time-invariant system with a fresh
-    product per level and a fresh output, which particular_forced_scan must
-    equal bit for bit."""
+    product per level and a fresh output, which linear._scan must equal bit
+    for bit."""
     m, N = system.horizon, system.dim
     k = f.shape[0]
     v = f.transpose(1, 0, 2).copy()
@@ -88,14 +88,14 @@ class TestParticularForced:
 
 
     def test_stack_matches_single_sweeps(self):
+        # a time-varying system is stepped: every row equals the sequential sweep
         rng = np.random.default_rng(8)
         A = random_system(rng, 9, 3)
         f = rng.standard_normal((4, 9, 3))
-        G = particular_forced_scan(A, f)
+        G = particular_forced(A, f)
         assert G.shape == (4, 10, 3)
         for k in range(4):
-            g = particular_forced(A, f[k])
-            assert np.abs(G[k] - g).max() <= 1e-14 * (1 + np.abs(g).max())
+            assert np.array_equal(G[k], self.sequential_sweep(A, f[k]))
 
     @staticmethod
     def sequential_sweep(A: OperatorSequence, f):
@@ -106,11 +106,16 @@ class TestParticularForced:
         return g
 
     def check_scan(self, A: OperatorSequence, f):
-        G = particular_forced_scan(A, f)
+        """A time-invariant system through the scan, to roundoff; a
+        time-varying one through particular_forced, which steps bit for bit."""
+        G = linear._scan(A, f) if A.time_invariant else particular_forced(A, f)
         assert G.shape == (f.shape[0], A.horizon + 1, A.dim)
         for j in range(f.shape[0]):
             g = self.sequential_sweep(A, f[j])
-            assert np.abs(G[j] - g).max() <= 1e-13 * (1 + np.abs(g).max())
+            if A.time_invariant:
+                assert np.abs(G[j] - g).max() <= 1e-13 * (1 + np.abs(g).max())
+            else:
+                assert np.array_equal(G[j], g)
 
     @pytest.mark.parametrize("m", [1, 2, 7, 16, 37])
     @pytest.mark.parametrize("N", [1, 3])
@@ -137,7 +142,7 @@ class TestParticularForced:
         f = np.zeros((2, m, 2))
         f[0, 0, 0] = 1.0
         f[1] = np.random.default_rng(12).standard_normal((m, 2))
-        G = particular_forced_scan(A, f)
+        G = linear._scan(A, f)
         for j in range(2):
             g = self.sequential_sweep(A, f[j])
             assert np.all(np.abs(G[j] - g) <= 1e-12 * np.abs(g) + 1e-300)
@@ -152,11 +157,13 @@ class TestParticularForced:
         A = random_system(rng, 9, 2)
         f = rng.standard_normal((k, 9, 2))
         before = f.copy()
-        particular_forced_scan(A, f)
+        G = particular_forced(A, f)
         assert np.array_equal(f, before)
+        for j in range(k):
+            assert np.array_equal(G[j], self.sequential_sweep(A, f[j]))
 
     @pytest.mark.parametrize("stack", [(1,), (4,), (2, 3)])
-    @pytest.mark.parametrize("N", [1, 3, 32])
+    @pytest.mark.parametrize("N", [1, 3, 32, 65, 128])
     def test_stacked_sweep_rows_equal_single_sweeps(self, stack, N):
         rng = np.random.default_rng(16)
         A = random_system(rng, 11, N)
@@ -214,8 +221,9 @@ class TestParticularForced:
         G = particular_forced(A, f)
         assert G.shape == stack + (m + 1, N)
         assert np.array_equal(f, before)
-        scanned = particular_forced_scan(A, f.reshape(-1, m, N))
-        assert np.array_equal(G, scanned.reshape(G.shape))
+        if time_invariant:
+            scanned = linear._scan(A, f.reshape(-1, m, N))
+            assert np.array_equal(G, scanned.reshape(G.shape))
         for i in np.ndindex(stack):
             g = self.sequential_sweep(A, f[i])
             if time_invariant:
@@ -229,13 +237,15 @@ class TestParticularForced:
     def test_in_place_scan_equals_the_allocating_scan(self, m, N, time_invariant):
         # a time-varying system is not scanned: particular_forced steps through it
         A, rng = self.routed_system(m, N, time_invariant)
+        sweep = linear._scan if time_invariant else particular_forced
         for k in (1, 2, 32):
             f = rng.standard_normal((k, m, N))
             time_major = np.ascontiguousarray(f.swapaxes(0, 1)).swapaxes(0, 1)
-            expected = allocating_scan(A, f) if time_invariant else particular_forced(A, f)
+            expected = allocating_scan(A, f) if time_invariant \
+                else np.stack([self.sequential_sweep(A, f_j) for f_j in f])
             for forcing in (f, time_major):
                 before = forcing.copy()
-                G = particular_forced_scan(A, forcing)
+                G = sweep(A, forcing)
                 assert G.shape == (k, m + 1, N)
                 assert np.array_equal(G, expected)
                 assert np.array_equal(forcing, before)
@@ -302,8 +312,8 @@ class TestParticularForced:
 
     def test_stack_shape_checked(self):
         A = random_system(np.random.default_rng(9), 4, 2)
-        with pytest.raises(ValueError):
-            particular_forced_scan(A, np.zeros((2, 5, 2)))
+        with pytest.raises(ValueError, match=r"forcing must have shape \(\.\.\., 4, 2\)"):
+            particular_forced(A, np.zeros((2, 5, 2)))
 
 
 class TestAssembly:
@@ -783,7 +793,7 @@ class TestRecurrenceDefect:
         f, z = rng.standard_normal((1, 3)), rng.standard_normal((2, 3))
         assert np.allclose(recurrence_defect(A, f, z), batched_defect(A, f, z),
                            rtol=0, atol=1e-14)
-        g = particular_forced_scan(A, f[None])
+        g = linear._scan(A, f[None])
         assert np.array_equal(g[0], particular_forced(A, f))
 
 

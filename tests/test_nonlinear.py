@@ -16,7 +16,6 @@ from resbvp.linear import (
     LinearBVP,
     OperatorSequence,
     particular_forced,
-    particular_forced_scan,
     residuals,
 )
 from resbvp.lotka_volterra import LotkaVolterraSpec, lv_callables
@@ -324,25 +323,31 @@ B0_CASES = {
 }
 
 
+def reference_sweep(system, f):
+    """The sweep of the references below: the doubling scan of a stack over
+    a time-invariant system, step by step through a time-varying one."""
+    return (linear._scan if system.time_invariant else particular_forced)(system, f)
+
+
 def scanned_B0(problem, c0):
     """B0 as it was before the map psi: the scan of Z_du(z0) times each
     kernel trajectory, then l, then the cokernel projection."""
     family, bvp = problem.family, problem.family.bvp
     m = bvp.system.horizon
     Zdu = np.asarray(problem.Z_du(family.member(c0)[:m], np.arange(m), 0.0))
-    G = particular_forced_scan(bvp.system, (Zdu @ family.kernel_basis[:, :-1, :, None])[..., 0])
+    G = reference_sweep(bvp.system, (Zdu @ family.kernel_basis[:, :-1, :, None])[..., 0])
     return -family.cokernel_basis.T @ bvp.boundary.apply(G).T
 
 
 def spy_sweeps(monkeypatch) -> list:
-    """Record the forcing shape of every particular_forced and
-    particular_forced_scan call the nonlinear module makes."""
+    """Record the forcing shape of every particular_forced call the
+    nonlinear module makes."""
     shapes = []
-    for name in ("particular_forced", "particular_forced_scan"):
-        def spying(system, f, _fn=getattr(nonlinear, name)):
-            shapes.append(np.shape(f))
-            return _fn(system, f)
-        monkeypatch.setattr(nonlinear, name, spying)
+
+    def spying(system, f, _fn=nonlinear.particular_forced):
+        shapes.append(np.shape(f))
+        return _fn(system, f)
+    monkeypatch.setattr(nonlinear, "particular_forced", spying)
     return shapes
 
 
@@ -537,7 +542,7 @@ class TestIterate:
         swept = spy_sweeps(monkeypatch)
         _, trace = iterate(dataclasses.replace(p, Z_du=Z_du), c0, B0_pinv)
         assert trace.converged and trace.iterations > 1
-        assert swept == [(1, m, N)] * (trace.iterations + 1)
+        assert swept == [(m, N)] * (trace.iterations + 1)
         assert derivatives == [(m, N)]
 
 
@@ -573,7 +578,7 @@ def reference_iterate(problem, c0, B0_pinv, tol=1e-10, max_iter=200,
         R = Zz - Z0 - Zdu_u
         phi = Z0 + Zdu_u + R
         lin_forcing = matvec(Zdu, ubar[:m]) + R
-        g_lin, g_phi = particular_forced_scan(system, np.stack([lin_forcing, phi]))
+        g_lin, g_phi = reference_sweep(system, np.stack([lin_forcing, phi]))
         u_next = np.tensordot(c, family.kernel_basis, axes=1) + ubar
         c_next = B0_pinv @ (D.T @ l.apply(g_lin))
         ubar_next = eps * green(g_phi)
