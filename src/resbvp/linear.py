@@ -15,9 +15,10 @@ from g(0) = 0.
 
 The forced recurrence has one sweep, particular_forced, which F, the
 linear solve and the fixed-point iteration's Green operator all use. It
-scans a time_invariant system's long windows with small stacks in
-ceil(log2 m) levels over the hops A_0^(2^l), and steps through any other:
-F's finite-difference Jacobian amplifies roundoff about a millionfold, so
+scans a time_invariant system's long windows with small stacks by a
+blocked scan, a few block-Toeplitz products in each of ceil(log_b m)
+levels over the powers of A_0, and steps through any other: F's
+finite-difference Jacobian amplifies roundoff about a millionfold, so
 the short windows of the shipped problems keep the stepped bits.
 
 LinearBVP.psi, the forcing-to-boundary map projected onto the cokernel, is
@@ -35,6 +36,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .boundary import BoundaryOperator
 from .linalg import RankDecision, numerical_rank
@@ -67,11 +69,13 @@ class OperatorSequence:
     z(n+1). Trajectories over the window have m+1 states.
 
     The system is time_invariant when every A_n equals A_0 bit for bit;
-    then hops[l] = A_0^(2^l), l < ceil(log2 m), are the doubling
-    scan's steps, built on first use, each squared from the one before,
-    read-only (so never stale) and in Fortran order, so that the scan's
-    hop.T is C-contiguous, which BLAS multiplies by faster than by a
-    transposed view. A time-varying system is never scanned: its hops are ().
+    then levels, built on first use and read-only (so never stale), are
+    the blocked scan's (L^T, C^T) per level: with b = max(3, 64 // N), level
+    l scans n_l inputs (n_0 = m + 1, n_(l+1) = ceil(n_l / b)) over
+    S = A_0^(b^l) by the (bN, bN) block-Toeplitz L[r, s] = S^(r-s), r >= s,
+    and C = [S; S^2; ...; S^b]. The top level, n_l <= b, is (L^T, None) over
+    S^0 ... S^(n_l - 1) only: no power past A_0^m is formed (Fibonacci's
+    overflow at 1475 steps). A time-varying system is never scanned: ().
     """
 
     matrices: np.ndarray
@@ -92,18 +96,27 @@ class OperatorSequence:
         object.__setattr__(self, "time_invariant", invariant)
 
     @functools.cached_property
-    def hops(self) -> tuple:
+    def levels(self) -> tuple:
         if not self.time_invariant:
             return ()
-        T, hops, s = self.matrices[0], [], 1
-        while s < self.horizon:
-            hop = np.asfortranarray(T)
-            hop.flags.writeable = False
-            hops.append(hop)
-            if 2 * s < self.horizon:  # compose no level past the last one kept
-                T = T @ T
-            s *= 2
-        return tuple(hops)
+        N, b = self.dim, max(3, 64 // self.dim)
+        S, n, levels = self.matrices[0], self.horizon + 1, []
+        while True:
+            rows = min(n, b)
+            P = _powers(S, rows + (n > b))
+            # row i of V: rows-1 zero blocks, then the (S^j)^T[i]; block row s of L^T
+            # is its window of rows blocks from block rows-1-s on
+            V = np.zeros((N, (rows - 1 + len(P)) * N))
+            V.reshape(N, -1, N)[:, rows - 1:] = P.transpose(2, 0, 1)
+            windows = sliding_window_view(V, rows * N, axis=1)[:, (rows - 1) * N::-N]
+            Lt = windows.transpose(1, 0, 2).reshape(rows * N, rows * N)  # a copy
+            Lt.flags.writeable = False
+            if n <= b:
+                return tuple(levels) + ((Lt, None),)
+            Ct = V[:, rows * N:].copy()  # the blocks (S^j)^T, j = 1, ..., b
+            Ct.flags.writeable = False
+            levels.append((Lt, Ct))
+            S, n = P[b], -(-n // b)
 
     @property
     def dim(self) -> int:
@@ -126,7 +139,7 @@ class OperatorSequence:
 def transition_stack(system: OperatorSequence) -> np.ndarray:
     """All transition matrices from time 0: U[k] = Phi(k, 0), shape (m+1, N, N)."""
     # Step by step (A_k.dot, np.matmul's gemm at half its dispatch), not by the
-    # hops: Q is roundoff-sized on the rotation workloads, so the scan's roundoff
+    # powers of A_0: Q is roundoff-sized on the rotation workloads, so the scan's roundoff
     # would pick another kernel basis, in which c0 and solver.c_init are coordinates.
     m, N, A = system.horizon, system.dim, system.matrices
     U = np.empty((m + 1, N, N))
@@ -149,8 +162,8 @@ def _forcing_array(system: OperatorSequence, f) -> np.ndarray:
     return f
 
 
-# Past k N^2 = _SCAN_MAX_WORK the scan's ceil(log2 m) passes over m k N^2 work lose to
-# the loop; windows of at most _SCAN_MIN_HORIZON steps keep the loop's bits for Newton.
+# Windows of at most _SCAN_MIN_HORIZON steps, and stacks past k N^2 = _SCAN_MAX_WORK,
+# keep the loop's bits, which F's finite-difference Newton Jacobian amplifies.
 _SCAN_MIN_HORIZON = 64
 _SCAN_MAX_WORK = 1024
 
@@ -160,7 +173,7 @@ def particular_forced(system: OperatorSequence, f) -> np.ndarray:
 
     f has shape (..., m, N) and g has shape (..., m+1, N). A time_invariant
     system's stack of k forcings over m > 64 steps, with k N^2 <= 1024,
-    goes through the doubling scan _scan, flattened to (k, m, N). Any
+    goes through the blocked scan _scan, flattened to (k, m, N). Any
     other is swept step by step, one (N, N) @ (N, 1) product per stacked
     forcing, so that every slice equals the sweep of its forcing alone bit
     for bit, as every shipped problem's generating root needs.
@@ -186,34 +199,44 @@ def particular_forced(system: OperatorSequence, f) -> np.ndarray:
 
 def _scan(system: OperatorSequence, f: np.ndarray) -> np.ndarray:
     """particular_forced of a stack of k forcings, shape (k, m, N), over a
-    time_invariant system, by a Hillis-Steele scan; returns (k, m+1, N).
-
-    Over v[j] = g(j+1), level l adds A_0^(2^l) v[j-2^l] to v[j],
-    ceil(log2 m) levels in all, each one 2-D (m-2^l) k x N by N x N
-    product written into one buffer, then added in place. The forcings are
-    copied once, into an (m+1, k, N) output of which a view is returned (a
-    contiguous copy from a time-major forcing, an (m, k, N) array transposed).
-
-    It matches the step-by-step sweep to roundoff, not bit for bit, and
-    the scan with a fresh array per level bit for bit. On the short windows
-    of the shipped problems it would move generating_F's finite-difference
-    root of rotation_lv.json 5.8e-12 in c0[1], and its solution.csv
-    7.2e-12, past the 1e-12 golden tolerance.
+    time_invariant system: g(0..m), a (k, m+1, N) view, is the prefix of
+    the m+1 inputs (0, f(0), ..., f(m-1)). It matches the step-by-step sweep
+    to roundoff, not bit for bit, which on the shipped problems' short
+    windows would move rotation_lv.json's generating root past the 1e-12
+    golden tolerance; a time-major forcing gives a C-ordered one's bits.
     """
-    m, N, k = system.horizon, system.dim, f.shape[0]
-    # (m+1, k, N) puts each level in one 2-D product, v[j-s] lying s*k rows back
-    g = np.empty((m + 1, k, N))
-    g[0] = 0.0
-    g[1:] = f.swapaxes(0, 1)
-    v = g[1:].reshape(m * k, N)
-    product = np.empty(((m - 1) * k, N))
-    s = 1
-    for hop in system.hops:
-        rows = (m - s) * k
-        np.matmul(v[:rows], hop.T, out=product[:rows])
-        v[s * k:] += product[:rows]
-        s *= 2
-    return g.swapaxes(0, 1)
+    return _prefix(system.levels, f, f.shape[1] + 1)
+
+
+def _prefix(levels: tuple, x: np.ndarray, n: int) -> np.ndarray:
+    """The prefix y[j] = sum_{i<=j} S^(j-i) u[i], shape (k, n, N), over
+    levels[0]'s S of the n inputs u that are x, shape (k, <= n, N), behind
+    zeros, by Blelloch's blocked scan: padded at the front to B blocks of b
+    (no state past the last input is formed: it may overflow, and 0 * inf
+    poisons a dense product), u @ L^T is each block's local prefix, whose
+    last states the next level scans, and C^T adds each incoming state."""
+    (Lt, Ct), (k, _, N) = levels[0], x.shape
+    rows = Lt.shape[0] // N
+    B = -(-n // rows)
+    u = np.zeros((k, B * rows, N))
+    u[:, B * rows - x.shape[1]:] = x
+    y = (u.reshape(k * B, rows * N) @ Lt).reshape(k, B, rows * N)
+    if B > 1:
+        carry = _prefix(levels[1:], y[..., -N:], B)
+        incoming = u.reshape(k, B, -1)  # u is spent; block 0 has no incoming state
+        incoming[:, 0] = 0.0
+        np.matmul(carry[:, :-1], Ct, out=incoming[:, 1:])
+        y += incoming  # contiguous: numpy buffers a strided in-place add
+    return y.reshape(k, B * rows, N)[:, B * rows - n:]
+
+
+def _powers(S: np.ndarray, count: int) -> np.ndarray:
+    """S^0, ..., S^(count-1), count >= 2, shape (count, N, N), by doubling:
+    S^(j+i) = S^j S^i, one stacked product per doubling, none past count."""
+    P = np.stack([np.eye(len(S)), S])
+    while len(P) < count:
+        P = np.concatenate([P, P[-1] @ P[1:count - len(P) + 1]])
+    return P
 
 
 @dataclass(frozen=True)
@@ -419,7 +442,7 @@ def recurrence_defect(system: OperatorSequence, f, trajectory) -> np.ndarray:
     of trajectories, shape (..., m+1, N), gives the stack of defects."""
     z = np.asarray(trajectory, dtype=float)
     m, A = system.horizon, system.matrices
-    # C-contiguous A_0^T like the scan's hop.T: a transposed view costs 0.1 MB more RSS
+    # a C-contiguous A_0^T: a transposed view costs 0.1 MB more RSS
     Az = z[..., :m, :] @ np.ascontiguousarray(A[0].T) if system.time_invariant \
         else (A @ z[..., :m, :, None])[..., 0]
     defect = np.subtract(z[..., 1:m + 1, :], Az, out=Az)

@@ -200,7 +200,7 @@ def generating_F(problem: NonlinearProblem, c, at_eps: float = 0.0) -> np.ndarra
     and a stack past the scan's bound (k N^2 > 1024), and there every row
     equals the single evaluation at its vector bit for bit, as Z's rows do
     (lv_callables sums each member in its own 2-D product); elsewhere it
-    is the doubling scan, and rows agree with single evaluations to
+    is the blocked scan, and rows agree with single evaluations to
     roundoff.
     """
     family, bvp = problem.family, problem.family.bvp

@@ -31,23 +31,6 @@ def random_system(rng, m, N, scale=1.0):
     return OperatorSequence(scale * rng.standard_normal((m, N, N)))
 
 
-def allocating_scan(system: OperatorSequence, f):
-    """Reference: the doubling scan of a time-invariant system with a fresh
-    product per level and a fresh output, which linear._scan must equal bit
-    for bit."""
-    m, N = system.horizon, system.dim
-    k = f.shape[0]
-    v = f.transpose(1, 0, 2).copy()
-    flat = v.reshape(m * k, N)
-    s = 1
-    for hop in system.hops:
-        flat[s * k:] += flat[:(m - s) * k] @ hop.T
-        s *= 2
-    g = np.zeros((k, m + 1, N))
-    g[:, 1:] = v.transpose(1, 0, 2)
-    return g
-
-
 class TestEvolution:
     """transition_stack against the explicit ordered products Phi(n, i)."""
 
@@ -127,13 +110,22 @@ class TestParticularForced:
         A = OperatorSequence(mats)  # A_{m//2} is singular
         self.check_scan(A, rng.standard_normal((k, m, N)))
 
-    @pytest.mark.parametrize("m", [1, 2, 7, 16, 37])
+    @pytest.mark.parametrize("m", [1, 2, 7, 16, 37, 65, 600, 1500, 6144])
     @pytest.mark.parametrize("N", [1, 3])
     @pytest.mark.parametrize("k", [1, 4])
     def test_time_invariant_scan_matches_sequential_sweep(self, m, N, k):
+        # each factor b in m + 1 adds a level (b = 64 at N = 1, 21 at N = 3): two from
+        # m = 37 at N = 3 and m = 65 at N = 1, three from m = 600 at N = 3 and at m = 6144
         rng = np.random.default_rng(100 * m + 10 * N + k)
-        A = OperatorSequence.constant(rng.standard_normal((N, N)) / np.sqrt(N), m)
-        assert all(hop.shape == (N, N) for hop in A.hops)
+        M = rng.standard_normal((N, N)) / np.sqrt(N)
+        if m > 64:  # a spectral radius of at most 1, so that 6144 steps stay finite
+            M /= max(1.0, np.abs(np.linalg.eigvals(M)).max())
+        A = OperatorSequence.constant(M, m)
+        b, n = max(3, 64 // N), m + 1
+        for Lt, Ct in A.levels[:-1]:
+            assert Lt.shape == (b * N, b * N) and Ct.shape == (N, b * N)
+            n = -(-n // b)
+        assert n <= b and A.levels[-1][0].shape == (n * N, n * N) and A.levels[-1][1] is None
         self.check_scan(A, rng.standard_normal((k, m, N)))
 
     def test_scan_fibonacci_growth(self):
@@ -150,6 +142,19 @@ class TestParticularForced:
         while len(fib) < m + 2:
             fib.append(fib[-1] + fib[-2])
         assert np.allclose(G[0, 1:, 0], fib[1:m + 1], rtol=1e-13, atol=0)
+
+    def test_scan_fibonacci_random_forcing_near_overflow(self):
+        # the states reach 1e291, and FIB^1475 overflows: a scan that padded the window
+        # at its end would form states past it, and 0 * inf would poison real entries
+        m = 1400
+        A = OperatorSequence.constant(FIB, m)
+        f = np.random.default_rng(24).standard_normal((1, m, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            G = linear._scan(A, f)
+        g = self.sequential_sweep(A, f[0])
+        assert np.abs(g).max() > 1e290
+        assert np.all(np.abs(G[0] - g) <= 1e-12 * np.abs(g))
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_stack_leaves_forcing_unchanged(self, k):
@@ -235,20 +240,28 @@ class TestParticularForced:
     @pytest.mark.parametrize("N", [2, 32])
     @pytest.mark.parametrize("m", [6, 65, 600])
     def test_in_place_scan_equals_the_allocating_scan(self, m, N, time_invariant):
-        # a time-varying system is not scanned: particular_forced steps through it
+        # against the sequential sweep, which allocates every state: the scan to
+        # roundoff, bit for bit whatever the forcing's layout; a time-varying system
+        # is not scanned, and particular_forced steps through it bit for bit
         A, rng = self.routed_system(m, N, time_invariant)
         sweep = linear._scan if time_invariant else particular_forced
         for k in (1, 2, 32):
             f = rng.standard_normal((k, m, N))
             time_major = np.ascontiguousarray(f.swapaxes(0, 1)).swapaxes(0, 1)
-            expected = allocating_scan(A, f) if time_invariant \
-                else np.stack([self.sequential_sweep(A, f_j) for f_j in f])
+            expected = np.stack([self.sequential_sweep(A, f_j) for f_j in f])
+            swept = []
             for forcing in (f, time_major):
                 before = forcing.copy()
                 G = sweep(A, forcing)
                 assert G.shape == (k, m + 1, N)
-                assert np.array_equal(G, expected)
                 assert np.array_equal(forcing, before)
+                swept.append(G)
+            assert np.array_equal(swept[0], swept[1])
+            if time_invariant:
+                scale = 1 + np.abs(expected).max(axis=(1, 2))
+                assert (np.abs(swept[0] - expected).max(axis=(1, 2)) <= 1e-13 * scale).all()
+            else:
+                assert np.array_equal(swept[0], expected)
 
     @pytest.mark.parametrize("N,stack,time_invariant", [
         (32, (), False), (16, (2, 3), True), (16, (2, 3), False), (8, (17,), True),
@@ -263,52 +276,68 @@ class TestParticularForced:
             assert np.array_equal(G[i], self.sequential_sweep(A, f[i]))
 
     @pytest.mark.parametrize("N", [1, 2, 5])
-    def test_time_invariant_hops_equal_the_per_time_composition(self, N):
-        m = 23
-        M = np.random.default_rng(17).standard_normal((N, N))
+    def test_time_invariant_levels_equal_the_powers_of_A0(self, N):
+        # level l is block-Toeplitz in the powers of S = A_0^(b^l): L[r, s] = S^(r-s)
+        # for r >= s, C = [S; S^2; ...; S^b]; the top level holds S^0 ... S^(n-1) only
+        m = 600
+        M = np.linalg.qr(np.random.default_rng(17).standard_normal((N, N)))[0]
         A = OperatorSequence.constant(M, m)
-        T = [M.copy() for _ in range(m)]  # T[j] = Phi(j+1, j+1-s), composed per time
-        s = 1
-        for hop in A.hops:
-            assert hop.shape == (N, N)
-            for j in range(s, m):
-                assert np.array_equal(hop, T[j])
-            T = [T[j] @ T[j - s] if j >= s else T[j] for j in range(m)]
-            s *= 2
-        assert len(A.hops) == 5  # ceil(log2 23)
+        b, n, S = max(3, 64 // N), m + 1, M
+        for Lt, Ct in A.levels:
+            rows = min(n, b)
+            assert Lt.shape == (rows * N, rows * N) and not Lt.flags.writeable
+            blocks = Lt.reshape(rows, N, rows, N)
+            for s in range(rows):
+                for r in range(rows):
+                    want = np.linalg.matrix_power(S, r - s).T if r >= s else 0.0
+                    assert np.abs(blocks[s, :, r, :] - want).max() <= 1e-12
+            if n <= b:
+                assert Ct is None
+                break
+            assert Ct.shape == (N, b * N) and not Ct.flags.writeable
+            for r in range(b):
+                want = np.linalg.matrix_power(S, r + 1).T
+                assert np.abs(Ct[:, r * N:(r + 1) * N] - want).max() <= 1e-12
+            S, n = np.linalg.matrix_power(S, b), -(-n // b)
+        assert len(A.levels) == {1: 2, 2: 2, 5: 3}[N]  # 601 -> 10, 601 -> 19, 601 -> 51 -> 5
 
     def test_a_signed_zero_makes_a_system_time_varying(self):
         mats = np.zeros((4, 2, 2))
         mats[2, 0, 1] = -0.0
         varying = OperatorSequence(mats)
-        assert not varying.time_invariant and varying.hops == ()
-        assert OperatorSequence(np.zeros((4, 2, 2))).hops[0].shape == (2, 2)
+        assert not varying.time_invariant and varying.levels == ()
+        assert OperatorSequence(np.zeros((4, 2, 2))).levels[0][0].shape == (10, 10)
 
-    def test_hops_are_built_on_first_use(self):
-        # m = 64 steps through the loop, so a linear solve reads no hop
+    def test_levels_are_built_on_first_use(self):
+        # m = 64 steps through the loop, so a linear solve reads no level
         m, N = 64, 32
         rng = np.random.default_rng(23)
         system = OperatorSequence.constant(rng.standard_normal((N, N)) / np.sqrt(N), m)
         assert system.time_invariant
         LinearBVP(system, periodic(N, m)).solve(rng.standard_normal((m, N)))
-        assert "hops" not in vars(system)
-        assert len(system.hops) == 6 and "hops" in vars(system)
+        assert "levels" not in vars(system)
+        assert len(system.levels) == 4 and "levels" in vars(system)  # 65 -> 22 -> 8 -> 3
 
-    def test_time_invariant_hops_take_one_matrix_per_level(self):
+    def test_time_invariant_levels_stay_within_a_megabyte(self):
+        # b = 3 at N = 32: seven full levels of (3N)^2 + 3 N^2 doubles, 6001 -> 2001 -> 667
+        # -> 223 -> 75 -> 25 -> 9 -> 3, and a top level of (3N)^2, against 49 MB of matrices
         m, N = 6000, 32
         M = np.random.default_rng(18).standard_normal((N, N)) / np.sqrt(N)
-        hops = OperatorSequence.constant(M, m).hops
-        assert len(hops) == 13  # ceil(log2 6000)
-        assert sum(hop.nbytes for hop in hops) == 13 * N * N * 8
+        levels = OperatorSequence.constant(M, m).levels
+        assert len(levels) == 8
+        held = sum(Lt.nbytes + (0 if Ct is None else Ct.nbytes) for Lt, Ct in levels)
+        assert held == (7 * (9 + 3) + 9) * N * N * 8 <= 1e6
 
     def test_no_level_is_composed_past_the_last_kept(self):
-        # FIB^2048 overflows, FIB^1024 (the last level at m = 1500) does not
+        # FIB^2048 overflows; at m = 1500 (1501 -> 47 -> 2) the top level's S is
+        # FIB^1024 and it holds only S^0 and S^1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             A = OperatorSequence.constant(FIB, 1500)
-            A.hops  # built on first use
-        assert len(A.hops) == 11
-        assert all(np.isfinite(hop).all() for hop in A.hops)
+            A.levels  # built on first use
+        assert len(A.levels) == 3 and A.levels[-1][0].shape == (4, 4)
+        assert all(np.isfinite(Lt).all() for Lt, _ in A.levels)
+        assert all(np.isfinite(Ct).all() for _, Ct in A.levels[:-1])
 
     def test_stack_shape_checked(self):
         A = random_system(np.random.default_rng(9), 4, 2)
@@ -782,14 +811,14 @@ class TestRecurrenceDefect:
         mats = np.broadcast_to(np.array([[0.5, 0.0], [1.0, 2.0]]), (7, 2, 2)).copy()
         mats[3, 0, 1] = -0.0
         A = OperatorSequence(mats)
-        assert not A.time_invariant and A.hops == ()
+        assert not A.time_invariant and A.levels == ()
         f, z = rng.standard_normal((7, 2)), rng.standard_normal((8, 2))
         assert np.array_equal(recurrence_defect(A, f, z), batched_defect(A, f, z))
 
     def test_one_step_system_is_time_invariant(self):
         rng = np.random.default_rng(21)
         A = OperatorSequence(rng.standard_normal((1, 3, 3)))
-        assert A.time_invariant and A.hops == ()
+        assert A.time_invariant and len(A.levels) == 1  # the top level alone
         f, z = rng.standard_normal((1, 3)), rng.standard_normal((2, 3))
         assert np.allclose(recurrence_defect(A, f, z), batched_defect(A, f, z),
                            rtol=0, atol=1e-14)
@@ -813,8 +842,10 @@ class TestConstantSystem:
         tracemalloc.start()
         try:
             A = OperatorSequence.constant(M, m)
+            A.levels
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        kept = A.matrices.nbytes + sum(hop.nbytes for hop in A.hops)
+        kept = A.matrices.nbytes + sum(Lt.nbytes + (0 if Ct is None else Ct.nbytes)
+                                       for Lt, Ct in A.levels)
         assert peak <= 1.2 * kept

@@ -324,7 +324,7 @@ B0_CASES = {
 
 
 def reference_sweep(system, f):
-    """The sweep of the references below: the doubling scan of a stack over
+    """The sweep of the references below: the blocked scan of a stack over
     a time-invariant system, step by step through a time-varying one."""
     return (linear._scan if system.time_invariant else particular_forced)(system, f)
 
@@ -657,7 +657,7 @@ class TestRoundMatchesReference:
         B0_pinv = check_sufficient(assemble_B0(p, c0)).B0_pinv
         z, trace = iterate(p, c0, B0_pinv)
         system = family.bvp.system
-        assert system.time_invariant or system.hops == ()  # a time-varying one is stepped
+        assert system.time_invariant or system.levels == ()  # a time-varying one is stepped
         z_ref, records, deltas, iterations, reason = reference_iterate(p, c0, B0_pinv)
         assert (trace.iterations, trace.reason) == (iterations, reason)
         assert np.abs(z - z_ref).max() <= 1e-12
