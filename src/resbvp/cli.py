@@ -72,15 +72,21 @@ def _write_new(path: Path, text: str) -> None:
 def _write_table(path: Path, header, rows) -> None:
     """CSV of numeric rows in one write, every cell as %.17g (an integer
     or a bool prints as an integer, NaN as nan), byte for byte what
-    csv.writer writes for those strings."""
+    csv.writer writes for those strings. An ndarray table takes one
+    %-format over all of its cells; other rows take one format each."""
     fmt = ",".join(["%.17g"] * len(header)) + "\r\n"
-    _write_new(path, ",".join(header) + "\r\n" + "".join(fmt % tuple(row) for row in rows))
+    if isinstance(rows, np.ndarray):
+        body = (fmt * len(rows)) % tuple(rows.ravel().tolist())
+    else:
+        body = "".join(fmt % tuple(row) for row in rows)
+    _write_new(path, ",".join(header) + "\r\n" + body)
 
 
 def _trajectory_table(z: np.ndarray) -> tuple:
-    """The (header, rows) of a trajectory CSV: n, z1, ..., zN per time n."""
+    """The (header, table) of a trajectory CSV: the rows n, z1, ..., zN per
+    time n as one ndarray (an integer n as a float prints the same)."""
     header = ["n"] + [f"z{i + 1}" for i in range(z.shape[1])]
-    return header, ((n, *v) for n, v in enumerate(z.tolist()))
+    return header, np.column_stack([np.arange(len(z), dtype=float), z])
 
 
 def _read_trajectory(path: Path) -> np.ndarray:
@@ -283,8 +289,10 @@ def cmd_solve_nonlinear(args) -> int:
     doc = {"command": "solve-nonlinear", "problem": problem.canonical, **stages,
            "trajectories": {}}
     tables = {}
-    if sol.trace is not None:
-        doc["trajectories"]["solution.csv"] = _entries(problem, sol.z[None], "solution")[0]
+    if sol.trace is not None:  # the final record measured sol.z as _entries does
+        final = stages["iteration"]["final_record"]
+        doc["trajectories"]["solution.csv"] = {"kind": "solution",
+                                               **{key: final[key] for key in _RESIDUALS}}
         tables = {"solution.csv": _trajectory_table(sol.z),
                   "trace.csv": (nl.IterationTrace.FIELDS, sol.trace.records)}
     _finish(out, doc, tables)

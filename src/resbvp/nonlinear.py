@@ -134,11 +134,13 @@ class IterationTrace:
               "boundary_residual", "projected_residual")
 
 
-def _along(fn, z, eps) -> np.ndarray:
+def _along(fn, z, eps, n=None) -> np.ndarray:
     """fn (Z or Z_du) at the first m states of a trajectory, or of a stack
-    of trajectories (..., m+1, N), in one call."""
+    of trajectories (..., m+1, N), in one call; ``n`` is the time index
+    np.arange(m), built here unless a caller that makes many calls passes it."""
     m = z.shape[-2] - 1
-    return np.asarray(fn(z[..., :m, :], np.arange(m), float(eps)), dtype=float)
+    return np.asarray(fn(z[..., :m, :], np.arange(m) if n is None else n, float(eps)),
+                      dtype=float)
 
 
 def _projected_du(problem: NonlinearProblem, z0, at_eps: float) -> np.ndarray:
@@ -321,6 +323,14 @@ def iterate(problem: NonlinearProblem, c0, B0_pinv, tol: float = 1e-10, max_iter
     Z(z0+u,.,eps) - Z(z0,.,0), is not swept but contracted with P = psi Z_du,
     formed once, and LinearBVP.psi; the round's one sweep takes phi.
 
+    Everything a round does not change is formed once per call: the time
+    index of the Z calls, the Green operator's factors and, through the
+    system's cached A0T, the stop test's recurrence defect. u_next, ubar_next
+    and the c forcing's projection are built in place, and the round's four
+    sup-norms (the increment, |u|, |z| and |ubar|) are one abs and one max
+    over a (4, m+1, N) buffer that holds those four arrays; each is the
+    value a max over its array alone gives.
+
     Stops on a sup-norm Cauchy increment delta_k = max |u_{k+1} - u_k|
     <= tol confirmed by small recurrence and boundary residuals of z0 + u.
     Gives up, unconverged, once u is non-finite or exceeds ``blowup``, or
@@ -339,49 +349,67 @@ def iterate(problem: NonlinearProblem, c0, B0_pinv, tol: float = 1e-10, max_iter
     bvp = family.bvp
     system, l = bvp.system, bvp.boundary
     m = system.horizon
+    n = np.arange(m)  # the time index of every Z call
 
     z0 = family.member(c0)
-    Z0 = _along(problem.Z, z0, 0.0)
-    Zz = _along(problem.Z, z0, eps)  # Z(z0 + u, ., eps), reused across rounds
+    Z0 = _along(problem.Z, z0, 0.0, n)
+    Zz = _along(problem.Z, z0, eps, n)  # Z(z0 + u, ., eps), reused across rounds
     P = _projected_du(problem, z0, 0.0)
     psi = bvp.psi.reshape(P.shape)
+    K, D, forcing = family.kernel_rows, family.cokernel_basis, family.forcing
+    # the Green operator's G[g, 0] = Phi(., 0) Q^+ (0 - l g) + g, its factors bound once
+    U, pinv, zero = bvp.U.reshape(-1, system.dim), bvp.rd.pinv, np.zeros(l.codim)
 
-    u = np.zeros_like(z0)
+    # Round k writes (u_next - u, u_next, z, ubar) in bufs[k % 2], whose four
+    # sup-norms are one abs and one max, and ubar_next in the other buffer's
+    # last slot; u, c and ubar start at zero.
+    bufs = np.zeros((2, 4) + z0.shape)
+    mags = np.empty(bufs.shape[1:])
+    u = bufs[1, 1]
     c = np.zeros(family.kernel_dim)
-    ubar = np.zeros_like(z0)
+    work = np.empty((m, system.dim))  # ubar - u, then Z(z0+u) - Z(z0), over the first m times
+    lin_proj = np.empty(P.shape[0])
     records, deltas = [], []
     reason = "max_iter"
     iterations = 0
 
     for k in range(max_iter + 1):
-        lin_proj = P @ (ubar[:m] - u[:m]).ravel() + psi @ (Zz - Z0).ravel()
+        buf = bufs[k % 2]
+        du, u_next, z, ubar = buf
+        np.matmul(P, np.subtract(ubar[:m], u[:m], out=work).ravel(), out=lin_proj)
+        lin_proj += psi @ np.subtract(Zz, Z0, out=work).ravel()
         g_phi = particular_forced(system, Zz)
         lg_phi = l.apply(g_phi)
-        phi_proj = lg_phi @ family.cokernel_basis
+        phi_proj = lg_phi @ D
 
-        u_next = (c @ family.kernel_rows).reshape(z0.shape) + ubar
+        np.matmul(c, K, out=u_next.reshape(-1))
+        u_next += ubar
         c_next = B0_pinv @ lin_proj
-        ubar_next = eps * bvp.green(g_phi, lg=lg_phi)
+        ubar_next = bufs[(k + 1) % 2, 3]
+        np.matmul(U, pinv @ (zero - lg_phi), out=ubar_next.reshape(-1))
+        ubar_next += g_phi
+        ubar_next *= eps
 
-        z = z0 + u_next
-        Zz = _along(problem.Z, z, eps)
-        rec_res, bc_res = residuals(system, l, family.forcing, z, eps * Zz)
+        np.add(z0, u_next, out=z)
+        Zz = _along(problem.Z, z, eps, n)
+        rec_res, bc_res = residuals(system, l, forcing, z, eps * Zz)
+        np.subtract(u_next, u, out=du)
+        # a NaN or inf in u makes u_max non-finite
+        delta, u_max, z_max, ubar_max = np.abs(buf, out=mags).max(axis=(1, 2)).tolist()
         # sqrt(v . v), as np.linalg.norm computes a vector's norm
-        records.append((k, math.sqrt(c.dot(c)), float(np.abs(ubar).max()),
-                        rec_res, bc_res, math.sqrt(phi_proj.dot(phi_proj))))
+        records.append((k, math.sqrt(c.dot(c)), ubar_max, rec_res, bc_res,
+                        math.sqrt(phi_proj.dot(phi_proj))))
 
-        delta = float(np.abs(u_next - u).max())
         deltas.append(delta)
-        u, c, ubar = u_next, c_next, ubar_next
+        u, c = u_next, c_next
         iterations = k
-        u_max = float(np.abs(u).max())  # a NaN or inf in u makes it non-finite
         if not math.isfinite(u_max):
             reason = "non_finite"
             break
         if u_max > blowup:
             reason = "blowup"
             break
-        scale = 1.0 + float(np.abs(z).max())
+        scale = 1.0 + z_max
         if delta <= tol * scale and rec_res <= residual_tol * scale \
                 and bc_res <= residual_tol * scale:
             reason = "converged"

@@ -432,8 +432,8 @@ def _floats(obj, inner: str) -> str | None:
     # a finite sum has finite terms; an overflowing one takes the slow path
     if set(map(type, cells)) != {float} or not math.isfinite(sum(cells)):
         return None
-    item = "%s"
+    item = "%r"  # float.__repr__, for exact floats only
     if rows:
         item = f"[{inner}  " + f",{inner}  ".join([item] * len(obj[0])) + f"{inner}]"
     text = "[" + inner + ("," + inner).join([item] * len(obj)) + inner[:-2] + "]"
-    return text % tuple(map(float.__repr__, cells))
+    return text % tuple(cells)

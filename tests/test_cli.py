@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from resbvp import cli, linalg, linear
+from resbvp import cli, linalg, linear, problem_io
 from resbvp import nonlinear as nl
 from resbvp.linear import LinearBVP
 
@@ -425,26 +425,31 @@ def solve_block_rotation(tmp_path, case, **solver):
 
 class TestStopTestMatchesAudit:
     """The iteration's stop test and a report's audit measure a solution
-    by one function: the last trace record's residuals are those of the
-    solution.csv entry, bit for bit, whether the iteration converged or not."""
+    by one function: the last trace record's residuals are those that
+    cli._entries recomputes from solution.csv, bit for bit, whether the
+    iteration converged or not, and the report's solution.csv entry is
+    that record's."""
 
     @staticmethod
-    def assert_agree(report):
+    def assert_agree(out):
+        report = json.loads((out / "report.json").read_text())
         final = report["iteration"]["final_record"]
-        entry = report["trajectories"]["solution.csv"]
-        assert [final[key] for key in cli._RESIDUALS] == [entry[key] for key in cli._RESIDUALS]
+        z = cli._read_trajectory(out / "solution.csv")  # %.17g gives back every bit
+        audit = cli._entries(problem_io.parse_problem(report["problem"]), z[None], "solution")[0]
+        assert [final[key] for key in cli._RESIDUALS] == [audit[key] for key in cli._RESIDUALS]
+        assert report["trajectories"]["solution.csv"] == audit
 
     @pytest.mark.parametrize("name,flags", [("rotation_lv.json", []),
                                             ("gate_refusal.json", ["--force"])])
     def test_shipped_solutions(self, tmp_path, name, flags):
         assert run(["solve-nonlinear", problem(name), *flags, "-o", tmp_path]) == 0
-        self.assert_agree(json.loads((tmp_path / "report.json").read_text()))
-        self.assert_agree(json.loads((GOLDEN_DIR / name[:-5] / "report.json").read_text()))
+        self.assert_agree(tmp_path)
+        self.assert_agree(GOLDEN_DIR / name[:-5])
 
     def test_unconverged_solution(self, tmp_path):
         code, report = solve_block_rotation(tmp_path, (600, 2, 1e-3, 0))
         assert code == 5 and not report["iteration"]["converged"]
-        self.assert_agree(report)
+        self.assert_agree(tmp_path / "out")
 
 
 class TestNoContraction:
@@ -850,6 +855,21 @@ class TestCsvWriters:
         csv_writer_reference(tmp_path / "ref.csv", ["n", "z1", "z2", "z3"],
                              [[n, *z[n]] for n in range(4)])
         assert (tmp_path / "particular.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("N", [1, 32])
+    @pytest.mark.parametrize("rows", [2, 601])
+    def test_one_format_table_matches_csv_writer(self, tmp_path, N, rows):
+        # SPECIAL's values spread among normal draws; a table of fewer cells takes them in turns
+        rng = np.random.default_rng([N, rows])
+        for start in range(0, len(SPECIAL), rows * N):
+            z = rng.standard_normal((rows, N))
+            values = SPECIAL[start:start + z.size]
+            z.ravel()[::max(1, z.size // len(SPECIAL))][:len(values)] = values
+            header, table = cli._trajectory_table(z)
+            assert isinstance(table, np.ndarray)  # the one-format path
+            cli._write_table(tmp_path / "new.csv", header, table)
+            csv_writer_reference(tmp_path / "ref.csv", header, [[n, *z[n]] for n in range(rows)])
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_trace_bytes_match_csv_writer(self, tmp_path):
         records = [(k, *SPECIAL[k:k + 5]) for k in range(7)]

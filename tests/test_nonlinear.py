@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import functools
 import importlib.util
@@ -637,6 +638,15 @@ def block_rotation(m, N, eps, base):
     return from_file(doc)
 
 
+def overflowing_gain(gain):
+    """The m = 600 block rotation with Lotka-Volterra gains g1 = g2 = gain.
+    At 1e200 the norm of F overflows, so the root search keeps c_init; B0
+    stays finite, and Z overflows in the iteration's third round."""
+    doc = block_rotation_doc(600, 2, 1e-4, 0)
+    doc["nonlinearity"].update(g1=gain, g2=gain)
+    return from_file(parse_problem(doc))
+
+
 ROUND_CASES = {
     "invariant_m600_N2": lambda: block_rotation(600, 2, 1e-4, 0),
     "invariant_m24_N32": lambda: block_rotation(24, 32, 1e-4, 0),
@@ -644,27 +654,38 @@ ROUND_CASES = {
     "varying_m120_N2": lambda: varying_rotation(120, 1e-3),
     "varying_block_m80_N2": lambda: from_file(parse_problem(varying_block_doc(80, 1e-4))),
     "no_kernel_forced": no_kernel_square,
+    "blowup_m600_N2": lambda: block_rotation(600, 2, 1e-3, 3),
+    "non_finite_m600_N2": lambda: overflowing_gain(1e200),
 }
+# the solver settings of the cases that stop on blowup and non_finite, and those stops
+ROUND_STOPS = {"blowup_m600_N2": ({"blowup": 1.0}, "blowup"),
+               "non_finite_m600_N2": ({"blowup": 1e300}, "non_finite")}
 
 
 class TestRoundMatchesReference:
     @pytest.mark.parametrize("case", sorted(ROUND_CASES))
     def test_same_rounds_trace_and_trajectory(self, case):
+        settings, stop = ROUND_STOPS.get(case, ({}, None))
         p = ROUND_CASES[case]()
         family = p.family
         r = family.kernel_dim
-        c0 = solve_generating(p, [0.5] * r).c0 if r else np.zeros(0)
-        B0_pinv = check_sufficient(assemble_B0(p, c0)).B0_pinv
-        z, trace = iterate(p, c0, B0_pinv)
+        # overflow is expected on the way to a non-finite iterate, as the CLI expects it
+        with (np.errstate(over="ignore", invalid="ignore") if stop == "non_finite"
+              else contextlib.nullcontext()):
+            c0 = solve_generating(p, [0.5] * r).c0 if r else np.zeros(0)
+            B0_pinv = check_sufficient(assemble_B0(p, c0)).B0_pinv
+            z, trace = iterate(p, c0, B0_pinv, **settings)
+            z_ref, records, deltas, iterations, reason = reference_iterate(p, c0, B0_pinv,
+                                                                           **settings)
         system = family.bvp.system
         assert system.time_invariant or system.levels == ()  # a time-varying one is stepped
-        z_ref, records, deltas, iterations, reason = reference_iterate(p, c0, B0_pinv)
         assert (trace.iterations, trace.reason) == (iterations, reason)
-        assert np.abs(z - z_ref).max() <= 1e-12
+        assert stop is None or reason == stop
+        # a NaN or an inf only where the reference has it (the non-finite run's)
+        np.testing.assert_allclose(z, z_ref, rtol=0, atol=1e-12)
         # relative to each record: the stalling run's projected residual reaches 400
-        records = np.array(records)
-        assert (np.abs(np.array(trace.records) - records) <= 1e-12 * (1 + np.abs(records))).all()
-        assert np.abs(np.array(trace.increments) - np.array(deltas)).max() <= 1e-12
+        np.testing.assert_allclose(trace.records, records, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(trace.increments, deltas, rtol=0, atol=1e-12)
 
     def test_cases_cover_each_branch(self):
         assert ROUND_CASES["invariant_m600_N2"]().family.bvp.system.time_invariant
