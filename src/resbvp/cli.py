@@ -71,22 +71,19 @@ def _write_new(path: Path, text: str) -> None:
 
 def _write_table(path: Path, header, rows) -> None:
     """CSV of numeric rows in one write, every cell as %.17g (an integer
-    or a bool prints as an integer, NaN as nan), byte for byte what
-    csv.writer writes for those strings. An ndarray table takes one
-    %-format over all of its cells; other rows take one format each."""
+    or a bool, exact as a float, prints as an integer, NaN as nan), byte
+    for byte what csv.writer writes for those strings: one %-format over
+    the cells of the rows taken as one float table."""
+    table = np.asarray(rows, dtype=float).reshape(-1, len(header))
     fmt = ",".join(["%.17g"] * len(header)) + "\r\n"
-    if isinstance(rows, np.ndarray):
-        body = (fmt * len(rows)) % tuple(rows.ravel().tolist())
-    else:
-        body = "".join(fmt % tuple(row) for row in rows)
+    body = (fmt * len(table)) % tuple(table.ravel().tolist())
     _write_new(path, ",".join(header) + "\r\n" + body)
 
 
 def _trajectory_table(z: np.ndarray) -> tuple:
-    """The (header, table) of a trajectory CSV: the rows n, z1, ..., zN per
-    time n as one ndarray (an integer n as a float prints the same)."""
+    """The (header, rows) of a trajectory CSV: n, z1, ..., zN per time n."""
     header = ["n"] + [f"z{i + 1}" for i in range(z.shape[1])]
-    return header, np.column_stack([np.arange(len(z), dtype=float), z])
+    return header, np.column_stack([np.arange(len(z)), z])
 
 
 def _read_trajectory(path: Path) -> np.ndarray:
@@ -369,7 +366,7 @@ def cmd_sweep(args) -> int:
         "grid": {"min": args.eps_min, "max": args.eps_max, "count": args.count},
         "points": rows,
     }, {"branch.csv": (columns + [f"c{j + 1}" for j in range(len(rows[0]["c0"]))],
-                       ([row[k] for k in columns] + row["c0"] for row in rows))})
+                       [[row[k] for k in columns] + row["c0"] for row in rows])})
     ok = sum(1 for row in rows if row["exit"] == EXIT_OK)
     print(f"sweep: {ok}/{len(rows)} grid points converged; outputs in {out} "
           f"({time.perf_counter() - started:.3f}s)")

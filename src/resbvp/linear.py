@@ -76,9 +76,6 @@ class OperatorSequence:
     and C = [S; S^2; ...; S^b]. The top level, n_l <= b, is (L^T, None) over
     S^0 ... S^(n_l - 1) only: no power past A_0^m is formed (Fibonacci's
     overflow at 1475 steps). A time-varying system is never scanned: ().
-    A0T, built on first use and read-only too, is A_0^T as a C-contiguous
-    copy, the right factor of a time-invariant system's stacked steps z A_0^T
-    (recurrence_defect takes it on every call).
     """
 
     matrices: np.ndarray
@@ -120,13 +117,6 @@ class OperatorSequence:
             Ct.flags.writeable = False
             levels.append((Lt, Ct))
             S, n = P[b], -(-n // b)
-
-    @functools.cached_property
-    def A0T(self) -> np.ndarray:
-        # a C-contiguous copy: a transposed view costs 0.1 MB more RSS
-        At = np.ascontiguousarray(self.matrices[0].T)
-        At.flags.writeable = False
-        return At
 
     @property
     def dim(self) -> int:
@@ -420,16 +410,18 @@ class LinearBVP:
         """
         return self.boundary.target - self.boundary.apply(g)
 
-    def green(self, g, lg=None) -> np.ndarray:
+    def green(self, g, lg=None, out=None) -> np.ndarray:
         """Generalized Green operator G[g, 0] = Phi(n, 0) Q^+ (0 - l g) + g(n),
-        with g as for ``h``. ``lg``, when given, is l g already applied.
+        with g as for ``h``. ``lg``, when given, is l g already applied;
+        ``out``, when given, an array of g's shape that receives the result.
 
         Linear in g: the target is zero, not the boundary's (0 - l g, not
         -l g, so that a zero l g gives no -0.0); least-squares/minimum-norm
         when l z = 0 cannot be met exactly.
         """
         lg = self.boundary.apply(g) if lg is None else lg
-        return self.propagate(self.rd.pinv @ (np.zeros(self.boundary.codim) - lg)) + g
+        return np.add(self.propagate(self.rd.pinv @ (np.zeros(self.boundary.codim) - lg)), g,
+                      out=out)
 
     def solve(self, f, tol: float = 1e-9) -> SolutionFamily:
         """Classify f against the boundary target and build its full solution
@@ -448,13 +440,13 @@ class LinearBVP:
 def recurrence_defect(system: OperatorSequence, f, trajectory) -> np.ndarray:
     """z(n+1) - A_n z(n) - f(n) for n = 0, ..., m-1, shape (m, N), in one
     stacked expression: a time-invariant system's A_n z(n) are one 2-D
-    product z[:m] A_0^T, with the system's cached A0T, a time-varying one's
-    a product per time. A stack of trajectories, shape (..., m+1, N), gives
-    the stack of defects."""
+    product z[:m] A_0^T, a time-varying one's a product per time. A stack
+    of trajectories, shape (..., m+1, N), gives the stack of defects."""
     z = np.asarray(trajectory, dtype=float)
-    m = system.horizon
-    Az = z[..., :m, :] @ system.A0T if system.time_invariant \
-        else (system.matrices @ z[..., :m, :, None])[..., 0]
+    m, A = system.horizon, system.matrices
+    # a C-contiguous A_0^T: a transposed view costs 0.1 MB more RSS
+    Az = z[..., :m, :] @ np.ascontiguousarray(A[0].T) if system.time_invariant \
+        else (A @ z[..., :m, :, None])[..., 0]
     defect = np.subtract(z[..., 1:m + 1, :], Az, out=Az)
     return np.subtract(defect, _forcing_array(system, f), out=defect)
 

@@ -134,13 +134,11 @@ class IterationTrace:
               "boundary_residual", "projected_residual")
 
 
-def _along(fn, z, eps, n=None) -> np.ndarray:
+def _along(fn, z, eps) -> np.ndarray:
     """fn (Z or Z_du) at the first m states of a trajectory, or of a stack
-    of trajectories (..., m+1, N), in one call; ``n`` is the time index
-    np.arange(m), built here unless a caller that makes many calls passes it."""
+    of trajectories (..., m+1, N), in one call."""
     m = z.shape[-2] - 1
-    return np.asarray(fn(z[..., :m, :], np.arange(m) if n is None else n, float(eps)),
-                      dtype=float)
+    return np.asarray(fn(z[..., :m, :], np.arange(m), float(eps)), dtype=float)
 
 
 def _projected_du(problem: NonlinearProblem, z0, at_eps: float) -> np.ndarray:
@@ -323,10 +321,8 @@ def iterate(problem: NonlinearProblem, c0, B0_pinv, tol: float = 1e-10, max_iter
     Z(z0+u,.,eps) - Z(z0,.,0), is not swept but contracted with P = psi Z_du,
     formed once, and LinearBVP.psi; the round's one sweep takes phi.
 
-    Everything a round does not change is formed once per call: the time
-    index of the Z calls, the Green operator's factors and, through the
-    system's cached A0T, the stop test's recurrence defect. u_next, ubar_next
-    and the c forcing's projection are built in place, and the round's four
+    u_next, ubar_next (through LinearBVP.green's ``out``) and the c
+    forcing's projection are built in place, and the round's four
     sup-norms (the increment, |u|, |z| and |ubar|) are one abs and one max
     over a (4, m+1, N) buffer that holds those four arrays; each is the
     value a max over its array alone gives.
@@ -349,16 +345,13 @@ def iterate(problem: NonlinearProblem, c0, B0_pinv, tol: float = 1e-10, max_iter
     bvp = family.bvp
     system, l = bvp.system, bvp.boundary
     m = system.horizon
-    n = np.arange(m)  # the time index of every Z call
 
     z0 = family.member(c0)
-    Z0 = _along(problem.Z, z0, 0.0, n)
-    Zz = _along(problem.Z, z0, eps, n)  # Z(z0 + u, ., eps), reused across rounds
+    Z0 = _along(problem.Z, z0, 0.0)
+    Zz = _along(problem.Z, z0, eps)  # Z(z0 + u, ., eps), reused across rounds
     P = _projected_du(problem, z0, 0.0)
     psi = bvp.psi.reshape(P.shape)
     K, D, forcing = family.kernel_rows, family.cokernel_basis, family.forcing
-    # the Green operator's G[g, 0] = Phi(., 0) Q^+ (0 - l g) + g, its factors bound once
-    U, pinv, zero = bvp.U.reshape(-1, system.dim), bvp.rd.pinv, np.zeros(l.codim)
 
     # Round k writes (u_next - u, u_next, z, ubar) in bufs[k % 2], whose four
     # sup-norms are one abs and one max, and ubar_next in the other buffer's
@@ -385,13 +378,11 @@ def iterate(problem: NonlinearProblem, c0, B0_pinv, tol: float = 1e-10, max_iter
         np.matmul(c, K, out=u_next.reshape(-1))
         u_next += ubar
         c_next = B0_pinv @ lin_proj
-        ubar_next = bufs[(k + 1) % 2, 3]
-        np.matmul(U, pinv @ (zero - lg_phi), out=ubar_next.reshape(-1))
-        ubar_next += g_phi
+        ubar_next = bvp.green(g_phi, lg=lg_phi, out=bufs[(k + 1) % 2, 3])
         ubar_next *= eps
 
         np.add(z0, u_next, out=z)
-        Zz = _along(problem.Z, z, eps, n)
+        Zz = _along(problem.Z, z, eps)
         rec_res, bc_res = residuals(system, l, forcing, z, eps * Zz)
         np.subtract(u_next, u, out=du)
         # a NaN or inf in u makes u_max non-finite

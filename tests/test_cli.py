@@ -865,10 +865,9 @@ class TestCsvWriters:
             z = rng.standard_normal((rows, N))
             values = SPECIAL[start:start + z.size]
             z.ravel()[::max(1, z.size // len(SPECIAL))][:len(values)] = values
-            header, table = cli._trajectory_table(z)
-            assert isinstance(table, np.ndarray)  # the one-format path
-            cli._write_table(tmp_path / "new.csv", header, table)
-            csv_writer_reference(tmp_path / "ref.csv", header, [[n, *z[n]] for n in range(rows)])
+            cli._write_table(tmp_path / "new.csv", *cli._trajectory_table(z))
+            csv_writer_reference(tmp_path / "ref.csv", ["n"] + [f"z{i + 1}" for i in range(N)],
+                                 [[n, *z[n]] for n in range(rows)])
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_trace_bytes_match_csv_writer(self, tmp_path):
