@@ -8,6 +8,7 @@ vector alpha.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +53,7 @@ class BoundaryOperator:
     def dim(self) -> int | None:
         return self.samples[0][1].shape[1] if self.samples else None
 
-    @property
+    @cached_property
     def max_point(self) -> int:
         return max((n for n, _ in self.samples), default=0)
 
@@ -64,11 +65,11 @@ class BoundaryOperator:
         row of a stacked result equals l of that trajectory alone bit for bit.
         """
         z = np.asarray(trajectory, dtype=float)
+        if self.max_point >= z.shape[-2]:
+            raise ValueError(f"sample point {self.max_point} outside trajectory window "
+                             f"of length {z.shape[-2]}")
         out = np.zeros(z.shape[:-2] + (self.codim,))
         for n, L in self.samples:
-            if n >= z.shape[-2]:
-                raise ValueError(
-                    f"sample point {n} outside trajectory window of length {z.shape[-2]}")
             out += (L @ z[..., n, :, None])[..., 0]
         return out
 

@@ -19,7 +19,9 @@ scans a time_invariant system's long windows with small stacks by a
 blocked scan, a few block-Toeplitz products in each of ceil(log_b m)
 levels over the powers of A_0, and steps through any other: F's
 finite-difference Jacobian amplifies roundoff about a millionfold, so
-the short windows of the shipped problems keep the stepped bits.
+the short windows of the shipped problems keep the stepped bits. A bound
+sweep (_forced_sweep; a scan's plan holds its zero-padded buffers) runs only
+its arithmetic; the fixed-point iteration binds one per solve.
 
 LinearBVP.psi, the forcing-to-boundary map projected onto the cokernel, is
 built once, from the transition stack if the system is time-invariant and by
@@ -27,6 +29,7 @@ a backward sweep if not; B0 and the iteration's c update contract with it.
 
 residuals is the one place a trajectory's recurrence and boundary residual
 norms are taken: the fixed-point iteration's stop test and the CLI's audit.
+The stop test binds it once per solve (_residual_check: A_0^T, f, a buffer).
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ __all__ = [
     "transition_stack",
     "particular_forced",
     "classify",
-    "recurrence_defect",
     "residuals",
 ]
 
@@ -173,61 +175,71 @@ def particular_forced(system: OperatorSequence, f) -> np.ndarray:
 
     f has shape (..., m, N) and g has shape (..., m+1, N). A time_invariant
     system's stack of k forcings over m > 64 steps, with k N^2 <= 1024,
-    goes through the blocked scan _scan, flattened to (k, m, N). Any
+    goes through the blocked scan _scan_plan, flattened to (k, m, N). Any
     other is swept step by step, one (N, N) @ (N, 1) product per stacked
     forcing, so that every slice equals the sweep of its forcing alone bit
     for bit, as every shipped problem's generating root needs.
     """
     f = _forcing_array(system, f)
-    m, N, k = system.horizon, system.dim, math.prod(f.shape[:-2])
+    return _forced_sweep(system, f.shape[:-2])(f)
+
+
+def _forced_sweep(system: OperatorSequence, stack: tuple):
+    """particular_forced bound to (system, stack shape): a function of an unchecked
+    forcing, stack + (m, N), whose result the next call overwrites."""
+    m, N, k = system.horizon, system.dim, math.prod(stack)
     if system.time_invariant and m > _SCAN_MIN_HORIZON and k * N * N <= _SCAN_MAX_WORK:
-        return _scan(system, f.reshape(-1, m, N)).reshape(f.shape[:-2] + (m + 1, N))
-    # Time-major (m, ..., N, 1), stepping over views made once: each step
-    # is one product into a contiguous block and one add in place, with no
-    # temporary, and rounds as a plain g[n+1] = A_n g[n] + f[n]. A single
-    # forcing steps by np.dot, np.matmul's bits at half its dispatch.
-    # swapaxes(0, -2) is its own inverse for any number of leading axes.
-    ft = f.swapaxes(0, -2)[..., None]
-    g = np.zeros((m + 1,) + ft.shape[1:])
-    gv = list(g)
-    step = np.dot if f.ndim == 2 else np.matmul
-    for A, f_n, g_n, g_next in zip(system.matrices, ft, gv, gv[1:]):
-        step(A, g_n, out=g_next)
-        g_next += f_n
-    return g[..., 0].swapaxes(0, -2)
+        scan, shape = _scan_plan(system, k), stack + (m + 1, N)
+        return lambda f: scan(f.reshape(k, m, N)).reshape(shape)
+    # Time-major (m, ..., N, 1), stepping over views: each step is one product
+    # into a contiguous block and one add in place, rounding as a plain
+    # g[n+1] = A_n g[n] + f[n]; a single forcing steps by np.dot, np.matmul's
+    # bits at half its dispatch. swapaxes(0, -2) is its own inverse.
+    g = np.zeros((m + 1,) + stack[1:] + stack[:1] + (N, 1))  # f's swapped axes; g[0] stays 0
+    out, step = g[..., 0].swapaxes(0, -2), np.matmul if stack else np.dot
+    steps = list(zip(system.matrices, g, g[1:]))  # the views made once
+
+    def sweep(f):
+        for (A, g_n, g_next), f_n in zip(steps, f.swapaxes(0, -2)[..., None]):
+            step(A, g_n, out=g_next)
+            g_next += f_n
+        return out
+    return sweep
 
 
-def _scan(system: OperatorSequence, f: np.ndarray) -> np.ndarray:
-    """particular_forced of a stack of k forcings, shape (k, m, N), over a
-    time_invariant system: g(0..m), a (k, m+1, N) view, is the prefix of
-    the m+1 inputs (0, f(0), ..., f(m-1)). It matches the step-by-step sweep
-    to roundoff, not bit for bit, which on the shipped problems' short
-    windows would move rotation_lv.json's generating root past the 1e-12
-    golden tolerance; a time-major forcing gives a C-ordered one's bits.
-    """
-    return _prefix(system.levels, f, f.shape[1] + 1)
+def _scan_plan(system: OperatorSequence, k: int):
+    """The blocked scan bound to k forcings: a function of f, shape (k, m, N),
+    giving g(0..m), the prefix y[j] = sum_{i<=j} A_0^(j-i) u[i] of the inputs
+    u = (0, f(0), ..., f(m-1)), in buffers the next call overwrites. Per level
+    the n inputs sit behind zeros in B blocks of b (no state past the last
+    input is formed: it may overflow, and 0 * inf poisons a dense product),
+    u @ L^T is each block's local prefix, whose last states the next level
+    scans, and C^T adds each incoming state. It matches the stepped sweep to
+    roundoff, not bit for bit (rotation_lv.json's root would move past
+    1e-12); a time-major forcing gives a C-ordered one's bits."""
+    N = system.dim
 
+    def level(levels, n, given):  # n inputs, the last `given` of them set per call
+        Lt, Ct = levels[0]
+        rows = Lt.shape[0] // N
+        B = -(-n // rows)
+        u, y = np.zeros((k, B, rows * N)), np.empty((k, B, rows * N))
+        inputs, out = u.reshape(k, -1, N)[:, -given:], y.reshape(k, -1, N)[:, -n:]
+        blocks, products = u.reshape(k * B, -1), y.reshape(k * B, -1)
+        if B > 1:  # u, once spent, takes the incoming states; block 0 (all the padding) none
+            carry, last, first, rest = level(levels[1:], B, B), y[..., -N:], u[:, 0], u[:, 1:]
 
-def _prefix(levels: tuple, x: np.ndarray, n: int) -> np.ndarray:
-    """The prefix y[j] = sum_{i<=j} S^(j-i) u[i], shape (k, n, N), over
-    levels[0]'s S of the n inputs u that are x, shape (k, <= n, N), behind
-    zeros, by Blelloch's blocked scan: padded at the front to B blocks of b
-    (no state past the last input is formed: it may overflow, and 0 * inf
-    poisons a dense product), u @ L^T is each block's local prefix, whose
-    last states the next level scans, and C^T adds each incoming state."""
-    (Lt, Ct), (k, _, N) = levels[0], x.shape
-    rows = Lt.shape[0] // N
-    B = -(-n // rows)
-    u = np.zeros((k, B * rows, N))
-    u[:, B * rows - x.shape[1]:] = x
-    y = (u.reshape(k * B, rows * N) @ Lt).reshape(k, B, rows * N)
-    if B > 1:
-        carry = _prefix(levels[1:], y[..., -N:], B)
-        incoming = u.reshape(k, B, -1)  # u is spent; block 0 has no incoming state
-        incoming[:, 0] = 0.0
-        np.matmul(carry[:, :-1], Ct, out=incoming[:, 1:])
-        y += incoming  # contiguous: numpy buffers a strided in-place add
-    return y.reshape(k, B * rows, N)[:, B * rows - n:]
+        def prefix(x):
+            inputs[...] = x
+            np.matmul(blocks, Lt, out=products)
+            if B > 1:
+                np.matmul(carry(last)[:, :-1], Ct, out=rest)
+                first[...] = 0.0
+                np.add(y, u, out=y)  # contiguous: numpy buffers a strided in-place add
+            return out
+        return prefix
+
+    return level(system.levels, system.horizon + 1, system.horizon)
 
 
 def _powers(S: np.ndarray, count: int) -> np.ndarray:
@@ -437,18 +449,21 @@ class LinearBVP:
         return SolutionFamily(self, f, classify(self.rd, h, tol=tol), particular, kernels)
 
 
-def recurrence_defect(system: OperatorSequence, f, trajectory) -> np.ndarray:
-    """z(n+1) - A_n z(n) - f(n) for n = 0, ..., m-1, shape (m, N), in one
-    stacked expression: a time-invariant system's A_n z(n) are one 2-D
-    product z[:m] A_0^T, a time-varying one's a product per time. A stack
-    of trajectories, shape (..., m+1, N), gives the stack of defects."""
-    z = np.asarray(trajectory, dtype=float)
-    m, A = system.horizon, system.matrices
-    # a C-contiguous A_0^T: a transposed view costs 0.1 MB more RSS
-    Az = z[..., :m, :] @ np.ascontiguousarray(A[0].T) if system.time_invariant \
-        else (A @ z[..., :m, :, None])[..., 0]
-    defect = np.subtract(z[..., 1:m + 1, :], Az, out=Az)
-    return np.subtract(defect, _forcing_array(system, f), out=defect)
+def _defect(system: OperatorSequence, f, stack: tuple):
+    """The recurrence defect z(n+1) - A_n z(n) - f(n), n < m, bound to (system,
+    f): a function of a stack of trajectories, stack + (m+1, N), writing it into
+    one buffer that the next call overwrites. A time-invariant system's A_n z(n)
+    are one 2-D product z[:m] A_0^T, a time-varying one's a product per time."""
+    m, A, forcing = system.horizon, system.matrices, _forcing_array(system, f)
+    defect = np.empty(stack + (m, system.dim))
+    A0T = np.ascontiguousarray(A[0].T)  # a transposed view costs 0.1 MB more RSS
+
+    def of(z):
+        Az = np.matmul(z[..., :m, :], A0T, out=defect) if system.time_invariant \
+            else (A @ z[..., :m, :, None])[..., 0]
+        np.subtract(z[..., 1:m + 1, :], Az, out=defect)
+        return np.subtract(defect, forcing, out=defect)
+    return of
 
 
 def residuals(system: OperatorSequence, l: BoundaryOperator, f, trajectory,
@@ -459,12 +474,22 @@ def residuals(system: OperatorSequence, l: BoundaryOperator, f, trajectory,
     perturbation (..., m, N), gives two (...) arrays, each entry equal bit
     for bit to that trajectory's own."""
     z = np.asarray(trajectory, dtype=float)
-    defect = recurrence_defect(system, f, z)
-    if perturbation is not None:
-        defect -= perturbation
-    v = l.apply(z) - (0.0 if f is None else l.target)
-    # max_n ||defect(n)|| with the row sums as one product; .sum(-1) takes each row alone
-    rec = np.sqrt((np.square(defect, out=defect) @ np.ones(system.dim)).max(-1))
-    if z.ndim == 2:  # sqrt(v . v) per row, as a 1-D norm rounds it; a stacked norm sums otherwise
-        return float(rec), math.sqrt(v.dot(v))
-    return rec, np.sqrt([row.dot(row) for row in v.reshape(-1, l.codim)]).reshape(v.shape[:-1])
+    return _residual_check(system, l, f, z.shape[:-2])(z, perturbation)
+
+
+def _residual_check(system: OperatorSequence, l: BoundaryOperator, f, stack: tuple):
+    """residuals bound to (system, l, f) and a stack shape."""
+    defect_of, ones = _defect(system, f, stack), np.ones(system.dim)
+    target = 0.0 if f is None else l.target
+
+    def check(z, perturbation=None):
+        defect = defect_of(z)
+        if perturbation is not None:
+            defect -= perturbation
+        v = l.apply(z) - target
+        # max_n ||defect(n)|| with the row sums as one product; .sum(-1) takes each row alone
+        rec = np.sqrt((np.square(defect, out=defect) @ ones).max(-1))
+        if not stack:  # sqrt(v . v) per row, as a 1-D norm rounds it; a stacked norm sums otherwise
+            return float(rec), math.sqrt(v.dot(v))
+        return rec, np.sqrt([row.dot(row) for row in v.reshape(-1, l.codim)]).reshape(stack)
+    return check

@@ -61,35 +61,39 @@ class LotkaVolterraSpec:
                    a=np.full((p, p), a), b=np.full((p, p), b))
 
 
-def _at(table: np.ndarray, n, time_varying_ndim: int) -> np.ndarray:
-    return table[n] if table.ndim == time_varying_ndim else table
-
-
-def _split(spec: LotkaVolterraSpec, z, n):
-    """States, tables at times n and the sums (a y, b x) in one array of z's shape."""
-    z = np.asarray(z, dtype=float)
+def _split(spec: LotkaVolterraSpec):
+    """A function of (z, n) giving the states, tables at times n and the sums
+    (a y, b x) in one array of z's shape; time-invariant tables, and the
+    transposes their sums take, are bound once."""
     p, t = spec.pairs, spec.interactions
-    if z.shape[-1:] != (2 * p,):
-        raise ValueError(f"state must have shape (..., {2 * p}), got {z.shape}")
-    x, y = z[..., :p], z[..., p:]
-    g1, g2 = _at(spec.g1, n, 2), _at(spec.g2, n, 2)
-    a, b = _at(spec.a, n, 3), _at(spec.b, n, 3)
-    sums = np.empty(z.shape)
-    for full, table, state, out in ((spec.a, a, y, sums[..., :p]), (spec.b, b, x, sums[..., p:])):
-        if full.ndim == 2:  # time-invariant: the whole stack in one 2-D product
-            np.matmul(state[..., :t], table.T, out=out)
-        else:
-            out[...] = (table @ state[..., :t, None])[..., 0]
-    return x, y, g1, g2, a, b, sums
+    g1, g2, a, b = (table.__getitem__ if table.ndim == ndim else (lambda n, table=table: table)
+                    for table, ndim in ((spec.g1, 2), (spec.g2, 2), (spec.a, 3), (spec.b, 3)))
+    aT, bT = (table.T if table.ndim == 2 else None for table in (spec.a, spec.b))
+
+    def split(z, n):
+        z = np.asarray(z, dtype=float)
+        if z.shape[-1:] != (2 * p,):
+            raise ValueError(f"state must have shape (..., {2 * p}), got {z.shape}")
+        x, y, a_n, b_n = z[..., :p], z[..., p:], a(n), b(n)
+        sums = np.empty(z.shape)
+        for T, table, state, out in ((aT, a_n, y, sums[..., :p]), (bT, b_n, x, sums[..., p:])):
+            if T is not None:  # time-invariant: the whole stack in one 2-D product
+                np.matmul(state[..., :t], T, out=out)
+            else:
+                out[...] = (table @ state[..., :t, None])[..., 0]
+        return x, y, g1(n), g2(n), a_n, b_n, sums
+    return split
 
 
 def lv_callables(spec: LotkaVolterraSpec):
-    """(Z, Z_du) pair for NonlinearProblem, with no explicit eps dependence. On
-    a stack a time-invariant table's sums are one 2-D product (module docstring)."""
+    """(Z, Z_du) pair for NonlinearProblem, with no explicit eps dependence,
+    over spec's tables bound once. On a stack a time-invariant table's sums
+    are one 2-D product (module docstring)."""
+    split, p, t, i = _split(spec), spec.pairs, spec.interactions, np.arange(spec.pairs)
+
     def Z(z, n, eps):
         """Stacked (Zx, Zy) in the sums' array: (1 - a y)(g1 x) rounds as g1 x (1 - a y)."""
-        x, y, g1, g2, _, _, out = _split(spec, z, n)
-        p = spec.pairs
+        x, y, g1, g2, _, _, out = split(z, n)
         np.subtract(1.0, out, out=out)
         out[..., :p] *= g1 * x
         out[..., p:] *= g2 * y
@@ -97,10 +101,8 @@ def lv_callables(spec: LotkaVolterraSpec):
 
     def Z_du(z, n, eps):
         """Exact Jacobian of Z in z, shape (..., 2p, 2p)."""
-        x, y, g1, g2, a, b, sums = _split(spec, z, n)
-        p, t = spec.pairs, spec.interactions
+        x, y, g1, g2, a, b, sums = split(z, n)
         J = np.zeros(x.shape[:-1] + (2 * p, 2 * p))
-        i = np.arange(p)
         J[..., i, i] = g1 * (1.0 - sums[..., :p])
         J[..., :p, p:p + t] = -(g1 * x)[..., None] * a
         J[..., p:, :t] = -(g2 * y)[..., None] * b

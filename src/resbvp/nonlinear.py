@@ -24,8 +24,8 @@ from .linalg import numerical_rank
 from .linear import (
     QUASISOLUTION,
     SolutionFamily,
-    particular_forced,
-    residuals,
+    _forced_sweep,
+    _residual_check,
 )
 
 __all__ = [
@@ -134,11 +134,11 @@ class IterationTrace:
               "boundary_residual", "projected_residual")
 
 
-def _along(fn, z, eps) -> np.ndarray:
+def _along(fn, z, eps, n=None) -> np.ndarray:
     """fn (Z or Z_du) at the first m states of a trajectory, or of a stack
-    of trajectories (..., m+1, N), in one call."""
+    of trajectories (..., m+1, N), in one call, at times n = np.arange(m)."""
     m = z.shape[-2] - 1
-    return np.asarray(fn(z[..., :m, :], np.arange(m), float(eps)), dtype=float)
+    return np.asarray(fn(z[..., :m, :], np.arange(m) if n is None else n, float(eps)), dtype=float)
 
 
 def _projected_du(problem: NonlinearProblem, z0, at_eps: float) -> np.ndarray:
@@ -203,16 +203,26 @@ def generating_F(problem: NonlinearProblem, c, at_eps: float = 0.0) -> np.ndarra
     is the blocked scan, and rows agree with single evaluations to
     roundoff.
     """
-    family, bvp = problem.family, problem.family.bvp
-    g = particular_forced(bvp.system, _along(problem.Z, family.member(c), at_eps))
-    return (family.cokernel_basis.T @ bvp.boundary.apply(g)[..., None])[..., 0]
+    return _F_evaluator(problem, at_eps)(c)
 
 
-def _fd_jacobian(problem: NonlinearProblem, c: np.ndarray, at_eps: float) -> np.ndarray:
-    """Central finite-difference Jacobian of generating_F at c, shape (d, r).
+def _F_evaluator(problem: NonlinearProblem, at_eps: float):
+    """generating_F bound to (problem, at_eps), over one time index and D^T. The
+    stacked member is freed before the sweep, whose buffer then reuses its block."""
+    family, system, l = problem.family, problem.family.bvp.system, problem.family.bvp.boundary
+    n, DT = np.arange(system.horizon), family.cokernel_basis.T
+
+    def F(c):
+        phi = _along(problem.Z, family.member(c), at_eps, n)
+        return (DT @ l.apply(_forced_sweep(system, phi.shape[:-2])(phi))[..., None])[..., 0]
+    return F
+
+
+def _fd_jacobian(F_of, c: np.ndarray) -> np.ndarray:
+    """Central finite-difference Jacobian of F_of, an _F_evaluator, at c, shape (d, r).
 
     Column j is (F(c + s_j e_j) - F(c - s_j e_j)) / (2 s_j) with step
-    s_j = 1e-6 (1 + |c_j|); all 2r points are one stacked generating_F
+    s_j = 1e-6 (1 + |c_j|); all 2r points are one stacked F_of
     call, and the quotients use only rows of that call, which share one
     sweep. It amplifies roundoff in F about a millionfold: on short windows
     the rows equal single evaluations bit for bit when Z's rows do, as
@@ -221,7 +231,7 @@ def _fd_jacobian(problem: NonlinearProblem, c: np.ndarray, at_eps: float) -> np.
     r = c.shape[0]
     steps = 1e-6 * (1.0 + np.abs(c))
     E = np.diag(steps)
-    F = generating_F(problem, np.concatenate([c + E, c - E]), at_eps=at_eps)
+    F = F_of(np.concatenate([c + E, c - E]))
     return ((F[:r] - F[r:]) / (2 * steps)[:, None]).T
 
 
@@ -238,19 +248,20 @@ def solve_generating(problem: NonlinearProblem, c_init=None, tol: float = 1e-10,
 
     Per Newton step, the Jacobian's 2r evaluations of F are one stacked
     generating_F call (one Z call); the centre and each line-search trial
-    are single evaluations.
+    are single evaluations, all through one _F_evaluator.
     """
     r = problem.family.kernel_dim
     c = np.zeros(r) if c_init is None else np.array(c_init, dtype=float)
     if c.shape != (r,):
         raise ValueError(f"c_init: expected shape ({r},) (r values, r the kernel dimension), "
                          f"got shape {c.shape}")
-    F = generating_F(problem, c, at_eps=at_eps)
+    F_of = _F_evaluator(problem, at_eps)
+    F = F_of(c)
     norm = float(np.linalg.norm(F))
     jac_rank = 0
     steps = 0
     while tol < norm < np.inf and steps < max_iter and r > 0:
-        J = _fd_jacobian(problem, c, at_eps)
+        J = _fd_jacobian(F_of, c)
         if not np.isfinite(J).all():
             break  # overflow; report the current iterate
         rd = numerical_rank(J)
@@ -260,7 +271,7 @@ def solve_generating(problem: NonlinearProblem, c_init=None, tol: float = 1e-10,
         improved = False
         for _ in range(30):
             trial = c + lam * step
-            Ft = generating_F(problem, trial, at_eps=at_eps)
+            Ft = F_of(trial)
             nt = float(np.linalg.norm(Ft))
             if nt < norm:
                 c, F, norm = trial, Ft, nt
@@ -325,7 +336,8 @@ def iterate(problem: NonlinearProblem, c0, B0_pinv, tol: float = 1e-10, max_iter
     forcing's projection are built in place, and the round's four
     sup-norms (the increment, |u|, |z| and |ubar|) are one abs and one max
     over a (4, m+1, N) buffer that holds those four arrays; each is the
-    value a max over its array alone gives.
+    value a max over its array alone gives. The sweep, the stop test's
+    residual check and the time index are bound once per solve.
 
     Stops on a sup-norm Cauchy increment delta_k = max |u_{k+1} - u_k|
     <= tol confirmed by small recurrence and boundary residuals of z0 + u.
@@ -344,14 +356,15 @@ def iterate(problem: NonlinearProblem, c0, B0_pinv, tol: float = 1e-10, max_iter
     eps, family = problem.epsilon, problem.family
     bvp = family.bvp
     system, l = bvp.system, bvp.boundary
-    m = system.horizon
+    m, n = system.horizon, np.arange(system.horizon)
 
+    sweep, check = _forced_sweep(system, ()), _residual_check(system, l, family.forcing, ())
     z0 = family.member(c0)
-    Z0 = _along(problem.Z, z0, 0.0)
-    Zz = _along(problem.Z, z0, eps)  # Z(z0 + u, ., eps), reused across rounds
+    Z0 = _along(problem.Z, z0, 0.0, n)
+    Zz = _along(problem.Z, z0, eps, n)  # Z(z0 + u, ., eps), reused across rounds
     P = _projected_du(problem, z0, 0.0)
     psi = bvp.psi.reshape(P.shape)
-    K, D, forcing = family.kernel_rows, family.cokernel_basis, family.forcing
+    K, D = family.kernel_rows, family.cokernel_basis
 
     # Round k writes (u_next - u, u_next, z, ubar) in bufs[k % 2], whose four
     # sup-norms are one abs and one max, and ubar_next in the other buffer's
@@ -361,7 +374,7 @@ def iterate(problem: NonlinearProblem, c0, B0_pinv, tol: float = 1e-10, max_iter
     u = bufs[1, 1]
     c = np.zeros(family.kernel_dim)
     work = np.empty((m, system.dim))  # ubar - u, then Z(z0+u) - Z(z0), over the first m times
-    lin_proj = np.empty(P.shape[0])
+    lin_proj, perturbation = np.empty(P.shape[0]), np.empty((m, system.dim))
     records, deltas = [], []
     reason = "max_iter"
     iterations = 0
@@ -371,7 +384,7 @@ def iterate(problem: NonlinearProblem, c0, B0_pinv, tol: float = 1e-10, max_iter
         du, u_next, z, ubar = buf
         np.matmul(P, np.subtract(ubar[:m], u[:m], out=work).ravel(), out=lin_proj)
         lin_proj += psi @ np.subtract(Zz, Z0, out=work).ravel()
-        g_phi = particular_forced(system, Zz)
+        g_phi = sweep(Zz)
         lg_phi = l.apply(g_phi)
         phi_proj = lg_phi @ D
 
@@ -382,8 +395,8 @@ def iterate(problem: NonlinearProblem, c0, B0_pinv, tol: float = 1e-10, max_iter
         ubar_next *= eps
 
         np.add(z0, u_next, out=z)
-        Zz = _along(problem.Z, z, eps)
-        rec_res, bc_res = residuals(system, l, forcing, z, eps * Zz)
+        Zz = _along(problem.Z, z, eps, n)
+        rec_res, bc_res = check(z, np.multiply(eps, Zz, out=perturbation))
         np.subtract(u_next, u, out=du)
         # a NaN or inf in u makes u_max non-finite
         delta, u_max, z_max, ubar_max = np.abs(buf, out=mags).max(axis=(1, 2)).tolist()

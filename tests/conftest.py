@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from resbvp import linear
 from resbvp.boundary import periodic
 from resbvp.linear import LinearBVP, OperatorSequence, particular_forced
 from resbvp.lotka_volterra import LotkaVolterraSpec, lv_callables
@@ -14,6 +15,12 @@ PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
 # outputs of the shipped commands, committed; test_acceptance holds them
 # to the bench/references rule
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+def scan(system: OperatorSequence, f):
+    """The blocked scan of a stack of forcings, shape (k, m, N), over a
+    time-invariant system: one run of a fresh plan."""
+    return linear._scan_plan(system, len(f))(f)
 
 
 def phi_product(A: OperatorSequence, n, i):

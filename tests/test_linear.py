@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from resbvp import linear
-from resbvp.boundary import generic, periodic
+from resbvp.boundary import generic, multipoint, periodic
 from resbvp.linalg import numerical_rank
 from resbvp.linear import (
     CLASSICAL,
@@ -15,14 +15,13 @@ from resbvp.linear import (
     OperatorSequence,
     classify,
     particular_forced,
-    recurrence_defect,
     residuals,
     transition_stack,
 )
 
 from resbvp.problem_io import rotation_matrix
 
-from conftest import phi_product, rotation_benchmark, varying_rotation_system
+from conftest import phi_product, rotation_benchmark, scan, varying_rotation_system
 
 FIB = np.array([[1.0, 1.0], [1.0, 0.0]])
 
@@ -91,7 +90,7 @@ class TestParticularForced:
     def check_scan(self, A: OperatorSequence, f):
         """A time-invariant system through the scan, to roundoff; a
         time-varying one through particular_forced, which steps bit for bit."""
-        G = linear._scan(A, f) if A.time_invariant else particular_forced(A, f)
+        G = scan(A, f) if A.time_invariant else particular_forced(A, f)
         assert G.shape == (f.shape[0], A.horizon + 1, A.dim)
         for j in range(f.shape[0]):
             g = self.sequential_sweep(A, f[j])
@@ -134,7 +133,7 @@ class TestParticularForced:
         f = np.zeros((2, m, 2))
         f[0, 0, 0] = 1.0
         f[1] = np.random.default_rng(12).standard_normal((m, 2))
-        G = linear._scan(A, f)
+        G = scan(A, f)
         for j in range(2):
             g = self.sequential_sweep(A, f[j])
             assert np.all(np.abs(G[j] - g) <= 1e-12 * np.abs(g) + 1e-300)
@@ -151,7 +150,7 @@ class TestParticularForced:
         f = np.random.default_rng(24).standard_normal((1, m, 2))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            G = linear._scan(A, f)
+            G = scan(A, f)
         g = self.sequential_sweep(A, f[0])
         assert np.abs(g).max() > 1e290
         assert np.all(np.abs(G[0] - g) <= 1e-12 * np.abs(g))
@@ -227,7 +226,7 @@ class TestParticularForced:
         assert G.shape == stack + (m + 1, N)
         assert np.array_equal(f, before)
         if time_invariant:
-            scanned = linear._scan(A, f.reshape(-1, m, N))
+            scanned = scan(A, f.reshape(-1, m, N))
             assert np.array_equal(G, scanned.reshape(G.shape))
         for i in np.ndindex(stack):
             g = self.sequential_sweep(A, f[i])
@@ -244,7 +243,7 @@ class TestParticularForced:
         # roundoff, bit for bit whatever the forcing's layout; a time-varying system
         # is not scanned, and particular_forced steps through it bit for bit
         A, rng = self.routed_system(m, N, time_invariant)
-        sweep = linear._scan if time_invariant else particular_forced
+        sweep = scan if time_invariant else particular_forced
         for k in (1, 2, 32):
             f = rng.standard_normal((k, m, N))
             time_major = np.ascontiguousarray(f.swapaxes(0, 1)).swapaxes(0, 1)
@@ -789,6 +788,89 @@ class TestResiduals:
                     assert (rec[i], bc[i]) == single
 
 
+def allocating_prefix(levels: tuple, x: np.ndarray, n: int) -> np.ndarray:
+    """Reference: the blocked scan allocating every level's padded inputs and
+    products on each call; the plan must give its bits."""
+    (Lt, Ct), (k, _, N) = levels[0], x.shape
+    rows = Lt.shape[0] // N
+    B = -(-n // rows)
+    u = np.zeros((k, B * rows, N))
+    u[:, B * rows - x.shape[1]:] = x
+    y = (u.reshape(k * B, rows * N) @ Lt).reshape(k, B, rows * N)
+    if B > 1:
+        carry = allocating_prefix(levels[1:], y[..., -N:], B)
+        incoming = u.reshape(k, B, -1)
+        incoming[:, 0] = 0.0
+        np.matmul(carry[:, :-1], Ct, out=incoming[:, 1:])
+        y += incoming
+    return y.reshape(k, B * rows, N)[:, B * rows - n:]
+
+
+def block_rotation_system(m, N):
+    """N / 2 copies of the rotation by 2 pi / m: time-invariant, A^m = I."""
+    return OperatorSequence.constant(np.kron(np.eye(N // 2), rotation_matrix(2 * np.pi / m)), m)
+
+
+# (m, N, levels): the windows the benchmark scans, with two and with three
+# scan levels, and the N = 32 window it steps through
+BOUND_WINDOWS = [(600, 2, 2), (2000, 2, 3), (24, 32, 0)]
+
+
+class TestBoundKernels:
+    """Each kernel bound once and called again and again, with inputs that
+    change from call to call, equals its one-shot call bit for bit."""
+
+    @pytest.mark.parametrize("m, N, levels", BOUND_WINDOWS)
+    @pytest.mark.parametrize("k", [1, "2r"])
+    def test_scan_plan_equals_the_allocating_scan(self, m, N, levels, k):
+        k = N * 2 if k == "2r" else k  # r = N: Q = 0 on the rotation's periodic problem
+        A, rng = block_rotation_system(m, N), np.random.default_rng(m + k)
+        plan = linear._scan_plan(A, k)
+        if levels:
+            assert len(A.levels) == levels
+        for scale in (1.0, 1e-3, 1e150, 0.0):
+            f = scale * rng.standard_normal((k, m, N))
+            g = plan(f)
+            assert np.array_equal(g, allocating_prefix(A.levels, f, m + 1))
+            assert np.array_equal(g, scan(A, f))
+
+    @pytest.mark.parametrize("m, N, levels", BOUND_WINDOWS + [(120, 2, None)])
+    @pytest.mark.parametrize("stack", [(), (4,), (2, 3)])
+    def test_forced_sweep_equals_particular_forced(self, m, N, levels, stack):
+        A = varying_rotation_system(m) if levels is None else block_rotation_system(m, N)
+        rng = np.random.default_rng(m + N + len(stack))
+        sweep = linear._forced_sweep(A, stack)
+        for _ in range(3):
+            f = rng.standard_normal(stack + (m, N))
+            g = sweep(f)
+            assert g.shape == stack + (m + 1, N)
+            assert np.array_equal(g, particular_forced(A, f))
+            if levels is None or m <= 64:  # stepped: each forcing's own sweep
+                assert np.array_equal(g.reshape(-1, m + 1, N)[-1],
+                                      TestParticularForced.sequential_sweep(A, f.reshape(-1, m, N)[-1]))
+
+    @pytest.mark.parametrize("m, N", [(600, 2), (24, 32), (120, 2)])
+    @pytest.mark.parametrize("boundary", ["generic", "multipoint"])
+    @pytest.mark.parametrize("stack", [(), (3,)])
+    def test_residual_check_equals_residuals(self, m, N, boundary, stack):
+        A = varying_rotation_system(m) if m == 120 else block_rotation_system(m, N)
+        rng = np.random.default_rng(m + N + len(stack))
+        l = random_boundary(rng, m, N) if boundary == "generic" else \
+            multipoint(N, [(range(N // 2), [0, m // 3, m]), (range(N // 2, N), [m])], [1.0, -0.5])
+        for f in (rng.standard_normal((m, N)), None):
+            check = linear._residual_check(A, l, f, stack)
+            for perturbation in (rng.standard_normal(stack + (m, N)), None, 1e-300 * np.ones((m, N))):
+                z = rng.standard_normal(stack + (m + 1, N))
+                got, want = check(z, perturbation), residuals(A, l, f, z, perturbation)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+                assert type(got[0]) is type(want[0]) and type(got[1]) is type(want[1])
+
+
+def recurrence_defect(A: OperatorSequence, f, z):
+    """The recurrence defect of one trajectory by a fresh bound defect."""
+    return linear._defect(A, f, ())(z)
+
+
 def batched_defect(A: OperatorSequence, f, z):
     """z(n+1) - A_n z(n) - f(n) with one (N, N) @ (N, 1) product per time."""
     m = A.horizon
@@ -822,7 +904,7 @@ class TestRecurrenceDefect:
         f, z = rng.standard_normal((1, 3)), rng.standard_normal((2, 3))
         assert np.allclose(recurrence_defect(A, f, z), batched_defect(A, f, z),
                            rtol=0, atol=1e-14)
-        g = linear._scan(A, f[None])
+        g = scan(A, f[None])
         assert np.array_equal(g[0], particular_forced(A, f))
 
 

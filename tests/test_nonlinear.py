@@ -30,6 +30,7 @@ from resbvp.nonlinear import (
     iterate,
     solve_generating,
     verify_derivative,
+    _F_evaluator,
     _fd_jacobian,
 )
 
@@ -40,6 +41,7 @@ from conftest import (
     block_rotation_doc,
     load_problem_doc,
     rotation_benchmark,
+    scan,
     varying_block_doc,
     varying_rotation_system,
 )
@@ -191,7 +193,7 @@ class TestStackedF:
         p, family = stack_case(name)
         c = 0.5 + 0.1 * np.random.default_rng(32).standard_normal(family.kernel_dim)
         c[0] = -0.0  # -0.0 + 0.0 is +0.0 off the diagonal, in both forms
-        assert np.array_equal(_fd_jacobian(p, c, at_eps),
+        assert np.array_equal(_fd_jacobian(_F_evaluator(p, at_eps), c),
                               per_column_fd_jacobian(p, c, at_eps))
 
     def test_one_stacked_Z_call_per_newton_step(self):
@@ -208,6 +210,25 @@ class TestStackedF:
         m, N, r = family.bvp.system.horizon, family.bvp.system.dim, family.kernel_dim
         assert shapes.count((2 * r, m, N)) == root.iterations
         assert all(shape in ((m, N), (2 * r, m, N)) for shape in shapes)
+
+
+class TestBoundF:
+    """One _F_evaluator, called again and again with changing points, single
+    and stacked as Newton calls it, equals generating_F bit for bit."""
+
+    @pytest.mark.parametrize("case", ["scanned_m600_N2", "stepped_m24_N32", "varying_m120",
+                                      "interior_sample", "rotation_lv.json"])
+    @pytest.mark.parametrize("at_eps", [0.0, 1e-3])
+    def test_equals_generating_F(self, case, at_eps):
+        p = {"scanned_m600_N2": lambda: block_rotation(600, 2, 1e-4, 0),
+             "stepped_m24_N32": lambda: block_rotation(24, 32, 1e-4, 0),
+             "varying_m120": lambda: varying_rotation(120, 1e-3),
+             "interior_sample": interior_sample_rotation}.get(case, lambda: shipped_nonlinear(case))()
+        r, rng = p.family.kernel_dim, np.random.default_rng(35)
+        F_of = _F_evaluator(p, at_eps)
+        for shape in [(r,), (2 * r, r), (r,), (3, r), (2 * r, r)]:
+            c = 0.5 + 0.1 * rng.standard_normal(shape)
+            assert np.array_equal(F_of(c), generating_F(p, c, at_eps=at_eps))
 
 
 class TestLongWindowF:
@@ -327,7 +348,7 @@ B0_CASES = {
 def reference_sweep(system, f):
     """The sweep of the references below: the blocked scan of a stack over
     a time-invariant system, step by step through a time-varying one."""
-    return (linear._scan if system.time_invariant else particular_forced)(system, f)
+    return (scan if system.time_invariant else particular_forced)(system, f)
 
 
 def scanned_B0(problem, c0):
@@ -341,14 +362,20 @@ def scanned_B0(problem, c0):
 
 
 def spy_sweeps(monkeypatch) -> list:
-    """Record the forcing shape of every particular_forced call the
-    nonlinear module makes."""
+    """Record the forcing shape of every forced sweep run: each sweep bound
+    by linear._forced_sweep, in the nonlinear module or through
+    particular_forced, records every call."""
     shapes = []
 
-    def spying(system, f, _fn=nonlinear.particular_forced):
-        shapes.append(np.shape(f))
-        return _fn(system, f)
-    monkeypatch.setattr(nonlinear, "particular_forced", spying)
+    def binding(system, stack, _bind=linear._forced_sweep):
+        sweep = _bind(system, stack)
+
+        def spying(f):
+            shapes.append(np.shape(f))
+            return sweep(f)
+        return spying
+    monkeypatch.setattr(nonlinear, "_forced_sweep", binding)
+    monkeypatch.setattr(linear, "_forced_sweep", binding)
     return shapes
 
 
@@ -528,6 +555,32 @@ class TestIterate:
         assert len(delta) == len(trace.records) == k + 1
         assert k > w and delta[k] >= delta[k - w]
         assert all(delta[j] < delta[j - w] for j in range(w + 1, k))  # the first such round
+
+    @staticmethod
+    def false_stall():
+        """The block rotation m = 96, N = 32, eps = 3e-4, base seed 2, seed 0:
+        the one run of 178 converging ones on the grid m in (24, 96, 384,
+        600), N in (2, 8, 32), eps in (1e-4, 3e-4, 1e-3, 3e-3, 1e-2) and base
+        seeds 0-4 that the 20-round window stops, though it converges."""
+        p = block_rotation(96, 32, 3e-4, 2)
+        root = solve_generating(p, [0.5] * 32)
+        return p, root.c0, check_sufficient(assemble_B0(p, root.c0)).B0_pinv
+
+    def test_the_window_stops_a_run_that_converges_without_it(self, monkeypatch):
+        p, c0, B0_pinv = self.false_stall()
+        _, trace = iterate(p, c0, B0_pinv)
+        delta = trace.increments
+        assert trace.reason == "no_contraction" and trace.iterations == 23
+        assert f"{delta[23]:.1e} {delta[3]:.1e}" == "3.9e+00 1.7e+00"
+        monkeypatch.setattr(nonlinear, "NO_CONTRACTION_WINDOW", 10**9)
+        _, trace = iterate(p, c0, B0_pinv)
+        assert trace.converged and trace.iterations == 142
+
+    @pytest.mark.xfail(strict=True, reason="the 20-round no-contraction window stops this "
+                                           "converging run at round 23 (it converges at 142)")
+    def test_block_rotation_m96_N32_eps3e_4_base2_converges(self):
+        p, c0, B0_pinv = self.false_stall()
+        assert iterate(p, c0, B0_pinv)[1].converged
 
     @pytest.mark.parametrize("m, N", [(600, 2), (24, 32)])
     def test_one_single_forcing_sweep_and_no_Z_du_per_round(self, monkeypatch, m, N):
@@ -861,7 +914,7 @@ class TestNewtonStackMemory:
 
     def test_fd_jacobian(self):
         p = block_rotation(24, 32, 1e-4, 0)
-        assert peak_kib(lambda: _fd_jacobian(p, np.full(32, 0.5), 0.0)) <= 1244
+        assert peak_kib(lambda: _fd_jacobian(_F_evaluator(p, 0.0), np.full(32, 0.5))) <= 1244
 
     def test_verify_derivative(self):
         p = block_rotation(24, 32, 1e-4, 0)
