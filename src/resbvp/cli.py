@@ -51,7 +51,7 @@ EXIT_NO_ROOT = 3
 EXIT_SUFFICIENCY = 4
 EXIT_NO_CONVERGENCE = 5
 EXIT_USAGE = 64
-_REFUSALS = {  # solve-nonlinear's stderr line per refusal; _stop_reason words exit 5's
+_REFUSALS = {  # solve-nonlinear's stderr line per refusal; exit 5's is trace.why
     EXIT_QUASI: "linear part is a quasisolution; no generating family",
     EXIT_NO_ROOT: "no generating root found",
     EXIT_SUFFICIENCY: "sufficient condition fails; rerun with --force to iterate anyway",
@@ -304,24 +304,8 @@ def cmd_solve_nonlinear(args) -> int:
         print(f"iteration: converged={sol.trace.converged} after {sol.trace.iterations} steps")
     print(f"outputs in {out} ({time.perf_counter() - started:.3f}s)")
     if code != EXIT_OK:
-        print(_REFUSALS.get(code) or f"iteration stopped: {_stop_reason(problem, sol.trace)}",
-              file=sys.stderr)
+        print(_REFUSALS.get(code) or f"iteration stopped: {sol.trace.why}", file=sys.stderr)
     return code
-
-
-def _stop_reason(problem: Problem, trace: nl.IterationTrace) -> str:
-    """Why an unconverged iteration stopped, with the numbers it compared."""
-    k, deltas = trace.iterations, trace.increments
-    if trace.reason == "no_contraction":
-        w = nl.NO_CONTRACTION_WINDOW
-        return (f"no contraction over {w} rounds (increment {deltas[k]:.1e} at round {k}, "
-                f"{deltas[k - w]:.1e} at round {k - w})")
-    if trace.reason == "blowup":
-        return f"max |u| exceeds blowup {problem.solver['blowup']:g} at round {k}"
-    if trace.reason == "non_finite":
-        return f"non-finite iterate at round {k}"
-    return (f"max_iter {problem.solver['max_iter']} rounds reached "
-            f"(increment {deltas[k]:.1e} at round {k})")
 
 
 # ---------------------------------------------------------------------------

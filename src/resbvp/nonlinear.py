@@ -121,7 +121,7 @@ class IterationTrace:
     iteration stopped: "converged", "no_contraction" (the increment did not
     shrink over NO_CONTRACTION_WINDOW rounds), "blowup" (max |u| > blowup),
     "non_finite" (u overflowed or went NaN) or "max_iter" (the cap was
-    reached).
+    reached); ``why`` words that stop with the numbers it compared.
     """
 
     records: tuple          # rows: (k, c_norm, ubar_norm, rec_res, bc_res, proj_res)
@@ -129,6 +129,7 @@ class IterationTrace:
     iterations: int
     reason: str
     increments: tuple
+    why: str
 
     FIELDS = ("k", "c_norm", "ubar_norm", "recurrence_residual",
               "boundary_residual", "projected_residual")
@@ -235,6 +236,15 @@ def _fd_jacobian(F_of, c: np.ndarray) -> np.ndarray:
     return ((F[:r] - F[r:]) / (2 * steps)[:, None]).T
 
 
+def _norm(F) -> float:
+    """np.linalg.norm(F), rescaled by max|F| where a finite F's squares overflow."""
+    norm = float(np.linalg.norm(F))
+    if norm == math.inf and np.isfinite(F).all():
+        big = float(np.abs(F).max())
+        norm = big * float(np.linalg.norm(F / big))
+    return norm
+
+
 def solve_generating(problem: NonlinearProblem, c_init=None, tol: float = 1e-10,
                      max_iter: int = 50, at_eps: float = 0.0) -> GeneratingRoot:
     """Damped Newton root search for F(c) = 0.
@@ -257,7 +267,7 @@ def solve_generating(problem: NonlinearProblem, c_init=None, tol: float = 1e-10,
                          f"got shape {c.shape}")
     F_of = _F_evaluator(problem, at_eps)
     F = F_of(c)
-    norm = float(np.linalg.norm(F))
+    norm = _norm(F)
     jac_rank = 0
     steps = 0
     while tol < norm < np.inf and steps < max_iter and r > 0:
@@ -272,7 +282,7 @@ def solve_generating(problem: NonlinearProblem, c_init=None, tol: float = 1e-10,
         for _ in range(30):
             trial = c + lam * step
             Ft = F_of(trial)
-            nt = float(np.linalg.norm(Ft))
+            nt = _norm(Ft)
             if nt < norm:
                 c, F, norm = trial, Ft, nt
                 improved = True
@@ -345,14 +355,16 @@ def iterate(problem: NonlinearProblem, c0, B0_pinv, tol: float = 1e-10, max_iter
     once k > w and delta_k >= delta_{k-w} with w = NO_CONTRACTION_WINDOW
     (20): a contraction shrinks every increment, so a run whose increment
     has not shrunk over w rounds is not contracting. trace.reason names the
-    stop.
+    stop and trace.why words it.
 
     The Green operator of problem.family.bvp gives ubar. ``B0_pinv`` is
     check_sufficient(assemble_B0(problem, c0)).B0_pinv, from the gate's rank
     decision; ``solve`` decides whether to iterate when that gate fails.
 
-    Returns (z, trace) with z = z0(., c0) + u.
+    Returns (z, trace) with z = z0(., c0) + u; a max_iter < 0 raises ValueError.
     """
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     eps, family = problem.epsilon, problem.family
     bvp = family.bvp
     system, l = bvp.system, bvp.boundary
@@ -376,8 +388,7 @@ def iterate(problem: NonlinearProblem, c0, B0_pinv, tol: float = 1e-10, max_iter
     work = np.empty((m, system.dim))  # ubar - u, then Z(z0+u) - Z(z0), over the first m times
     lin_proj, perturbation = np.empty(P.shape[0]), np.empty((m, system.dim))
     records, deltas = [], []
-    reason = "max_iter"
-    iterations = 0
+    w = NO_CONTRACTION_WINDOW
 
     for k in range(max_iter + 1):
         buf = bufs[k % 2]
@@ -406,25 +417,29 @@ def iterate(problem: NonlinearProblem, c0, B0_pinv, tol: float = 1e-10, max_iter
 
         deltas.append(delta)
         u, c = u_next, c_next
-        iterations = k
         if not math.isfinite(u_max):
-            reason = "non_finite"
+            reason, why = "non_finite", f"non-finite iterate at round {k}"
             break
         if u_max > blowup:
-            reason = "blowup"
+            reason, why = "blowup", f"max |u| exceeds blowup {blowup:g} at round {k}"
             break
         scale = 1.0 + z_max
         if delta <= tol * scale and rec_res <= residual_tol * scale \
                 and bc_res <= residual_tol * scale:
-            reason = "converged"
+            reason, why = "converged", f"converged at round {k} (increment {delta:.1e})"
             break
-        if k > NO_CONTRACTION_WINDOW and delta >= deltas[k - NO_CONTRACTION_WINDOW]:
-            reason = "no_contraction"
+        if k > w and delta >= deltas[k - w]:
+            reason, why = "no_contraction", (f"no contraction over {w} rounds (increment "
+                                             f"{delta:.1e} at round {k}, {deltas[k - w]:.1e} "
+                                             f"at round {k - w})")
             break
+    else:  # the loop ran (max_iter >= 0) and k is its last round
+        reason, why = "max_iter", (f"max_iter {max_iter} rounds reached "
+                                   f"(increment {delta:.1e} at round {k})")
 
     z = z0 + u
     trace = IterationTrace(records=tuple(records), converged=reason == "converged",
-                           iterations=iterations, reason=reason, increments=tuple(deltas))
+                           iterations=k, reason=reason, increments=tuple(deltas), why=why)
     return z, trace
 
 

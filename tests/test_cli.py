@@ -453,6 +453,17 @@ class TestStopTestMatchesAudit:
 
 
 class TestNoContraction:
+    @staticmethod
+    def assert_library_words_the_stop(tmp_path, err):
+        """What stderr says after "iteration stopped: " is the trace.why that
+        nonlinear.solve gives a library caller on the same file."""
+        doc = problem_io.load_problem(tmp_path / "rotation.json")
+        family = LinearBVP(doc.system, doc.boundary, rank_tol=doc.tolerances["rank"]).solve(
+            doc.forcing, tol=doc.tolerances["classification"])
+        sol = nl.solve(nl.NonlinearProblem(family, *doc.nonlinearity, doc.epsilon),
+                       doc.tolerances, doc.solver)
+        assert err.partition("iteration stopped: ")[2] == sol.trace.why + "\n"
+
     @pytest.mark.parametrize("base", [0, 3])
     def test_stalled_inputs_stop_early(self, tmp_path, capsys, base):
         # the two inputs that stall (f0, 200 rounds) or blow up (f3, 52 rounds)
@@ -462,6 +473,7 @@ class TestNoContraction:
         assert report["iteration"]["iterations"] < 25
         err = capsys.readouterr().err
         assert "iteration stopped: no contraction over 20 rounds" in err
+        self.assert_library_words_the_stop(tmp_path, err)
 
     @pytest.mark.parametrize("case,rounds", [
         ((120, 8, 1e-3, 4), 193),
@@ -479,12 +491,16 @@ class TestNoContraction:
         code, report = solve_block_rotation(tmp_path, (600, 2, 1e-3, 0), max_iter=cap)
         assert code == 5
         assert report["iteration"]["iterations"] == cap
-        assert f"max_iter {cap} rounds reached" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"max_iter {cap} rounds reached" in err
+        self.assert_library_words_the_stop(tmp_path, err)
 
     def test_blowup_is_named(self, tmp_path, capsys):
         code, report = solve_block_rotation(tmp_path, (600, 2, 1e-3, 3), blowup=1.0)
         assert code == 5
-        assert "exceeds blowup 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "exceeds blowup 1" in err
+        self.assert_library_words_the_stop(tmp_path, err)
 
 
 def strict_json(text: str):
@@ -547,16 +563,20 @@ class TestOverflowingInputs:
                                 capsys) == 3
 
     @pytest.mark.parametrize("cmd", NONLINEAR_COMMANDS, ids=["solve-nonlinear", "sweep"])
-    @pytest.mark.parametrize("name, nonlinearity", [
-        ("rotation_lv.json", {"g1": 1e308, "g2": 1e308}),
-        ("rotation_lv.json", {"a": 1e308, "b": 1e308}),
-        ("sweep_scalar.json", {"coeffs": [1e308, 1e308]}),
+    @pytest.mark.parametrize("name, nonlinearity, exits", [
+        ("rotation_lv.json", {"g1": 1e308, "g2": 1e308}, (3, 3)),
+        ("rotation_lv.json", {"a": 1e308, "b": 1e308}, (0, 5)),
+        ("sweep_scalar.json", {"coeffs": [1e308, 1e308]}, (3, 3)),
     ], ids=["lv_gains", "lv_tables", "polynomial"])
     def test_overflowing_nonlinearity_finds_no_root(self, tmp_path, capsys, cmd, name,
-                                                    nonlinearity):
-        # Z overflows at every probe, as g1 = 1e307 does on rotation_lv.json:
-        # no generating root, not a derivative mismatch (the run-time audit
-        # once refused these with exit 64, "Z_du disagrees ... nan")
+                                                    nonlinearity, exits):
+        # exits: the sweep's at eps = 0 and 1e-3. Z overflows at every probe,
+        # as g1 = 1e307 does on rotation_lv.json: no generating root, not a
+        # derivative mismatch (the run-time audit once refused these with exit
+        # 64, "Z_du disagrees ... nan"). Tables of 1e308 leave F finite, with
+        # terms near 4e304 whose 2-norm overflows: Newton finds the root c0 =
+        # (-0.00198, 0.226) (a 50-digit solve agrees to 1.2e-14), and at eps =
+        # 1e-3 the iteration blows up in round 1
         doc = json.loads(Path(problem(name)).read_text())
         doc["nonlinearity"].update(nonlinearity)
         path = tmp_path / "overflow.json"
@@ -568,10 +588,11 @@ class TestOverflowingInputs:
         if cmd[0] == "sweep":  # the sweep exits 0 and records each point's exit
             assert code == 0
             assert [(pt["exit"], pt["root_converged"]) for pt in report["points"]] \
-                == [(3, False)] * 2
-        else:
-            assert code == 3 and "no generating root found" in err, err
-            assert not report["generating"]["converged"]
+                == [(e, e != 3) for e in exits]
+        else:  # at the file's epsilon: no root, or rotation_lv's 1e-3
+            assert code == exits[-1], err
+            assert report["generating"]["converged"] == (code != 3)
+            assert ("no generating root found" if code == 3 else "exceeds blowup") in err, err
 
     @pytest.mark.parametrize("cmd", [
         ["solve-linear"],

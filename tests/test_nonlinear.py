@@ -540,7 +540,13 @@ class TestIterate:
         z, trace = iterate(p, np.zeros(1), B0_pinv, max_iter=200)
         assert not trace.converged and trace.reason == "non_finite"
         assert trace.iterations <= 5
+        assert trace.why == f"non-finite iterate at round {trace.iterations}"
         assert not np.isfinite(z).all()
+
+    def test_negative_max_iter_is_refused(self):
+        p = resonant_identity_problem(zero_Z, zero_Zdu, eps=0.1)
+        with pytest.raises(ValueError, match="max_iter must be >= 0, got -1"):
+            iterate(p, np.zeros(2), np.eye(2), max_iter=-1)
 
     def test_stops_once_the_increment_stops_shrinking(self):
         # the benchmark's m = 600, eps = 1e-3 block rotation (f0): without the
@@ -557,13 +563,15 @@ class TestIterate:
         assert all(delta[j] < delta[j - w] for j in range(w + 1, k))  # the first such round
 
     @staticmethod
-    def false_stall():
-        """The block rotation m = 96, N = 32, eps = 3e-4, base seed 2, seed 0:
-        the one run of 178 converging ones on the grid m in (24, 96, 384,
-        600), N in (2, 8, 32), eps in (1e-4, 3e-4, 1e-3, 3e-3, 1e-2) and base
-        seeds 0-4 that the 20-round window stops, though it converges."""
-        p = block_rotation(96, 32, 3e-4, 2)
-        root = solve_generating(p, [0.5] * 32)
+    def false_stall(m=96, N=32, eps=3e-4, base=2):
+        """By default the block rotation m = 96, N = 32, eps = 3e-4, base seed
+        2, seed 0: the one run of 178 converging ones on the grid m in (24,
+        96, 384, 600), N in (2, 8, 32), eps in (1e-4, 3e-4, 1e-3, 3e-3, 1e-2)
+        and base seeds 0-4 that the 20-round window stops, though it
+        converges. Base seeds 5-9 hold one more: m = 600, N = 8, eps = 1e-4,
+        base seed 6."""
+        p = block_rotation(m, N, eps, base)
+        root = solve_generating(p, [0.5] * N)
         return p, root.c0, check_sufficient(assemble_B0(p, root.c0)).B0_pinv
 
     def test_the_window_stops_a_run_that_converges_without_it(self, monkeypatch):
@@ -576,10 +584,13 @@ class TestIterate:
         _, trace = iterate(p, c0, B0_pinv)
         assert trace.converged and trace.iterations == 142
 
-    @pytest.mark.xfail(strict=True, reason="the 20-round no-contraction window stops this "
-                                           "converging run at round 23 (it converges at 142)")
-    def test_block_rotation_m96_N32_eps3e_4_base2_converges(self):
-        p, c0, B0_pinv = self.false_stall()
+    @pytest.mark.xfail(strict=True, reason="the 20-round no-contraction window stops these "
+                                           "converging runs at round 23 (they converge at "
+                                           "142 and 144)")
+    @pytest.mark.parametrize("case", [(96, 32, 3e-4, 2), (600, 8, 1e-4, 6)],
+                             ids=["m96_N32_eps3e-4_base2", "m600_N8_eps1e-4_base6"])
+    def test_block_rotation_m96_N32_eps3e_4_base2_converges(self, case):
+        p, c0, B0_pinv = self.false_stall(*case)
         assert iterate(p, c0, B0_pinv)[1].converged
 
     @pytest.mark.parametrize("m, N", [(600, 2), (24, 32)])
