@@ -123,9 +123,7 @@ def fib_periodic_particular(f, m: int):
         raise ValueError("m must be >= 1")
     g = [np.zeros(2, dtype=object)]
     for row in f[:m]:
-        fn = [Fraction(x).limit_denominator(10 ** 15) if isinstance(x, float) else Fraction(x)
-              for x in row]
-        g.append(FIB_MATRIX @ g[-1] + fn)
+        g.append(FIB_MATRIX @ g[-1] + [Fraction(x) for x in row])  # exact for a float too
     Q = _periodic_Q(m)
     z0 = _adjugate(Q) @ -g[m] / _det(Q)
     return [tuple(np.linalg.matrix_power(FIB_MATRIX, n) @ z0 + gn) for n, gn in enumerate(g)]

@@ -238,7 +238,8 @@ def _fd_jacobian(F_of, c: np.ndarray) -> np.ndarray:
 
 def _norm(F) -> float:
     """np.linalg.norm(F), rescaled by max|F| where a finite F's squares overflow."""
-    norm = float(np.linalg.norm(F))
+    with np.errstate(over="ignore"):  # no overflow warning, which may be an error
+        norm = float(np.linalg.norm(F))
     if norm == math.inf and np.isfinite(F).all():
         big = float(np.abs(F).max())
         norm = big * float(np.linalg.norm(F / big))

@@ -1,20 +1,42 @@
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from resbvp import linear
-from resbvp.boundary import periodic
 from resbvp.linear import LinearBVP, OperatorSequence, particular_forced
-from resbvp.lotka_volterra import LotkaVolterraSpec, lv_callables
 from resbvp.nonlinear import NonlinearProblem
-from resbvp.problem_io import rotation_matrix
+from resbvp.problem_io import parse_problem
 
 PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
 # outputs of the shipped commands, committed; test_acceptance holds them
 # to the bench/references rule
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+def _load_workloads():
+    """bench/workloads.py, imported from its file (bench is not a package)
+    and registered, as its dataclasses need, as bench_workloads."""
+    path = PROBLEMS_DIR.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the benchmark's workloads, its block-rotation inputs and the shipped
+# problems' criterion-9 commands: the tests run the same ones, not copies
+bench_workloads = _load_workloads()
+SHIPPED = bench_workloads.SHIPPED
+
+
+def block_rotation_doc(m, N, eps, base_seed, seed=0):
+    """Problem-file dict of the benchmark's block rotation (see
+    bench/workloads.py), at the benchmark's default seed 0."""
+    return bench_workloads.block_rotation_problem(m, N, eps, base_seed, seed)
 
 
 def scan(system: OperatorSequence, f):
@@ -31,22 +53,23 @@ def phi_product(A: OperatorSequence, n, i):
     return P
 
 
-def rotation_benchmark(epsilon=0.0, m=6, pairs=1):
-    """Fully resonant rotation system over one full turn, periodic BC,
-    Lotka-Volterra nonlinearity; the forcing is corrected so the periodic
-    solvability condition holds exactly (Q = 0, r = d = N).
+def from_file(doc):
+    """The NonlinearProblem of a parsed problem file, over the family of its
+    linear part."""
+    family = LinearBVP(doc.system, doc.boundary).solve(doc.forcing)
+    return NonlinearProblem(family, *doc.nonlinearity, doc.epsilon)
 
-    The state is (x_1..x_p, y_1..y_p) for p = ``pairs``, each (x_i, y_i)
-    rotating by 2 pi / m, so N = 2p (the benchmark's block rotation)."""
-    N = 2 * pairs
-    system = OperatorSequence.constant(np.kron(rotation_matrix(2 * np.pi / m),
-                                               np.eye(pairs)), m)
-    l = periodic(N, m)
-    rng = np.random.default_rng(42)
-    f = 0.3 * rng.standard_normal((m, N))
-    f[m - 1] -= particular_forced(system, f)[m]
-    Z, Z_du = lv_callables(LotkaVolterraSpec.uniform(pairs))
-    return NonlinearProblem(LinearBVP(system, l).solve(f), Z, Z_du, epsilon)
+
+def block_rotation(m, N, eps, base_seed):
+    """The NonlinearProblem of block_rotation_doc(m, N, eps, base_seed)."""
+    return from_file(parse_problem(block_rotation_doc(m, N, eps, base_seed)))
+
+
+def rotation_benchmark(epsilon=0.0, m=6, pairs=1):
+    """The block rotation at base forcing 42: fully resonant over one full
+    turn (Q = 0, r = d = N = 2 ``pairs``), periodic boundary, uniform
+    Lotka-Volterra nonlinearity."""
+    return block_rotation(m, 2 * pairs, epsilon, 42)
 
 
 def varying_rotation_system(m):
@@ -78,34 +101,24 @@ def varying_block_doc(m, eps):
             "epsilon": eps, "solver": {"c_init": [0.5, 0.5]}}
 
 
-def block_rotation_doc(m, N, eps, base_seed, seed=0):
-    """Problem-file dict of the benchmark's block rotation: N/2 copies of the
-    2x2 rotation by 2 pi / m, periodic boundary, uniform Lotka-Volterra
-    nonlinearity, c_init 0.5. The forcing is 0.3 times a standard normal
-    draw from ``base_seed`` plus a relative 1e-3 draw from (seed,
-    base_seed), corrected in its last step so that g(m) = 0 (Q = 0, r = d
-    = N). The same arithmetic as bench/workloads.py, so the same inputs bit
-    for bit."""
-    p = N // 2
-    c, s = np.cos(2 * np.pi / m), np.sin(2 * np.pi / m)
-    f = 0.3 * np.random.default_rng(base_seed).standard_normal((m, N))
-    f += 1e-3 * 0.3 * np.random.default_rng([seed, base_seed]).standard_normal((m, N))
-    A = np.zeros((N, N))
-    idx = np.arange(p)
-    A[idx, idx] = A[p + idx, p + idx] = c
-    A[idx, p + idx] = -s
-    A[p + idx, idx] = s
-    g = np.zeros(N)
-    for n in range(m):
-        g = A @ g + f[n]
-    f[m - 1] -= g
-    return {"dim": N, "horizon": m,
-            "system": {"type": "block", "a": [c] * p, "b": [-s] * p, "c": [s] * p,
-                       "d": [c] * p},
-            "forcing": f.tolist(), "boundary": {"type": "periodic"},
-            "nonlinearity": {"type": "lotka_volterra", "g1": 1.0, "g2": 1.0,
-                             "a": 1.0, "b": 1.0},
-            "epsilon": eps, "solver": {"c_init": [0.5] * N}}
+def brute_force_F(problem, c):
+    """Independent oracle: unroll z0(., c), push the nonlinearity through
+    explicit transition products into the boundary form, and project."""
+    family, system = problem.family, problem.family.bvp.system
+    A = system.matrices
+    m, N = system.horizon, system.dim
+    z0 = family.member(c)
+    g = np.zeros((m + 1, N))
+    for n in range(m + 1):
+        acc = np.zeros(N)
+        for i in range(n):
+            P = np.eye(N)
+            for k in range(i + 1, n):
+                P = A[k] @ P
+            acc += P @ problem.Z(z0[i], i, 0.0)
+        g[n] = acc
+    v = sum(L @ g[n] for n, L in family.bvp.boundary.samples)
+    return family.cokernel_basis.T @ v
 
 
 @pytest.fixture

@@ -13,7 +13,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from resbvp import cli
 from resbvp.boundary import generic, multipoint, periodic
@@ -44,8 +43,8 @@ from resbvp.nonlinear import (
     solve_generating,
 )
 
-from conftest import GOLDEN_DIR, PROBLEMS_DIR, phi_product, rotation_benchmark
-from test_nonlinear import brute_force_F
+from conftest import (GOLDEN_DIR, PROBLEMS_DIR, SHIPPED, brute_force_F, phi_product,
+                      rotation_benchmark)
 
 
 def _report(number, message):
@@ -302,17 +301,6 @@ def test_criterion_8_lotka_volterra_derivative():
             worst = max(worst, err)
             assert err <= 1e-6
     _report(8, f"100 random points, worst column defect {worst:.2e}")
-
-
-SHIPPED = [
-    ("identity_resonant.json", ["solve-linear"]),
-    ("fibonacci_periodic.json", ["solve-linear"]),
-    ("quasisolution_multipoint.json", ["solve-linear", "--allow-quasi"]),
-    ("rotation_lv.json", ["solve-nonlinear"]),
-    ("gate_refusal.json", ["solve-nonlinear", "--force"]),
-    ("sweep_scalar.json", ["sweep", "--eps-min", "0", "--eps-max", "1e-3",
-                           "--count", "6"]),
-]
 
 
 # Outputs of the SHIPPED commands, committed before the single-LinearBVP

@@ -16,8 +16,8 @@ from resbvp import cli, linalg, linear, problem_io
 from resbvp import nonlinear as nl
 from resbvp.linear import LinearBVP
 
-from conftest import GOLDEN_DIR, PROBLEMS_DIR, block_rotation_doc
-from test_acceptance import SHIPPED
+from conftest import (GOLDEN_DIR, PROBLEMS_DIR, SHIPPED, bench_workloads, block_rotation_doc,
+                      load_problem_doc)
 
 
 def run(argv):
@@ -140,6 +140,11 @@ def fibonacci_periodic_file(tmp_path, m, eighths=False, nonlinear=False) -> Path
     return path
 
 
+# the benchmark's generated inputs, by name: ((m, N, eps, base forcing), exit code)
+WORKLOAD_INPUTS = {f"{w.name}-f{base}": ((w.m, w.N, w.eps, base), w.expect_exit)
+                   for w in bench_workloads.WORKLOADS.values() if w.seeded
+                   for base in w.base_seeds}
+
 NONLINEAR_COMMANDS = [["solve-nonlinear"],
                       ["sweep", "--eps-min", "0", "--eps-max", "1e-3", "--count", "2"]]
 
@@ -216,12 +221,7 @@ class TestResidualGate:
     def test_shipped_commands_keep_their_exit_codes(self, tmp_path, name, cmd):
         assert run(cmd[:1] + [problem(name)] + cmd[1:] + ["-o", tmp_path]) == 0
 
-    @pytest.mark.parametrize("case,code", [((600, 2, 1e-4, b), 0) for b in range(5)]
-                             + [((24, 32, 1e-4, b), 0) for b in range(5)]
-                             + [((600, 2, 1e-3, b), 5) for b in (0, 3)],
-                             ids=[f"iterate-long-f{b}" for b in range(5)]
-                             + [f"newton-wide-f{b}" for b in range(5)]
-                             + [f"iterate-stall-f{b}" for b in (0, 3)])
+    @pytest.mark.parametrize("case,code", WORKLOAD_INPUTS.values(), ids=WORKLOAD_INPUTS)
     def test_workload_inputs_keep_their_exit_codes(self, tmp_path, case, code):
         assert solve_block_rotation(tmp_path, case)[0] == code
 
@@ -288,7 +288,7 @@ def capture_results(monkeypatch, name) -> list:
 
 def overflowing_scalar_problem(tmp_path) -> Path:
     """sweep_scalar.json (Z = z^2) at eps = 1e-3 seeded where Z overflows."""
-    doc = json.loads(Path(problem("sweep_scalar.json")).read_text())
+    doc = load_problem_doc("sweep_scalar.json")
     doc["epsilon"] = 1e-3
     doc["solver"] = {"c_init": [1e160]}
     path = tmp_path / "overflow.json"
@@ -364,7 +364,7 @@ class TestSolveNonlinear:
         # the kernel dimension is 2: one value is too few, and a nested pair
         # of the right size has the wrong shape
         for i, c_init in enumerate([[0.5], [[0.5, 0.5]]]):
-            doc = json.loads(Path(problem("rotation_lv.json")).read_text())
+            doc = load_problem_doc("rotation_lv.json")
             doc.setdefault("solver", {})["c_init"] = c_init
             path = tmp_path / f"bad{i}.json"
             path.write_text(json.dumps(doc))
@@ -378,11 +378,37 @@ class TestSolveNonlinear:
         assert code == 64
         assert "no nonlinearity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd", [["solve-nonlinear"],
+                                     ["sweep", "--eps-min", "0", "--eps-max", "1e-3",
+                                      "--count", "3"]], ids=["solve-nonlinear", "sweep"])
+    def test_quasisolution_has_no_generating_family(self, tmp_path, capsys, cmd):
+        # a quasisolution's linear part has no family to perturb: solve-nonlinear
+        # exits 2 and writes its report alone; a sweep records exit 2 at each point
+        doc = load_problem_doc("quasisolution_multipoint.json")
+        doc.update(nonlinearity={"type": "polynomial", "coeffs": [0, 0, 1]}, epsilon=1e-3)
+        path = tmp_path / "quasi.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code = run(cmd[:1] + [path] + cmd[1:] + ["-o", out])
+        report = json.loads((out / "report.json").read_text())
+        if cmd[0] == "solve-nonlinear":
+            assert code == 2
+            assert ("linear part is a quasisolution; no generating family"
+                    in capsys.readouterr().err)
+            assert "solvability" in report and "generating" not in report
+            assert report["outputs"] == [] and [p.name for p in out.iterdir()] == ["report.json"]
+        else:
+            assert code == 0
+            assert [point["exit"] for point in report["points"]] == [2, 2, 2]
+            header, *rows = (out / "branch.csv").read_text().splitlines()
+            assert header == "eps,exit,root_converged,F_norm,iter_converged,iterations"
+            assert [row.split(",")[1] for row in rows] == ["2", "2", "2"]
+
     def test_residual_tolerance_is_read(self, tmp_path, capsys):
         # The file's residual tolerance gates convergence. The linear members'
         # residuals (at most 8.1e-16) meet 2e-15 (1 + max |z|); the iteration's
         # boundary residual stalls near 2e-14 and cannot.
-        doc = json.loads(Path(problem("rotation_lv.json")).read_text())
+        doc = load_problem_doc("rotation_lv.json")
         doc.setdefault("tolerances", {})["residual"] = 2e-15
         path = tmp_path / "strict.json"
         path.write_text(json.dumps(doc))
@@ -555,7 +581,7 @@ class TestOverflowingInputs:
     def test_huge_coefficient_finds_no_root(self, tmp_path, capsys):
         # Z = 1e200 z^2 once failed the derivative audit (exit 64, "relative
         # error nan"); like 1e150, it finds no generating root
-        doc = json.loads(Path(problem("sweep_scalar.json")).read_text())
+        doc = load_problem_doc("sweep_scalar.json")
         doc["nonlinearity"]["coeffs"] = [0.0, 0.0, 1e200]
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(doc))
@@ -577,7 +603,7 @@ class TestOverflowingInputs:
         # terms near 4e304 whose 2-norm overflows: Newton finds the root c0 =
         # (-0.00198, 0.226) (a 50-digit solve agrees to 1.2e-14), and at eps =
         # 1e-3 the iteration blows up in round 1
-        doc = json.loads(Path(problem(name)).read_text())
+        doc = load_problem_doc(name)
         doc["nonlinearity"].update(nonlinearity)
         path = tmp_path / "overflow.json"
         path.write_text(json.dumps(doc))
@@ -602,7 +628,7 @@ class TestOverflowingInputs:
     def test_overflowing_forcing_is_usage_error(self, tmp_path, capsys, cmd):
         # 1e308 summed over identity steps overflows the forced response;
         # its NaN defect once passed as a family with a particular.csv of nan
-        doc = json.loads(Path(problem("sweep_scalar.json")).read_text())
+        doc = load_problem_doc("sweep_scalar.json")
         doc["forcing"] = [[1e308]] * doc["horizon"]
         path = tmp_path / "huge_forcing.json"
         path.write_text(json.dumps(doc))
@@ -661,7 +687,7 @@ class TestOversizedNumbers:
     @pytest.mark.parametrize("cmd", COMMANDS, ids=lambda cmd: cmd[0])
     @pytest.mark.parametrize("field", HUGE_INT_FIELDS)
     def test_integer_past_the_doubles(self, tmp_path, capsys, field, cmd):
-        doc = json.loads(Path(problem("rotation_lv.json")).read_text())
+        doc = load_problem_doc("rotation_lv.json")
         put(doc, HUGE_INT_FIELDS[field], 10**400)
         assert self.solve(tmp_path, cmd, doc) == 64
         assert f"error: {field}: int too large" in capsys.readouterr().err
@@ -678,7 +704,7 @@ class TestOversizedNumbers:
         if cmd == ["verify"]:
             code = self.verify_with(tmp_path, field, 10**20)
         else:
-            doc = json.loads(Path(problem("rotation_lv.json")).read_text())
+            doc = load_problem_doc("rotation_lv.json")
             doc[field] = 10**20
             code = self.solve(tmp_path, cmd, doc)
         assert code == 64
@@ -1139,7 +1165,7 @@ class TestUsage:
         ["sweep", "--eps-min", "0", "--eps-max", "1e-3", "--count", "2"],
     ], ids=["solve-linear", "solve-nonlinear", "sweep"])
     def test_deeply_nested_problem_file_is_usage_error(self, tmp_path, capsys, cmd):
-        doc = json.loads(Path(problem("rotation_lv.json")).read_text())
+        doc = load_problem_doc("rotation_lv.json")
         doc["forcing"] = "NESTED"
         bad = tmp_path / "nested.json"
         bad.write_text(json.dumps(doc).replace('"NESTED"', "[" * 100000 + "]" * 100000))

@@ -206,6 +206,12 @@ class TestFibPeriodicSolver:
             fx, fy = f[n]
             assert traj[n + 1] == (x + y + fx, x + fy)
 
+    def test_float_forcing_is_read_exactly(self):
+        # 0.1 is the double 3602879701896397 / 2^55, not 1/10
+        rows = [(0.1, 0.25)] * 5
+        exact = [tuple(map(Fraction, row)) for row in rows]
+        assert fib_periodic_particular(rows, 5) == fib_periodic_particular(exact, 5)
+
     def test_float_solver_matches_exact_oracle(self):
         m = 8
         rng = np.random.default_rng(13)

@@ -1,11 +1,9 @@
 import contextlib
 import dataclasses
-import functools
-import importlib.util
 import inspect
 import re
-import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -38,7 +36,11 @@ from resbvp.problem_io import DEFAULT_SOLVER, DEFAULT_TOLERANCES, load_problem, 
 
 from conftest import (
     PROBLEMS_DIR,
+    bench_workloads,
+    block_rotation,
     block_rotation_doc,
+    brute_force_F,
+    from_file,
     load_problem_doc,
     rotation_benchmark,
     scan,
@@ -56,37 +58,10 @@ def zero_Zdu(z, n, eps):
     return np.zeros(z.shape + z.shape[-1:])
 
 
-def brute_force_F(problem, c):
-    """Independent oracle: unroll z0(., c), push the nonlinearity through
-    explicit transition products into the boundary form, and project."""
-    family, system = problem.family, problem.family.bvp.system
-    A = system.matrices
-    m, N = system.horizon, system.dim
-    z0 = family.member(c)
-    g = np.zeros((m + 1, N))
-    for n in range(m + 1):
-        acc = np.zeros(N)
-        for i in range(n):
-            P = np.eye(N)
-            for k in range(i + 1, n):
-                P = A[k] @ P
-            acc += P @ problem.Z(z0[i], i, 0.0)
-        g[n] = acc
-    v = sum(L @ g[n] for n, L in family.bvp.boundary.samples)
-    return family.cokernel_basis.T @ v
-
-
 def over_zero_forcing(system, l, Z, Z_du, eps=0.0):
     """The NonlinearProblem over the family of (system, l) with f = 0."""
     family = LinearBVP(system, l).solve(np.zeros((system.horizon, system.dim)))
     return NonlinearProblem(family, Z, Z_du, eps)
-
-
-def from_file(doc):
-    """The NonlinearProblem of a parsed problem file, over the family of its
-    linear part."""
-    family = LinearBVP(doc.system, doc.boundary).solve(doc.forcing)
-    return NonlinearProblem(family, *doc.nonlinearity, doc.epsilon)
 
 
 def resonant_identity_problem(Z, Z_du, eps=0.0, m=4, N=2):
@@ -316,6 +291,16 @@ class TestSolveGenerating:
         p = over_zero_forcing(system, periodic(2, m), zero_Z, zero_Zdu)
         root = solve_generating(p, np.zeros(0))
         assert root.converged and root.c0.shape == (0,)
+
+    def test_overflowing_norm_under_warnings_as_errors(self):
+        # F's 2-norm overflows at gains of 1e200; Newton's guard takes the
+        # rescaled norm without an overflow warning, so a caller that makes
+        # warnings errors gets the same 5 steps as one that does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            root = solve_generating(overflowing_gain(1e200), [0.5, 0.5])
+        assert root.iterations == 5 and not root.converged
+        assert root.residual_norm == pytest.approx(3.6566e187, rel=1e-4)
 
 
 def interior_sample_rotation():
@@ -697,15 +682,11 @@ def no_kernel_square():
     return from_file(doc)
 
 
-def block_rotation(m, N, eps, base):
-    doc = parse_problem(block_rotation_doc(m, N, eps, base))
-    return from_file(doc)
-
-
 def overflowing_gain(gain):
     """The m = 600 block rotation with Lotka-Volterra gains g1 = g2 = gain.
-    At 1e200 the norm of F overflows, so the root search keeps c_init; B0
-    stays finite, and Z overflows in the iteration's third round."""
+    At 1e200 the 2-norm of F overflows, and Newton takes 5 steps on the
+    rescaled norm without converging; B0 at that c0 stays finite, and the
+    iterate turns non-finite at round 2."""
     doc = block_rotation_doc(600, 2, 1e-4, 0)
     doc["nonlinearity"].update(g1=gain, g2=gain)
     return from_file(parse_problem(doc))
@@ -836,17 +817,6 @@ class TestVerifyDerivative:
             verify_derivative(dataclasses.replace(p, Z_du=nan_Zdu))
 
 
-@functools.cache
-def load_workloads():
-    """bench/workloads.py, imported from its file (bench is not a package)
-    and registered, as its dataclasses need, as bench_workloads."""
-    path = PROBLEMS_DIR.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def built_in_pair(dim, m, nonlinearity):
     """The NonlinearProblem of a problem file's nonlinearity over the
     identity system with a periodic boundary and zero forcing (Q = 0)."""
@@ -900,9 +870,8 @@ class TestBuiltInPairs:
 
     @pytest.mark.parametrize("workload", ["iterate-long", "newton-wide", "iterate-stall"])
     def test_benchmark_block_rotation(self, workload):
-        workloads = load_workloads()
-        w = workloads.WORKLOADS[workload]
-        doc = workloads.block_rotation_problem(w.m, w.N, w.eps, w.base_seeds[0], 0)
+        w = bench_workloads.WORKLOADS[workload]
+        doc = block_rotation_doc(w.m, w.N, w.eps, w.base_seeds[0])
         verify_derivative(from_file(parse_problem(doc)))
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from resbvp import cli
+from resbvp.boundary import initial_mass
 from resbvp.linear import LinearBVP, classify
 from resbvp.nonlinear import iterate, solve_generating
 from resbvp.problem_io import (
@@ -90,6 +91,13 @@ class TestGenerators:
             expected[n, p:, :p] = np.diag(tables["c"][n])
             expected[n, p:, p:] = np.diag(tables["d"][n])
         assert np.array_equal(parse_problem(doc).system.matrices, expected)
+
+    def test_initial_mass_boundary(self):
+        p = parse_problem(minimal_doc(dim=4, boundary={"type": "initial_mass"}))
+        expected = initial_mass(2)
+        assert [(n, L.tolist()) for n, L in p.boundary.samples] == \
+            [(n, L.tolist()) for n, L in expected.samples]
+        assert p.boundary.target.tolist() == expected.target.tolist() == [1.0, 1.0]
 
     def test_unknown_generator(self):
         with pytest.raises(ProblemFormatError, match="unknown generator"):
@@ -249,6 +257,33 @@ class TestDefaultsAndCanonical:
         ({"horizon": 6, "nonlinearity": {"type": "lotka_volterra",
                                          "g1": np.ones((7, 1)).tolist()}},
          "nonlinearity.g1"),
+        pytest.param({"system": "identity"}, "^system: expected an object", id="system-text"),
+        pytest.param({"dim": 3, "system": {"type": "rotation", "theta": 0.5}},
+                     "^system: rotation generator requires dim = 2", id="rotation-dim3"),
+        pytest.param({"dim": 3, "system": {"type": "block", **dict.fromkeys("abcd", [1.0])}},
+                     "^system: block generator requires even dim", id="block-dim3"),
+        pytest.param({"system": {"type": "block", **dict.fromkeys("abcd", [1.0]), "a": [1.0] * 2}},
+                     r"^system\.a: expected shape \(1,\) or \(4, 1\), got \(2,\)",
+                     id="block-table-shape"),
+        pytest.param({"dim": 3, "boundary": {"type": "initial_mass"}},
+                     "^boundary: initial_mass requires even dim", id="initial-mass-dim3"),
+        pytest.param({"boundary": {"type": "multipoint", "targets": [0.0],
+                                   "groups": [{"components": [2], "points": [0]}]}},
+                     "^boundary: component index 2 outside state dimension 2",
+                     id="multipoint-component"),
+        pytest.param({"boundary": {"type": "generic", "target": [0.0],
+                                   "samples": [{"point": 5, "weights": [[1.0, 0.0]]}]}},
+                     r"^boundary\.samples\[0\]: point 5 outside window \[0, 4\]",
+                     id="generic-point"),
+        pytest.param({"boundary": {"type": "mystery"}}, "^boundary: unknown type 'mystery'",
+                     id="boundary-type"),
+        pytest.param({"nonlinearity": {"type": "mystery"}},
+                     "^nonlinearity: unknown type 'mystery'", id="nonlinearity-type"),
+        pytest.param({"dim": 3, "nonlinearity": {"type": "lotka_volterra"}},
+                     "^nonlinearity: lotka_volterra requires even dim", id="lotka-volterra-dim3"),
+        pytest.param({"horizon": 0}, "dim and horizon must be >= 1", id="horizon0"),
+        pytest.param({"forcing": "ones"}, "^forcing: unknown named forcing 'ones'",
+                     id="named-forcing"),
     ])
     def test_bad_scalar_or_table_is_format_error(self, tmp_path, overrides, field):
         doc = minimal_doc(**overrides)
